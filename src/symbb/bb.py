@@ -1,20 +1,23 @@
 """Target-lower-bound branch and bound with orbital branching and
-isomorphism pruning.
+isomorphism pruning, on the level-expansion engine it shares with the
+estimator.
 
-The search is level-synchronous breadth first.  Each iteration bounds every
-active node of the current depth with the Newton-bracketing procedure (early
-exit against the target), branches the survivors on the highest-scoring orbit
-of their reduced-matrix automorphism group, and sweeps the newly created
-level for subproblems isomorphic to an already seen one.  No upper bounding
-is performed: the run either proves that the optimum is at least the target,
-or refutes the target with an exactly solved leaf below it.
+The search is level-synchronous breadth first.  ``root_children`` branches
+the root; ``expand_level`` classifies every node of a level, sweeps the open
+ones for subproblems isomorphic to an already seen one, and bounds the rest
+with the Newton-bracketing procedure (early exit against the target);
+``branch_level`` branches the survivors on the highest-scoring orbit of their
+reduced-matrix automorphism group.  Between levels only fix sets and the
+isomorphism history are kept.  No upper bounding is performed: the run either
+proves that the optimum is at least the target, or refutes the target with an
+exactly solved leaf below it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,40 +27,31 @@ import numpy as np
 from .dnn import NbParams, assemble, default_lambda, nb_bound
 from .instance import BqopInstance, objective
 from .subproblem import (FixSets, Infeasible, SolvedLeaf, Subproblem,
-                         feasibility_status, reduce, subgroup)
-from .symmetry import Orbit, PermutationGroup, automorphisms, orbits
+                         feasibility_status, reduce, solve_exactly, subgroup)
+from .symmetry import Orbit, PermutationGroup, orbits
 
 
 @dataclass(frozen=True)
-class BbParams:
+class TreeParams:
+    """Settings of the tree engine, shared by BbParams and EstParams."""
+
     workers: int = 1
-    iso_pruning: bool = True
     lambda_scale: float = 1e8
     lam: float | None = None            # overrides lambda_scale / ||B(I0,I1)||
     leaf_threshold: int = 20
     leaf_band: int = 3
     nb: NbParams = field(default_factory=NbParams)
     group_cap: int = 1_000_000
+
+
+@dataclass(frozen=True)
+class BbParams(TreeParams):
+    iso_pruning: bool = True
     iso_node_cap: int = 1_000_000
     node_budget: int | None = None
     time_budget: float | None = None    # seconds
-    audit: bool = False                 # small-n only: re-check merges by enumeration
+    audit: bool = False                 # small-n only: re-check by enumeration
     checkpoint_path: str | None = None
-
-
-@dataclass
-class Node:
-    id: int
-    depth: int
-    fix: FixSets
-    status: str            # Active | PrunedByBound | PrunedByIsomorphism |
-                           # Branched | Infeasible | Leaf
-    parent_id: int | None
-    sub: Subproblem | None = None
-    fingerprint: tuple | None = None
-    lb_interval: tuple[float, float] | None = None
-    leaf_value: int | None = None
-    leaf_witness: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -196,212 +190,189 @@ def branch(fix: FixSets, orbit: Orbit, free) -> tuple[FixSets, FixSets]:
     return fix.with_zeros(members), fix.with_one(members[0])
 
 
-def _brute_force_optimum(sub: Subproblem, combo_cap: int = 200_000):
-    """Exhaustive optimum of a subproblem; audit use only."""
-    r, ell = sub.residual_m, sub.ell
-    if r < 0 or r > ell:
-        return None
-    if math.comb(ell, r) > combo_cap:
-        raise ValueError("subproblem too large for audit enumeration")
-    best = None
-    for support in itertools.combinations(range(ell), r):
-        idx = np.array(support, dtype=np.int64)
-        val = sub.offset + int(sub.reduced_B[np.ix_(idx, idx)].sum())
-        if best is None or val < best:
-            best = val
-    return best
+def root_children(inst: BqopInstance, params: TreeParams) -> list[FixSets]:
+    """The root branch.  The root is branched unconditionally, without
+    classification or bounding."""
+    root = reduce(inst, FixSets((), ()))
+    grp = subgroup(root, element_cap=params.group_cap)
+    return list(branch(root.fix, choose_orbit(root, grp), root.free))
+
+
+@dataclass
+class Level:
+    """One expanded level.  ``survivors`` are the open subproblems that no
+    bound pruned; ``pruned_bound`` counts the solved leaves too.  A level with
+    a ``refutation`` (its first leaf below the target) was not bounded."""
+
+    pruned_iso: int = 0
+    infeasible: int = 0
+    leaves: int = 0
+    pruned_bound: int = 0
+    survivors: list[Subproblem] = field(default_factory=list)
+    refutation: SolvedLeaf | None = None
+    bound_seconds: list[float] = field(default_factory=list)
+
+
+def expand_level(inst: BqopInstance, target: int, params: TreeParams,
+                 fixes: list[FixSets], history: dict | None = None,
+                 audit: bool = False) -> Level:
+    """Expand one level of fix sets, in order: reduce and classify each node;
+    with a ``history`` (fingerprint -> retained subproblems), prune the open
+    nodes isomorphic to a retained one and retain the rest; stop at the first
+    leaf below the target; otherwise bound the open nodes and apply the prune
+    test.  Only BbParams carries ``iso_node_cap``, so only branch and bound
+    passes a history."""
+    level = Level()
+    open_subs = []
+    for fix in fixes:
+        sub = reduce(inst, fix)
+        status = feasibility_status(sub, params.leaf_threshold, params.leaf_band)
+        if isinstance(status, Infeasible):
+            level.infeasible += 1
+        elif isinstance(status, SolvedLeaf):
+            level.leaves += 1
+            if status.value < target and level.refutation is None:
+                level.refutation = status
+        else:
+            open_subs.append(sub)
+
+    if history is not None:
+        # Retained subproblems with fewer ones fixed than every node of this
+        # level can never match again.
+        f1_min = min(len(fix.i1) for fix in fixes)
+        for key in list(history):
+            kept = [s for s in history[key] if len(s.fix.i1) >= f1_min]
+            if kept:
+                history[key] = kept
+            else:
+                del history[key]
+        unmerged = []
+        for sub in open_subs:
+            bucket = history.setdefault(fingerprint(sub), [])
+            twin = next((s for s in bucket
+                         if isomorphic(s, sub, params.iso_node_cap) is not None), None)
+            if twin is None:
+                bucket.append(sub)
+                unmerged.append(sub)
+                continue
+            if audit:
+                assert solve_exactly(sub).value == solve_exactly(twin).value, \
+                    f"unsound merge of {sub.fix} into {twin.fix}"
+            level.pruned_iso += 1
+        open_subs = unmerged
+
+    if level.refutation is not None:
+        return level
+    level.pruned_bound = level.leaves
+
+    def bound_one(sub: Subproblem):
+        lam = params.lam if params.lam is not None else \
+            default_lambda(sub, params.lambda_scale)
+        prob = assemble(sub, lam)
+        t0 = time.monotonic()
+        res = nb_bound(prob, target, params.nb)
+        return res, time.monotonic() - t0
+
+    if params.workers > 1 and open_subs:
+        with ThreadPoolExecutor(max_workers=params.workers) as pool:
+            results = list(pool.map(bound_one, open_subs))
+    else:
+        results = [bound_one(sub) for sub in open_subs]
+    for sub, (res, seconds) in zip(open_subs, results):
+        level.bound_seconds.append(seconds)
+        if audit and math.isfinite(res.a):
+            opt = solve_exactly(sub).value
+            assert res.a + sub.offset <= opt, \
+                f"invalid bound at {sub.fix}: {res.a + sub.offset} > {opt}"
+        if res.status == "Pruned" or (
+                res.status == "Converged" and res.lb_integer is not None
+                and res.lb_integer >= target):
+            level.pruned_bound += 1
+        else:
+            # Branchable, unresolved Converged, and IterLimit all branch;
+            # branching an undecided node is always sound.
+            level.survivors.append(sub)
+    return level
+
+
+def branch_level(inst: BqopInstance, survivors: list[Subproblem],
+                 params: TreeParams, audit: bool = False) -> list[FixSets]:
+    """Both children of every survivor, in survivor order."""
+    children = []
+    for sub in survivors:
+        grp = subgroup(sub, element_cap=params.group_cap)
+        pair = branch(sub.fix, choose_orbit(sub, grp), sub.free)
+        if audit:
+            child_opts = [leaf.value for leaf in
+                          (solve_exactly(reduce(inst, fix)) for fix in pair)
+                          if isinstance(leaf, SolvedLeaf)]
+            parent_opt = solve_exactly(sub).value
+            assert child_opts and parent_opt == min(child_opts), \
+                f"branching at {sub.fix} lost the optimum {parent_opt}"
+        children.extend(pair)
+    return children
+
+
+def _write_checkpoint(path: str, state: dict):
+    """Write through a temp file in the same directory and a rename, so an
+    interrupted write never leaves a truncated checkpoint."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        json.dump(state, fh, indent=1)
+    os.replace(tmp, path)
 
 
 def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams()) -> Certificate:
     """Prove optimum >= target, or refute the target with a witness."""
     t_start = time.monotonic()
-    nodes: dict[int, Node] = {}
-    next_id = [0]
+    history = {} if params.iso_pruning else None
     per_depth: list[dict] = []
-    # history of retained subproblems for the isomorphism sweep,
-    # bucketed by fingerprint
-    history: dict[tuple, list[tuple[int, Subproblem]]] = {}
-
-    def new_node(fix: FixSets, depth: int, parent: int | None) -> Node:
-        sub = reduce(inst, fix)
-        status = feasibility_status(sub, params.leaf_threshold, params.leaf_band)
-        node = Node(id=next_id[0], depth=depth, fix=fix, status="Active",
-                    parent_id=parent, sub=sub, fingerprint=fingerprint(sub))
-        next_id[0] += 1
-        if isinstance(status, Infeasible):
-            node.status = "Infeasible"
-        elif isinstance(status, SolvedLeaf):
-            node.status = "Leaf"
-            node.leaf_value = status.value
-            node.leaf_witness = status.witness
-        nodes[node.id] = node
-        return node
-
-    def finish(outcome, witness=None, value=None) -> Certificate:
-        return Certificate(outcome=outcome, target=target,
-                           node_count=len(nodes), per_depth=tuple(per_depth),
-                           wall_time=time.monotonic() - t_start,
-                           witness=witness, witness_value=value)
-
-    def checkpoint(frontier):
-        if params.checkpoint_path is None:
-            return
-        state = {
-            "target": target,
-            "frontier": [{"i0": [i + 1 for i in nd.fix.i0],
-                          "i1": [i + 1 for i in nd.fix.i1],
-                          "depth": nd.depth} for nd in frontier],
-            "per_depth": per_depth,
-        }
-        with open(params.checkpoint_path, "w") as fh:
-            json.dump(state, fh, indent=1)
-
-    def bound_one(node: Node):
-        lam = params.lam if params.lam is not None else \
-            default_lambda(node.sub, params.lambda_scale)
-        prob = assemble(node.sub, lam)
-        return node.id, nb_bound(prob, target, params.nb)
-
-    # Root: branched unconditionally, without bounding.
-    root = new_node(FixSets((), ()), depth=0, parent=None)
-    root_group = automorphisms(inst.B, element_cap=params.group_cap)
-    root_grp_sub = subgroup(root.sub, root_group=root_group,
-                            element_cap=params.group_cap)
-    orb = choose_orbit(root.sub, root_grp_sub)
-    fix0, fix1 = branch(root.fix, orb, root.sub.free)
-    root.status = "Branched"
-    frontier = [new_node(fix0, 1, root.id), new_node(fix1, 1, root.id)]
-
-    depth = 1
+    fixes = root_children(inst, params)
+    node_count = 1
     while True:
-        created = len(frontier)
-        # Isomorphism sweep over the newly created level, ascending id.
-        pruned_iso = 0
-        if params.iso_pruning:
-            for node in frontier:
-                if node.status != "Active":
-                    continue
-                bucket = history.setdefault(node.fingerprint, [])
-                merged = None
-                for sid, ssub in bucket:
-                    witness = isomorphic(ssub, node.sub, params.iso_node_cap)
-                    if witness is not None:
-                        merged = sid
-                        break
-                if merged is not None:
-                    if params.audit:
-                        assert _brute_force_optimum(node.sub) == \
-                            _brute_force_optimum(nodes[merged].sub), \
-                            f"unsound merge of node {node.id} into {merged}"
-                    node.status = "PrunedByIsomorphism"
-                    pruned_iso += 1
-                else:
-                    bucket.append((node.id, node.sub))
+        depth = len(per_depth) + 1
+        created = len(fixes)
+        node_count += created
+        level = expand_level(inst, target, params, fixes, history, params.audit)
+        generated = created - level.pruned_iso
+        per_depth.append({
+            "depth": depth, "created": created, "generated": generated,
+            "pruned_iso": level.pruned_iso, "infeasible": level.infeasible,
+            "leaf_solved": level.leaves, "active": len(level.survivors),
+            "pruned_bound": level.pruned_bound,
+            "reduction_rate": generated / created if created else 1.0})
 
-        infeasible = sum(1 for nd in frontier if nd.status == "Infeasible")
-        leaves = [nd for nd in frontier if nd.status == "Leaf"]
-        open_nodes = [nd for nd in frontier if nd.status == "Active"]
-        generated = created - pruned_iso
-
-        stats = {"depth": depth, "created": created, "generated": generated,
-                 "pruned_iso": pruned_iso, "infeasible": infeasible,
-                 "leaf_solved": len(leaves), "active": 0, "pruned_bound": 0,
-                 "reduction_rate": generated / created if created else 1.0}
-        per_depth.append(stats)
-
-        # Exactly solved leaves refute or are pruned.
-        for nd in sorted(leaves, key=lambda x: x.id):
-            if nd.leaf_value < target:
-                witness = nd.leaf_witness
-                value = objective(inst, witness)
-                assert value == nd.leaf_value < target
-                return finish("Refuted", witness=witness, value=value)
-        stats["pruned_bound"] += len(leaves)
-
-        # Bound phase (parallel over nodes, results keyed by id).
-        results = {}
-        if open_nodes:
-            if params.workers > 1:
-                with ThreadPoolExecutor(max_workers=params.workers) as pool:
-                    for nid, res in pool.map(bound_one, open_nodes):
-                        results[nid] = res
-            else:
-                for nid, res in map(bound_one, open_nodes):
-                    results[nid] = res
-
-        active = []
-        for nd in open_nodes:
-            res = results[nd.id]
-            nd.lb_interval = (res.a, res.b)
-            if params.audit and math.isfinite(res.a):
-                opt = _brute_force_optimum(nd.sub)
-                assert opt is None or res.a + nd.sub.offset <= opt, \
-                    f"invalid bound at node {nd.id}: {res.a + nd.sub.offset} > {opt}"
-            if res.status == "Pruned" or (
-                    res.status == "Converged" and res.lb_integer is not None
-                    and res.lb_integer >= target):
-                nd.status = "PrunedByBound"
-                stats["pruned_bound"] += 1
-            else:
-                # Branchable, unresolved Converged, and IterLimit all branch;
-                # branching an undecided node is always sound.
-                active.append(nd)
-        stats["active"] = len(active)
-
-        if not active:
-            return finish("Proved")
-        if params.node_budget is not None and len(nodes) > params.node_budget:
-            checkpoint(active)
-            return finish("Inconclusive")
-        if params.time_budget is not None and \
-                time.monotonic() - t_start > params.time_budget:
-            checkpoint(active)
-            return finish("Inconclusive")
-
-        # Branch phase (sequential, ascending id, deterministic child ids).
-        children = []
-        for nd in active:
-            grp = subgroup(nd.sub, element_cap=params.group_cap)
-            orb = choose_orbit(nd.sub, grp)
-            fix0, fix1 = branch(nd.fix, orb, nd.sub.free)
-            nd.status = "Branched"
-            c0 = new_node(fix0, depth + 1, nd.id)
-            c1 = new_node(fix1, depth + 1, nd.id)
-            if params.audit:
-                parent_opt = _brute_force_optimum(nd.sub)
-                child_opts = [v for v in (_brute_force_optimum(c.sub)
-                                          for c in (c0, c1)) if v is not None]
-                assert child_opts and parent_opt == min(child_opts), \
-                    f"branching at node {nd.id} lost the optimum {parent_opt}"
-            children.append(c0)
-            children.append(c1)
-
-        # History retention: nodes with fewer ones fixed than every future
-        # node can never match again.
-        if params.iso_pruning:
-            f1_min = min(len(nd.fix.i1) for nd in children)
-            for key in list(history):
-                kept = [(sid, s) for sid, s in history[key]
-                        if len(s.fix.i1) >= f1_min]
-                if kept:
-                    history[key] = kept
-                else:
-                    del history[key]
-
-        frontier = children
-        depth += 1
+        leaf = level.refutation
+        if leaf is not None:
+            value = objective(inst, leaf.witness)
+            assert value == leaf.value < target
+            outcome = "Refuted"
+        elif not level.survivors:
+            outcome = "Proved"
+        elif (params.node_budget is not None and node_count > params.node_budget) or (
+                params.time_budget is not None
+                and time.monotonic() - t_start > params.time_budget):
+            if params.checkpoint_path is not None:
+                _write_checkpoint(params.checkpoint_path, {
+                    "target": target,
+                    "frontier": [{"i0": [i + 1 for i in sub.fix.i0],
+                                  "i1": [i + 1 for i in sub.fix.i1],
+                                  "depth": depth} for sub in level.survivors],
+                    "per_depth": per_depth,
+                })
+            outcome = "Inconclusive"
+        else:
+            fixes = branch_level(inst, level.survivors, params, params.audit)
+            continue
+        return Certificate(outcome=outcome, target=target, node_count=node_count,
+                           per_depth=tuple(per_depth),
+                           wall_time=time.monotonic() - t_start,
+                           witness=None if leaf is None else leaf.witness,
+                           witness_value=None if leaf is None else leaf.value)
 
 
 def stats_csv_rows(cert: Certificate) -> list[dict]:
     """Per-depth statistics rows for CSV emission."""
-    rows = []
-    for rec in cert.per_depth:
-        rows.append({
-            "depth": rec["depth"],
-            "generated": rec["generated"],
-            "active": rec["active"],
-            "pruned_bound": rec["pruned_bound"],
-            "pruned_iso": rec["pruned_iso"],
-            "reduction_rate": rec["reduction_rate"],
-        })
-    return rows
+    keys = ("depth", "generated", "active", "pruned_bound", "pruned_iso",
+            "reduction_rate")
+    return [{k: rec[k] for k in keys} for rec in cert.per_depth]

@@ -11,10 +11,10 @@ Exit codes: 0 completed, 1 error, 2 target refuted, 3 inconclusive (budget).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -44,10 +44,42 @@ def _config_overrides(config_path: str | None) -> dict:
     if config_path is None:
         return {}
     with open(config_path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise click.ClickException(f"--config is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise click.ClickException("--config must contain a JSON object")
     return data
+
+
+# JSON value types accepted for each scalar annotation of a params field.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "None": type(None)}
+
+
+def _apply_overrides(params, overrides: dict, prefix: str = ""):
+    """A copy of a params dataclass with ``--config`` overrides applied.  A
+    nested JSON object overrides the nested dataclass of the same name (``nb``,
+    then ``apg``); unknown keys and ill-typed values are errors."""
+    fields = {f.name: f for f in dataclasses.fields(params)}
+    changes = {}
+    for key, value in overrides.items():
+        name = prefix + key
+        if key not in fields:
+            raise click.ClickException(f"--config: unknown key {name!r}")
+        current = getattr(params, key)
+        if dataclasses.is_dataclass(current):
+            if not isinstance(value, dict):
+                raise click.ClickException(f"--config: {name!r} must be a JSON object")
+            value = _apply_overrides(current, value, name + ".")
+        elif not any(isinstance(value, _JSON_TYPES[t]) and
+                     (t == "bool" or not isinstance(value, bool))
+                     for t in fields[key].type.split(" | ")):
+            raise click.ClickException(
+                f"--config: {name!r} must be {fields[key].type}, not {value!r}")
+        changes[key] = value
+    return dataclasses.replace(params, **changes)
 
 
 def _write_json(path: str | None, obj: dict):
@@ -227,8 +259,7 @@ def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
             lambda_scale=lambda_scale, lam=lam, node_budget=node_budget,
             time_budget=time_budget, checkpoint_path=checkpoint_path,
             audit=audit)
-        if overrides:
-            params = replace(params, **overrides)
+        params = _apply_overrides(params, overrides)
         cert = bb.solve_target(bqop, target, params)
     except (instance.InstanceError, symmetry.GroupTooLargeError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -241,11 +272,8 @@ def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
         _write_csv(stats_csv, bb.stats_csv_rows(cert))
     if certificate_json:
         payload = cert.to_json_obj()
-        payload["config"] = _run_config(
-            "solve", instance=instance_path, target=target,
-            iso_pruning=not no_isomorphism_pruning, workers=workers,
-            lambda_scale=lambda_scale, lam=lam, node_budget=node_budget,
-            time_budget=time_budget)
+        payload["config"] = _run_config("solve", instance=instance_path, target=target,
+                                        params=dataclasses.asdict(params))
         payload["instance_sha256"] = digest
         _write_json(certificate_json, payload)
     sys.exit({"Proved": EXIT_OK, "Refuted": EXIT_REFUTED}.get(cert.outcome, EXIT_INCONCLUSIVE))
@@ -285,7 +313,7 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
     if report_json:
         summary["config"] = _run_config("estimate", instance=instance_path,
                                         target=target, seeds=seeds,
-                                        width_threshold=width_threshold)
+                                        params=dataclasses.asdict(params))
         summary["instance_sha256"] = digest
         _write_json(report_json, summary)
     complete = all(rep["complete"] for rep in summary["reports"])

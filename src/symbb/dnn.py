@@ -50,14 +50,13 @@ class NbParams:
 @dataclass(frozen=True)
 class DnnProblem:
     """Lifted matrices for one subproblem, plus bookkeeping for bound
-    reporting (offset, integrality, initial Newton point)."""
+    reporting (offset of the integral objective, initial Newton point)."""
 
     ell: int
     q_obj: np.ndarray
     q_pen: np.ndarray
     lam: float
     offset: int
-    integral: bool
     y_init: float
 
     @property
@@ -88,19 +87,6 @@ class NbResult:
     iterations: int
     lb_integer: int | None
     trace: tuple = ()
-
-
-def lifted_form(prob: DnnProblem, u, v, s: float) -> float:
-    """Evaluate z^T (Q_obj + lam Q_pen) z at z = (u, v, s)."""
-    z = np.concatenate([np.asarray(u, dtype=float), np.asarray(v, dtype=float), [s]])
-    return float(z @ prob.q_lam @ z)
-
-
-def penalty_value(u, v, s: float, b: float) -> float:
-    """Direct evaluation of the penalty terms; oracle for ``assemble``."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(np.sum((u + v - s) ** 2) + np.sum(u * v) + (u.sum() - b * s) ** 2)
 
 
 def assemble(sub: Subproblem, lam: float) -> DnnProblem:
@@ -141,7 +127,7 @@ def assemble(sub: Subproblem, lam: float) -> DnnProblem:
     q_pen[s, s] += b * b
 
     return DnnProblem(ell=ell, q_obj=q_obj, q_pen=q_pen, lam=float(lam),
-                      offset=sub.offset, integral=True, y_init=initial_upper(sub))
+                      offset=sub.offset, y_init=initial_upper(sub))
 
 
 def default_lambda(sub: Subproblem, scale: float = 1e8) -> float:
@@ -259,20 +245,12 @@ def nb_bound(prob: DnnProblem, target: float | None,
                       "gprime": res.gprime, "apg_iterations": res.iterations,
                       "apg_converged": res.converged})
         if target is not None:
-            if prob.integral:
-                if _safe_ceil(a + prob.offset) >= target:
-                    status = "Pruned"
-                    break
-                if _safe_ceil(b + prob.offset) < target:
-                    status = "Branchable"
-                    break
-            else:
-                if a + prob.offset >= target:
-                    status = "Pruned"
-                    break
-                if b + prob.offset < target:
-                    status = "Branchable"
-                    break
+            if _safe_ceil(a + prob.offset) >= target:
+                status = "Pruned"
+                break
+            if _safe_ceil(b + prob.offset) < target:
+                status = "Branchable"
+                break
         if b - a <= params.gap_tol * max(1.0, abs(b)):
             status = "Converged"
             break
@@ -290,6 +268,6 @@ def nb_bound(prob: DnnProblem, target: float | None,
         else:
             y = 0.5 * (a + y) if math.isfinite(a) else y - max(1.0, abs(y)) * 1e-3
 
-    lb_integer = _safe_ceil(a + prob.offset) if prob.integral and math.isfinite(a) else None
+    lb_integer = _safe_ceil(a + prob.offset) if math.isfinite(a) else None
     return NbResult(status=status, a=a, b=b, iterations=iterations,
                     lb_integer=lb_integer, trace=tuple(trace))

@@ -2,40 +2,30 @@
 
 The tree is expanded fully while a level holds fewer nodes than the width
 threshold.  From the first wide level onward only a random sample of each
-level is bounded; the per-level growth ratio (2 * branchable / sampled)
+level is expanded; the per-level growth ratio (2 * branchable / sampled)
 extrapolates the level sizes, and their sum estimates the total node count.
-Isomorphism pruning stays off here, matching the branch-and-bound variant
-whose work is being estimated.
+The estimator is only a sampling policy: it expands and branches its sample
+with the branch-and-bound engine (``bb.expand_level``, ``bb.branch_level``),
+so with no level sampled it counts exactly the nodes branch and bound
+creates.  Isomorphism pruning stays off here, matching the branch-and-bound
+variant whose work is being estimated.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bb import branch, choose_orbit
-from .dnn import NbParams, assemble, default_lambda, nb_bound
+from .bb import TreeParams, branch_level, expand_level, root_children
 from .instance import BqopInstance
-from .subproblem import (FixSets, Infeasible, SolvedLeaf,
-                         feasibility_status, reduce, subgroup)
-from .symmetry import automorphisms
 
 
 @dataclass(frozen=True)
-class EstParams:
+class EstParams(TreeParams):
     width_threshold: int = 1000
     sample_size: int = 100          # nodes sampled from a wide level
     sample_cutoff: int = 500        # levels below this are taken whole
-    workers: int = 1
-    lambda_scale: float = 1e8
-    lam: float | None = None
-    leaf_threshold: int = 20
-    leaf_band: int = 3
-    nb: NbParams = field(default_factory=NbParams)
-    group_cap: int = 1_000_000
     depth_budget: int | None = None
 
 
@@ -71,36 +61,12 @@ def _sample_count(width: int, params: EstParams) -> int:
 
 def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
              seed: int = 0) -> EstimationReport:
-    """Run the sampled-subtree estimator for one seed."""
+    """Run the sampled-subtree estimator for one seed: pick each level's
+    sample, then expand and branch it with the branch-and-bound engine."""
     rng = np.random.default_rng(seed)
-    t_start = time.monotonic()
-    bound_seconds: list[float] = []
-    bound_calls = 0
-
-    def classify(fix: FixSets):
-        sub = reduce(inst, fix)
-        return sub, feasibility_status(sub, params.leaf_threshold, params.leaf_band)
-
-    def bound_one(sub):
-        nonlocal bound_calls
-        lam = params.lam if params.lam is not None else \
-            default_lambda(sub, params.lambda_scale)
-        prob = assemble(sub, lam)
-        t0 = time.monotonic()
-        res = nb_bound(prob, target, params.nb)
-        bound_seconds.append(time.monotonic() - t0)
-        bound_calls += 1
-        return res
-
-    # Root branch, identical to the branch-and-bound root handling.
-    root_sub = reduce(inst, FixSets((), ()))
-    root_group = automorphisms(inst.B, element_cap=params.group_cap)
-    grp = subgroup(root_sub, root_group=root_group, element_cap=params.group_cap)
-    orb = choose_orbit(root_sub, grp)
-    fix0, fix1 = branch(root_sub.fix, orb, root_sub.free)
-    frontier = [fix0, fix1]
-
+    frontier = root_children(inst, params)
     per_depth: list[dict] = []
+    bound_seconds: list[float] = []
     exact_sum = 0
     est_sum = 0.0
     sampling = False
@@ -112,8 +78,11 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
     while frontier:
         width = len(frontier)
         if not sampling and width >= params.width_threshold:
+            # The first truncated level is still an exact count; later levels
+            # contribute the extrapolated t_hat values.
             sampling = True
             t_hat = float(width)
+            exact_sum += width
         if sampling:
             s_k = _sample_count(width, params)
             chosen = sorted(rng.permutation(width)[:s_k].tolist())
@@ -121,62 +90,28 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         else:
             s_k = width
             selected = frontier
+            exact_sum += width
 
-        open_subs = []
-        for fix in selected:
-            sub, status = classify(fix)
-            if isinstance(status, Infeasible):
-                continue
-            if isinstance(status, SolvedLeaf):
-                if status.value < target:
-                    refuted = True
-                continue
-            open_subs.append(sub)
-        if params.workers > 1 and open_subs:
-            with ThreadPoolExecutor(max_workers=params.workers) as pool:
-                bound_results = list(pool.map(bound_one, open_subs))
-        else:
-            bound_results = [bound_one(sub) for sub in open_subs]
-        branchable = [
-            sub for sub, res in zip(open_subs, bound_results)
-            if not (res.status == "Pruned" or (
-                res.status == "Converged" and res.lb_integer is not None
-                and res.lb_integer >= target))
-        ]
-        r_k = len(branchable)
-
+        level = expand_level(inst, target, params, selected)
+        bound_seconds += level.bound_seconds
+        r_k = len(level.survivors)
         rec = {"depth": depth, "width": width, "sampled": s_k,
                "branchable": r_k}
         if sampling:
             rec["t_hat"] = t_hat
-        per_depth.append(rec)
-
-        if sampling:
-            # The first truncated level is still an exact count; later levels
-            # contribute the extrapolated t_hat values.
-            if sum(1 for r in per_depth if "t_hat" in r) == 1:
-                exact_sum += width
             t_hat = (2.0 * r_k / s_k) * t_hat if s_k else 0.0
             est_sum += t_hat
-        else:
-            exact_sum += width
+        per_depth.append(rec)
 
-        if refuted:
-            complete = True
+        if level.refutation is not None:
+            refuted = True
             break
         if r_k == 0:
             break
         if params.depth_budget is not None and depth >= params.depth_budget:
             complete = False
             break
-
-        children = []
-        for sub in branchable:
-            grp = subgroup(sub, element_cap=params.group_cap)
-            orb = choose_orbit(sub, grp)
-            c0, c1 = branch(sub.fix, orb, sub.free)
-            children.extend([c0, c1])
-        frontier = children
+        frontier = branch_level(inst, level.survivors, params)
         depth += 1
 
     total = 1.0 + exact_sum + est_sum

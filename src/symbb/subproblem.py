@@ -10,7 +10,6 @@ and residual cardinality ``m - |I1|``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,33 +102,45 @@ class Open:
     pass
 
 
+def solve_exactly(sub: Subproblem):
+    """Infeasible, or the SolvedLeaf of the optimum found by enumerating every
+    support of size ``residual_m``; ties keep the first support in
+    lexicographic order."""
+    r, ell = sub.residual_m, sub.ell
+    if r < 0 or r > ell:
+        return Infeasible()
+    best_val, best_y = None, None
+    for support in itertools.combinations(range(ell), r):
+        idx = np.array(support, dtype=np.int64)
+        val = int(sub.reduced_B[np.ix_(idx, idx)].sum())
+        if best_val is None or val < best_val:
+            best_val = val
+            best_y = idx
+    y = np.zeros(ell, dtype=np.int64)
+    y[best_y] = 1
+    return SolvedLeaf(value=sub.offset + best_val, witness=sub.lift(y))
+
+
 def feasibility_status(sub: Subproblem, leaf_threshold: int = 20,
                        leaf_band: int = 3):
     """Classify a subproblem as Infeasible, SolvedLeaf or Open.
 
-    Leaves with a unique completion (residual 0 or |F|) are solved directly.
-    Small leaves (|F| <= leaf_threshold and the residual within ``leaf_band``
-    of either end) are solved by enumerating all feasible supports.
+    With an all-zero reduced matrix every completion costs ``offset``, so the
+    first ``residual_m`` free indices are an optimal witness.  Leaves with a
+    unique completion (residual 0 or |F|) and small leaves (|F| <=
+    leaf_threshold and the residual within ``leaf_band`` of either end) are
+    solved exactly.
     """
     r, ell = sub.residual_m, sub.ell
     if r < 0 or r > ell:
         return Infeasible()
-    if r == 0:
-        return SolvedLeaf(value=sub.offset, witness=sub.lift(np.zeros(ell, dtype=np.int64)))
-    if r == ell:
-        y = np.ones(ell, dtype=np.int64)
-        return SolvedLeaf(value=sub.offset + int(y @ sub.reduced_B @ y), witness=sub.lift(y))
-    if ell <= leaf_threshold and (r <= leaf_band or r >= ell - leaf_band):
-        best_val, best_y = None, None
-        for support in itertools.combinations(range(ell), r):
-            idx = np.array(support)
-            val = int(sub.reduced_B[np.ix_(idx, idx)].sum())
-            if best_val is None or val < best_val:
-                best_val = val
-                best_y = idx
+    if not sub.reduced_B.any():
         y = np.zeros(ell, dtype=np.int64)
-        y[best_y] = 1
-        return SolvedLeaf(value=sub.offset + best_val, witness=sub.lift(y))
+        y[:r] = 1
+        return SolvedLeaf(value=sub.offset, witness=sub.lift(y))
+    if r in (0, ell) or (ell <= leaf_threshold and
+                         (r <= leaf_band or r >= ell - leaf_band)):
+        return solve_exactly(sub)
     return Open()
 
 
@@ -144,14 +155,3 @@ def subgroup(sub: Subproblem, root_group: PermutationGroup | None = None,
     if not sub.fix.i0 and not sub.fix.i1 and root_group is not None:
         return root_group
     return automorphisms(sub.reduced_B, element_cap=element_cap)
-
-
-def subproblem_to_json(sub: Subproblem) -> str:
-    """Debug / audit-log dump of the fixing (1-based), offset and residual."""
-    return json.dumps({
-        "i0": [i + 1 for i in sub.fix.i0],
-        "i1": [i + 1 for i in sub.fix.i1],
-        "offset": sub.offset,
-        "residual_m": sub.residual_m,
-        "free_count": sub.ell,
-    })

@@ -1,4 +1,4 @@
-"""Automorphism groups of symmetric matrices, orbits, and permutation action.
+"""Automorphism groups of symmetric matrices, orbits, and solution expansion.
 
 The enumerator is a backtracking search over images with partition-refinement
 style pruning: sigma(i) = j is admissible only if rows i and j carry identical
@@ -80,9 +80,6 @@ class PermutationGroup:
             buckets.setdefault(find(i), []).append(i)
         return tuple(Orbit(members=tuple(sorted(v))) for _, v in sorted(buckets.items()))
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
 
 def automorphisms(B, element_cap: int = 1_000_000) -> PermutationGroup:
     """Enumerate all permutations sigma with B[sigma(i), sigma(j)] == B[i, j].
@@ -152,15 +149,6 @@ def orbits(group: PermutationGroup, domain) -> tuple[Orbit, ...]:
             raise ValueError("domain is not invariant under the group")
         result.append(orb)
     return tuple(sorted(result, key=lambda o: o.representative))
-
-
-def apply(sigma, x) -> np.ndarray:
-    """Apply a permutation to a solution: result[i] = x[sigma(i)]."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    x = np.asarray(x)
-    if sigma.shape != x.shape:
-        raise ValueError(f"dimension mismatch: permutation on {sigma.size}, vector of {x.size}")
-    return x[sigma]
 
 
 def expand_solution(group: PermutationGroup, x) -> list[np.ndarray]:

@@ -86,6 +86,19 @@ def brute_sub_optimum(sub):
     return best
 
 
+def lifted_form(prob, u, v, s):
+    """Evaluate z^T (Q_obj + lam Q_pen) z at z = (u, v, s)."""
+    z = np.concatenate([np.asarray(u, dtype=float), np.asarray(v, dtype=float), [s]])
+    return float(z @ prob.q_lam @ z)
+
+
+def penalty_value(u, v, s, b):
+    """Direct evaluation of the penalty terms; oracle for ``assemble``."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return float(np.sum((u + v - s) ** 2) + np.sum(u * v) + (u.sum() - b * s) ** 2)
+
+
 def brute_automorphisms(B):
     """All permutations preserving B, by exhaustive search (d <= 8)."""
     B = np.asarray(B)

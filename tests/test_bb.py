@@ -1,14 +1,17 @@
 """Branch-and-bound: branching, isomorphism pruning, certificates."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from symbb import bb as bb_mod
-from symbb.bb import (BbParams, branch, choose_orbit, fingerprint, isomorphic,
-                      orbit_scores, solve_target, stats_csv_rows)
+from symbb.bb import (BbParams, branch, choose_orbit, expand_level,
+                      fingerprint, isomorphic, orbit_scores, root_children,
+                      solve_target, stats_csv_rows)
 from symbb.dnn import ApgParams, NbParams
+from symbb.estimator import EstParams, estimate
 from symbb.instance import objective
 from symbb.subproblem import FixSets, reduce, subgroup
 from symbb.symmetry import Orbit, PermutationGroup, automorphisms
@@ -211,7 +214,23 @@ class TestSolveTarget:
         assert cert.outcome == "Inconclusive"
         state = json.loads(ckpt.read_text())
         assert state["target"] == opt
-        assert state["frontier"]
+        # The budget runs out after level 1: the frontier is its survivors.
+        assert len(cert.per_depth) == 1
+        survivors = expand_level(inst, opt, params, root_children(inst, params),
+                                 history={}).survivors
+        assert state["frontier"] == [
+            {"i0": [i + 1 for i in sub.fix.i0], "i1": [i + 1 for i in sub.fix.i1],
+             "depth": 1} for sub in survivors]
+        assert len(survivors) == cert.per_depth[-1]["active"] > 0
+        # Written through a temp file and a rename: nothing else is left.
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_zero_reduced_matrix_is_a_solved_leaf(self):
+        # Some node of this tree has an all-zero reduced matrix, which has no
+        # natural penalty scale; it must be solved as a leaf, not bounded.
+        inst = planted_bqop(np.random.default_rng(7), blocks=3, block_size=5, m=3)
+        cert = solve_target(inst, brute_optimum(inst), FAST)
+        assert cert.outcome == "Proved"
 
     def test_certificate_json_witness(self):
         rng = np.random.default_rng(16)
@@ -232,3 +251,52 @@ class TestSolveTarget:
         assert rows[0]["depth"] == 1
         assert set(rows[0]) == {"depth", "generated", "active", "pruned_bound",
                                 "pruned_iso", "reduction_rate"}
+
+
+class TestEngine:
+    """Branch and bound and the estimator drive one level-expansion engine."""
+
+    @staticmethod
+    def instances():
+        for seed in range(3):
+            yield random_bqop(np.random.default_rng(seed), 8, 4)
+        yield planted_bqop(np.random.default_rng(5), blocks=3, block_size=3, m=4)
+
+    def test_full_width_estimate_matches_levels(self):
+        no_iso = dataclasses.replace(FAST, iso_pruning=False)
+        full = EstParams(leaf_threshold=4, leaf_band=2, nb=FAST.nb,
+                         width_threshold=10 ** 6)
+        for inst in self.instances():
+            opt = brute_optimum(inst)
+            for target in (opt, opt + 1):
+                cert = solve_target(inst, target, no_iso)
+                report = estimate(inst, target, full)
+                assert [d["created"] for d in cert.per_depth] == \
+                    [r["width"] for r in report.per_depth]
+                assert [d["active"] for d in cert.per_depth] == \
+                    [r["branchable"] for r in report.per_depth]
+                assert report.target_refuted == (cert.outcome == "Refuted")
+                assert report.estimated_total_nodes == cert.node_count
+
+    def test_audit_catches_unsound_merge(self, monkeypatch):
+        # Every open node lands in one bucket and "matches" the first one.
+        monkeypatch.setattr(bb_mod, "fingerprint", lambda sub: ())
+        monkeypatch.setattr(bb_mod, "isomorphic",
+                            lambda a, b, cap: np.arange(b.ell))
+        inst = random_bqop(np.random.default_rng(0), 8, 4)
+        params = dataclasses.replace(FAST, audit=True)
+        with pytest.raises(AssertionError, match="unsound merge"):
+            solve_target(inst, brute_optimum(inst), params)
+
+    def test_audit_catches_invalid_bound(self, monkeypatch):
+        real = bb_mod.nb_bound
+
+        def inflated(prob, target, params):
+            res = real(prob, target, params)
+            return dataclasses.replace(res, a=res.a + 10 ** 6)
+
+        monkeypatch.setattr(bb_mod, "nb_bound", inflated)
+        inst = random_bqop(np.random.default_rng(0), 8, 4)
+        params = dataclasses.replace(FAST, audit=True)
+        with pytest.raises(AssertionError, match="invalid bound"):
+            solve_target(inst, brute_optimum(inst), params)

@@ -173,6 +173,61 @@ class TestSolve:
         assert result.exit_code == 3
         assert "outcome: Inconclusive" in result.output
 
+    def test_nested_config_override(self, runner, bqop_file, tmp_path):
+        path, inst = bqop_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nb": {"gap_tol": 1e-5, "apg": {"max_iter": 4000}}}))
+        cert = tmp_path / "cert.json"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", str(brute_optimum(inst)),
+            "--config", str(cfg), "--certificate-json", str(cert)])
+        assert result.exit_code == 0
+        nb = json.loads(cert.read_text())["config"]["params"]["nb"]
+        assert nb["gap_tol"] == 1e-5 and nb["apg"]["max_iter"] == 4000
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"bogus": 1}, "bogus"),
+        ({"nb": {"bogus": 1}}, "nb.bogus"),
+        ({"nb": 3}, "nb"),
+        ({"workers": "two"}, "workers"),
+    ])
+    def test_bad_config_exits_1(self, runner, bqop_file, tmp_path, overrides, key):
+        path, inst = bqop_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", "0", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1 and repr(key) in result.output
+
+    def test_certificate_records_resolved_params(self, runner, tmp_path):
+        rng = np.random.default_rng(33)
+        inst = random_bqop(rng, 10, 5)
+        path = tmp_path / "ten.json"
+        path.write_text(bqop_to_json(inst))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"node_budget": 4, "leaf_threshold": 5}))
+        args = ["solve", "--instance", str(path), "--target", str(brute_optimum(inst))]
+        first = tmp_path / "first.json"
+        result = runner.invoke(main, args + ["--config", str(cfg),
+                                             "--certificate-json", str(first)])
+        assert result.exit_code in (0, 3)
+        code = result.exit_code
+        data = json.loads(first.read_text())
+        params = data["config"]["params"]
+        assert params["node_budget"] == 4 and params["leaf_threshold"] == 5
+        # The recorded params are themselves a --config that reruns the run.
+        cfg.write_text(json.dumps(params))
+        second = tmp_path / "second.json"
+        result = runner.invoke(main, args + ["--config", str(cfg),
+                                             "--certificate-json", str(second)])
+        assert result.exit_code == code
+        rerun = json.loads(second.read_text())
+        for obj in (data, rerun):
+            obj.pop("timing")
+        assert rerun == data
+
 
 class TestEstimate:
     def test_summary_and_json(self, runner, bqop_file, tmp_path):
@@ -187,6 +242,7 @@ class TestEstimate:
         data = json.loads(out.read_text())
         assert data["seeds"] == [0, 1]
         assert data["config"]["subcommand"] == "estimate"
+        assert data["config"]["params"]["width_threshold"] == 1000
 
 
 class TestSampleDist:

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from symbb.dnn import (ApgParams, NbParams, _safe_ceil, assemble,
-                       cone_distance, default_lambda, initial_upper,
-                       lifted_form, nb_bound, penalty_value)
+                       cone_distance, default_lambda, initial_upper, nb_bound)
 from symbb.subproblem import FixSets, reduce
 from tests.conftest import (alternating_projection_distance, brute_sub_optimum,
-                            random_bqop)
+                            lifted_form, penalty_value, random_bqop)
 
 FAST_NB = NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=5000))
 

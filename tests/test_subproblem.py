@@ -1,17 +1,16 @@
 """Reduction identities, leaf classification, induced symmetry groups."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbb.instance import objective
+from symbb.instance import BqopInstance, objective
 from symbb.subproblem import (FixSets, Infeasible, Open, SolvedLeaf,
-                              feasibility_status, reduce, subgroup,
-                              subproblem_to_json)
+                              feasibility_status, reduce, solve_exactly,
+                              subgroup)
 from symbb.symmetry import automorphisms
 from tests.conftest import brute_sub_optimum, random_bqop
 
@@ -132,6 +131,37 @@ class TestFeasibilityStatus:
         assert isinstance(feasibility_status(sub), Infeasible)
 
 
+    def test_zero_reduced_matrix_leaf(self):
+        # Far above the leaf threshold, but every completion costs the offset.
+        B = np.zeros((30, 30), dtype=np.int64)
+        B[0, 1] = B[1, 0] = 4
+        inst = BqopInstance(n=30, B=B, m=12)
+        sub = reduce(inst, FixSets(i0=(1,), i1=(0,)))
+        assert not sub.reduced_B.any()
+        status = feasibility_status(sub, leaf_threshold=3)
+        assert isinstance(status, SolvedLeaf)
+        assert status.value == sub.offset
+        assert status.witness.sum() == inst.m
+        assert objective(inst, status.witness) == status.value
+
+
+class TestSolveExactly:
+    @given(st.integers(0, 1_000_000))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_bqop(rng, 7, int(rng.integers(1, 7)))
+        fix = FixSets(i0=(6,), i1=(0,))
+        sub = reduce(inst, fix)
+        leaf = solve_exactly(sub)
+        assert leaf.value == brute_sub_optimum(sub)
+        assert objective(inst, leaf.witness) == leaf.value
+
+    def test_infeasible(self, bqop6):
+        sub = reduce(bqop6, FixSets(i0=(1, 2, 3, 4), i1=()))
+        assert isinstance(solve_exactly(sub), Infeasible)
+
+
 class TestSubgroup:
     def test_empty_fixing_reuses_root(self, cycle6):
         from symbb.instance import BqopInstance
@@ -159,9 +189,3 @@ class TestSubgroup:
         brute = {tuple(p) for p in brute_automorphisms(sub.reduced_B)}
         assert {tuple(s) for s in grp.elements} == brute
 
-
-def test_json_dump(bqop6):
-    sub = reduce(bqop6, FixSets(i0=(4,), i1=(0, 2)))
-    data = json.loads(subproblem_to_json(sub))
-    assert data == {"i0": [5], "i1": [1, 3], "offset": sub.offset,
-                    "residual_m": 1, "free_count": 3}

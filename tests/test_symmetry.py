@@ -1,9 +1,9 @@
-"""Automorphism enumeration, orbits, permutation action."""
+"""Automorphism enumeration, orbits, solution expansion."""
 
 import numpy as np
 import pytest
 
-from symbb.symmetry import (GroupTooLargeError, PermutationGroup, apply,
+from symbb.symmetry import (GroupTooLargeError, PermutationGroup,
                             automorphisms, expand_solution, group_to_json_obj,
                             orbit_report_rows, orbits)
 from tests.conftest import (brute_automorphisms, planted_bqop,
@@ -99,20 +99,6 @@ class TestOrbits:
         group = PermutationGroup(4, np.array([[0, 1, 2, 3], [1, 0, 2, 3]]))
         with pytest.raises(ValueError, match="invariant"):
             orbits(group, [0, 2])
-
-
-class TestApply:
-    def test_identity(self):
-        x = np.array([1, 0, 1])
-        assert np.array_equal(apply(np.arange(3), x), x)
-
-    def test_transposition(self):
-        assert np.array_equal(apply(np.array([1, 0, 2]), np.array([1, 0, 0])),
-                              [0, 1, 0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply(np.arange(3), np.zeros(4))
 
 
 class TestExpandSolution:
