@@ -204,10 +204,15 @@ def bound_root(instance_path, target, lambda_scale, lam, gap_tol, nb_max_iter,
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
-    lam_value = lam if lam is not None else dnn.default_lambda(sub, lambda_scale)
-    prob = dnn.assemble(sub, lam_value)
     params = _nb_params(gap_tol, nb_max_iter, apg_tol, apg_max_iter)
-    res = dnn.nb_bound(prob, target, params)
+    if sub.reduced_B.any():
+        lam_value = lam if lam is not None else dnn.default_lambda(sub, lambda_scale)
+        res = dnn.nb_bound(dnn.assemble(sub, lam_value), target, params)
+    else:
+        # Every completion costs exactly offset: the bound is exact.
+        lam_value = None
+        res = dnn.NbResult(status="Exact", a=0.0, b=0.0, iterations=0,
+                           lb_integer=sub.offset)
     lb = res.a + sub.offset
     click.echo(f"status: {res.status}")
     click.echo(f"validated lower bound: {lb}")

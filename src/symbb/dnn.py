@@ -18,7 +18,14 @@ equals the relaxation value, is approached from above by Newton steps on g,
 and every iterate yields a validated lower bracket through an eigenvalue
 correction.  The distance itself is computed by an accelerated proximal
 gradient (APG) method splitting Q - H y into an approximately-PSD part Y1
-and an exactly nonnegative part Y2.
+and an exactly nonnegative part Y2.  With a target, APG stops as soon as its
+current nonnegative iterate is certain to prove the target at this Newton
+point.
+
+Grounding (cited only): Kim, Kojima & Toh, "A Newton-bracketing method for a
+simple conic optimization problem" (Optim. Methods Softw., 2021); Arima, Kim,
+Kojima & Toh, "A robust Lagrangian-DNN method for a class of quadratic
+optimization problems" (Comput. Optim. Appl., 2017).
 """
 
 from __future__ import annotations
@@ -75,8 +82,12 @@ class ConeDistanceResult:
     y1: np.ndarray
     y2: np.ndarray
     min_eig_y1: float
-    converged: bool
+    stop: str                   # why APG stopped: converged | target | cap
     iterations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 @dataclass(frozen=True)
@@ -148,7 +159,8 @@ def initial_upper(sub: Subproblem) -> float:
 
 def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
                   warm_start: np.ndarray | None = None,
-                  corner: int | None = None) -> ConeDistanceResult:
+                  corner: int | None = None,
+                  eig_target: float | None = None) -> ConeDistanceResult:
     """Distance of a symmetric matrix to K* = PSD + Nonneg.
 
     Minimizes 0.5 * || negpart(M - Y2) ||^2 over entrywise-nonnegative Y2 by
@@ -156,6 +168,15 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     adaptive restart).  The returned decomposition keeps Y2 >= 0 exact and
     Y1 = PSD projection of M - Y2, so that g = ||M - Y1 - Y2||; min_eig_y1
     is the raw minimum eigenvalue of M - Y2 used by the validated bracket.
+
+    ``stop`` says why APG stopped: ``converged`` (relative objective change
+    below ``rel_tol``), ``cap`` (``max_iter`` reached) or ``target``.  With
+    ``eig_target``, each iteration bounds the minimum eigenvalue of its new
+    iterate for free: by Weyl, lambda_min(M - Y_new) >= lambda_min(M - Z) -
+    ||Y_new - Z||_F, and lambda_min(M - Z) comes from the iteration's own
+    eigendecomposition.  APG stops with Y2 = Y_new once that bound reaches
+    ``eig_target``.  The exit only decides when to stop: min_eig_y1 is still
+    taken from the final eigendecomposition of M - Y2.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
@@ -165,7 +186,7 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     Z = Y.copy()
     t = 1.0
     f_prev = math.inf
-    converged = False
+    stop = "cap"
     iterations = 0
     for k in range(params.max_iter):
         iterations = k + 1
@@ -175,6 +196,11 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
         f_z = 0.5 * float(np.sum(wneg * wneg))
         neg = (V * wneg) @ V.T
         Y_new = np.maximum(Z + params.step * neg, 0.0)
+        if eig_target is not None and \
+                w[0] - np.linalg.norm(Y_new - Z) >= eig_target:
+            Y = Y_new
+            stop = "target"
+            break
         if f_z > f_prev:
             # objective increased at the momentum point: restart momentum
             t = 1.0
@@ -183,7 +209,7 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
             continue
         if abs(f_prev - f_z) <= params.rel_tol * max(1.0, abs(f_z)):
             Y = Y_new
-            converged = True
+            stop = "converged"
             break
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         Z = Y_new + ((t - 1.0) / t_new) * (Y_new - Y)
@@ -199,7 +225,7 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     g = float(np.linalg.norm(R))
     gprime = -float(R[corner, corner]) / g if g > 0 else 0.0
     return ConeDistanceResult(g=g, gprime=gprime, y1=Y1, y2=Y,
-                              min_eig_y1=float(w[0]), converged=converged,
+                              min_eig_y1=float(w[0]), stop=stop,
                               iterations=iterations)
 
 
@@ -217,11 +243,34 @@ def nb_bound(prob: DnnProblem, target: float | None,
     iterates whose APG solve converged).  With a target, terminates early with
     Pruned once the integer lower bound reaches the target, or Branchable
     once even the upper bracket proves the relaxation cannot reach it.
+
+    The correction: let M = Q - y H, Y2 >= 0 the APG iterate and z = (u, 1 -
+    u, 1) the lift of any feasible binary completion.  Exactly one of u_j,
+    v_j is 1 for every j, so ||z||^2 = ell + 1, and the penalty vanishes at
+    z, so z^T Q z is the reduced objective.  As z >= 0 and Y2 >= 0,
+
+        z^T Q z = y + z^T (M - Y2) z + z^T Y2 z
+                >= y + (ell + 1) * min(0, lambda_min(M - Y2)),
+
+    and ``a`` takes this with an explicit roundoff slack subtracted from
+    lambda_min, so it bounds every feasible completion directly.
+
+    The target-aware exit: with a target, the smallest ``a`` that prunes is
+    ``a_need``, set a margin above the boundary of ``_safe_ceil``.  When y >=
+    a_need, the corrected bound reaches a_need once lambda_min(M - Y2) >=
+    slack + (a_need - y) / (ell + 1), and APG is told to stop once its Weyl
+    estimate of lambda_min clears that value plus one more slack, which
+    absorbs the roundoff of the final eigendecomposition.  Below a_need no
+    eigenvalue can prune and APG runs to its own stopping rule.  An APG solve
+    stopped this way has not converged and never moves ``b``.
     """
     Q = prob.q_lam
     c = prob.corner
     d = Q.shape[0]
-    dim_factor = 2 * prob.ell + 1
+    norm_factor = prob.ell + 1
+    # The margin is ten times the relative tolerance of _safe_ceil.
+    a_need = None if target is None else \
+        target - 1 - prob.offset + 1e-8 * max(1.0, abs(target))
     y = prob.y_init
     a = -math.inf
     b = y
@@ -233,17 +282,21 @@ def nb_bound(prob: DnnProblem, target: float | None,
         iterations = k + 1
         M = Q.copy()
         M[c, c] -= y
-        res = cone_distance(M, params.apg, warm_start=warm, corner=c)
-        warm = res.y2
         # The minimum eigenvalue carries roundoff of order d * eps * ||M||;
         # subtract an explicit slack so a stays a valid lower bound.
         eig_slack = 16.0 * d * np.finfo(float).eps * float(np.linalg.norm(M))
-        a = max(a, y + dim_factor * min(0.0, res.min_eig_y1 - eig_slack))
+        eig_target = None
+        if a_need is not None and y >= a_need:
+            eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
+        res = cone_distance(M, params.apg, warm_start=warm, corner=c,
+                            eig_target=eig_target)
+        warm = res.y2
+        a = max(a, y + norm_factor * min(0.0, res.min_eig_y1 - eig_slack))
         if res.converged:
             b = min(b, y)
         trace.append({"k": k, "y": y, "a": a, "b": b, "g": res.g,
                       "gprime": res.gprime, "apg_iterations": res.iterations,
-                      "apg_converged": res.converged})
+                      "apg_stop": res.stop})
         if target is not None:
             if _safe_ceil(a + prob.offset) >= target:
                 status = "Pruned"

@@ -107,7 +107,23 @@ class TestBoundRoot:
             "bound-root", "--instance", str(path), "--apg-tol", "1e-10",
             "--apg-max-iter", "4000", "--trace-csv", str(trace)])
         assert result.exit_code == 0
-        assert trace.read_text().startswith("k,y,a,b,g,gprime")
+        header = trace.read_text().splitlines()[0]
+        assert header.startswith("k,y,a,b,g,gprime")
+        assert header.endswith(",apg_stop")
+
+    def test_zero_reduced_matrix_is_exact(self, runner, tmp_path):
+        inst = BqopInstance(n=5, B=np.zeros((5, 5), dtype=np.int64), m=2)
+        path = tmp_path / "zero.json"
+        path.write_text(bqop_to_json(inst))
+        out = tmp_path / "bound.json"
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "status: Exact" in result.output
+        assert "integer lower bound: 0" in result.output
+        data = json.loads(out.read_text())
+        assert data["status"] == "Exact"
+        assert data["lower_bound"] == data["integer_lower_bound"] == 0
 
 
 class TestSolve:

@@ -1,23 +1,43 @@
 """Lifted-relaxation assembly, cone distance, Newton bracketing."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from symbb import dnn
 from symbb.dnn import (ApgParams, NbParams, _safe_ceil, assemble,
                        cone_distance, default_lambda, initial_upper, nb_bound)
 from symbb.subproblem import FixSets, reduce
-from tests.conftest import (alternating_projection_distance, brute_sub_optimum,
-                            lifted_form, penalty_value, random_bqop)
+from tests.conftest import (alternating_projection_distance, brute_optimum,
+                            brute_sub_optimum, lifted_form, penalty_value,
+                            planted_bqop, random_bqop)
 
 FAST_NB = NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=5000))
+SUITE_NB = NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000))
 
 
 def open_sub(seed=0, n=8, m=4):
     rng = np.random.default_rng(seed)
     inst = random_bqop(rng, n, m)
     return reduce(inst, FixSets((), ()))
+
+
+def suite_instance(i):
+    """Instance i of the audited soundness stream of the acceptance suite."""
+    rng = np.random.default_rng(1000 + i)
+    n = 6 + i % 9
+    m = int(rng.integers(2, n - 1))
+    if i % 4 == 3:
+        bs = 3 if n % 3 == 0 else 2
+        return planted_bqop(rng, blocks=n // bs, block_size=bs, m=m)
+    return random_bqop(rng, n, m)
+
+
+def eig_slack(M):
+    """The roundoff slack nb_bound subtracts from a minimum eigenvalue."""
+    return 16.0 * M.shape[0] * np.finfo(float).eps * float(np.linalg.norm(M))
 
 
 class TestAssemble:
@@ -250,3 +270,82 @@ class TestNbBound:
         ys = res.b + np.array([1.0, 3.0, 5.0]) * max(1.0, abs(res.b)) * 0.01
         mid = g_at(ys[1])
         assert mid <= 0.5 * (g_at(ys[0]) + g_at(ys[2])) + 1e-6
+
+
+class TestLiftNorm:
+    def test_feasible_lift_norm_objective_and_bound(self):
+        rng = np.random.default_rng(12)
+        inst = random_bqop(rng, 9, 4)
+        sub = reduce(inst, FixSets(i0=(3,), i1=(0,)))
+        lam = default_lambda(sub)
+        prob = assemble(sub, lam)
+        C = sub.reduced_B
+        for support in itertools.combinations(range(sub.ell), sub.residual_m):
+            u = np.zeros(sub.ell)
+            u[list(support)] = 1.0
+            z = np.concatenate([u, 1.0 - u, [1.0]])
+            assert float(z @ z) == sub.ell + 1
+            assert lifted_form(prob, u, 1.0 - u, 1.0) == pytest.approx(
+                float(u @ C @ u), abs=1e-12 * lam * z.size ** 2)
+        res = nb_bound(prob, None, FAST_NB)
+        assert all(rec["apg_stop"] != "target" for rec in res.trace)
+        assert res.a + sub.offset <= brute_sub_optimum(sub)
+
+
+class TestTargetExit:
+    def test_random_matrices(self):
+        rng = np.random.default_rng(24)
+        stopped = 0
+        for _ in range(30):
+            d = int(rng.integers(3, 10))
+            M = rng.normal(0, 3, (d, d))
+            M = M + M.T
+            full = cone_distance(M)
+            eig_target = full.min_eig_y1 - 0.1 * abs(full.min_eig_y1)
+            res = cone_distance(M, eig_target=eig_target)
+            assert res.iterations <= full.iterations
+            if res.stop != "target":
+                continue
+            stopped += 1
+            assert not res.converged
+            assert np.all(res.y2 >= 0)
+            exact = np.linalg.eigvalsh(M - res.y2)[0]
+            assert exact >= eig_target - eig_slack(M)
+            assert res.min_eig_y1 >= eig_target - eig_slack(M)
+        assert stopped >= 10
+
+    def test_suite_subproblems(self, monkeypatch):
+        calls = []
+        real = dnn.cone_distance
+
+        def recording(M, *args, **kwargs):
+            res = real(M, *args, **kwargs)
+            calls.append((M, kwargs.get("eig_target"), res))
+            return res
+
+        monkeypatch.setattr(dnn, "cone_distance", recording)
+        exits = 0
+        for i in range(12):
+            inst = suite_instance(i)
+            opt = brute_optimum(inst)
+            for fix in (FixSets((), (0,)), FixSets((0,), (1,))):
+                sub = reduce(inst, fix)
+                if not sub.reduced_B.any() or not 0 < sub.residual_m < sub.ell:
+                    continue
+                prob = assemble(sub, default_lambda(sub))
+                for target in (opt, opt + 1):
+                    calls.clear()
+                    res = nb_bound(prob, target, SUITE_NB)
+                    stops = [rec["apg_stop"] for rec in res.trace]
+                    assert stops == [r.stop for _, _, r in calls]
+                    if "target" in stops:
+                        exits += 1
+                        assert res.status == "Pruned"
+                        assert stops.index("target") == len(stops) - 1
+                    for M, eig_target, r in calls:
+                        if r.stop != "target":
+                            continue
+                        assert np.all(r.y2 >= 0)
+                        exact = np.linalg.eigvalsh(M - r.y2)[0]
+                        assert exact >= eig_target - eig_slack(M)
+        assert exits > 0
