@@ -28,7 +28,7 @@ from .dnn import NbParams, assemble, default_lambda, nb_bound
 from .instance import BqopInstance, objective
 from .subproblem import (FixSets, Infeasible, SolvedLeaf, Subproblem,
                          feasibility_status, reduce, solve_exactly, subgroup)
-from .symmetry import Orbit, PermutationGroup, orbits
+from .symmetry import Orbit, PermutationGroup, candidates, first_leaf, orbits
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class TreeParams:
     leaf_threshold: int = 20
     leaf_band: int = 3
     nb: NbParams = field(default_factory=NbParams)
-    group_cap: int = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,53 +98,15 @@ def fingerprint(sub: Subproblem) -> tuple:
 def isomorphic(sub_a: Subproblem, sub_b: Subproblem,
                node_cap: int = 1_000_000) -> np.ndarray | None:
     """Permutation witness p with B_b[i, j] == B_a[p(i), p(j)] for all i, j,
-    or None.  Requires matching fix-set sizes and offsets first; the
-    permutation search is backtracking with row-multiset candidate pruning
-    and a node cap (cap exhaustion counts as non-isomorphic, which is sound:
-    a missed merge only costs extra work)."""
+    or None.  Requires matching fingerprints first; the witness is the first
+    leaf of the automorphism search run between the two reduced matrices,
+    with ``node_cap`` candidate tries (cap exhaustion counts as
+    non-isomorphic, which is sound: a missed merge only costs extra work)."""
     if fingerprint(sub_a) != fingerprint(sub_b):
         return None
     A = sub_a.reduced_B
     Bm = sub_b.reduced_B
-    d = A.shape[0]
-    if d == 0:
-        return np.zeros(0, dtype=np.int64)
-    rows_a = np.sort(A, axis=1)
-    rows_b = np.sort(Bm, axis=1)
-    cand0 = (np.diagonal(Bm)[:, None] == np.diagonal(A)[None, :]) & \
-        (rows_b[:, None, :] == rows_a[None, :, :]).all(axis=2)
-
-    image = np.full(d, -1, dtype=np.int64)
-    assigned = np.zeros(d, dtype=bool)
-    budget = [node_cap]
-
-    def search(cand: np.ndarray, n_assigned: int) -> bool:
-        if n_assigned == d:
-            return True
-        open_idx = np.flatnonzero(~assigned)
-        counts = cand[open_idx].sum(axis=1)
-        if np.any(counts == 0):
-            return False
-        i = int(open_idx[int(np.argmin(counts))])
-        for j in np.flatnonzero(cand[i]):
-            if budget[0] <= 0:
-                return False
-            budget[0] -= 1
-            j = int(j)
-            image[i] = j
-            assigned[i] = True
-            new_cand = cand & (Bm[:, i][:, None] == A[:, j][None, :])
-            new_cand[:, j] = False
-            new_cand[i, :] = False
-            if search(new_cand, n_assigned + 1):
-                return True
-            assigned[i] = False
-            image[i] = -1
-        return False
-
-    if search(cand0, 0):
-        return image.copy()
-    return None
+    return first_leaf(Bm, A, candidates(Bm, A), np.full(A.shape[0], -1), node_cap)
 
 
 def orbit_scores(sub: Subproblem, orbs) -> list[float]:
@@ -190,11 +151,13 @@ def branch(fix: FixSets, orbit: Orbit, free) -> tuple[FixSets, FixSets]:
     return fix.with_zeros(members), fix.with_one(members[0])
 
 
-def root_children(inst: BqopInstance, params: TreeParams) -> list[FixSets]:
+def root_children(inst: BqopInstance,
+                  root_group: PermutationGroup | None = None) -> list[FixSets]:
     """The root branch.  The root is branched unconditionally, without
-    classification or bounding."""
+    classification or bounding, on the orbits of ``root_group`` when given
+    and of the automorphism group of ``inst.B`` otherwise."""
     root = reduce(inst, FixSets((), ()))
-    grp = subgroup(root, element_cap=params.group_cap)
+    grp = subgroup(root, root_group=root_group)
     return list(branch(root.fix, choose_orbit(root, grp), root.free))
 
 
@@ -296,11 +259,11 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
 
 
 def branch_level(inst: BqopInstance, survivors: list[Subproblem],
-                 params: TreeParams, audit: bool = False) -> list[FixSets]:
+                 audit: bool = False) -> list[FixSets]:
     """Both children of every survivor, in survivor order."""
     children = []
     for sub in survivors:
-        grp = subgroup(sub, element_cap=params.group_cap)
+        grp = subgroup(sub)
         pair = branch(sub.fix, choose_orbit(sub, grp), sub.free)
         if audit:
             child_opts = [leaf.value for leaf in
@@ -327,7 +290,7 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
     t_start = time.monotonic()
     history = {} if params.iso_pruning else None
     per_depth: list[dict] = []
-    fixes = root_children(inst, params)
+    fixes = root_children(inst)
     node_count = 1
     while True:
         depth = len(per_depth) + 1
@@ -362,7 +325,7 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
                 })
             outcome = "Inconclusive"
         else:
-            fixes = branch_level(inst, level.survivors, params, params.audit)
+            fixes = branch_level(inst, level.survivors, params.audit)
             continue
         return Certificate(outcome=outcome, target=target, node_count=node_count,
                            per_depth=tuple(per_depth),

@@ -137,12 +137,14 @@ def convert(instance_path, output_path):
               help="Report orbits after fixing this 1-based variable to 1.")
 @click.option("--orbit-csv", default=None, type=click.Path())
 @click.option("--group-json", default=None, type=click.Path())
-@click.option("--group-cap", default=1_000_000, type=int)
+@click.option("--group-cap", default=1_000_000, type=int,
+              help="Largest group whose elements --group-json may list.")
 def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
-    """Enumerate the automorphism group of the cost matrix and its orbits."""
+    """Compute the automorphism group of the cost matrix and its orbits."""
     try:
         bqop, digest = _load_bqop(instance_path)
-        group = symmetry.automorphisms(bqop.B, element_cap=group_cap)
+        group = symmetry.automorphisms(bqop.B)
+        payload = symmetry.group_to_json_obj(group, group_cap) if group_json else None
     except (instance.InstanceError, symmetry.GroupTooLargeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
@@ -151,7 +153,7 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
     if fix_index is not None:
         fix = subproblem.FixSets(i0=(), i1=(fix_index - 1,))
         sub = subproblem.reduce(bqop, fix)
-        grp = subproblem.subgroup(sub, element_cap=group_cap)
+        grp = subproblem.subgroup(sub)
         orbs = symmetry.orbits(grp, range(sub.ell))
         scores = bb.orbit_scores(sub, orbs)
         order = sorted(range(len(orbs)), key=lambda k: (-scores[k], orbs[k].representative))
@@ -171,7 +173,6 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
     if orbit_csv:
         _write_csv(orbit_csv, rows)
     if group_json:
-        payload = symmetry.group_to_json_obj(group)
         payload["config"] = _run_config("symmetry", instance=instance_path, fix=fix_index)
         payload["instance_sha256"] = digest
         _write_json(group_json, payload)
@@ -266,7 +267,7 @@ def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
             audit=audit)
         params = _apply_overrides(params, overrides)
         cert = bb.solve_target(bqop, target, params)
-    except (instance.InstanceError, symmetry.GroupTooLargeError) as exc:
+    except instance.InstanceError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
     click.echo(f"outcome: {cert.outcome}")

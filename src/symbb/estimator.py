@@ -19,6 +19,7 @@ import numpy as np
 
 from .bb import TreeParams, branch_level, expand_level, root_children
 from .instance import BqopInstance
+from .symmetry import PermutationGroup, automorphisms
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,14 @@ def _sample_count(width: int, params: EstParams) -> int:
 
 
 def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
-             seed: int = 0) -> EstimationReport:
+             seed: int = 0,
+             root_group: PermutationGroup | None = None) -> EstimationReport:
     """Run the sampled-subtree estimator for one seed: pick each level's
-    sample, then expand and branch it with the branch-and-bound engine."""
+    sample, then expand and branch it with the branch-and-bound engine.
+    ``root_group``, the automorphism group of ``inst.B``, is computed when not
+    given."""
     rng = np.random.default_rng(seed)
-    frontier = root_children(inst, params)
+    frontier = root_children(inst, root_group)
     per_depth: list[dict] = []
     bound_seconds: list[float] = []
     exact_sum = 0
@@ -111,7 +115,7 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         if params.depth_budget is not None and depth >= params.depth_budget:
             complete = False
             break
-        frontier = branch_level(inst, level.survivors, params)
+        frontier = branch_level(inst, level.survivors)
         depth += 1
 
     total = 1.0 + exact_sum + est_sum
@@ -125,8 +129,11 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
 
 def estimate_multi(inst: BqopInstance, target: int, seeds,
                    params: EstParams = EstParams()) -> dict:
-    """Reports for several seeds plus a min/mean/max node-count summary."""
-    reports = [estimate(inst, target, params, seed=s) for s in seeds]
+    """Reports for several seeds plus a min/mean/max node-count summary.  The
+    root group is computed once and shared by every seed."""
+    root_group = automorphisms(inst.B)
+    reports = [estimate(inst, target, params, seed=s, root_group=root_group)
+               for s in seeds]
     totals = [r.estimated_total_nodes for r in reports]
     times = [r.estimated_time_seconds for r in reports]
     return {

@@ -144,8 +144,8 @@ def feasibility_status(sub: Subproblem, leaf_threshold: int = 20,
     return Open()
 
 
-def subgroup(sub: Subproblem, root_group: PermutationGroup | None = None,
-             element_cap: int = 1_000_000) -> PermutationGroup:
+def subgroup(sub: Subproblem,
+             root_group: PermutationGroup | None = None) -> PermutationGroup:
     """The automorphism group of the reduced matrix, acting on reduced indices.
 
     With no fixing the reduction is the identity and the precomputed root
@@ -154,4 +154,4 @@ def subgroup(sub: Subproblem, root_group: PermutationGroup | None = None,
     """
     if not sub.fix.i0 and not sub.fix.i1 and root_group is not None:
         return root_group
-    return automorphisms(sub.reduced_B, element_cap=element_cap)
+    return automorphisms(sub.reduced_B)

@@ -1,21 +1,31 @@
 """Automorphism groups of symmetric matrices, orbits, and solution expansion.
 
-The enumerator is a backtracking search over images with partition-refinement
-style pruning: sigma(i) = j is admissible only if rows i and j carry identical
+The search maps indices one at a time with partition-refinement style
+pruning: sigma(i) = j is admissible only if rows i and j carry identical
 sorted value multisets and every previously assigned pair is consistent
-(B[sigma(i), sigma(j)] == B[i, j]).  Groups are stored as explicit element
-lists; an element-count cap guards against groups too large to enumerate.
+(B[sigma(i), sigma(j)] == B[i, j]).  It pivots on the most constrained open
+index and completes a node whose open indices each have one candidate left
+in one step.
+
+Groups are not enumerated.  Along the identity path, the first leaf below
+each other candidate image j of a pivot represents one coset of the point
+stabilizer of the pivots (McKay & Piperno, "Practical graph isomorphism,
+II", 2014).  A group is stored as these per-level transversals; its order,
+orbits and solution images come from them, and its elements are listed only
+on request.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 class GroupTooLargeError(RuntimeError):
-    """The automorphism group exceeds the explicit-element safety cap."""
+    """The group has more elements than a listing may hold."""
 
 
 @dataclass(frozen=True)
@@ -34,35 +44,44 @@ class Orbit:
 
 
 class PermutationGroup:
-    """An explicit list of permutations of {0..d-1}, closed under composition
-    and inverse, with its orbit partition.
+    """A permutation group on {0..d-1} held as the transversals of a
+    stabilizer chain, with its orbit partition.
 
-    Elements are image arrays: ``sigma[i]`` is the image of ``i``.  The element
-    list is sorted lexicographically so orbit representatives and downstream
-    branching decisions are reproducible.
+    Permutations are image arrays: ``sigma[i]`` is the image of ``i``.  Each
+    transversal is a (k, d) array, and every element is written in exactly one
+    way as ``u_1 o u_2 o ... o u_t`` with ``u_s`` a row of the s-th
+    transversal; a full element list is a chain of one transversal.
     """
 
-    def __init__(self, domain_size: int, elements: np.ndarray):
-        elements = np.asarray(elements, dtype=np.int64)
-        if elements.ndim != 2 or elements.shape[1] != domain_size:
-            raise ValueError("elements must be a (g, d) array of image arrays")
-        order = np.lexsort(elements.T[::-1])
-        elements = elements[order]
-        elements.setflags(write=False)
+    def __init__(self, domain_size: int, transversals):
+        chain = []
+        for U in transversals:
+            U = np.array(U, dtype=np.int64)
+            if U.ndim != 2 or U.shape[1] != domain_size:
+                raise ValueError("each transversal must be a (k, d) array of image arrays")
+            U.setflags(write=False)
+            chain.append(U)
         self.domain_size = domain_size
-        self.elements = elements
+        self.transversals = tuple(chain)
+        self.order = math.prod(U.shape[0] for U in chain)
         self.orbit_partition = self._compute_orbits()
 
-    def __len__(self) -> int:
-        return self.elements.shape[0]
-
-    @property
-    def order(self) -> int:
-        return len(self)
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Every element, sorted lexicographically; ``order`` rows."""
+        d = self.domain_size
+        E = np.arange(d, dtype=np.int64)[None, :]
+        for U in reversed(self.transversals):
+            E = U[:, E].reshape(-1, d)
+        E = E[np.lexsort(E.T[::-1])]
+        E.setflags(write=False)
+        return E
 
     def _compute_orbits(self) -> tuple[Orbit, ...]:
+        # The transversals generate the group, so the orbits are the
+        # components of the graph joining i to u[i] for every representative u.
         d = self.domain_size
-        parent = np.arange(d)
+        parent = list(range(d))
 
         def find(i):
             while parent[i] != i:
@@ -70,22 +89,81 @@ class PermutationGroup:
                 i = parent[i]
             return i
 
-        for sigma in self.elements:
-            for i in range(d):
-                ri, rj = find(i), find(int(sigma[i]))
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+        for U in self.transversals:
+            for sigma in U.tolist():
+                for i, j in enumerate(sigma):
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
         buckets: dict[int, list[int]] = {}
         for i in range(d):
             buckets.setdefault(find(i), []).append(i)
-        return tuple(Orbit(members=tuple(sorted(v))) for _, v in sorted(buckets.items()))
+        return tuple(Orbit(members=tuple(v)) for _, v in sorted(buckets.items()))
 
 
-def automorphisms(B, element_cap: int = 1_000_000) -> PermutationGroup:
-    """Enumerate all permutations sigma with B[sigma(i), sigma(j)] == B[i, j].
+def candidates(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """cand[i, j]: index i of S may map to index j of T, because the two have
+    equal diagonal entries and equal sorted rows."""
+    rows_s, rows_t = np.sort(S, axis=1), np.sort(T, axis=1)
+    return (np.diagonal(S)[:, None] == np.diagonal(T)[None, :]) & \
+        (rows_s[:, None, :] == rows_t[None, :, :]).all(axis=2)
 
-    Raises GroupTooLargeError once more than ``element_cap`` elements are found.
-    """
+
+def _refine(S, T, cand, i: int, j: int) -> np.ndarray:
+    """Candidates after mapping i to j.  Consistency with the earlier pairs is
+    kept incrementally, so only the pairs with (i, j) are checked."""
+    new = cand & (S[:, i][:, None] == T[:, j][None, :])
+    new[:, j] = False
+    new[i, :] = False
+    return new
+
+
+def first_leaf(S, T, cand, image, node_cap: int | None = None) -> np.ndarray | None:
+    """The first permutation p found below a partial map, with
+    S[i, j] == T[p(i), p(j)] for all i, j; None if there is none.
+
+    ``image`` holds the partial map (-1 on open indices) and ``cand`` the
+    candidates of the open indices under it.  Candidates are tried in
+    increasing order on the most constrained open index.  A node at which
+    every open index has one candidate left is completed with that forced map,
+    which is returned if it is a permutation that preserves the matrices.
+    ``node_cap`` bounds the number of candidates tried; running out returns
+    None."""
+    image = np.array(image, dtype=np.int64)
+    budget = math.inf if node_cap is None else node_cap
+
+    def search(cand):
+        nonlocal budget
+        open_idx = np.flatnonzero(image < 0)
+        counts = cand[open_idx].sum(axis=1)
+        if np.any(counts == 0):
+            return None
+        if np.all(counts == 1):
+            sigma = image.copy()
+            sigma[open_idx] = np.argmax(cand[open_idx], axis=1)
+            if np.unique(sigma[open_idx]).size == open_idx.size and \
+                    np.array_equal(T[np.ix_(sigma, sigma)], S):
+                return sigma
+            return None
+        i = int(open_idx[int(np.argmin(counts))])
+        for j in np.flatnonzero(cand[i]).tolist():
+            if budget <= 0:
+                return None
+            budget -= 1
+            image[i] = j
+            leaf = search(_refine(S, T, cand, i, j))
+            image[i] = -1
+            if leaf is not None:
+                return leaf
+        return None
+
+    return search(cand)
+
+
+def automorphisms(B) -> PermutationGroup:
+    """The group of all permutations sigma with B[sigma(i), sigma(j)] ==
+    B[i, j], held as one representative for each image that each pivot of
+    the identity path takes under the stabilizer of the earlier pivots."""
     B = np.asarray(B)
     d = B.shape[0]
     if B.shape != (d, d) or not np.array_equal(B, B.T):
@@ -93,44 +171,27 @@ def automorphisms(B, element_cap: int = 1_000_000) -> PermutationGroup:
     if d == 0:
         raise ValueError("empty matrix")
 
-    diag = np.diagonal(B)
-    rows_sorted = np.sort(B, axis=1)
-    cand0 = (diag[:, None] == diag[None, :]) & \
-        (rows_sorted[:, None, :] == rows_sorted[None, :, :]).all(axis=2)
-
-    elements: list[np.ndarray] = []
+    cand = candidates(B, B)
     image = np.full(d, -1, dtype=np.int64)
-    assigned = np.zeros(d, dtype=bool)
-
-    def search(cand: np.ndarray, n_assigned: int):
-        if n_assigned == d:
-            if len(elements) >= element_cap:
-                raise GroupTooLargeError(
-                    f"automorphism group exceeds the element cap {element_cap}")
-            elements.append(image.copy())
-            return
-        open_rows = ~assigned
-        counts = cand[open_rows].sum(axis=1)
-        if np.any(counts == 0):
-            return
-        # Pivot on the most constrained free index for early pruning.
-        open_idx = np.flatnonzero(open_rows)
+    transversals = []
+    while True:
+        open_idx = np.flatnonzero(image < 0)
+        counts = cand[open_idx].sum(axis=1)
+        if np.all(counts == 1):
+            break  # only the identity is left below
         i = int(open_idx[int(np.argmin(counts))])
-        for j in np.flatnonzero(cand[i]):
-            j = int(j)
-            # Consistency with all assigned pairs is maintained incrementally,
-            # so only the pairwise refinement against (i, j) remains.
-            image[i] = j
-            assigned[i] = True
-            new_cand = cand & (B[:, i][:, None] == B[:, j][None, :])
-            new_cand[:, j] = False
-            new_cand[i, :] = False
-            search(new_cand, n_assigned + 1)
-            assigned[i] = False
-            image[i] = -1
-
-    search(cand0, 0)
-    return PermutationGroup(domain_size=d, elements=np.array(elements))
+        reps = [np.arange(d, dtype=np.int64)]
+        for j in np.flatnonzero(cand[i]).tolist():
+            if j != i:
+                image[i] = j
+                leaf = first_leaf(B, B, _refine(B, B, cand, i, j), image)
+                if leaf is not None:
+                    reps.append(leaf)
+        image[i] = i
+        cand = _refine(B, B, cand, i, i)
+        if len(reps) > 1:
+            transversals.append(reps)
+    return PermutationGroup(domain_size=d, transversals=transversals)
 
 
 def orbits(group: PermutationGroup, domain) -> tuple[Orbit, ...]:
@@ -152,16 +213,28 @@ def orbits(group: PermutationGroup, domain) -> tuple[Orbit, ...]:
 
 
 def expand_solution(group: PermutationGroup, x) -> list[np.ndarray]:
-    """The distinct images of x under the group, sorted lexicographically."""
+    """The distinct images x o sigma of x under the group, sorted
+    lexicographically.
+
+    Since sigma = u_1 o ... o u_t, the images are built one transversal at a
+    time, keeping only the distinct ones after each, so no step holds more
+    rows than the orbit of x times one transversal."""
     x = np.asarray(x, dtype=np.int64)
     if x.size != group.domain_size:
         raise ValueError("dimension mismatch")
-    seen = {tuple(int(v) for v in x[sigma]) for sigma in group.elements}
-    return [np.array(t, dtype=np.int64) for t in sorted(seen)]
+    images = x[None, :]
+    for U in group.transversals:
+        images = np.unique(images[:, U].reshape(-1, x.size), axis=0)
+    return list(images)
 
 
-def group_to_json_obj(group: PermutationGroup) -> dict:
-    """JSON-ready dict: image arrays in 1-based indexing."""
+def group_to_json_obj(group: PermutationGroup, element_cap: int = 1_000_000) -> dict:
+    """JSON-ready dict: image arrays in 1-based indexing.  Raises
+    GroupTooLargeError when the group has more than ``element_cap``
+    elements."""
+    if group.order > element_cap:
+        raise GroupTooLargeError(
+            f"group order {group.order} exceeds the element cap {element_cap}")
     return {
         "domain_size": group.domain_size,
         "order": group.order,

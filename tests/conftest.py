@@ -48,6 +48,34 @@ def planted_bqop(rng, blocks, block_size, m, low=-5, high=12):
     return BqopInstance(n=n, B=B, m=m)
 
 
+def torus_matrix(k, seed=0):
+    """Cost matrix of the k x k wrap-around grid, cell (r, c) at index r*k + c.
+
+    The cost of two cells depends only on the unordered pair of wrap-around
+    distances along the two axes, with a distinct nonzero weight per pair, so
+    the translations and the 8 symmetries of the square preserve it."""
+    def dist(t):
+        return np.minimum(t % k, -t % k)
+
+    h = k // 2 + 1
+    weight = 1 + np.random.default_rng(seed).permutation(h * h).reshape(h, h)
+    weight = np.minimum(weight, weight.T)   # one weight per unordered pair
+    weight[0, 0] = 0
+    r, c = np.divmod(np.arange(k * k), k)
+    return weight[dist(r[:, None] - r[None, :]), dist(c[:, None] - c[None, :])]
+
+
+def torus_symmetries(k):
+    """The 8 k^2 maps (r, c) -> point symmetry of (r, c) plus a translation,
+    as image arrays."""
+    r, c = np.divmod(np.arange(k * k), k)
+    points = [(r, c), (c, r)]
+    points += [(sr * a, sc * b) for a, b in points for sr in (1, -1) for sc in (1, -1)
+               if (sr, sc) != (1, 1)]
+    return [((a + tr) % k) * k + (b + tc) % k
+            for a, b in points for tr in range(k) for tc in range(k)]
+
+
 def planted_rotation(blocks, block_size):
     """The simultaneous one-step rotation planted by planted_bqop."""
     sigma = np.empty(blocks * block_size, dtype=np.int64)
@@ -139,6 +167,16 @@ def alternating_projection_distance(M, tol=1e-11, max_iter=200_000):
 def bqop6():
     rng = np.random.default_rng(42)
     return random_bqop(rng, 6, 3)
+
+
+@pytest.fixture
+def two_pairs24():
+    """24 variables, m = 6, all costs zero but two pairs of different weight:
+    the group has order 4 * 20!, beyond int64."""
+    B = np.zeros((24, 24), dtype=np.int64)
+    B[0, 1] = B[1, 0] = -1
+    B[2, 3] = B[3, 2] = -2
+    return BqopInstance(n=24, B=B, m=6)
 
 
 @pytest.fixture

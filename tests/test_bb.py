@@ -13,7 +13,7 @@ from symbb.bb import (BbParams, branch, choose_orbit, expand_level,
 from symbb.dnn import ApgParams, NbParams
 from symbb.estimator import EstParams, estimate
 from symbb.instance import objective
-from symbb.subproblem import FixSets, reduce, subgroup
+from symbb.subproblem import FixSets, reduce, solve_exactly, subgroup
 from symbb.symmetry import Orbit, PermutationGroup, automorphisms
 from tests.conftest import (brute_optimum, brute_sub_optimum, planted_bqop,
                             random_bqop)
@@ -143,8 +143,7 @@ class TestBranch:
         # Branching the root single orbit yields the all-zero (infeasible)
         # child and the fix-first-variable child.
         sub = reduce(bqop6, FixSets((), ()))
-        grp = PermutationGroup(6, np.array([np.arange(6),
-                                            np.roll(np.arange(6), 1)]))
+        grp = PermutationGroup(6, [[np.roll(np.arange(6), s) for s in range(6)]])
         if len(grp.orbit_partition) == 1:
             c0, c1 = branch(sub.fix, grp.orbit_partition[0], sub.free)
             assert c0.i0 == tuple(range(6))
@@ -152,6 +151,11 @@ class TestBranch:
 
 
 class TestSolveTarget:
+    def test_group_beyond_int64(self, two_pairs24):
+        opt = solve_exactly(reduce(two_pairs24, FixSets((), ()))).value
+        assert solve_target(two_pairs24, opt).outcome == "Proved"
+        assert solve_target(two_pairs24, opt + 1).outcome == "Refuted"
+
     def test_proved_and_refuted(self):
         rng = np.random.default_rng(10)
         inst = random_bqop(rng, 7, 3)
@@ -216,7 +220,7 @@ class TestSolveTarget:
         assert state["target"] == opt
         # The budget runs out after level 1: the frontier is its survivors.
         assert len(cert.per_depth) == 1
-        survivors = expand_level(inst, opt, params, root_children(inst, params),
+        survivors = expand_level(inst, opt, params, root_children(inst),
                                  history={}).survivors
         assert state["frontier"] == [
             {"i0": [i + 1 for i in sub.fix.i0], "i1": [i + 1 for i in sub.fix.i1],

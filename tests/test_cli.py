@@ -81,6 +81,19 @@ class TestSymmetry:
         header = csv_path.read_text().splitlines()[0]
         assert header == "orbit,members,size,score"
 
+    def test_group_cap_limits_listing(self, runner, tmp_path, two_pairs24):
+        path = tmp_path / "pairs.json"
+        path.write_text(bqop_to_json(two_pairs24))
+        result = runner.invoke(main, ["symmetry", "--instance", str(path)])
+        assert result.exit_code == 0
+        assert "group order: 9731608032706560000" in result.output
+        result = runner.invoke(main, ["symmetry", "--instance", str(path),
+                                      "--group-json", str(tmp_path / "g.json"),
+                                      "--group-cap", "1000"])
+        assert result.exit_code == 1
+        assert result.output == ("error: group order 9731608032706560000 "
+                                 "exceeds the element cap 1000\n")
+
 
 class TestBoundRoot:
     def test_prints_bound_and_json(self, runner, bqop_file, tmp_path):
@@ -127,6 +140,14 @@ class TestBoundRoot:
 
 
 class TestSolve:
+    def test_group_beyond_int64_solved(self, runner, tmp_path, two_pairs24):
+        path = tmp_path / "pairs.json"
+        path.write_text(bqop_to_json(two_pairs24))
+        result = runner.invoke(main, ["solve", "--instance", str(path),
+                                      "--target", "-6"])
+        assert result.exit_code == 0, result.output
+        assert "outcome: Proved" in result.output
+
     def test_proved_exit_0(self, runner, bqop_file, tmp_path):
         path, inst = bqop_file
         opt = brute_optimum(inst)

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from symbb.symmetry import (GroupTooLargeError, PermutationGroup,
-                            automorphisms, expand_solution, group_to_json_obj,
-                            orbit_report_rows, orbits)
+                            automorphisms, candidates, expand_solution,
+                            first_leaf, group_to_json_obj, orbit_report_rows,
+                            orbits)
 from tests.conftest import (brute_automorphisms, planted_bqop,
-                            planted_rotation)
+                            planted_rotation, torus_matrix, torus_symmetries)
+
+
+def reachability_orbits(elements):
+    """Orbits as the classes of i ~ sigma(i) over every listed element."""
+    d = elements.shape[1]
+    reach = [{int(s[i]) for s in elements} for i in range(d)]
+    return sorted({tuple(sorted(r)) for r in reach})
 
 
 class TestAutomorphisms:
@@ -56,8 +64,27 @@ class TestAutomorphisms:
         assert tuple(planted_rotation(2, 4)) in {tuple(s) for s in group.elements}
 
     def test_element_cap(self):
+        # The group (order 7! = 5040) is found; only listing it is capped.
+        group = automorphisms(np.zeros((7, 7), dtype=np.int64))
+        assert group.order == 5040
         with pytest.raises(GroupTooLargeError):
-            automorphisms(np.zeros((7, 7), dtype=np.int64), element_cap=100)
+            group_to_json_obj(group, element_cap=100)
+        assert len(group_to_json_obj(group, element_cap=5040)["elements"]) == 5040
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_torus_group(self, k):
+        group = automorphisms(torus_matrix(k))
+        assert group.order == 8 * k * k
+        assert {tuple(s) for s in group.elements} == \
+            {tuple(s) for s in torus_symmetries(k)}
+        assert [o.members for o in group.orbit_partition] == \
+            reachability_orbits(group.elements)
+
+    def test_order_beyond_int64(self, two_pairs24):
+        group = automorphisms(two_pairs24.B)
+        assert group.order == 9_731_608_032_706_560_000 > 2 ** 63
+        assert [o.members for o in group.orbit_partition] == \
+            [(0, 1), (2, 3), tuple(range(4, 24))]
 
     def test_asymmetric_rejected(self):
         B = np.zeros((3, 3))
@@ -74,7 +101,7 @@ class TestAutomorphisms:
 
 class TestOrbits:
     def test_trivial_group_singletons(self):
-        group = PermutationGroup(4, np.arange(4)[None, :])
+        group = PermutationGroup(4, [])
         orbs = orbits(group, range(4))
         assert [o.members for o in orbs] == [(0,), (1,), (2,), (3,)]
 
@@ -91,17 +118,51 @@ class TestOrbits:
             assert orb.representative == min(orb.members)
 
     def test_subdomain(self):
-        group = PermutationGroup(4, np.array([[0, 1, 2, 3], [1, 0, 2, 3]]))
+        group = PermutationGroup(4, [[[0, 1, 2, 3], [1, 0, 2, 3]]])
         orbs = orbits(group, [0, 1])
         assert [o.members for o in orbs] == [(0, 1)]
 
     def test_non_invariant_domain_rejected(self):
-        group = PermutationGroup(4, np.array([[0, 1, 2, 3], [1, 0, 2, 3]]))
+        group = PermutationGroup(4, [[[0, 1, 2, 3], [1, 0, 2, 3]]])
         with pytest.raises(ValueError, match="invariant"):
             orbits(group, [0, 2])
 
 
+class TestFirstLeaf:
+    def test_forced_map_must_be_a_permutation(self):
+        # Both open indices are left with the single candidate 0.
+        B = np.zeros((2, 2), dtype=np.int64)
+        cand = np.array([[True, False], [True, False]])
+        assert first_leaf(B, B, cand, np.full(2, -1)) is None
+
+    def test_forced_map_must_preserve_the_matrix(self):
+        B = np.array([[0, 1, 0], [1, 0, 2], [0, 2, 0]])
+        cand = np.array([[False, False, True], [False, True, False],
+                         [True, False, False]])
+        assert first_leaf(B, B, cand, np.full(3, -1)) is None
+        C = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+        swap = np.array([[True, False, False], [False, False, True],
+                         [False, True, False]])
+        assert first_leaf(C, C, swap, np.full(3, -1)).tolist() == [0, 2, 1]
+
+    def test_node_cap(self):
+        B = np.zeros((5, 5), dtype=np.int64)
+        cand = candidates(B, B)
+        assert first_leaf(B, B, cand, np.full(5, -1), node_cap=0) is None
+        assert first_leaf(B, B, cand, np.full(5, -1)).tolist() == [0, 1, 2, 3, 4]
+
+
 class TestExpandSolution:
+    @pytest.mark.parametrize("name", ["cycle6", "torus4"])
+    def test_matches_element_images(self, name, cycle6):
+        B = cycle6 if name == "cycle6" else torus_matrix(4)
+        group = automorphisms(B)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            x = rng.integers(0, 2, B.shape[0])
+            by_elements = sorted({tuple(x[sigma]) for sigma in group.elements})
+            assert [tuple(im) for im in expand_solution(group, x)] == by_elements
+
     def test_all_ones_singleton(self, cycle6):
         group = automorphisms(cycle6)
         assert len(expand_solution(group, np.ones(6, dtype=np.int64))) == 1
