@@ -24,11 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dnn import NbParams, assemble, default_lambda, nb_bound
+from .dnn import NbParams, NbResult, assemble, default_lambda, nb_bound
 from .instance import BqopInstance, objective
 from .subproblem import (FixSets, Infeasible, SolvedLeaf, Subproblem,
                          feasibility_status, reduce, solve_exactly, subgroup)
 from .symmetry import Orbit, PermutationGroup, candidates, first_leaf, orbits
+
+# Candidate tries of one isomorphism search; running out counts as
+# non-isomorphic, which is sound: a missed merge only costs extra work.
+ISO_NODE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -36,8 +40,7 @@ class TreeParams:
     """Settings of the tree engine, shared by BbParams and EstParams."""
 
     workers: int = 1
-    lambda_scale: float = 1e8
-    lam: float | None = None            # overrides lambda_scale / ||B(I0,I1)||
+    lambda_scale: float = 1e8           # penalty weight lambda_scale / ||B(I0,I1)||
     leaf_threshold: int = 20
     leaf_band: int = 3
     nb: NbParams = field(default_factory=NbParams)
@@ -46,7 +49,6 @@ class TreeParams:
 @dataclass(frozen=True)
 class BbParams(TreeParams):
     iso_pruning: bool = True
-    iso_node_cap: int = 1_000_000
     node_budget: int | None = None
     time_budget: float | None = None    # seconds
     audit: bool = False                 # small-n only: re-check by enumeration
@@ -95,18 +97,16 @@ def fingerprint(sub: Subproblem) -> tuple:
     )
 
 
-def isomorphic(sub_a: Subproblem, sub_b: Subproblem,
-               node_cap: int = 1_000_000) -> np.ndarray | None:
+def isomorphic(sub_a: Subproblem, sub_b: Subproblem) -> np.ndarray | None:
     """Permutation witness p with B_b[i, j] == B_a[p(i), p(j)] for all i, j,
     or None.  Requires matching fingerprints first; the witness is the first
     leaf of the automorphism search run between the two reduced matrices,
-    with ``node_cap`` candidate tries (cap exhaustion counts as
-    non-isomorphic, which is sound: a missed merge only costs extra work)."""
+    with at most ``ISO_NODE_CAP`` candidate tries."""
     if fingerprint(sub_a) != fingerprint(sub_b):
         return None
     A = sub_a.reduced_B
     Bm = sub_b.reduced_B
-    return first_leaf(Bm, A, candidates(Bm, A), np.full(A.shape[0], -1), node_cap)
+    return first_leaf(Bm, A, candidates(Bm, A), np.full(A.shape[0], -1), ISO_NODE_CAP)
 
 
 def orbit_scores(sub: Subproblem, orbs) -> list[float]:
@@ -161,6 +161,13 @@ def root_children(inst: BqopInstance,
     return list(branch(root.fix, choose_orbit(root, grp), root.free))
 
 
+def bound_node(sub: Subproblem, target: int | None, params: TreeParams) -> NbResult:
+    """The DNN bound of an open subproblem: penalty weight ``lambda_scale /
+    ||B(I0,I1)||``, the lifted problem, Newton bracketing with ``params.nb``."""
+    prob = assemble(sub, default_lambda(sub, params.lambda_scale))
+    return nb_bound(prob, target, params.nb)
+
+
 @dataclass
 class Level:
     """One expanded level.  ``survivors`` are the open subproblems that no
@@ -183,8 +190,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     with a ``history`` (fingerprint -> retained subproblems), prune the open
     nodes isomorphic to a retained one and retain the rest; stop at the first
     leaf below the target; otherwise bound the open nodes and apply the prune
-    test.  Only BbParams carries ``iso_node_cap``, so only branch and bound
-    passes a history."""
+    test.  Only branch and bound passes a history."""
     level = Level()
     open_subs = []
     for fix in fixes:
@@ -213,7 +219,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
         for sub in open_subs:
             bucket = history.setdefault(fingerprint(sub), [])
             twin = next((s for s in bucket
-                         if isomorphic(s, sub, params.iso_node_cap) is not None), None)
+                         if isomorphic(s, sub) is not None), None)
             if twin is None:
                 bucket.append(sub)
                 unmerged.append(sub)
@@ -229,11 +235,8 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     level.pruned_bound = level.leaves
 
     def bound_one(sub: Subproblem):
-        lam = params.lam if params.lam is not None else \
-            default_lambda(sub, params.lambda_scale)
-        prob = assemble(sub, lam)
         t0 = time.monotonic()
-        res = nb_bound(prob, target, params.nb)
+        res = bound_node(sub, target, params)
         return res, time.monotonic() - t0
 
     if params.workers > 1 and open_subs:

@@ -20,7 +20,6 @@ from pathlib import Path
 import click
 
 from . import bb, dnn, estimator, instance, subproblem, symmetry
-from .dnn import ApgParams, NbParams
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -33,24 +32,34 @@ def _load_bqop(path: str) -> tuple[instance.BqopInstance, str]:
     instance and a sha256 of the raw file."""
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    text = raw.decode()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        raise instance.InstanceError(f"{path} is not UTF-8 text: {exc}") from None
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return instance.bqop_from_json(text), digest
-    qap = instance.parse_qaplib(text)
-    return instance.qap_to_bqop(qap), digest
+    return instance.qap_to_bqop(instance.parse_qaplib(text)), digest
 
 
-def _config_overrides(config_path: str | None) -> dict:
+def _params(cls, flags: dict, config_path: str | None = None):
+    """The run parameters: the defaults of the params dataclass ``cls``, then
+    the flags that were given (``None`` is not given; nested dicts set ``nb``
+    and ``nb.apg``), then the ``--config`` file."""
+    params = _apply_overrides(cls(), _given(flags))
     if config_path is None:
-        return {}
-    with open(config_path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise click.ClickException(f"--config is not valid JSON: {exc}")
+        return params
+    try:
+        data = json.loads(Path(config_path).read_bytes())
+    except ValueError as exc:
+        raise click.ClickException(f"--config is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise click.ClickException("--config must contain a JSON object")
-    return data
+    return _apply_overrides(params, data)
+
+
+def _given(flags: dict) -> dict:
+    flags = {k: _given(v) if isinstance(v, dict) else v for k, v in flags.items()}
+    return {k: v for k, v in flags.items() if v is not None and v != {}}
 
 
 # JSON value types accepted for each scalar annotation of a params field.
@@ -59,9 +68,9 @@ _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
 
 
 def _apply_overrides(params, overrides: dict, prefix: str = ""):
-    """A copy of a params dataclass with ``--config`` overrides applied.  A
-    nested JSON object overrides the nested dataclass of the same name (``nb``,
-    then ``apg``); unknown keys and ill-typed values are errors."""
+    """A copy of a params dataclass with overrides applied.  A nested JSON
+    object overrides the nested dataclass of the same name (``nb``, then
+    ``apg``); unknown keys and ill-typed values are errors."""
     fields = {f.name: f for f in dataclasses.fields(params)}
     changes = {}
     for key, value in overrides.items():
@@ -106,33 +115,56 @@ def _run_config(subcommand: str, **kwargs) -> dict:
     return cfg
 
 
-@click.group()
+def _error_exit(call, *args, **kwargs):
+    """``call(*args, **kwargs)``; a usage error, a malformed instance or a
+    group too large to list instead prints one ``error: <message>`` line on
+    stderr and exits 1."""
+    try:
+        return call(*args, **kwargs)
+    except click.ClickException as exc:
+        message = exc.format_message()
+    except (instance.InstanceError, symmetry.GroupTooLargeError) as exc:
+        message = str(exc)
+    click.echo(f"error: {message}", err=True)
+    sys.exit(EXIT_ERROR)
+
+
+class _Symbb(click.Group):
+    """The ``symbb`` group: its own options and every command share
+    ``_error_exit``.  A bare ``symbb`` is a usage error ("Missing command.")."""
+
+    def make_context(self, *args, **kwargs):
+        return _error_exit(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _error_exit(super().invoke, ctx)
+
+
+@click.group(cls=_Symbb, no_args_is_help=False)
 def main():
     """Target-lower-bound solver toolkit for cardinality-constrained binary
     quadratic optimization with symmetry exploitation."""
 
 
+_instance_option = click.option("--instance", "instance_path", required=True,
+                                type=click.Path(exists=True, dir_okay=False))
+
+
 @main.command()
-@click.option("--instance", "instance_path", required=True, type=click.Path(exists=True))
+@_instance_option
 @click.option("--output", "output_path", default=None, type=click.Path())
 def convert(instance_path, output_path):
-    """Convert a QAPLIB rank-one-flow instance to BQOP JSON."""
-    try:
-        raw = Path(instance_path).read_text()
-        qap = instance.parse_qaplib(raw)
-        bqop = instance.qap_to_bqop(qap)
-    except instance.InstanceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    """Convert a QAPLIB rank-one-flow instance (or a BQOP JSON) to BQOP JSON."""
+    bqop, digest = _load_bqop(instance_path)
     payload = json.loads(instance.bqop_to_json(bqop))
     payload["config"] = _run_config("convert", instance=instance_path)
-    payload["instance_sha256"] = hashlib.sha256(raw.encode()).hexdigest()
+    payload["instance_sha256"] = digest
     _write_json(output_path, payload)
     sys.exit(EXIT_OK)
 
 
 @main.command(name="symmetry")
-@click.option("--instance", "instance_path", required=True, type=click.Path(exists=True))
+@_instance_option
 @click.option("--fix", "fix_index", default=None, type=int,
               help="Report orbits after fixing this 1-based variable to 1.")
 @click.option("--orbit-csv", default=None, type=click.Path())
@@ -141,30 +173,22 @@ def convert(instance_path, output_path):
               help="Largest group whose elements --group-json may list.")
 def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
     """Compute the automorphism group of the cost matrix and its orbits."""
-    try:
-        bqop, digest = _load_bqop(instance_path)
-        group = symmetry.automorphisms(bqop.B)
-        payload = symmetry.group_to_json_obj(group, group_cap) if group_json else None
-    except (instance.InstanceError, symmetry.GroupTooLargeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    bqop, digest = _load_bqop(instance_path)
+    if fix_index is not None and not 1 <= fix_index <= bqop.n:
+        raise click.BadParameter(f"{fix_index} is not in 1..{bqop.n}",
+                                 param_hint="'--fix'")
+    group = symmetry.automorphisms(bqop.B)
+    payload = symmetry.group_to_json_obj(group, group_cap) if group_json else None
     click.echo(f"group order: {group.order}")
 
     if fix_index is not None:
-        fix = subproblem.FixSets(i0=(), i1=(fix_index - 1,))
-        sub = subproblem.reduce(bqop, fix)
-        grp = subproblem.subgroup(sub)
-        orbs = symmetry.orbits(grp, range(sub.ell))
+        sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(fix_index - 1,)))
+        orbs = symmetry.orbits(subproblem.subgroup(sub), range(sub.ell))
         scores = bb.orbit_scores(sub, orbs)
         order = sorted(range(len(orbs)), key=lambda k: (-scores[k], orbs[k].representative))
-        rows = []
-        for rank, k in enumerate(order, start=1):
-            rows.append({
-                "orbit": rank,
-                "members": " ".join(str(sub.free[i] + 1) for i in orbs[k].members),
-                "size": orbs[k].size,
-                "score": f"{scores[k]:.1f}",
-            })
+        rows = symmetry.orbit_report_rows(
+            [symmetry.Orbit(tuple(sub.free[i] for i in orbs[k].members)) for k in order],
+            [f"{scores[k]:.1f}" for k in order])
         click.echo(f"orbits after fixing variable {fix_index}: {len(orbs)}")
     else:
         orbs = group.orbit_partition
@@ -179,39 +203,31 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
     sys.exit(EXIT_OK)
 
 
-def _nb_params(gap_tol, nb_max_iter, apg_tol, apg_max_iter) -> NbParams:
-    return NbParams(gap_tol=gap_tol, max_iter=nb_max_iter,
-                    apg=ApgParams(rel_tol=apg_tol, max_iter=apg_max_iter))
-
-
 @main.command(name="bound-root")
-@click.option("--instance", "instance_path", required=True, type=click.Path(exists=True))
+@_instance_option
 @click.option("--target", default=None, type=int)
-@click.option("--lambda-scale", default=1e8, type=float)
-@click.option("--lam", default=None, type=float, help="Explicit penalty weight override.")
-@click.option("--gap-tol", default=1e-6, type=float)
-@click.option("--nb-max-iter", default=60, type=int)
-@click.option("--apg-tol", default=1e-12, type=float)
-@click.option("--apg-max-iter", default=20000, type=int)
+@click.option("--lambda-scale", default=None, type=float)
+@click.option("--gap-tol", default=None, type=float)
+@click.option("--nb-max-iter", default=None, type=int)
+@click.option("--apg-tol", default=None, type=float)
+@click.option("--apg-max-iter", default=None, type=int)
 @click.option("--trace-csv", default=None, type=click.Path())
 @click.option("--json", "json_path", default=None, type=click.Path())
-def bound_root(instance_path, target, lambda_scale, lam, gap_tol, nb_max_iter,
+def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
                apg_tol, apg_max_iter, trace_csv, json_path):
     """Newton-bracketing bound for the root subproblem with variable 1 fixed
     to 1."""
-    try:
-        bqop, digest = _load_bqop(instance_path)
-    except instance.InstanceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    params = _params(bb.TreeParams, dict(lambda_scale=lambda_scale, nb=dict(
+        gap_tol=gap_tol, max_iter=nb_max_iter,
+        apg=dict(rel_tol=apg_tol, max_iter=apg_max_iter))))
+    bqop, digest = _load_bqop(instance_path)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
-    params = _nb_params(gap_tol, nb_max_iter, apg_tol, apg_max_iter)
     if sub.reduced_B.any():
-        lam_value = lam if lam is not None else dnn.default_lambda(sub, lambda_scale)
-        res = dnn.nb_bound(dnn.assemble(sub, lam_value), target, params)
+        lam = dnn.default_lambda(sub, params.lambda_scale)
+        res = bb.bound_node(sub, target, params)
     else:
         # Every completion costs exactly offset: the bound is exact.
-        lam_value = None
+        lam = None
         res = dnn.NbResult(status="Exact", a=0.0, b=0.0, iterations=0,
                            lb_integer=sub.offset)
     lb = res.a + sub.offset
@@ -223,16 +239,13 @@ def bound_root(instance_path, target, lambda_scale, lam, gap_tol, nb_max_iter,
         _write_csv(trace_csv, [dict(row) for row in res.trace])
     if json_path:
         payload = {
-            "status": res.status,
-            "a": res.a, "b": res.b,
-            "offset": sub.offset,
-            "lower_bound": lb,
-            "integer_lower_bound": res.lb_integer,
-            "lambda": lam_value,
-            "iterations": res.iterations,
-            "config": _run_config("bound-root", instance=instance_path,
-                                  target=target, lambda_scale=lambda_scale,
-                                  lam=lam, gap_tol=gap_tol),
+            "status": res.status, "a": res.a, "b": res.b, "offset": sub.offset,
+            "lower_bound": lb, "integer_lower_bound": res.lb_integer,
+            "lambda": lam, "iterations": res.iterations,
+            # bound-root reads only these settings of TreeParams.
+            "config": _run_config("bound-root", instance=instance_path, target=target,
+                                  params={"lambda_scale": params.lambda_scale,
+                                          "nb": dataclasses.asdict(params.nb)}),
             "instance_sha256": digest,
         }
         _write_json(json_path, payload)
@@ -240,36 +253,29 @@ def bound_root(instance_path, target, lambda_scale, lam, gap_tol, nb_max_iter,
 
 
 @main.command()
-@click.option("--instance", "instance_path", required=True, type=click.Path(exists=True))
+@_instance_option
 @click.option("--target", required=True, type=int)
 @click.option("--no-isomorphism-pruning", is_flag=True, default=False)
-@click.option("--workers", default=1, type=int)
-@click.option("--lambda-scale", default=1e8, type=float)
-@click.option("--lam", default=None, type=float)
+@click.option("--workers", default=None, type=int)
+@click.option("--lambda-scale", default=None, type=float)
 @click.option("--node-budget", default=None, type=int)
 @click.option("--time-budget", default=None, type=float, help="Seconds.")
 @click.option("--checkpoint", "checkpoint_path", default=None, type=click.Path())
 @click.option("--stats-csv", default=None, type=click.Path())
 @click.option("--certificate-json", default=None, type=click.Path())
 @click.option("--audit", is_flag=True, default=False)
-@click.option("--config", "config_path", default=None, type=click.Path(exists=True))
+@click.option("--config", "config_path", default=None,
+              type=click.Path(exists=True, dir_okay=False))
 def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
-          lam, node_budget, time_budget, checkpoint_path, stats_csv,
+          node_budget, time_budget, checkpoint_path, stats_csv,
           certificate_json, audit, config_path):
     """Prove or refute a target lower bound by branch and bound."""
-    try:
-        overrides = _config_overrides(config_path)
-        bqop, digest = _load_bqop(instance_path)
-        params = bb.BbParams(
-            workers=workers, iso_pruning=not no_isomorphism_pruning,
-            lambda_scale=lambda_scale, lam=lam, node_budget=node_budget,
-            time_budget=time_budget, checkpoint_path=checkpoint_path,
-            audit=audit)
-        params = _apply_overrides(params, overrides)
-        cert = bb.solve_target(bqop, target, params)
-    except instance.InstanceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    params = _params(bb.BbParams, dict(
+        workers=workers, iso_pruning=False if no_isomorphism_pruning else None,
+        lambda_scale=lambda_scale, node_budget=node_budget, time_budget=time_budget,
+        checkpoint_path=checkpoint_path, audit=audit or None), config_path)
+    bqop, digest = _load_bqop(instance_path)
+    cert = bb.solve_target(bqop, target, params)
     click.echo(f"outcome: {cert.outcome}")
     click.echo(f"nodes: {cert.node_count}")
     if cert.outcome == "Refuted":
@@ -286,36 +292,34 @@ def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
 
 
 @main.command(name="estimate")
-@click.option("--instance", "instance_path", required=True, type=click.Path(exists=True))
+@_instance_option
 @click.option("--target", required=True, type=int)
 @click.option("--seeds", default="0", help="Comma-separated list of seeds.")
-@click.option("--workers", default=1, type=int)
-@click.option("--width-threshold", default=1000, type=int)
-@click.option("--lambda-scale", default=1e8, type=float)
+@click.option("--workers", default=None, type=int)
+@click.option("--width-threshold", default=None, type=int)
+@click.option("--lambda-scale", default=None, type=float)
 @click.option("--stats-csv", default=None, type=click.Path())
 @click.option("--report-json", default=None, type=click.Path())
 def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
                  lambda_scale, stats_csv, report_json):
     """Estimate the enumeration-tree size for a target lower bound."""
     try:
-        bqop, digest = _load_bqop(instance_path)
         seed_list = [int(s) for s in seeds.split(",") if s.strip() != ""]
-        params = estimator.EstParams(workers=workers,
-                                     width_threshold=width_threshold,
-                                     lambda_scale=lambda_scale)
-        summary = estimator.estimate_multi(bqop, target, seed_list, params)
-    except (instance.InstanceError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    except ValueError:
+        seed_list = []
+    if not seed_list:
+        raise click.BadParameter(f"{seeds!r} is not a comma-separated list of integers",
+                                 param_hint="'--seeds'")
+    params = _params(estimator.EstParams, dict(
+        workers=workers, width_threshold=width_threshold, lambda_scale=lambda_scale))
+    bqop, digest = _load_bqop(instance_path)
+    summary = estimator.estimate_multi(bqop, target, seed_list, params)
     nodes = summary["nodes"]
     click.echo(f"estimated nodes (min/mean/max): "
                f"{nodes['min']:.0f} / {nodes['mean']:.0f} / {nodes['max']:.0f}")
     if stats_csv:
-        rows = []
-        for rep in summary["reports"]:
-            for rec in rep["per_depth"]:
-                rows.append({"seed": rep["seed"], **rec})
-        _write_csv(stats_csv, rows)
+        _write_csv(stats_csv, [{"seed": rep["seed"], **rec} for rep in summary["reports"]
+                               for rec in rep["per_depth"]])
     if report_json:
         summary["config"] = _run_config("estimate", instance=instance_path,
                                         target=target, seeds=seeds,
@@ -327,7 +331,7 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
 
 
 @main.command(name="sample-dist")
-@click.option("--instance", "instance_path", required=True, type=click.Path(exists=True))
+@_instance_option
 @click.option("--count", default=1_000_000, type=int)
 @click.option("--optimum", required=True, type=int)
 @click.option("--seed", default=0, type=int)
@@ -335,13 +339,8 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
 @click.option("--csv", "csv_path", default=None, type=click.Path())
 def sample_dist(instance_path, count, optimum, seed, bins, csv_path):
     """Sample feasible solutions and emit the scaled-objective histogram."""
-    try:
-        bqop, digest = _load_bqop(instance_path)
-        dist = instance.sample_scaled_distribution(bqop, count, optimum,
-                                                   seed=seed, bins=bins)
-    except instance.InstanceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    bqop, _ = _load_bqop(instance_path)
+    dist = instance.sample_scaled_distribution(bqop, count, optimum, seed=seed, bins=bins)
     click.echo(f"samples: {dist.values.size}  mean scaled value: {dist.mean:.6f}")
     if csv_path:
         rows = [{"bin_left": dist.bin_edges[i], "bin_right": dist.bin_edges[i + 1],

@@ -38,9 +38,14 @@ import numpy as np
 from .subproblem import Subproblem
 
 
+# Newton takes a step only where g' is at least this; below it, bisection.
+DPRIME_FLOOR = 1e-12
+# g below this, relative to ||M||, counts as "already in the cone".
+G_FLOOR = 1e-11
+
+
 @dataclass(frozen=True)
 class ApgParams:
-    step: float = 1.0           # gradient step; the projection gradient is 1-Lipschitz
     rel_tol: float = 1e-12      # stop on relative objective change below this
     max_iter: int = 20000
 
@@ -49,30 +54,19 @@ class ApgParams:
 class NbParams:
     gap_tol: float = 1e-6       # converged when b - a <= gap_tol * max(1, |b|)
     max_iter: int = 60
-    dprime_floor: float = 1e-12
-    g_floor: float = 1e-11      # g below this counts as "already in the cone"
     apg: ApgParams = field(default_factory=ApgParams)
 
 
 @dataclass(frozen=True)
 class DnnProblem:
-    """Lifted matrices for one subproblem, plus bookkeeping for bound
-    reporting (offset of the integral objective, initial Newton point)."""
+    """The lifted matrix Q = Q_obj + lam * Q_pen of one subproblem, plus
+    bookkeeping for bound reporting (offset of the integral objective,
+    initial Newton point).  The corner s is the last index."""
 
     ell: int
-    q_obj: np.ndarray
-    q_pen: np.ndarray
-    lam: float
+    q: np.ndarray
     offset: int
     y_init: float
-
-    @property
-    def q_lam(self) -> np.ndarray:
-        return self.q_obj + self.lam * self.q_pen
-
-    @property
-    def corner(self) -> int:
-        return 2 * self.ell
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ def assemble(sub: Subproblem, lam: float) -> DnnProblem:
     q_pen[s, iu] += -b
     q_pen[s, s] += b * b
 
-    return DnnProblem(ell=ell, q_obj=q_obj, q_pen=q_pen, lam=float(lam),
+    return DnnProblem(ell=ell, q=q_obj + float(lam) * q_pen,
                       offset=sub.offset, y_init=initial_upper(sub))
 
 
@@ -159,15 +153,16 @@ def initial_upper(sub: Subproblem) -> float:
 
 def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
                   warm_start: np.ndarray | None = None,
-                  corner: int | None = None,
                   eig_target: float | None = None) -> ConeDistanceResult:
     """Distance of a symmetric matrix to K* = PSD + Nonneg.
 
     Minimizes 0.5 * || negpart(M - Y2) ||^2 over entrywise-nonnegative Y2 by
-    APG (projection gradient, Lipschitz constant 1, Nesterov momentum with
-    adaptive restart).  The returned decomposition keeps Y2 >= 0 exact and
-    Y1 = PSD projection of M - Y2, so that g = ||M - Y1 - Y2||; min_eig_y1
-    is the raw minimum eigenvalue of M - Y2 used by the validated bracket.
+    APG (projection gradient, Lipschitz constant 1 and so step 1, Nesterov
+    momentum with adaptive restart).  The returned decomposition keeps Y2 >= 0
+    exact and Y1 = PSD projection of M - Y2, so that g = ||M - Y1 - Y2||;
+    min_eig_y1 is the raw minimum eigenvalue of M - Y2 used by the validated
+    bracket, and gprime is the derivative of g in y where M = Q - y H, H the
+    selector of the last diagonal entry.
 
     ``stop`` says why APG stopped: ``converged`` (relative objective change
     below ``rel_tol``), ``cap`` (``max_iter`` reached) or ``target``.  With
@@ -179,9 +174,6 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     taken from the final eigendecomposition of M - Y2.
     """
     M = np.asarray(M, dtype=float)
-    d = M.shape[0]
-    if corner is None:
-        corner = d - 1
     Y = np.zeros_like(M) if warm_start is None else warm_start.copy()
     Z = Y.copy()
     t = 1.0
@@ -195,7 +187,7 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
         wneg = np.minimum(w, 0.0)
         f_z = 0.5 * float(np.sum(wneg * wneg))
         neg = (V * wneg) @ V.T
-        Y_new = np.maximum(Z + params.step * neg, 0.0)
+        Y_new = np.maximum(Z + neg, 0.0)
         if eig_target is not None and \
                 w[0] - np.linalg.norm(Y_new - Z) >= eig_target:
             Y = Y_new
@@ -223,7 +215,7 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     Y1 = (V * wpos) @ V.T
     R = X - Y1
     g = float(np.linalg.norm(R))
-    gprime = -float(R[corner, corner]) / g if g > 0 else 0.0
+    gprime = -float(R[-1, -1]) / g if g > 0 else 0.0
     return ConeDistanceResult(g=g, gprime=gprime, y1=Y1, y2=Y,
                               min_eig_y1=float(w[0]), stop=stop,
                               iterations=iterations)
@@ -264,8 +256,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
     eigenvalue can prune and APG runs to its own stopping rule.  An APG solve
     stopped this way has not converged and never moves ``b``.
     """
-    Q = prob.q_lam
-    c = prob.corner
+    Q = prob.q
     d = Q.shape[0]
     norm_factor = prob.ell + 1
     # The margin is ten times the relative tolerance of _safe_ceil.
@@ -281,15 +272,14 @@ def nb_bound(prob: DnnProblem, target: float | None,
     for k in range(params.max_iter):
         iterations = k + 1
         M = Q.copy()
-        M[c, c] -= y
+        M[-1, -1] -= y
         # The minimum eigenvalue carries roundoff of order d * eps * ||M||;
         # subtract an explicit slack so a stays a valid lower bound.
         eig_slack = 16.0 * d * np.finfo(float).eps * float(np.linalg.norm(M))
         eig_target = None
         if a_need is not None and y >= a_need:
             eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
-        res = cone_distance(M, params.apg, warm_start=warm, corner=c,
-                            eig_target=eig_target)
+        res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target)
         warm = res.y2
         a = max(a, y + norm_factor * min(0.0, res.min_eig_y1 - eig_slack))
         if res.converged:
@@ -310,12 +300,12 @@ def nb_bound(prob: DnnProblem, target: float | None,
         # Newton step whenever the derivative is usable; bisection fallbacks
         # otherwise.  Only the eigenvalue-corrected update above counts toward
         # a — a small nonzero g with a tiny derivative can sit well above y*.
-        if res.gprime >= params.dprime_floor:
+        if res.gprime >= DPRIME_FLOOR:
             y_new = y - res.g / res.gprime
             if math.isfinite(a) and y_new <= a:
                 y_new = 0.5 * (a + y)
             y = y_new
-        elif res.g <= params.g_floor * max(1.0, float(np.linalg.norm(M))):
+        elif res.g <= G_FLOOR * max(1.0, float(np.linalg.norm(M))):
             # y is (numerically) at or below y*: move back up inside [y, b].
             y = 0.5 * (y + b)
         else:

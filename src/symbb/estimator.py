@@ -13,6 +13,7 @@ variant whose work is being estimated.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +44,7 @@ class EstimationReport:
     complete: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "target": self.target,
-            "seed": self.seed,
-            "estimated_total_nodes": self.estimated_total_nodes,
-            "mean_node_seconds": self.mean_node_seconds,
-            "estimated_time_seconds": self.estimated_time_seconds,
-            "sampled": self.sampled,
-            "target_refuted": self.target_refuted,
-            "complete": self.complete,
-            "per_depth": list(self.per_depth),
-        }
+        return {**dataclasses.asdict(self), "per_depth": list(self.per_depth)}
 
 
 def _sample_count(width: int, params: EstParams) -> int:

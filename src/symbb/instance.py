@@ -230,17 +230,21 @@ def bqop_to_json(inst: BqopInstance) -> str:
 
 
 def bqop_from_json(text: str) -> BqopInstance:
-    data = json.loads(text)
-    n, m, tri = data["n"], data["m"], data["B_lower"]
-    if len(tri) != n * (n + 1) // 2:
+    """Inverse of ``bqop_to_json``; malformed input raises InstanceError."""
+    try:
+        data = json.loads(text)
+        n, m, tri = data["n"], data["m"], np.asarray(data["B_lower"])
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"invalid JSON: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InstanceError(f"not an object with keys n, m, B_lower: {exc!r}") from None
+    if not (type(n) is type(m) is int and n > 0 and tri.dtype.kind == "i"):
+        raise InstanceError("n, m and the B_lower entries must be integers, n positive")
+    if tri.shape != (n * (n + 1) // 2,):
         raise InstanceError("lower triangle has wrong length")
     B = np.zeros((n, n), dtype=np.int64)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1):
-            B[i, j] = B[j, i] = tri[k]
-            k += 1
-    return BqopInstance(n=n, B=B, m=m)
+    B[np.tril_indices(n)] = tri
+    return BqopInstance(n=n, B=B + np.tril(B, -1).T, m=m)
 
 
 def parse_solution(text: str, n: int) -> np.ndarray:

@@ -117,7 +117,7 @@ def brute_sub_optimum(sub):
 def lifted_form(prob, u, v, s):
     """Evaluate z^T (Q_obj + lam Q_pen) z at z = (u, v, s)."""
     z = np.concatenate([np.asarray(u, dtype=float), np.asarray(v, dtype=float), [s]])
-    return float(z @ prob.q_lam @ z)
+    return float(z @ prob.q @ z)
 
 
 def penalty_value(u, v, s, b):

@@ -200,7 +200,7 @@ class TestCriterion8:
             def g_at(yy):
                 M = M0.copy()
                 M[c, c] -= yy
-                return cone_distance(M, corner=c)
+                return cone_distance(M)
 
             res = g_at(y)
             if res.g < 1e-6:

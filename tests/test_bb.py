@@ -286,7 +286,7 @@ class TestEngine:
         # Every open node lands in one bucket and "matches" the first one.
         monkeypatch.setattr(bb_mod, "fingerprint", lambda sub: ())
         monkeypatch.setattr(bb_mod, "isomorphic",
-                            lambda a, b, cap: np.arange(b.ell))
+                            lambda a, b: np.arange(b.ell))
         inst = random_bqop(np.random.default_rng(0), 8, 4)
         params = dataclasses.replace(FAST, audit=True)
         with pytest.raises(AssertionError, match="unsound merge"):

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, reproducible outputs."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from symbb.bb import BbParams
 from symbb.cli import main
 from symbb.instance import BqopInstance, QapInstance, bqop_to_json, format_qaplib
 from tests.conftest import brute_optimum, random_bqop
@@ -81,6 +83,14 @@ class TestSymmetry:
         header = csv_path.read_text().splitlines()[0]
         assert header == "orbit,members,size,score"
 
+    @pytest.mark.parametrize("fix", ["0", "-1", "99"])
+    def test_fix_out_of_range_exits_1(self, runner, bqop_file, fix):
+        path, _ = bqop_file
+        result = runner.invoke(main, ["symmetry", "--instance", str(path), "--fix", fix])
+        assert result.exit_code == 1
+        assert result.output == (f"error: Invalid value for '--fix': "
+                                 f"{fix} is not in 1..7\n")
+
     def test_group_cap_limits_listing(self, runner, tmp_path, two_pairs24):
         path = tmp_path / "pairs.json"
         path.write_text(bqop_to_json(two_pairs24))
@@ -123,6 +133,17 @@ class TestBoundRoot:
         header = trace.read_text().splitlines()[0]
         assert header.startswith("k,y,a,b,g,gprime")
         assert header.endswith(",apg_stop")
+
+    def test_json_records_nb_and_apg_params(self, runner, bqop_file, tmp_path):
+        path, _ = bqop_file
+        out = tmp_path / "bound.json"
+        result = runner.invoke(main, [
+            "bound-root", "--instance", str(path), "--apg-tol", "1e-9",
+            "--apg-max-iter", "3000", "--nb-max-iter", "30", "--json", str(out)])
+        assert result.exit_code == 0
+        params = json.loads(out.read_text())["config"]["params"]
+        assert params == {"lambda_scale": 1e8, "nb": {
+            "gap_tol": 1e-6, "max_iter": 30, "apg": {"rel_tol": 1e-9, "max_iter": 3000}}}
 
     def test_zero_reduced_matrix_is_exact(self, runner, tmp_path):
         inst = BqopInstance(n=5, B=np.zeros((5, 5), dtype=np.int64), m=2)
@@ -195,6 +216,16 @@ class TestSolve:
             data.pop("timing")
             outs.append(json.dumps(data, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_no_flags_records_default_params(self, runner, bqop_file, tmp_path):
+        path, inst = bqop_file
+        cert = tmp_path / "cert.json"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", str(brute_optimum(inst)),
+            "--certificate-json", str(cert)])
+        assert result.exit_code == 0
+        params = json.loads(cert.read_text())["config"]["params"]
+        assert params == dataclasses.asdict(BbParams())
 
     def test_config_override(self, runner, tmp_path):
         rng = np.random.default_rng(33)
@@ -282,6 +313,16 @@ class TestEstimate:
         assert data["config"]["params"]["width_threshold"] == 1000
 
 
+    @pytest.mark.parametrize("seeds", ["", ",", "a,b", "1.5"])
+    def test_bad_seeds_exit_1(self, runner, bqop_file, seeds):
+        path, _ = bqop_file
+        result = runner.invoke(main, ["estimate", "--instance", str(path),
+                                      "--target", "0", "--seeds", seeds])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: Invalid value for '--seeds'")
+
+
 class TestSampleDist:
     def test_histogram_csv(self, runner, bqop_file, tmp_path):
         path, _ = bqop_file
@@ -292,3 +333,50 @@ class TestSampleDist:
         assert result.exit_code == 0
         assert "samples: 200" in result.output
         assert csv_path.read_text().startswith("bin_left,bin_right,probability")
+
+
+MALFORMED = {
+    "invalid_json.json": b'{"n": 3, "m": 1,',
+    "missing_key.json": b'{"n": 2, "B_lower": [0, 1, 0]}',
+    "non_integer.json": b'{"n": 2, "m": 1, "B_lower": [0, "x", 0]}',
+    "not_utf8.dat": b"2\n\xff\xfe\n",
+}
+COMMANDS = {
+    "convert": [],
+    "symmetry": ["--fix", "1"],
+    "bound-root": [],
+    "solve": ["--target", "0"],
+    "estimate": ["--target", "0"],
+    "sample-dist": ["--optimum", "1"],
+}
+
+
+class TestErrorExit:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_malformed_instance_exits_1(self, runner, tmp_path, name, command):
+        path = tmp_path / name
+        path.write_bytes(MALFORMED[name])
+        result = runner.invoke(main, [command, "--instance", str(path), *COMMANDS[command]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1 and result.output.startswith("error: ")
+
+    def test_missing_target_exits_1(self, runner, bqop_file):
+        path, _ = bqop_file
+        result = runner.invoke(main, ["solve", "--instance", str(path)])
+        assert result.exit_code == 1
+        assert result.output == "error: Missing option '--target'.\n"
+
+    def test_missing_instance_file_exits_1(self, runner, tmp_path):
+        result = runner.invoke(main, ["solve", "--instance", str(tmp_path / "none.json"),
+                                      "--target", "0"])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: Invalid value for '--instance'")
+
+    @pytest.mark.parametrize("args", [[], ["--bogus"], ["bogus"]])
+    def test_group_usage_errors_exit_1(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1 and result.output.startswith("error: ")

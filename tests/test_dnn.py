@@ -44,12 +44,11 @@ class TestAssemble:
     def test_order(self):
         sub = open_sub()
         prob = assemble(sub, 10.0)
-        assert prob.q_lam.shape == (2 * sub.ell + 1,) * 2
-        assert prob.corner == 2 * sub.ell
+        assert prob.q.shape == (2 * sub.ell + 1,) * 2
 
     def test_symmetric(self):
         prob = assemble(open_sub(), 3.5)
-        assert np.array_equal(prob.q_lam, prob.q_lam.T)
+        assert np.array_equal(prob.q, prob.q.T)
 
     def test_closed_form_at_origin(self):
         # u = v = 0, s = 1: objective 0, penalty ell + b^2.
@@ -162,7 +161,7 @@ class TestConeDistance:
             def g_at(yy):
                 M = M0.copy()
                 M[c, c] -= yy
-                return cone_distance(M, corner=c)
+                return cone_distance(M)
 
             res = g_at(y)
             if res.g < 1e-6:
@@ -252,8 +251,8 @@ class TestNbBound:
         sub = open_sub(seed=4)
         prob = assemble(sub, default_lambda(sub))
         res = nb_bound(prob, None, FAST_NB)
-        M = prob.q_lam.copy()
-        M[prob.corner, prob.corner] -= res.a - 5.0
+        M = prob.q.copy()
+        M[-1, -1] -= res.a - 5.0
         below = cone_distance(M, FAST_NB.apg)
         assert below.g <= 1e-6 * max(1.0, np.linalg.norm(M))
 
@@ -263,8 +262,8 @@ class TestNbBound:
         res = nb_bound(prob, None, FAST_NB)
 
         def g_at(y):
-            M = prob.q_lam.copy()
-            M[prob.corner, prob.corner] -= y
+            M = prob.q.copy()
+            M[-1, -1] -= y
             return cone_distance(M, FAST_NB.apg).g
 
         ys = res.b + np.array([1.0, 3.0, 5.0]) * max(1.0, abs(res.b)) * 0.01
