@@ -26,7 +26,7 @@ import numpy as np
 
 from .dnn import NbParams, NbResult, assemble, default_lambda, nb_bound
 from .instance import BqopInstance, objective
-from .subproblem import (FixSets, Infeasible, SolvedLeaf, Subproblem,
+from .subproblem import (FixSets, Infeasible, Open, SolvedLeaf, Subproblem,
                          feasibility_status, reduce, solve_exactly, subgroup)
 from .symmetry import Orbit, PermutationGroup, candidates, first_leaf, orbits
 
@@ -169,41 +169,72 @@ def bound_node(sub: Subproblem, target: int | None, params: TreeParams) -> NbRes
 
 
 @dataclass
+class Decided:
+    """What the engine decided about one node: its classification
+    (``status`` is Infeasible, a SolvedLeaf, or None for an open node),
+    whether its bound pruned it and the seconds that bound took, and the
+    children it was branched into.  A memo maps fix sets to these records."""
+
+    status: Infeasible | SolvedLeaf | None
+    pruned: bool | None = None          # None until bounded
+    seconds: float = 0.0
+    children: tuple[FixSets, FixSets] | None = None
+
+
+@dataclass
 class Level:
-    """One expanded level.  ``survivors`` are the open subproblems that no
-    bound pruned; ``pruned_bound`` counts the solved leaves too.  A level with
-    a ``refutation`` (its first leaf below the target) was not bounded."""
+    """One expanded level.  ``survivors`` are the open nodes that no bound
+    pruned, and ``reduced`` holds the subproblems of those that this
+    expansion reduced; ``pruned_bound`` counts the solved leaves too.  A level
+    with a ``refutation`` (its first leaf below the target) was not bounded."""
 
     pruned_iso: int = 0
     infeasible: int = 0
     leaves: int = 0
     pruned_bound: int = 0
-    survivors: list[Subproblem] = field(default_factory=list)
+    survivors: list[FixSets] = field(default_factory=list)
+    reduced: dict[FixSets, Subproblem] = field(default_factory=dict)
     refutation: SolvedLeaf | None = None
     bound_seconds: list[float] = field(default_factory=list)
 
 
 def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                  fixes: list[FixSets], history: dict | None = None,
-                 audit: bool = False) -> Level:
+                 audit: bool = False, memo: dict | None = None) -> Level:
     """Expand one level of fix sets, in order: reduce and classify each node;
     with a ``history`` (fingerprint -> retained subproblems), prune the open
     nodes isomorphic to a retained one and retain the rest; stop at the first
     leaf below the target; otherwise bound the open nodes and apply the prune
-    test.  Only branch and bound passes a history."""
+    test.  Only branch and bound passes a history.
+
+    With a ``memo`` (fix sets -> Decided, for one target and one set of
+    params), a node recorded there is neither reduced, classified nor bounded
+    again: its recorded outcome and bound seconds count as if it had been.  A
+    merge depends on the history of the run, so a memo and a history do not
+    go together."""
+    if memo is not None and history is not None:
+        raise ValueError("isomorphism merges depend on the run; they cannot be memoized")
     level = Level()
-    open_subs = []
+    open_nodes = []
     for fix in fixes:
-        sub = reduce(inst, fix)
-        status = feasibility_status(sub, params.leaf_threshold, params.leaf_band)
-        if isinstance(status, Infeasible):
+        node = None if memo is None else memo.get(fix)
+        sub = None
+        if node is None:
+            sub = reduce(inst, fix)
+            status = feasibility_status(sub, params.leaf_threshold, params.leaf_band)
+            node = Decided(None if isinstance(status, Open) else status)
+            if memo is not None:
+                memo[fix] = node
+        if isinstance(node.status, Infeasible):
             level.infeasible += 1
-        elif isinstance(status, SolvedLeaf):
+        elif isinstance(node.status, SolvedLeaf):
             level.leaves += 1
-            if status.value < target and level.refutation is None:
-                level.refutation = status
+            if node.status.value < target and level.refutation is None:
+                level.refutation = node.status
         else:
-            open_subs.append(sub)
+            if node.pruned is None:
+                level.reduced[fix] = sub or reduce(inst, fix)
+            open_nodes.append((fix, node))
 
     if history is not None:
         # Retained subproblems with fewer ones fixed than every node of this
@@ -216,19 +247,21 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
             else:
                 del history[key]
         unmerged = []
-        for sub in open_subs:
+        for fix, node in open_nodes:
+            sub = level.reduced[fix]
             bucket = history.setdefault(fingerprint(sub), [])
             twin = next((s for s in bucket
                          if isomorphic(s, sub) is not None), None)
             if twin is None:
                 bucket.append(sub)
-                unmerged.append(sub)
+                unmerged.append((fix, node))
                 continue
             if audit:
                 assert solve_exactly(sub).value == solve_exactly(twin).value, \
                     f"unsound merge of {sub.fix} into {twin.fix}"
+            del level.reduced[fix]
             level.pruned_iso += 1
-        open_subs = unmerged
+        open_nodes = unmerged
 
     if level.refutation is not None:
         return level
@@ -239,43 +272,54 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
         res = bound_node(sub, target, params)
         return res, time.monotonic() - t0
 
-    if params.workers > 1 and open_subs:
+    unbounded = [(node, level.reduced[fix]) for fix, node in open_nodes
+                 if node.pruned is None]
+    subs = [sub for _, sub in unbounded]
+    if params.workers > 1 and subs:
         with ThreadPoolExecutor(max_workers=params.workers) as pool:
-            results = list(pool.map(bound_one, open_subs))
+            results = list(pool.map(bound_one, subs))
     else:
-        results = [bound_one(sub) for sub in open_subs]
-    for sub, (res, seconds) in zip(open_subs, results):
-        level.bound_seconds.append(seconds)
+        results = [bound_one(sub) for sub in subs]
+    for (node, sub), (res, seconds) in zip(unbounded, results):
         if audit and math.isfinite(res.a):
             opt = solve_exactly(sub).value
             assert res.a + sub.offset <= opt, \
                 f"invalid bound at {sub.fix}: {res.a + sub.offset} > {opt}"
-        if res.status == "Pruned" or (
-                res.status == "Converged" and res.lb_integer is not None
-                and res.lb_integer >= target):
+        # Branchable, unresolved Converged, and IterLimit all branch;
+        # branching an undecided node is always sound.
+        node.pruned = res.status == "Pruned" or (
+            res.status == "Converged" and res.lb_integer is not None
+            and res.lb_integer >= target)
+        node.seconds = seconds
+    for fix, node in open_nodes:
+        level.bound_seconds.append(node.seconds)
+        if node.pruned:
             level.pruned_bound += 1
         else:
-            # Branchable, unresolved Converged, and IterLimit all branch;
-            # branching an undecided node is always sound.
-            level.survivors.append(sub)
+            level.survivors.append(fix)
+    level.reduced = {fix: level.reduced[fix] for fix in level.survivors
+                     if fix in level.reduced}
     return level
 
 
-def branch_level(inst: BqopInstance, survivors: list[Subproblem],
-                 audit: bool = False) -> list[FixSets]:
-    """Both children of every survivor, in survivor order."""
+def branch_level(inst: BqopInstance, level: Level, audit: bool = False,
+                 memo: dict | None = None) -> list[FixSets]:
+    """Both children of every survivor of ``level``, in survivor order.  A
+    survivor whose branching a ``memo`` recorded reuses its children."""
     children = []
-    for sub in survivors:
-        grp = subgroup(sub)
-        pair = branch(sub.fix, choose_orbit(sub, grp), sub.free)
-        if audit:
-            child_opts = [leaf.value for leaf in
-                          (solve_exactly(reduce(inst, fix)) for fix in pair)
-                          if isinstance(leaf, SolvedLeaf)]
-            parent_opt = solve_exactly(sub).value
-            assert child_opts and parent_opt == min(child_opts), \
-                f"branching at {sub.fix} lost the optimum {parent_opt}"
-        children.extend(pair)
+    for fix in level.survivors:
+        node = Decided(None) if memo is None else memo[fix]
+        if node.children is None:
+            sub = level.reduced.get(fix) or reduce(inst, fix)
+            node.children = branch(fix, choose_orbit(sub, subgroup(sub)), sub.free)
+            if audit:
+                child_opts = [leaf.value for leaf in
+                              (solve_exactly(reduce(inst, f)) for f in node.children)
+                              if isinstance(leaf, SolvedLeaf)]
+                parent_opt = solve_exactly(sub).value
+                assert child_opts and parent_opt == min(child_opts), \
+                    f"branching at {fix} lost the optimum {parent_opt}"
+        children.extend(node.children)
     return children
 
 
@@ -321,14 +365,14 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
             if params.checkpoint_path is not None:
                 _write_checkpoint(params.checkpoint_path, {
                     "target": target,
-                    "frontier": [{"i0": [i + 1 for i in sub.fix.i0],
-                                  "i1": [i + 1 for i in sub.fix.i1],
-                                  "depth": depth} for sub in level.survivors],
+                    "frontier": [{"i0": [i + 1 for i in fix.i0],
+                                  "i1": [i + 1 for i in fix.i1],
+                                  "depth": depth} for fix in level.survivors],
                     "per_depth": per_depth,
                 })
             outcome = "Inconclusive"
         else:
-            fixes = branch_level(inst, level.survivors, params.audit)
+            fixes = branch_level(inst, level, params.audit)
             continue
         return Certificate(outcome=outcome, target=target, node_count=node_count,
                            per_depth=tuple(per_depth),

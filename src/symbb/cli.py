@@ -99,12 +99,13 @@ def _write_json(path: str | None, obj: dict):
         Path(path).write_text(text + "\n")
 
 
-def _write_csv(path: str, rows: list[dict]):
-    if not rows:
+def _write_csv(path: str, rows: list[dict], header: list[str] | None = None):
+    """Rows under their keys; with no rows, only ``header`` (if given)."""
+    if not rows and header is None:
         Path(path).write_text("")
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=header or list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -195,7 +196,10 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
         rows = symmetry.orbit_report_rows(orbs)
         click.echo(f"orbits: {len(orbs)}")
     if orbit_csv:
-        _write_csv(orbit_csv, rows)
+        header = ["orbit", "members", "size"]
+        if fix_index is not None:
+            header.append("score")
+        _write_csv(orbit_csv, rows, header)
     if group_json:
         payload["config"] = _run_config("symmetry", instance=instance_path, fix=fix_index)
         payload["instance_sha256"] = digest

@@ -9,6 +9,13 @@ with the branch-and-bound engine (``bb.expand_level``, ``bb.branch_level``),
 so with no level sampled it counts exactly the nodes branch and bound
 creates.  Isomorphism pruning stays off here, matching the branch-and-bound
 variant whose work is being estimated.
+
+``estimate_multi`` decides each distinct node once: its seeds share one memo
+of node outcomes (``bb.Decided``), made for that call only, so the levels
+every seed expands whole and the nodes two samples share are classified,
+bounded and branched by the first seed that meets them.  A shared node's
+recorded bound seconds count in every seed that samples it, so each report
+is the one a separate ``estimate`` call would give, timings aside.
 """
 
 from __future__ import annotations
@@ -53,11 +60,13 @@ def _sample_count(width: int, params: EstParams) -> int:
 
 def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
              seed: int = 0,
-             root_group: PermutationGroup | None = None) -> EstimationReport:
+             root_group: PermutationGroup | None = None,
+             memo: dict | None = None) -> EstimationReport:
     """Run the sampled-subtree estimator for one seed: pick each level's
     sample, then expand and branch it with the branch-and-bound engine.
     ``root_group``, the automorphism group of ``inst.B``, is computed when not
-    given."""
+    given.  ``memo`` is the node memo of ``bb.expand_level``, shared by the
+    calls for one target and one set of params."""
     rng = np.random.default_rng(seed)
     frontier = root_children(inst, root_group)
     per_depth: list[dict] = []
@@ -87,7 +96,7 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
             selected = frontier
             exact_sum += width
 
-        level = expand_level(inst, target, params, selected)
+        level = expand_level(inst, target, params, selected, memo=memo)
         bound_seconds += level.bound_seconds
         r_k = len(level.survivors)
         rec = {"depth": depth, "width": width, "sampled": s_k,
@@ -106,7 +115,7 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         if params.depth_budget is not None and depth >= params.depth_budget:
             complete = False
             break
-        frontier = branch_level(inst, level.survivors)
+        frontier = branch_level(inst, level, memo=memo)
         depth += 1
 
     total = 1.0 + exact_sum + est_sum
@@ -121,9 +130,10 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
 def estimate_multi(inst: BqopInstance, target: int, seeds,
                    params: EstParams = EstParams()) -> dict:
     """Reports for several seeds plus a min/mean/max node-count summary.  The
-    root group is computed once and shared by every seed."""
+    root group and a node memo are made once and shared by every seed."""
     root_group = automorphisms(inst.B)
-    reports = [estimate(inst, target, params, seed=s, root_group=root_group)
+    memo: dict = {}
+    reports = [estimate(inst, target, params, seed=s, root_group=root_group, memo=memo)
                for s in seeds]
     totals = [r.estimated_total_nodes for r in reports]
     times = [r.estimated_time_seconds for r in reports]

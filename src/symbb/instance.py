@@ -1,5 +1,5 @@
-"""Problem instances: QAPLIB parsing, QAP-to-BQOP conversion, objectives,
-penalty QUBO transform and feasible-solution sampling.
+"""Problem instances: QAPLIB parsing, QAP-to-BQOP conversion, objectives
+and feasible-solution sampling.
 
 All matrices are kept in 64-bit signed integer arithmetic; objective values of
 instances in the intended range (including tai256c) fit comfortably.
@@ -94,15 +94,6 @@ def parse_qaplib(text: str) -> QapInstance:
     return QapInstance(n=n, A=A, B=B)
 
 
-def format_qaplib(qap: QapInstance) -> str:
-    """Serialize back to QAPLIB .dat text (round-trips through parse_qaplib)."""
-    lines = [str(qap.n), ""]
-    for M in (qap.A, qap.B):
-        lines.extend(" ".join(str(v) for v in row) for row in M)
-        lines.append("")
-    return "\n".join(lines)
-
-
 def _rank_one_binary_factor(A: np.ndarray) -> np.ndarray:
     """Return the 0/1 vector f with A = f f^T, allowing A_ii = 0 where
     (f f^T)_ii would be 1 (the zero-diagonal convention).  Raises if A does
@@ -150,20 +141,6 @@ def objective(inst: BqopInstance, x) -> int:
     """x^T B x for a binary vector x."""
     x = as_solution(x, inst.n)
     return int(x @ inst.B @ x)
-
-
-def to_penalty_qubo(inst: BqopInstance, lam) -> tuple[np.ndarray, int]:
-    """Return (Q, c) with x^T Q x + c == x^T B x + lam*(sum(x) - m)^2 for all
-    binary x, where c = lam*m**2.  Linear terms are folded into the diagonal
-    using x_i^2 = x_i.  Exact in integer arithmetic when lam is an integer."""
-    if lam <= 0:
-        raise InstanceError("penalty parameter must be positive")
-    n, m = inst.n, inst.m
-    if isinstance(lam, int):
-        Q = inst.B + lam * (np.ones((n, n), dtype=np.int64) - 2 * m * np.eye(n, dtype=np.int64))
-    else:
-        Q = inst.B + lam * (np.ones((n, n)) - 2 * m * np.eye(n))
-    return Q, lam * m * m
 
 
 @dataclass(frozen=True)

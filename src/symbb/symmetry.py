@@ -163,13 +163,12 @@ def first_leaf(S, T, cand, image, node_cap: int | None = None) -> np.ndarray | N
 def automorphisms(B) -> PermutationGroup:
     """The group of all permutations sigma with B[sigma(i), sigma(j)] ==
     B[i, j], held as one representative for each image that each pivot of
-    the identity path takes under the stabilizer of the earlier pivots."""
+    the identity path takes under the stabilizer of the earlier pivots.  An
+    empty matrix has the trivial group on no points."""
     B = np.asarray(B)
     d = B.shape[0]
     if B.shape != (d, d) or not np.array_equal(B, B.T):
         raise ValueError("automorphisms requires a symmetric square matrix")
-    if d == 0:
-        raise ValueError("empty matrix")
 
     cand = candidates(B, B)
     image = np.full(d, -1, dtype=np.int64)

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from symbb.instance import BqopInstance
+from symbb.instance import BqopInstance, InstanceError, QapInstance
 
 
 # --- instance factories ----------------------------------------------------
@@ -83,6 +83,43 @@ def planted_rotation(blocks, block_size):
         for i in range(block_size):
             sigma[a * block_size + i] = a * block_size + (i + 1) % block_size
     return sigma
+
+
+def soundness_instance(i):
+    """Instance i of the soundness-suite stream: n = 6 + i % 9, every fourth
+    one planted."""
+    rng = np.random.default_rng(1000 + i)
+    n = 6 + i % 9
+    m = int(rng.integers(2, n - 1))
+    if i % 4 == 3:
+        bs = 3 if n % 3 == 0 else 2
+        return planted_bqop(rng, blocks=n // bs, block_size=bs, m=m)
+    return random_bqop(rng, n, m)
+
+
+# --- test-only transforms --------------------------------------------------
+
+def format_qaplib(qap: QapInstance) -> str:
+    """Serialize to QAPLIB .dat text (round-trips through parse_qaplib)."""
+    lines = [str(qap.n), ""]
+    for M in (qap.A, qap.B):
+        lines.extend(" ".join(str(v) for v in row) for row in M)
+        lines.append("")
+    return "\n".join(lines)
+
+
+def to_penalty_qubo(inst: BqopInstance, lam) -> tuple[np.ndarray, int]:
+    """Return (Q, c) with x^T Q x + c == x^T B x + lam*(sum(x) - m)^2 for all
+    binary x, where c = lam*m**2.  Linear terms are folded into the diagonal
+    using x_i^2 = x_i.  Exact in integer arithmetic when lam is an integer."""
+    if lam <= 0:
+        raise InstanceError("penalty parameter must be positive")
+    n, m = inst.n, inst.m
+    if isinstance(lam, int):
+        Q = inst.B + lam * (np.ones((n, n), dtype=np.int64) - 2 * m * np.eye(n, dtype=np.int64))
+    else:
+        Q = inst.B + lam * (np.ones((n, n)) - 2 * m * np.eye(n))
+    return Q, lam * m * m
 
 
 # --- oracles ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from symbb.instance import parse_qaplib, parse_solution, qap_to_bqop
 from symbb.subproblem import FixSets, reduce, subgroup
 from symbb.symmetry import automorphisms, expand_solution, orbits
 from tests.conftest import (alternating_projection_distance, brute_optimum,
-                            planted_bqop, random_bqop)
+                            planted_bqop, random_bqop, soundness_instance)
 
 BEST_KNOWN = 44_759_294
 
@@ -106,14 +106,8 @@ class TestCriterion5:
             leaf_threshold=8, leaf_band=3, audit=True, workers=2,
             nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
         for i in range(200):
-            rng = np.random.default_rng(1000 + i)
-            n = 6 + i % 9
-            m = int(rng.integers(2, n - 1))
-            if i % 4 == 3:
-                bs = 3 if n % 3 == 0 else 2
-                inst = planted_bqop(rng, blocks=n // bs, block_size=bs, m=m)
-            else:
-                inst = random_bqop(rng, n, m)
+            inst = soundness_instance(i)
+            n, m = inst.n, inst.m
             opt = brute_optimum(inst)
             proved = solve_target(inst, opt, params)
             assert proved.outcome == "Proved", (i, n, m)

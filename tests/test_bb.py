@@ -223,8 +223,8 @@ class TestSolveTarget:
         survivors = expand_level(inst, opt, params, root_children(inst),
                                  history={}).survivors
         assert state["frontier"] == [
-            {"i0": [i + 1 for i in sub.fix.i0], "i1": [i + 1 for i in sub.fix.i1],
-             "depth": 1} for sub in survivors]
+            {"i0": [i + 1 for i in fix.i0], "i1": [i + 1 for i in fix.i1],
+             "depth": 1} for fix in survivors]
         assert len(survivors) == cert.per_depth[-1]["active"] > 0
         # Written through a temp file and a rename: nothing else is left.
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]

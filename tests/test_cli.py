@@ -9,8 +9,8 @@ from click.testing import CliRunner
 
 from symbb.bb import BbParams
 from symbb.cli import main
-from symbb.instance import BqopInstance, QapInstance, bqop_to_json, format_qaplib
-from tests.conftest import brute_optimum, random_bqop
+from symbb.instance import BqopInstance, QapInstance, bqop_to_json
+from tests.conftest import brute_optimum, format_qaplib, random_bqop
 
 
 @pytest.fixture
@@ -82,6 +82,17 @@ class TestSymmetry:
         assert "orbits after fixing variable 1" in result.output
         header = csv_path.read_text().splitlines()[0]
         assert header == "orbit,members,size,score"
+
+    def test_fix_leaving_no_free_variable(self, runner, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "B_lower": [0]}))
+        csv_path = tmp_path / "orbits.csv"
+        result = runner.invoke(main, ["symmetry", "--instance", str(path),
+                                      "--fix", "1", "--orbit-csv", str(csv_path)])
+        assert result.exit_code == 0
+        assert result.output == ("group order: 1\n"
+                                 "orbits after fixing variable 1: 0\n")
+        assert csv_path.read_text().splitlines() == ["orbit,members,size,score"]
 
     @pytest.mark.parametrize("fix", ["0", "-1", "99"])
     def test_fix_out_of_range_exits_1(self, runner, bqop_file, fix):

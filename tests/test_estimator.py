@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from symbb import bb
 from symbb.bb import BbParams, solve_target
 from symbb.dnn import ApgParams, NbParams
 from symbb.estimator import EstParams, _sample_count, estimate, estimate_multi
-from tests.conftest import brute_optimum, planted_bqop, random_bqop
+from symbb.instance import BqopInstance
+from tests.conftest import (brute_optimum, planted_bqop, random_bqop,
+                            soundness_instance, torus_matrix)
 
 FAST_NB = NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=4000))
 
@@ -120,3 +123,79 @@ def test_root_group_computed_once(monkeypatch):
     estimate_multi(inst, brute_optimum(inst), seeds=[0, 1, 2],
                    params=fast_est(width_threshold=10 ** 6))
     assert sum(full) == 1 and len(full) > 1
+
+
+class TestSharedMemo:
+    """estimate_multi decides each distinct node once, and reports what
+    separate estimate calls report."""
+
+    TIMING = ("mean_node_seconds", "estimated_time_seconds")
+    SUITE_NB = NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000))
+    # One node sampled from every two-node level: seeds 3 and 4 bound the
+    # same nodes on the first three levels, then part; only seed 3 refutes.
+    TORUS_PARAMS = EstParams(width_threshold=2, sample_cutoff=2, sample_size=1,
+                             nb=FAST_NB)
+    TORUS_TARGET = 170
+
+    @staticmethod
+    def torus():
+        return BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+
+    def assert_matches_separate(self, inst, target, seeds, params):
+        summary = estimate_multi(inst, target, seeds, params)
+        separate = [estimate(inst, target, params, seed=s).to_json_obj()
+                    for s in seeds]
+        for shared, alone in zip(summary["reports"], separate, strict=True):
+            for key in self.TIMING:
+                del shared[key], alone[key]
+            assert shared == alone
+        totals = [r["estimated_total_nodes"] for r in separate]
+        assert summary["nodes"] == {"min": min(totals), "mean": float(np.mean(totals)),
+                                    "max": max(totals)}
+        return summary
+
+    @pytest.mark.parametrize("width", [1000, 2])
+    def test_soundness_stream_matches_separate_calls(self, width):
+        params = EstParams(leaf_threshold=8, leaf_band=3, nb=self.SUITE_NB,
+                           width_threshold=width, sample_cutoff=2, sample_size=1)
+        for i in range(12):
+            inst = soundness_instance(i)
+            self.assert_matches_separate(inst, brute_optimum(inst), [0, 1, 2], params)
+
+    def test_torus_matches_separate_calls(self):
+        summary = self.assert_matches_separate(self.torus(), self.TORUS_TARGET, [3, 4],
+                                               self.TORUS_PARAMS)
+        assert [r["target_refuted"] for r in summary["reports"]] == [True, False]
+
+    @staticmethod
+    def count_bounds(monkeypatch):
+        bounded = []
+        real = bb.bound_node
+
+        def counting(sub, target, params):
+            bounded.append(sub.fix)
+            return real(sub, target, params)
+
+        monkeypatch.setattr(bb, "bound_node", counting)
+        return bounded
+
+    def test_each_distinct_node_bounded_once(self, monkeypatch):
+        inst, seeds = self.torus(), [3, 4]
+        bounded = self.count_bounds(monkeypatch)
+        for s in seeds:
+            estimate(inst, self.TORUS_TARGET, self.TORUS_PARAMS, seed=s)
+        distinct = set(bounded)
+        assert len(bounded) > len(distinct)
+        bounded.clear()
+        estimate_multi(inst, self.TORUS_TARGET, seeds, self.TORUS_PARAMS)
+        assert len(bounded) == len(distinct)
+        assert set(bounded) == distinct
+
+    def test_memo_does_not_outlive_the_call(self, monkeypatch):
+        inst = self.torus()
+        bounded = self.count_bounds(monkeypatch)
+        estimate_multi(inst, self.TORUS_TARGET, [3, 4], self.TORUS_PARAMS)
+        first = len(bounded)
+        bounded.clear()
+        estimate_multi(inst, self.TORUS_TARGET, [3, 4], self.TORUS_PARAMS)
+        assert len(bounded) == first > 0

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbb.instance import (BqopInstance, InstanceError, QapInstance,
-                            bqop_from_json, bqop_to_json, format_qaplib,
-                            objective, parse_qaplib, parse_solution,
-                            qap_to_bqop, sample_scaled_distribution,
+                            bqop_from_json, bqop_to_json, objective,
+                            parse_qaplib, parse_solution, qap_to_bqop,
+                            sample_scaled_distribution)
+from tests.conftest import (brute_optimum, format_qaplib, random_bqop,
                             to_penalty_qubo)
-from tests.conftest import brute_optimum, random_bqop
 
 
 def small_qap(n=4, support=(0, 2)):
