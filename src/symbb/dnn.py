@@ -188,7 +188,9 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
         f_z = 0.5 * float(np.sum(wneg * wneg))
         neg = (V * wneg) @ V.T
         Y_new = np.maximum(Z + neg, 0.0)
-        if eig_target is not None and \
+        # w[0] >= eig_target is implied by the Weyl test; checking it first
+        # skips the norm on every iteration that cannot pass.
+        if eig_target is not None and w[0] >= eig_target and \
                 w[0] - np.linalg.norm(Y_new - Z) >= eig_target:
             Y = Y_new
             stop = "target"
@@ -232,9 +234,10 @@ def nb_bound(prob: DnnProblem, target: float | None,
 
     Maintains a validated lower bracket ``a`` (running maximum of eigenvalue
     corrected iterates) and an upper bracket ``b`` (running minimum of Newton
-    iterates whose APG solve converged).  With a target, terminates early with
-    Pruned once the integer lower bound reaches the target, or Branchable
-    once even the upper bracket proves the relaxation cannot reach it.
+    iterates whose APG solve converged, and of the landing point of the exit
+    below).  With a target, terminates early with Pruned once the integer
+    lower bound reaches the target, or Branchable once even the upper bracket
+    proves the relaxation cannot reach it.
 
     The correction: let M = Q - y H, Y2 >= 0 the APG iterate and z = (u, 1 -
     u, 1) the lift of any feasible binary completion.  Exactly one of u_j,
@@ -255,6 +258,19 @@ def nb_bound(prob: DnnProblem, target: float | None,
     absorbs the roundoff of the final eigendecomposition.  Below a_need no
     eigenvalue can prune and APG runs to its own stopping rule.  An APG solve
     stopped this way has not converged and never moves ``b``.
+
+    The landing exit: with a target, a Newton step fed by a converged APG
+    solve ends the bracketing as Branchable, with ``b = min(b, y_new)``,
+    once ``_safe_ceil(y_new + offset)`` is below the target; g is not
+    evaluated at y_new.  g is convex, so the tangent of a converged g at y
+    meets zero at or above y*, and the ``y_new <= a`` safeguard only raises
+    y_new.  Every later ``a`` is at most about y*, by the ell + 1
+    correction, so no later iterate could reach the prune level: the node
+    gets the verdict the next converged solve at y_new would give it, one APG
+    solve sooner.  After a capped APG solve the landing may sit below y*, so
+    the exit waits for a converged one.  ``iterations`` still counts the
+    ``cone_distance`` calls, and the last trace row is the last point
+    evaluated, so its ``y`` lies above the returned ``b``.
     """
     Q = prob.q
     d = Q.shape[0]
@@ -304,6 +320,11 @@ def nb_bound(prob: DnnProblem, target: float | None,
             y_new = y - res.g / res.gprime
             if math.isfinite(a) and y_new <= a:
                 y_new = 0.5 * (a + y)
+            if target is not None and res.converged and \
+                    _safe_ceil(y_new + prob.offset) < target:
+                b = min(b, y_new)
+                status = "Branchable"
+                break
             y = y_new
         elif res.g <= G_FLOOR * max(1.0, float(np.linalg.norm(M))):
             # y is (numerically) at or below y*: move back up inside [y, b].

@@ -12,11 +12,11 @@ from symbb.bb import (BbParams, branch, choose_orbit, expand_level,
                       solve_target, stats_csv_rows)
 from symbb.dnn import ApgParams, NbParams
 from symbb.estimator import EstParams, estimate
-from symbb.instance import objective
+from symbb.instance import BqopInstance, objective
 from symbb.subproblem import FixSets, reduce, solve_exactly, subgroup
 from symbb.symmetry import Orbit, PermutationGroup, automorphisms
 from tests.conftest import (brute_optimum, brute_sub_optimum, planted_bqop,
-                            random_bqop)
+                            random_bqop, torus_matrix)
 
 FAST = BbParams(leaf_threshold=4, leaf_band=2,
                 nb=NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=4000)))
@@ -246,6 +246,30 @@ class TestSolveTarget:
         assert len(obj["witness"]) == 7
         assert obj["witness"].count("1") == 3
         assert "wall_time_seconds" in obj["timing"]
+
+    # Per level of the k = 5 torus tree: (created, infeasible, leaf_solved,
+    # active, pruned_bound).  No isomorphism merges happen on this tree.
+    TORUS_OPEN = ((2, 1, 0, 1, 0), (2, 0, 0, 2, 0), (4, 0, 0, 4, 0), (8, 0, 0, 8, 0))
+
+    @pytest.mark.parametrize("target, outcome, node_count, levels", [
+        (160, "Proved", 173, TORUS_OPEN + (
+            (16, 0, 1, 11, 5), (22, 0, 0, 11, 11), (22, 0, 3, 14, 8),
+            (28, 0, 2, 15, 13), (30, 0, 6, 12, 18), (24, 0, 7, 7, 17),
+            (14, 0, 5, 0, 14))),
+        (170, "Refuted", 33, TORUS_OPEN + ((16, 0, 1, 0, 0),)),
+    ])
+    def test_torus_certificates_pinned(self, target, outcome, node_count, levels):
+        # Faster bounding must not change a verdict or a level count.
+        inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+        cert = solve_target(inst, target, BbParams(nb=FAST.nb))
+        assert cert.outcome == outcome
+        assert cert.node_count == node_count
+        assert list(cert.per_depth) == [
+            {"depth": depth, "created": created, "generated": created,
+             "pruned_iso": 0, "infeasible": infeasible, "leaf_solved": leaves,
+             "active": active, "pruned_bound": pruned, "reduction_rate": 1.0}
+            for depth, (created, infeasible, leaves, active, pruned)
+            in enumerate(levels, start=1)]
 
     def test_stats_csv_rows(self):
         rng = np.random.default_rng(17)

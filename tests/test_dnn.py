@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from symbb import dnn
+from symbb import bb, dnn
+from symbb.bb import BbParams, solve_target
 from symbb.dnn import (ApgParams, NbParams, _safe_ceil, assemble,
                        cone_distance, default_lambda, initial_upper, nb_bound)
+from symbb.instance import BqopInstance
 from symbb.subproblem import FixSets, reduce
 from tests.conftest import (alternating_projection_distance, brute_optimum,
                             brute_sub_optimum, lifted_form, penalty_value,
-                            planted_bqop, random_bqop)
+                            random_bqop, soundness_instance, torus_matrix)
 
 FAST_NB = NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=5000))
 SUITE_NB = NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000))
@@ -24,15 +26,19 @@ def open_sub(seed=0, n=8, m=4):
     return reduce(inst, FixSets((), ()))
 
 
-def suite_instance(i):
-    """Instance i of the audited soundness stream of the acceptance suite."""
-    rng = np.random.default_rng(1000 + i)
-    n = 6 + i % 9
-    m = int(rng.integers(2, n - 1))
-    if i % 4 == 3:
-        bs = 3 if n % 3 == 0 else 2
-        return planted_bqop(rng, blocks=n // bs, block_size=bs, m=m)
-    return random_bqop(rng, n, m)
+def suite_problems():
+    """Targeted problems from soundness instances 0-11: two open subproblems
+    of each, at the instance's optimum and one above."""
+    for i in range(12):
+        inst = soundness_instance(i)
+        opt = brute_optimum(inst)
+        for fix in (FixSets((), (0,)), FixSets((0,), (1,))):
+            sub = reduce(inst, fix)
+            if not sub.reduced_B.any() or not 0 < sub.residual_m < sub.ell:
+                continue
+            prob = assemble(sub, default_lambda(sub))
+            yield prob, opt
+            yield prob, opt + 1
 
 
 def eig_slack(M):
@@ -324,27 +330,59 @@ class TestTargetExit:
 
         monkeypatch.setattr(dnn, "cone_distance", recording)
         exits = 0
-        for i in range(12):
-            inst = suite_instance(i)
-            opt = brute_optimum(inst)
-            for fix in (FixSets((), (0,)), FixSets((0,), (1,))):
-                sub = reduce(inst, fix)
-                if not sub.reduced_B.any() or not 0 < sub.residual_m < sub.ell:
+        for prob, target in suite_problems():
+            calls.clear()
+            res = nb_bound(prob, target, SUITE_NB)
+            stops = [rec["apg_stop"] for rec in res.trace]
+            assert stops == [r.stop for _, _, r in calls]
+            if "target" in stops:
+                exits += 1
+                assert res.status == "Pruned"
+                assert stops.index("target") == len(stops) - 1
+            for M, eig_target, r in calls:
+                if r.stop != "target":
                     continue
-                prob = assemble(sub, default_lambda(sub))
-                for target in (opt, opt + 1):
-                    calls.clear()
-                    res = nb_bound(prob, target, SUITE_NB)
-                    stops = [rec["apg_stop"] for rec in res.trace]
-                    assert stops == [r.stop for _, _, r in calls]
-                    if "target" in stops:
-                        exits += 1
-                        assert res.status == "Pruned"
-                        assert stops.index("target") == len(stops) - 1
-                    for M, eig_target, r in calls:
-                        if r.stop != "target":
-                            continue
-                        assert np.all(r.y2 >= 0)
-                        exact = np.linalg.eigvalsh(M - r.y2)[0]
-                        assert exact >= eig_target - eig_slack(M)
+                assert np.all(r.y2 >= 0)
+                exact = np.linalg.eigvalsh(M - r.y2)[0]
+                assert exact >= eig_target - eig_slack(M)
         assert exits > 0
+
+
+class TestLandingExit:
+    """A targeted nb_bound ends Branchable where a Newton step from a
+    converged APG solve lands below the prune level, without evaluating g
+    there."""
+
+    @staticmethod
+    def landed(res):
+        return res.status == "Branchable" and res.b < res.trace[-1]["y"]
+
+    def test_suite_subproblems(self):
+        landings = 0
+        for prob, target in suite_problems():
+            res = nb_bound(prob, target, SUITE_NB)
+            assert res.iterations == len(res.trace)
+            if not self.landed(res):
+                continue
+            landings += 1
+            assert res.trace[-1]["apg_stop"] == "converged"
+            assert nb_bound(prob, None, SUITE_NB).lb_integer < target
+        assert landings > 0
+
+    def test_torus_exit_count(self, monkeypatch):
+        results = []
+        real = bb.nb_bound
+
+        def recording(prob, target, params):
+            res = real(prob, target, params)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(bb, "nb_bound", recording)
+        inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+        assert solve_target(inst, 160, BbParams(nb=FAST_NB)).outcome == "Proved"
+        landings = [res for res in results if self.landed(res)]
+        assert all(res.trace[-1]["apg_stop"] == "converged" for res in landings)
+        # Every node this proof branches on is decided by the landing exit.
+        branched = [res for res in results if res.status == "Branchable"]
+        assert len(landings) == len(branched) == 85
