@@ -44,17 +44,22 @@ def _load_bqop(path: str) -> tuple[instance.BqopInstance, str]:
 def _params(cls, flags: dict, config_path: str | None = None):
     """The run parameters: the defaults of the params dataclass ``cls``, then
     the flags that were given (``None`` is not given; nested dicts set ``nb``
-    and ``nb.apg``), then the ``--config`` file."""
+    and ``nb.apg``), then the ``--config`` file.  An iteration cap below 1
+    is an error: no Newton or APG step would leave a bound to report."""
     params = _apply_overrides(cls(), _given(flags))
-    if config_path is None:
-        return params
-    try:
-        data = json.loads(Path(config_path).read_bytes())
-    except ValueError as exc:
-        raise click.ClickException(f"--config is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise click.ClickException("--config must contain a JSON object")
-    return _apply_overrides(params, data)
+    if config_path is not None:
+        try:
+            data = json.loads(Path(config_path).read_bytes())
+        except ValueError as exc:
+            raise click.ClickException(f"--config is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise click.ClickException("--config must contain a JSON object")
+        params = _apply_overrides(params, data)
+    for name, cap in (("nb.max_iter", params.nb.max_iter),
+                      ("nb.apg.max_iter", params.nb.apg.max_iter)):
+        if cap < 1:
+            raise click.ClickException(f"{name} must be at least 1, not {cap}")
+    return params
 
 
 def _given(flags: dict) -> dict:

@@ -42,6 +42,13 @@ from .subproblem import Subproblem
 DPRIME_FLOOR = 1e-12
 # g below this, relative to ||M||, counts as "already in the cone".
 G_FLOOR = 1e-11
+# The step exit of APG: every STEP_CHECK_EVERY-th iteration it reads the
+# Newton step of its feasible momentum point; the step is settled once it
+# moved by at most STEP_SETTLED since the previous reading.  nb_bound caps
+# the step so that it lands STEP_MARGIN above the prune level.
+STEP_CHECK_EVERY = 25
+STEP_SETTLED = 1.0
+STEP_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,7 @@ class ConeDistanceResult:
     y1: np.ndarray
     y2: np.ndarray
     min_eig_y1: float
-    stop: str                   # why APG stopped: converged | target | cap
+    stop: str                   # why APG stopped: converged | target | cap | step
     iterations: int
 
     @property
@@ -153,7 +160,8 @@ def initial_upper(sub: Subproblem) -> float:
 
 def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
                   warm_start: np.ndarray | None = None,
-                  eig_target: float | None = None) -> ConeDistanceResult:
+                  eig_target: float | None = None,
+                  step_cap: float | None = None) -> ConeDistanceResult:
     """Distance of a symmetric matrix to K* = PSD + Nonneg.
 
     Minimizes 0.5 * || negpart(M - Y2) ||^2 over entrywise-nonnegative Y2 by
@@ -165,19 +173,28 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     selector of the last diagonal entry.
 
     ``stop`` says why APG stopped: ``converged`` (relative objective change
-    below ``rel_tol``), ``cap`` (``max_iter`` reached) or ``target``.  With
-    ``eig_target``, each iteration bounds the minimum eigenvalue of its new
-    iterate for free: by Weyl, lambda_min(M - Y_new) >= lambda_min(M - Z) -
-    ||Y_new - Z||_F, and lambda_min(M - Z) comes from the iteration's own
-    eigendecomposition.  APG stops with Y2 = Y_new once that bound reaches
-    ``eig_target``.  The exit only decides when to stop: min_eig_y1 is still
-    taken from the final eigendecomposition of M - Y2.
+    below ``rel_tol``), ``cap`` (``max_iter`` reached), ``target`` or
+    ``step``.  With ``eig_target``, each iteration bounds the minimum
+    eigenvalue of its new iterate for free: by Weyl, lambda_min(M - Y_new)
+    >= lambda_min(M - Z) - ||Y_new - Z||_F, and lambda_min(M - Z) comes from
+    the iteration's own eigendecomposition.  APG stops with Y2 = Y_new once
+    that bound reaches ``eig_target``.  The exit only decides when to stop:
+    min_eig_y1 is still taken from the final eigendecomposition of M - Y2.
+
+    With ``step_cap``, every ``STEP_CHECK_EVERY``-th iteration whose momentum
+    point Z is entrywise nonnegative reads the Newton step g / g' of the
+    feasible decomposition (Z, PSD part of M - Z) from its own
+    eigendecomposition: g = sqrt(2 f(Z)) and g' = -sum_i min(w_i, 0) V[-1,
+    i]^2 / g.  APG stops with Y2 = Z once g' >= ``DPRIME_FLOOR``, the step is
+    at most ``step_cap`` and it moved by at most ``STEP_SETTLED`` since the
+    previous reading.  No extra eigendecomposition is made.
     """
     M = np.asarray(M, dtype=float)
     Y = np.zeros_like(M) if warm_start is None else warm_start.copy()
     Z = Y.copy()
     t = 1.0
     f_prev = math.inf
+    step_prev = math.inf
     stop = "cap"
     iterations = 0
     for k in range(params.max_iter):
@@ -195,6 +212,17 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
             Y = Y_new
             stop = "target"
             break
+        if step_cap is not None and iterations % STEP_CHECK_EVERY == 0 and \
+                f_z > 0.0 and np.all(Z >= 0.0):
+            g = math.sqrt(2.0 * f_z)
+            gprime = -float(wneg @ (V[-1] * V[-1])) / g
+            if gprime >= DPRIME_FLOOR:
+                step = g / gprime
+                if step <= step_cap and abs(step - step_prev) <= STEP_SETTLED:
+                    Y = Z
+                    stop = "step"
+                    break
+                step_prev = step
         if f_z > f_prev:
             # objective increased at the momentum point: restart momentum
             t = 1.0
@@ -259,6 +287,20 @@ def nb_bound(prob: DnnProblem, target: float | None,
     eigenvalue can prune and APG runs to its own stopping rule.  An APG solve
     stopped this way has not converged and never moves ``b``.
 
+    The step exit: with a target and y - a_need > ``STEP_MARGIN``, APG gets
+    ``step_cap = y - a_need - STEP_MARGIN``, the longest Newton step that
+    lands at least ``STEP_MARGIN`` above the prune level, and may stop once
+    the step of a feasible iterate is settled within that cap.  Such a solve
+    has not pruned at y; the rest of it would only refine the next Newton
+    point, and the settled step already places that point in [a_need +
+    STEP_MARGIN, y).  If that point is at or below y*, g is zero there and
+    the target exit has at least STEP_MARGIN / (ell + 1) of slack in
+    lambda_min; if it is above y*, Newton continues from above as after any
+    other solve.  A ``step`` solve has not converged, so, as after ``cap``,
+    it neither moves ``b`` nor fires the landing exit: only a converged
+    solve ends a node as Branchable.  Untargeted calls never pass a
+    ``step_cap``.
+
     The landing exit: with a target, a Newton step fed by a converged APG
     solve ends the bracketing as Branchable, with ``b = min(b, y_new)``,
     once ``_safe_ceil(y_new + offset)`` is below the target; g is not
@@ -292,10 +334,13 @@ def nb_bound(prob: DnnProblem, target: float | None,
         # The minimum eigenvalue carries roundoff of order d * eps * ||M||;
         # subtract an explicit slack so a stays a valid lower bound.
         eig_slack = 16.0 * d * np.finfo(float).eps * float(np.linalg.norm(M))
-        eig_target = None
+        eig_target = step_cap = None
         if a_need is not None and y >= a_need:
             eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
-        res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target)
+        if a_need is not None and y - a_need > STEP_MARGIN:
+            step_cap = y - a_need - STEP_MARGIN
+        res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
+                            step_cap=step_cap)
         warm = res.y2
         a = max(a, y + norm_factor * min(0.0, res.min_eig_y1 - eig_slack))
         if res.converged:

@@ -156,6 +156,18 @@ class TestBoundRoot:
         assert params == {"lambda_scale": 1e8, "nb": {
             "gap_tol": 1e-6, "max_iter": 30, "apg": {"rel_tol": 1e-9, "max_iter": 3000}}}
 
+    @pytest.mark.parametrize("flag, name", [("--nb-max-iter", "nb.max_iter"),
+                                            ("--apg-max-iter", "nb.apg.max_iter")])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_1_exits_1(self, runner, bqop_file, tmp_path, flag, name, cap):
+        path, _ = bqop_file
+        out = tmp_path / "bound.json"
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      flag, cap, "--json", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {name} must be at least 1, not {cap}\n"
+        assert not out.exists()
+
     def test_zero_reduced_matrix_is_exact(self, runner, tmp_path):
         inst = BqopInstance(n=5, B=np.zeros((5, 5), dtype=np.int64), m=2)
         path = tmp_path / "zero.json"
@@ -279,6 +291,23 @@ class TestSolve:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.count("\n") == 1 and repr(key) in result.output
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"nb": {"max_iter": 0}}, "nb.max_iter"),
+        ({"nb": {"apg": {"max_iter": 0}}}, "nb.apg.max_iter"),
+    ])
+    def test_config_cap_below_1_exits_1(self, runner, bqop_file, tmp_path,
+                                        overrides, name):
+        path, _ = bqop_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        cert = tmp_path / "cert.json"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", "0", "--config", str(cfg),
+            "--certificate-json", str(cert)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {name} must be at least 1, not 0\n"
+        assert not cert.exists()
 
     def test_certificate_records_resolved_params(self, runner, tmp_path):
         rng = np.random.default_rng(33)
