@@ -2,19 +2,21 @@
 isomorphism pruning, on the level-expansion engine it shares with the
 estimator.
 
-The search is level-synchronous breadth first.  ``root_children`` branches
-the root; ``expand_level`` classifies every node of a level, sweeps the open
-ones for subproblems isomorphic to an already seen one, and bounds the rest
-with the Newton-bracketing procedure (early exit against the target);
-``branch_level`` branches the survivors on the highest-scoring orbit of their
-reduced-matrix automorphism group.  Between levels only fix sets and the
-isomorphism history are kept.  No upper bounding is performed: the run either
-proves that the optimum is at least the target, or refutes the target with an
-exactly solved leaf below it.
+The search is level-synchronous breadth first.  The root is the one survivor
+of level 0.  ``branch_level`` branches the survivors of a level on the
+highest-scoring orbit of their reduced-matrix automorphism group;
+``expand_level`` classifies every node of the next level, sweeps the open ones
+for subproblems isomorphic to an already seen one, and bounds the rest with
+the Newton-bracketing procedure (early exit against the target).  Between
+steps only fix sets are kept, the isomorphism history included: each step
+reduces the nodes it reads again.  No upper bounding is performed: the run
+either proves that the optimum is at least the target, or refutes the target
+with an exactly solved leaf below it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -151,16 +153,6 @@ def branch(fix: FixSets, orbit: Orbit, free) -> tuple[FixSets, FixSets]:
     return fix.with_zeros(members), fix.with_one(members[0])
 
 
-def root_children(inst: BqopInstance,
-                  root_group: PermutationGroup | None = None) -> list[FixSets]:
-    """The root branch.  The root is branched unconditionally, without
-    classification or bounding, on the orbits of ``root_group`` when given
-    and of the automorphism group of ``inst.B`` otherwise."""
-    root = reduce(inst, FixSets((), ()))
-    grp = subgroup(root, root_group=root_group)
-    return list(branch(root.fix, choose_orbit(root, grp), root.free))
-
-
 def bound_node(sub: Subproblem, target: int | None, params: TreeParams) -> NbResult:
     """The DNN bound of an open subproblem: penalty weight ``lambda_scale /
     ||B(I0,I1)||``, the lifted problem, Newton bracketing with ``params.nb``."""
@@ -184,16 +176,15 @@ class Decided:
 @dataclass
 class Level:
     """One expanded level.  ``survivors`` are the open nodes that no bound
-    pruned, and ``reduced`` holds the subproblems of those that this
-    expansion reduced; ``pruned_bound`` counts the solved leaves too.  A level
-    with a ``refutation`` (its first leaf below the target) was not bounded."""
+    pruned; ``pruned_bound`` counts the solved leaves too.  A level with a
+    ``refutation`` (its first leaf below the target) was not bounded.  The
+    root is the one survivor of level 0, which is never expanded."""
 
     pruned_iso: int = 0
     infeasible: int = 0
     leaves: int = 0
     pruned_bound: int = 0
     survivors: list[FixSets] = field(default_factory=list)
-    reduced: dict[FixSets, Subproblem] = field(default_factory=dict)
     refutation: SolvedLeaf | None = None
     bound_seconds: list[float] = field(default_factory=list)
 
@@ -202,10 +193,11 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                  fixes: list[FixSets], history: dict | None = None,
                  audit: bool = False, memo: dict | None = None) -> Level:
     """Expand one level of fix sets, in order: reduce and classify each node;
-    with a ``history`` (fingerprint -> retained subproblems), prune the open
-    nodes isomorphic to a retained one and retain the rest; stop at the first
-    leaf below the target; otherwise bound the open nodes and apply the prune
-    test.  Only branch and bound passes a history.
+    with a ``history`` (fingerprint -> fix sets of the retained subproblems),
+    prune the open nodes isomorphic to a retained one, rebuilt by ``reduce``,
+    and retain the rest; stop at the first leaf below the target; otherwise
+    bound the open nodes and apply the prune test.  Only branch and bound
+    passes a history.
 
     With a ``memo`` (fix sets -> Decided, for one target and one set of
     params), a node recorded there is neither reduced, classified nor bounded
@@ -232,34 +224,34 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
             if node.status.value < target and level.refutation is None:
                 level.refutation = node.status
         else:
-            if node.pruned is None:
-                level.reduced[fix] = sub or reduce(inst, fix)
-            open_nodes.append((fix, node))
+            if sub is None and node.pruned is None:
+                sub = reduce(inst, fix)
+            open_nodes.append((fix, node, sub))
 
     if history is not None:
         # Retained subproblems with fewer ones fixed than every node of this
         # level can never match again.
         f1_min = min(len(fix.i1) for fix in fixes)
         for key in list(history):
-            kept = [s for s in history[key] if len(s.fix.i1) >= f1_min]
+            kept = [f for f in history[key] if len(f.i1) >= f1_min]
             if kept:
                 history[key] = kept
             else:
                 del history[key]
         unmerged = []
-        for fix, node in open_nodes:
-            sub = level.reduced[fix]
+        for fix, node, sub in open_nodes:
+            # Every entry of the bucket shares the fingerprint, so a twin is
+            # rebuilt only when fingerprints collide.
             bucket = history.setdefault(fingerprint(sub), [])
-            twin = next((s for s in bucket
-                         if isomorphic(s, sub) is not None), None)
+            twin = next((t for t in (reduce(inst, f) for f in bucket)
+                         if isomorphic(t, sub) is not None), None)
             if twin is None:
-                bucket.append(sub)
-                unmerged.append((fix, node))
+                bucket.append(fix)
+                unmerged.append((fix, node, sub))
                 continue
             if audit:
                 assert solve_exactly(sub).value == solve_exactly(twin).value, \
                     f"unsound merge of {sub.fix} into {twin.fix}"
-            del level.reduced[fix]
             level.pruned_iso += 1
         open_nodes = unmerged
 
@@ -272,8 +264,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
         res = bound_node(sub, target, params)
         return res, time.monotonic() - t0
 
-    unbounded = [(node, level.reduced[fix]) for fix, node in open_nodes
-                 if node.pruned is None]
+    unbounded = [(node, sub) for _, node, sub in open_nodes if node.pruned is None]
     subs = [sub for _, sub in unbounded]
     if params.workers > 1 and subs:
         with ThreadPoolExecutor(max_workers=params.workers) as pool:
@@ -287,30 +278,27 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                 f"invalid bound at {sub.fix}: {res.a + sub.offset} > {opt}"
         # Branchable, unresolved Converged, and IterLimit all branch;
         # branching an undecided node is always sound.
-        node.pruned = res.status == "Pruned" or (
-            res.status == "Converged" and res.lb_integer is not None
-            and res.lb_integer >= target)
+        node.pruned = res.status == "Pruned"
         node.seconds = seconds
-    for fix, node in open_nodes:
+    for fix, node, _ in open_nodes:
         level.bound_seconds.append(node.seconds)
         if node.pruned:
             level.pruned_bound += 1
         else:
             level.survivors.append(fix)
-    level.reduced = {fix: level.reduced[fix] for fix in level.survivors
-                     if fix in level.reduced}
     return level
 
 
 def branch_level(inst: BqopInstance, level: Level, audit: bool = False,
                  memo: dict | None = None) -> list[FixSets]:
     """Both children of every survivor of ``level``, in survivor order.  A
-    survivor whose branching a ``memo`` recorded reuses its children."""
+    survivor is reduced again to find its orbit, unless a ``memo`` recorded
+    its children; a survivor the memo has not seen (the root) is recorded."""
     children = []
     for fix in level.survivors:
-        node = Decided(None) if memo is None else memo[fix]
+        node = Decided(None) if memo is None else memo.setdefault(fix, Decided(None))
         if node.children is None:
-            sub = level.reduced.get(fix) or reduce(inst, fix)
+            sub = reduce(inst, fix)
             node.children = branch(fix, choose_orbit(sub, subgroup(sub)), sub.free)
             if audit:
                 child_opts = [leaf.value for leaf in
@@ -337,10 +325,10 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
     t_start = time.monotonic()
     history = {} if params.iso_pruning else None
     per_depth: list[dict] = []
-    fixes = root_children(inst)
+    level = Level(survivors=[FixSets((), ())])
     node_count = 1
-    while True:
-        depth = len(per_depth) + 1
+    for depth in itertools.count(1):
+        fixes = branch_level(inst, level, params.audit)
         created = len(fixes)
         node_count += created
         level = expand_level(inst, target, params, fixes, history, params.audit)
@@ -372,7 +360,6 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
                 })
             outcome = "Inconclusive"
         else:
-            fixes = branch_level(inst, level, params.audit)
             continue
         return Certificate(outcome=outcome, target=target, node_count=node_count,
                            per_depth=tuple(per_depth),

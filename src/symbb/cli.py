@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,7 +46,9 @@ def _params(cls, flags: dict, config_path: str | None = None):
     """The run parameters: the defaults of the params dataclass ``cls``, then
     the flags that were given (``None`` is not given; nested dicts set ``nb``
     and ``nb.apg``), then the ``--config`` file.  An iteration cap below 1
-    is an error: no Newton or APG step would leave a bound to report."""
+    is an error: no Newton or APG step would leave a bound to report.  So is
+    a ``lambda_scale`` that is not a positive finite number: it gives no
+    penalty weight."""
     params = _apply_overrides(cls(), _given(flags))
     if config_path is not None:
         try:
@@ -59,6 +62,9 @@ def _params(cls, flags: dict, config_path: str | None = None):
                       ("nb.apg.max_iter", params.nb.apg.max_iter)):
         if cap < 1:
             raise click.ClickException(f"{name} must be at least 1, not {cap}")
+    if not (math.isfinite(params.lambda_scale) and params.lambda_scale > 0):
+        raise click.ClickException(
+            f"lambda_scale must be a positive finite number, not {params.lambda_scale}")
     return params
 
 
@@ -344,7 +350,7 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
 @click.option("--count", default=1_000_000, type=int)
 @click.option("--optimum", required=True, type=int)
 @click.option("--seed", default=0, type=int)
-@click.option("--bins", default=50, type=int)
+@click.option("--bins", default=50, type=click.IntRange(min=1))
 @click.option("--csv", "csv_path", default=None, type=click.Path())
 def sample_dist(instance_path, count, optimum, seed, bins, csv_path):
     """Sample feasible solutions and emit the scaled-objective histogram."""

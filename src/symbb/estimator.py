@@ -11,23 +11,25 @@ creates.  Isomorphism pruning stays off here, matching the branch-and-bound
 variant whose work is being estimated.
 
 ``estimate_multi`` decides each distinct node once: its seeds share one memo
-of node outcomes (``bb.Decided``), made for that call only, so the levels
-every seed expands whole and the nodes two samples share are classified,
-bounded and branched by the first seed that meets them.  A shared node's
-recorded bound seconds count in every seed that samples it, so each report
-is the one a separate ``estimate`` call would give, timings aside.
+of node outcomes (``bb.Decided``), made for that call only, so the root
+branch, the levels every seed expands whole and the nodes two samples share
+are classified, bounded and branched by the first seed that meets them.  A
+shared node's recorded bound seconds count in every seed that samples it, so
+each report is the one a separate ``estimate`` call would give, timings
+aside.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bb import TreeParams, branch_level, expand_level, root_children
+from .bb import Level, TreeParams, branch_level, expand_level
 from .instance import BqopInstance
-from .symmetry import PermutationGroup, automorphisms
+from .subproblem import FixSets
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,14 @@ def _sample_count(width: int, params: EstParams) -> int:
 
 
 def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
-             seed: int = 0,
-             root_group: PermutationGroup | None = None,
-             memo: dict | None = None) -> EstimationReport:
-    """Run the sampled-subtree estimator for one seed: pick each level's
-    sample, then expand and branch it with the branch-and-bound engine.
-    ``root_group``, the automorphism group of ``inst.B``, is computed when not
-    given.  ``memo`` is the node memo of ``bb.expand_level``, shared by the
-    calls for one target and one set of params."""
+             seed: int = 0, memo: dict | None = None) -> EstimationReport:
+    """Run the sampled-subtree estimator for one seed: branch the survivors
+    of a level, starting from the root, pick the next level's sample, then
+    expand it, all with the branch-and-bound engine.  ``memo`` is the node
+    memo of ``bb.expand_level``, shared by the calls for one target and one
+    set of params."""
     rng = np.random.default_rng(seed)
-    frontier = root_children(inst, root_group)
+    level = Level(survivors=[FixSets((), ())])
     per_depth: list[dict] = []
     bound_seconds: list[float] = []
     exact_sum = 0
@@ -77,9 +77,9 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
     t_hat = 0.0
     refuted = False
     complete = True
-    depth = 1
 
-    while frontier:
+    for depth in itertools.count(1):
+        frontier = branch_level(inst, level, memo=memo)
         width = len(frontier)
         if not sampling and width >= params.width_threshold:
             # The first truncated level is still an exact count; later levels
@@ -115,8 +115,6 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         if params.depth_budget is not None and depth >= params.depth_budget:
             complete = False
             break
-        frontier = branch_level(inst, level, memo=memo)
-        depth += 1
 
     total = 1.0 + exact_sum + est_sum
     mean_node_seconds = float(np.mean(bound_seconds)) if bound_seconds else 0.0
@@ -129,12 +127,10 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
 
 def estimate_multi(inst: BqopInstance, target: int, seeds,
                    params: EstParams = EstParams()) -> dict:
-    """Reports for several seeds plus a min/mean/max node-count summary.  The
-    root group and a node memo are made once and shared by every seed."""
-    root_group = automorphisms(inst.B)
+    """Reports for several seeds plus a min/mean/max node-count summary.  A
+    node memo is made once and shared by every seed."""
     memo: dict = {}
-    reports = [estimate(inst, target, params, seed=s, root_group=root_group, memo=memo)
-               for s in seeds]
+    reports = [estimate(inst, target, params, seed=s, memo=memo) for s in seeds]
     totals = [r.estimated_total_nodes for r in reports]
     times = [r.estimated_time_seconds for r in reports]
     return {

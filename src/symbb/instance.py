@@ -151,8 +151,6 @@ class ScaledDistribution:
     values: np.ndarray
     bin_edges: np.ndarray
     probabilities: np.ndarray
-    seed: int | None = None
-    exhaustive: bool = False
 
     @property
     def mean(self) -> float:
@@ -194,8 +192,7 @@ def sample_scaled_distribution(
     scaled = (np.array(vals, dtype=np.float64) - optimum) / abs(optimum)
     probs, edges = np.histogram(scaled, bins=bins)
     probs = probs / scaled.size
-    return ScaledDistribution(values=scaled, bin_edges=edges, probabilities=probs,
-                              seed=None if exhaustive else seed, exhaustive=exhaustive)
+    return ScaledDistribution(values=scaled, bin_edges=edges, probabilities=probs)
 
 
 # --- serialization ---------------------------------------------------------

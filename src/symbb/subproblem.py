@@ -144,14 +144,9 @@ def feasibility_status(sub: Subproblem, leaf_threshold: int = 20,
     return Open()
 
 
-def subgroup(sub: Subproblem,
-             root_group: PermutationGroup | None = None) -> PermutationGroup:
-    """The automorphism group of the reduced matrix, acting on reduced indices.
-
-    With no fixing the reduction is the identity and the precomputed root
-    group is reused when supplied; otherwise the group is recomputed on the
-    reduced matrix, which yields the largest group valid for orbital merging.
-    """
-    if not sub.fix.i0 and not sub.fix.i1 and root_group is not None:
-        return root_group
+def subgroup(sub: Subproblem) -> PermutationGroup:
+    """The automorphism group of the reduced matrix, acting on reduced
+    indices: the largest group valid for orbital branching at this node.  It
+    is computed from the reduced matrix at every call; at the root that
+    matrix is ``inst.B`` itself."""
     return automorphisms(sub.reduced_B)

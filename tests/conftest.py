@@ -177,11 +177,14 @@ def brute_automorphisms(B):
 
 
 def alternating_projection_distance(M, tol=1e-11, max_iter=200_000):
-    """Distance of M to K* = PSD + Nonneg via alternating projections.
+    """Distance of M to K* = PSD + Nonneg via alternating projections, and
+    whether the run converged.
 
     Minimizes ||M - Y1 - Y2|| by block-coordinate projection: Y1 onto the PSD
     cone given Y2, then Y2 onto the nonnegative cone given Y1.  Independent of
-    the package's APG formulation.
+    the package's APG formulation.  Every iterate is a feasible decomposition,
+    so a run that stops at ``max_iter`` (``converged`` False) still returns an
+    upper bound on the distance.
     """
     M = np.asarray(M, dtype=float)
     Y1 = np.zeros_like(M)
@@ -193,9 +196,9 @@ def alternating_projection_distance(M, tol=1e-11, max_iter=200_000):
         Y2 = np.maximum(M - Y1, 0.0)
         g = float(np.linalg.norm(M - Y1 - Y2))
         if abs(prev - g) <= tol * max(1.0, g):
-            break
+            return g, True
         prev = g
-    return g
+    return g, False
 
 
 # --- fixtures --------------------------------------------------------------

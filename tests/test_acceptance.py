@@ -176,8 +176,8 @@ class TestCriterion8:
             M = rng.normal(0, 3, (d, d))
             M = M + M.T
             res = cone_distance(M)
-            oracle = alternating_projection_distance(M)
-            assert abs(res.g - oracle) <= 1e-6
+            oracle, converged = alternating_projection_distance(M)
+            assert converged and abs(res.g - oracle) <= 1e-6
         _report(8, "cone distance matches the alternating-projection oracle "
                    "on 50 matrices to 1e-6")
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from symbb import bb as bb_mod
-from symbb.bb import (BbParams, branch, choose_orbit, expand_level,
-                      fingerprint, isomorphic, orbit_scores, root_children,
+from symbb.bb import (BbParams, Level, branch, branch_level, choose_orbit,
+                      expand_level, fingerprint, isomorphic, orbit_scores,
                       solve_target, stats_csv_rows)
 from symbb.dnn import ApgParams, NbParams
 from symbb.estimator import EstParams, estimate
@@ -220,7 +220,8 @@ class TestSolveTarget:
         assert state["target"] == opt
         # The budget runs out after level 1: the frontier is its survivors.
         assert len(cert.per_depth) == 1
-        survivors = expand_level(inst, opt, params, root_children(inst),
+        root = Level(survivors=[FixSets((), ())])
+        survivors = expand_level(inst, opt, params, branch_level(inst, root),
                                  history={}).survivors
         assert state["frontier"] == [
             {"i0": [i + 1 for i in fix.i0], "i1": [i + 1 for i in fix.i1],
@@ -305,6 +306,31 @@ class TestEngine:
                     [r["branchable"] for r in report.per_depth]
                 assert report.target_refuted == (cert.outcome == "Refuted")
                 assert report.estimated_total_nodes == cert.node_count
+
+    def test_history_keeps_only_fix_sets(self, monkeypatch):
+        # The planted n = 16 proof merges 4 times; its history still holds
+        # no reduced matrix, only the fix sets to rebuild one from.
+        histories = []
+        real = bb_mod.expand_level
+
+        def recording(inst, target, params, fixes, history=None, *args):
+            histories.append(history)
+            return real(inst, target, params, fixes, history, *args)
+
+        monkeypatch.setattr(bb_mod, "expand_level", recording)
+        inst = planted_bqop(np.random.default_rng(7), blocks=2, block_size=8, m=7)
+        params = BbParams(leaf_threshold=4, leaf_band=2,
+                          nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
+        cert = solve_target(inst, brute_optimum(inst), params)
+        assert cert.outcome == "Proved"
+        assert sum(d["pruned_iso"] for d in cert.per_depth) == 4
+        history = histories[-1]
+        assert all(h is history for h in histories) and history
+        for bucket in history.values():
+            assert type(bucket) is list
+            for fix in bucket:
+                assert type(fix) is FixSets
+                assert not any(isinstance(v, np.ndarray) for v in vars(fix).values())
 
     def test_audit_catches_unsound_merge(self, monkeypatch):
         # Every open node lands in one bucket and "matches" the first one.

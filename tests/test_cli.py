@@ -12,6 +12,10 @@ from symbb.cli import main
 from symbb.instance import BqopInstance, QapInstance, bqop_to_json
 from tests.conftest import brute_optimum, format_qaplib, random_bqop
 
+# What each checked run setting must be, as its one-line error states.
+RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
+         "lambda_scale": "a positive finite number"}
+
 
 @pytest.fixture
 def runner():
@@ -156,16 +160,20 @@ class TestBoundRoot:
         assert params == {"lambda_scale": 1e8, "nb": {
             "gap_tol": 1e-6, "max_iter": 30, "apg": {"rel_tol": 1e-9, "max_iter": 3000}}}
 
-    @pytest.mark.parametrize("flag, name", [("--nb-max-iter", "nb.max_iter"),
-                                            ("--apg-max-iter", "nb.apg.max_iter")])
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_cap_below_1_exits_1(self, runner, bqop_file, tmp_path, flag, name, cap):
+    @pytest.mark.parametrize("value, flag, name", [
+        *[(cap, flag, name) for cap in ("0", "-1")
+          for flag, name in (("--nb-max-iter", "nb.max_iter"),
+                             ("--apg-max-iter", "nb.apg.max_iter"))],
+        *[(value, "--lambda-scale", "lambda_scale")
+          for value in ("0.0", "-1.0", "nan", "inf")],
+    ])
+    def test_cap_below_1_exits_1(self, runner, bqop_file, tmp_path, value, flag, name):
         path, _ = bqop_file
         out = tmp_path / "bound.json"
         result = runner.invoke(main, ["bound-root", "--instance", str(path),
-                                      flag, cap, "--json", str(out)])
+                                      flag, value, "--json", str(out)])
         assert result.exit_code == 1
-        assert result.output == f"error: {name} must be at least 1, not {cap}\n"
+        assert result.output == f"error: {name} must be {RULES[name]}, not {value}\n"
         assert not out.exists()
 
     def test_zero_reduced_matrix_is_exact(self, runner, tmp_path):
@@ -295,6 +303,10 @@ class TestSolve:
     @pytest.mark.parametrize("overrides, name", [
         ({"nb": {"max_iter": 0}}, "nb.max_iter"),
         ({"nb": {"apg": {"max_iter": 0}}}, "nb.apg.max_iter"),
+        # json.dumps writes NaN and Infinity, and json.loads reads them.
+        ({"lambda_scale": float("nan")}, "lambda_scale"),
+        ({"lambda_scale": float("inf")}, "lambda_scale"),
+        ({"lambda_scale": -1}, "lambda_scale"),
     ])
     def test_config_cap_below_1_exits_1(self, runner, bqop_file, tmp_path,
                                         overrides, name):
@@ -305,8 +317,11 @@ class TestSolve:
         result = runner.invoke(main, [
             "solve", "--instance", str(path), "--target", "0", "--config", str(cfg),
             "--certificate-json", str(cert)])
+        value = overrides
+        while isinstance(value, dict):
+            (value,) = value.values()
         assert result.exit_code == 1
-        assert result.output == f"error: {name} must be at least 1, not 0\n"
+        assert result.output == f"error: {name} must be {RULES[name]}, not {value}\n"
         assert not cert.exists()
 
     def test_certificate_records_resolved_params(self, runner, tmp_path):
@@ -373,6 +388,16 @@ class TestSampleDist:
         assert result.exit_code == 0
         assert "samples: 200" in result.output
         assert csv_path.read_text().startswith("bin_left,bin_right,probability")
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_below_1_exits_1(self, runner, bqop_file, bins):
+        path, _ = bqop_file
+        result = runner.invoke(main, [
+            "sample-dist", "--instance", str(path), "--count", "20",
+            "--optimum", "50", "--bins", bins])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: Invalid value for '--bins'")
 
 
 MALFORMED = {

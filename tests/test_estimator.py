@@ -111,15 +111,16 @@ def test_multi_seed_summary():
 
 
 def test_root_group_computed_once(monkeypatch):
-    from symbb import estimator, subproblem
+    from symbb import subproblem
     rng = np.random.default_rng(6)
     inst = random_bqop(rng, 8, 4)
     full = []
-    for mod in (estimator, subproblem):
-        def counting(B, inner=mod.automorphisms):
-            full.append(B.shape[0] == inst.n)
-            return inner(B)
-        monkeypatch.setattr(mod, "automorphisms", counting)
+
+    def counting(B, inner=subproblem.automorphisms):
+        full.append(B.shape[0] == inst.n)
+        return inner(B)
+
+    monkeypatch.setattr(subproblem, "automorphisms", counting)
     estimate_multi(inst, brute_optimum(inst), seeds=[0, 1, 2],
                    params=fast_est(width_threshold=10 ** 6))
     assert sum(full) == 1 and len(full) > 1

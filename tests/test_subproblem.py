@@ -11,7 +11,6 @@ from symbb.instance import BqopInstance, objective
 from symbb.subproblem import (FixSets, Infeasible, Open, SolvedLeaf,
                               feasibility_status, reduce, solve_exactly,
                               subgroup)
-from symbb.symmetry import automorphisms
 from tests.conftest import brute_sub_optimum, random_bqop
 
 
@@ -163,13 +162,6 @@ class TestSolveExactly:
 
 
 class TestSubgroup:
-    def test_empty_fixing_reuses_root(self, cycle6):
-        from symbb.instance import BqopInstance
-        inst = BqopInstance(n=6, B=cycle6, m=3)
-        root = automorphisms(cycle6)
-        sub = reduce(inst, FixSets((), ()))
-        assert subgroup(sub, root_group=root) is root
-
     def test_quadratic_form_invariance(self, cycle6):
         from symbb.instance import BqopInstance
         inst = BqopInstance(n=6, B=cycle6, m=3)
