@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,10 +46,12 @@ def _load_bqop(path: str) -> tuple[instance.BqopInstance, str]:
 def _params(cls, flags: dict, config_path: str | None = None):
     """The run parameters: the defaults of the params dataclass ``cls``, then
     the flags that were given (``None`` is not given; nested dicts set ``nb``
-    and ``nb.apg``), then the ``--config`` file.  An iteration cap below 1
-    is an error: no Newton or APG step would leave a bound to report.  So is
-    a ``lambda_scale`` that is not a positive finite number: it gives no
-    penalty weight."""
+    and ``nb.apg``), then the ``--config`` file.  A worker count or an
+    iteration cap below 1 is an error: no thread, Newton step or APG step
+    would leave a bound to report.  So is a ``lambda_scale`` that is not a
+    positive finite number, which gives no penalty weight, and a tolerance
+    that is negative or not finite, which no gap or objective change can
+    meet."""
     params = _apply_overrides(cls(), _given(flags))
     if config_path is not None:
         try:
@@ -58,13 +61,19 @@ def _params(cls, flags: dict, config_path: str | None = None):
         if not isinstance(data, dict):
             raise click.ClickException("--config must contain a JSON object")
         params = _apply_overrides(params, data)
-    for name, cap in (("nb.max_iter", params.nb.max_iter),
-                      ("nb.apg.max_iter", params.nb.apg.max_iter)):
-        if cap < 1:
-            raise click.ClickException(f"{name} must be at least 1, not {cap}")
-    if not (math.isfinite(params.lambda_scale) and params.lambda_scale > 0):
-        raise click.ClickException(
-            f"lambda_scale must be a positive finite number, not {params.lambda_scale}")
+    nb = params.nb
+    for name, value, rule, ok in (
+            ("workers", params.workers, "at least 1", params.workers >= 1),
+            ("nb.max_iter", nb.max_iter, "at least 1", nb.max_iter >= 1),
+            ("nb.apg.max_iter", nb.apg.max_iter, "at least 1", nb.apg.max_iter >= 1),
+            ("lambda_scale", params.lambda_scale, "a positive finite number",
+             math.isfinite(params.lambda_scale) and params.lambda_scale > 0),
+            ("nb.gap_tol", nb.gap_tol, "a non-negative finite number",
+             math.isfinite(nb.gap_tol) and nb.gap_tol >= 0),
+            ("nb.apg.rel_tol", nb.apg.rel_tol, "a non-negative finite number",
+             math.isfinite(nb.apg.rel_tol) and nb.apg.rel_tol >= 0)):
+        if not ok:
+            raise click.ClickException(f"{name} must be {rule}, not {value}")
     return params
 
 
@@ -162,9 +171,29 @@ _instance_option = click.option("--instance", "instance_path", required=True,
                                 type=click.Path(exists=True, dir_okay=False))
 
 
+class _OutputPath(click.Path):
+    """A file a command writes: not a directory, and in a directory that
+    exists, checked when the command line is parsed, before any work."""
+
+    def __init__(self):
+        super().__init__(dir_okay=False)
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not value or value.endswith(("/", os.sep)):
+            self.fail(f"{value!r} names a directory.", param, ctx)
+        parent = Path(value).absolute().parent
+        if not parent.is_dir():
+            self.fail(f"directory {str(parent)!r} does not exist.", param, ctx)
+        return value
+
+
+_output_path = _OutputPath()
+
+
 @main.command()
 @_instance_option
-@click.option("--output", "output_path", default=None, type=click.Path())
+@click.option("--output", "output_path", default=None, type=_output_path)
 def convert(instance_path, output_path):
     """Convert a QAPLIB rank-one-flow instance (or a BQOP JSON) to BQOP JSON."""
     bqop, digest = _load_bqop(instance_path)
@@ -179,8 +208,8 @@ def convert(instance_path, output_path):
 @_instance_option
 @click.option("--fix", "fix_index", default=None, type=int,
               help="Report orbits after fixing this 1-based variable to 1.")
-@click.option("--orbit-csv", default=None, type=click.Path())
-@click.option("--group-json", default=None, type=click.Path())
+@click.option("--orbit-csv", default=None, type=_output_path)
+@click.option("--group-json", default=None, type=_output_path)
 @click.option("--group-cap", default=1_000_000, type=int,
               help="Largest group whose elements --group-json may list.")
 def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
@@ -226,8 +255,8 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
 @click.option("--nb-max-iter", default=None, type=int)
 @click.option("--apg-tol", default=None, type=float)
 @click.option("--apg-max-iter", default=None, type=int)
-@click.option("--trace-csv", default=None, type=click.Path())
-@click.option("--json", "json_path", default=None, type=click.Path())
+@click.option("--trace-csv", default=None, type=_output_path)
+@click.option("--json", "json_path", default=None, type=_output_path)
 def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
                apg_tol, apg_max_iter, trace_csv, json_path):
     """Newton-bracketing bound for the root subproblem with variable 1 fixed
@@ -275,9 +304,9 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
 @click.option("--lambda-scale", default=None, type=float)
 @click.option("--node-budget", default=None, type=int)
 @click.option("--time-budget", default=None, type=float, help="Seconds.")
-@click.option("--checkpoint", "checkpoint_path", default=None, type=click.Path())
-@click.option("--stats-csv", default=None, type=click.Path())
-@click.option("--certificate-json", default=None, type=click.Path())
+@click.option("--checkpoint", "checkpoint_path", default=None, type=_output_path)
+@click.option("--stats-csv", default=None, type=_output_path)
+@click.option("--certificate-json", default=None, type=_output_path)
 @click.option("--audit", is_flag=True, default=False)
 @click.option("--config", "config_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
@@ -313,8 +342,8 @@ def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
 @click.option("--workers", default=None, type=int)
 @click.option("--width-threshold", default=None, type=int)
 @click.option("--lambda-scale", default=None, type=float)
-@click.option("--stats-csv", default=None, type=click.Path())
-@click.option("--report-json", default=None, type=click.Path())
+@click.option("--stats-csv", default=None, type=_output_path)
+@click.option("--report-json", default=None, type=_output_path)
 def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
                  lambda_scale, stats_csv, report_json):
     """Estimate the enumeration-tree size for a target lower bound."""
@@ -351,7 +380,7 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
 @click.option("--optimum", required=True, type=int)
 @click.option("--seed", default=0, type=int)
 @click.option("--bins", default=50, type=click.IntRange(min=1))
-@click.option("--csv", "csv_path", default=None, type=click.Path())
+@click.option("--csv", "csv_path", default=None, type=_output_path)
 def sample_dist(instance_path, count, optimum, seed, bins, csv_path):
     """Sample feasible solutions and emit the scaled-objective histogram."""
     bqop, _ = _load_bqop(instance_path)

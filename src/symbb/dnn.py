@@ -44,8 +44,9 @@ DPRIME_FLOOR = 1e-12
 G_FLOOR = 1e-11
 # The step exit of APG: every STEP_CHECK_EVERY-th iteration it reads the
 # Newton step of its feasible momentum point; the step is settled once it
-# moved by at most STEP_SETTLED since the previous reading.  nb_bound caps
-# the step so that it lands STEP_MARGIN above the prune level.
+# moved by at most STEP_SETTLED since the previous reading.  A settled step
+# stops APG only if it lands at least STEP_MARGIN above or below the prune
+# level, a margin that absorbs the error of an inexact step on either side.
 STEP_CHECK_EVERY = 25
 STEP_SETTLED = 1.0
 STEP_MARGIN = 0.5
@@ -161,7 +162,7 @@ def initial_upper(sub: Subproblem) -> float:
 def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
                   warm_start: np.ndarray | None = None,
                   eig_target: float | None = None,
-                  step_cap: float | None = None) -> ConeDistanceResult:
+                  prune_step: float | None = None) -> ConeDistanceResult:
     """Distance of a symmetric matrix to K* = PSD + Nonneg.
 
     Minimizes 0.5 * || negpart(M - Y2) ||^2 over entrywise-nonnegative Y2 by
@@ -181,13 +182,14 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     that bound reaches ``eig_target``.  The exit only decides when to stop:
     min_eig_y1 is still taken from the final eigendecomposition of M - Y2.
 
-    With ``step_cap``, every ``STEP_CHECK_EVERY``-th iteration whose momentum
-    point Z is entrywise nonnegative reads the Newton step g / g' of the
-    feasible decomposition (Z, PSD part of M - Z) from its own
-    eigendecomposition: g = sqrt(2 f(Z)) and g' = -sum_i min(w_i, 0) V[-1,
-    i]^2 / g.  APG stops with Y2 = Z once g' >= ``DPRIME_FLOOR``, the step is
-    at most ``step_cap`` and it moved by at most ``STEP_SETTLED`` since the
-    previous reading.  No extra eigendecomposition is made.
+    With ``prune_step``, the Newton step that would land exactly on the prune
+    level, every ``STEP_CHECK_EVERY``-th iteration whose momentum point Z is
+    entrywise nonnegative reads the Newton step g / g' of the feasible
+    decomposition (Z, PSD part of M - Z) from its own eigendecomposition: g =
+    sqrt(2 f(Z)) and g' = -sum_i min(w_i, 0) V[-1, i]^2 / g.  APG stops with
+    Y2 = Z once g' >= ``DPRIME_FLOOR``, the step differs from ``prune_step``
+    by at least ``STEP_MARGIN`` and it moved by at most ``STEP_SETTLED``
+    since the previous reading.  No extra eigendecomposition is made.
     """
     M = np.asarray(M, dtype=float)
     Y = np.zeros_like(M) if warm_start is None else warm_start.copy()
@@ -212,13 +214,14 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
             Y = Y_new
             stop = "target"
             break
-        if step_cap is not None and iterations % STEP_CHECK_EVERY == 0 and \
+        if prune_step is not None and iterations % STEP_CHECK_EVERY == 0 and \
                 f_z > 0.0 and np.all(Z >= 0.0):
             g = math.sqrt(2.0 * f_z)
             gprime = -float(wneg @ (V[-1] * V[-1])) / g
             if gprime >= DPRIME_FLOOR:
                 step = g / gprime
-                if step <= step_cap and abs(step - step_prev) <= STEP_SETTLED:
+                if abs(step - prune_step) >= STEP_MARGIN and \
+                        abs(step - step_prev) <= STEP_SETTLED:
                     Y = Z
                     stop = "step"
                     break
@@ -261,11 +264,13 @@ def nb_bound(prob: DnnProblem, target: float | None,
     """Newton bracketing on the cone-distance function.
 
     Maintains a validated lower bracket ``a`` (running maximum of eigenvalue
-    corrected iterates) and an upper bracket ``b`` (running minimum of Newton
+    corrected iterates) and an upper value ``b`` (running minimum of Newton
     iterates whose APG solve converged, and of the landing point of the exit
     below).  With a target, terminates early with Pruned once the integer
-    lower bound reaches the target, or Branchable once even the upper bracket
-    proves the relaxation cannot reach it.
+    lower bound reaches the target, or Branchable once ``b`` lies below the
+    prune level.  Only ``a`` is a bound: after an inexact landing ``b`` may
+    sit below the relaxation value y*, and it then says only where the node
+    was decided.
 
     The correction: let M = Q - y H, Y2 >= 0 the APG iterate and z = (u, 1 -
     u, 1) the lift of any feasible binary completion.  Exactly one of u_j,
@@ -287,30 +292,33 @@ def nb_bound(prob: DnnProblem, target: float | None,
     eigenvalue can prune and APG runs to its own stopping rule.  An APG solve
     stopped this way has not converged and never moves ``b``.
 
-    The step exit: with a target and y - a_need > ``STEP_MARGIN``, APG gets
-    ``step_cap = y - a_need - STEP_MARGIN``, the longest Newton step that
-    lands at least ``STEP_MARGIN`` above the prune level, and may stop once
-    the step of a feasible iterate is settled within that cap.  Such a solve
-    has not pruned at y; the rest of it would only refine the next Newton
-    point, and the settled step already places that point in [a_need +
-    STEP_MARGIN, y).  If that point is at or below y*, g is zero there and
+    The step exit: with a target, APG gets ``prune_step = y - a_need``, the
+    Newton step that lands exactly on the prune level, and may stop once the
+    step of a feasible iterate is settled at least ``STEP_MARGIN`` away from
+    it, on either side.  Such a solve has not pruned at y; the rest of it
+    would only refine the next Newton point, and the settled step already
+    places that point at least ``STEP_MARGIN`` above or below the prune
+    level.  Above it: if that point is at or below y*, g is zero there and
     the target exit has at least STEP_MARGIN / (ell + 1) of slack in
     lambda_min; if it is above y*, Newton continues from above as after any
-    other solve.  A ``step`` solve has not converged, so, as after ``cap``,
-    it neither moves ``b`` nor fires the landing exit: only a converged
-    solve ends a node as Branchable.  Untargeted calls never pass a
-    ``step_cap``.
+    other solve.  Below it, the landing exit ends the node.  A ``step`` solve
+    has not converged, so, as after ``cap``, it never moves ``b`` by itself.
+    Untargeted calls never pass a ``prune_step``.
 
-    The landing exit: with a target, a Newton step fed by a converged APG
-    solve ends the bracketing as Branchable, with ``b = min(b, y_new)``,
-    once ``_safe_ceil(y_new + offset)`` is below the target; g is not
-    evaluated at y_new.  g is convex, so the tangent of a converged g at y
-    meets zero at or above y*, and the ``y_new <= a`` safeguard only raises
-    y_new.  Every later ``a`` is at most about y*, by the ell + 1
-    correction, so no later iterate could reach the prune level: the node
-    gets the verdict the next converged solve at y_new would give it, one APG
-    solve sooner.  After a capped APG solve the landing may sit below y*, so
-    the exit waits for a converged one.  ``iterations`` still counts the
+    The landing exit: with a target, any Newton step whose landing point
+    y_new has ``_safe_ceil(y_new + offset)`` below the target ends the
+    bracketing as Branchable, with ``b = min(b, y_new)``, whether the APG
+    solve before it converged, capped or stopped by ``step``; g is not
+    evaluated at y_new.  Once y is below the prune level, bracketing could
+    only end Branchable: no earlier ``a`` reached the prune level and every
+    later one is at most its own y; a converged solve there sets ``b = y``,
+    whether or not y is above y*; a capped solve steps lower; only the
+    ``G_FLOOR`` bisection could climb back above the prune level.  So the
+    exit gives the node the verdict the remaining solves would give it,
+    without them.  After a converged solve the landing is at or above y* (g
+    is convex, and the ``y_new <= a`` safeguard only raises y_new); after an
+    inexact one it may sit below y*, which is why the lower side of the step
+    exit keeps ``STEP_MARGIN`` too.  ``iterations`` still counts the
     ``cone_distance`` calls, and the last trace row is the last point
     evaluated, so its ``y`` lies above the returned ``b``.
     """
@@ -334,13 +342,13 @@ def nb_bound(prob: DnnProblem, target: float | None,
         # The minimum eigenvalue carries roundoff of order d * eps * ||M||;
         # subtract an explicit slack so a stays a valid lower bound.
         eig_slack = 16.0 * d * np.finfo(float).eps * float(np.linalg.norm(M))
-        eig_target = step_cap = None
-        if a_need is not None and y >= a_need:
-            eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
-        if a_need is not None and y - a_need > STEP_MARGIN:
-            step_cap = y - a_need - STEP_MARGIN
+        eig_target = prune_step = None
+        if a_need is not None:
+            prune_step = y - a_need
+            if y >= a_need:
+                eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
         res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
-                            step_cap=step_cap)
+                            prune_step=prune_step)
         warm = res.y2
         a = max(a, y + norm_factor * min(0.0, res.min_eig_y1 - eig_slack))
         if res.converged:
@@ -365,8 +373,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
             y_new = y - res.g / res.gprime
             if math.isfinite(a) and y_new <= a:
                 y_new = 0.5 * (a + y)
-            if target is not None and res.converged and \
-                    _safe_ceil(y_new + prob.offset) < target:
+            if target is not None and _safe_ceil(y_new + prob.offset) < target:
                 b = min(b, y_new)
                 status = "Branchable"
                 break

@@ -14,7 +14,9 @@ from tests.conftest import brute_optimum, format_qaplib, random_bqop
 
 # What each checked run setting must be, as its one-line error states.
 RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
-         "lambda_scale": "a positive finite number"}
+         "lambda_scale": "a positive finite number", "workers": "at least 1",
+         "nb.gap_tol": "a non-negative finite number",
+         "nb.apg.rel_tol": "a non-negative finite number"}
 
 
 @pytest.fixture
@@ -166,6 +168,9 @@ class TestBoundRoot:
                              ("--apg-max-iter", "nb.apg.max_iter"))],
         *[(value, "--lambda-scale", "lambda_scale")
           for value in ("0.0", "-1.0", "nan", "inf")],
+        *[(value, flag, name) for value in ("-1.0", "nan", "inf")
+          for flag, name in (("--gap-tol", "nb.gap_tol"),
+                             ("--apg-tol", "nb.apg.rel_tol"))],
     ])
     def test_cap_below_1_exits_1(self, runner, bqop_file, tmp_path, value, flag, name):
         path, _ = bqop_file
@@ -307,6 +312,11 @@ class TestSolve:
         ({"lambda_scale": float("nan")}, "lambda_scale"),
         ({"lambda_scale": float("inf")}, "lambda_scale"),
         ({"lambda_scale": -1}, "lambda_scale"),
+        ({"workers": 0}, "workers"),
+        ({"nb": {"gap_tol": float("nan")}}, "nb.gap_tol"),
+        ({"nb": {"gap_tol": -1e-6}}, "nb.gap_tol"),
+        ({"nb": {"apg": {"rel_tol": float("inf")}}}, "nb.apg.rel_tol"),
+        ({"nb": {"apg": {"rel_tol": -1}}}, "nb.apg.rel_tol"),
     ])
     def test_config_cap_below_1_exits_1(self, runner, bqop_file, tmp_path,
                                         overrides, name):
@@ -415,8 +425,42 @@ COMMANDS = {
     "sample-dist": ["--optimum", "1"],
 }
 
+# Every option that names a file to write, with the command that takes it.
+OUTPUTS = [("convert", "--output"), ("symmetry", "--orbit-csv"),
+           ("symmetry", "--group-json"), ("bound-root", "--trace-csv"),
+           ("bound-root", "--json"), ("solve", "--checkpoint"), ("solve", "--stats-csv"),
+           ("solve", "--certificate-json"), ("estimate", "--stats-csv"),
+           ("estimate", "--report-json"), ("sample-dist", "--csv")]
+
 
 class TestErrorExit:
+    @pytest.mark.parametrize("where", ["missing_directory", "is_directory",
+                                       "trailing_separator", "empty"])
+    @pytest.mark.parametrize("command, option", OUTPUTS)
+    def test_unwritable_output_exits_1_before_work(self, runner, bqop_file, tmp_path,
+                                                   command, option, where):
+        path, _ = bqop_file
+        out = {"missing_directory": str(tmp_path / "none" / "out.txt"),
+               "is_directory": str(tmp_path),
+               "trailing_separator": str(tmp_path / "new") + "/",
+               "empty": ""}[where]
+        result = runner.invoke(main, [command, "--instance", str(path),
+                                      *COMMANDS[command], option, out])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        # One line and nothing else: the error comes before any work.
+        assert result.output.count("\n") == 1
+        assert result.output.startswith(f"error: Invalid value for '{option}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    @pytest.mark.parametrize("command", ["solve", "estimate"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_1_exits_1(self, runner, bqop_file, command, workers):
+        path, _ = bqop_file
+        result = runner.invoke(main, [command, "--instance", str(path), "--target", "0",
+                                      "--workers", workers])
+        assert result.exit_code == 1
+        assert result.output == f"error: workers must be at least 1, not {workers}\n"
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_malformed_instance_exits_1(self, runner, tmp_path, name, command):

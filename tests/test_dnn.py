@@ -365,9 +365,9 @@ class TestTargetExit:
 
 
 class TestLandingExit:
-    """A targeted nb_bound ends Branchable where a Newton step from a
-    converged APG solve lands below the prune level, without evaluating g
-    there."""
+    """A targeted nb_bound ends Branchable where a Newton step lands below
+    the prune level, whatever stopped the APG solve before it, without
+    evaluating g there."""
 
     @staticmethod
     def landed(res):
@@ -384,7 +384,6 @@ class TestLandingExit:
             if not self.landed(res):
                 continue
             landings += 1
-            assert res.trace[-1]["apg_stop"] == "converged"
             assert nb_bound(prob, None, SUITE_NB).lb_integer < target
         assert landings > 0
 
@@ -401,19 +400,38 @@ class TestLandingExit:
         inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
         assert solve_target(inst, 160, BbParams(nb=FAST_NB)).outcome == "Proved"
         landings = [res for res in results if self.landed(res)]
-        assert all(res.trace[-1]["apg_stop"] == "converged" for res in landings)
         # Every node this proof branches on is decided by the landing exit.
         branched = [res for res in results if res.status == "Branchable"]
         assert len(landings) == len(branched) == 85
 
+    def test_suite_instance_without_capped_solve(self, monkeypatch):
+        """Soundness instance 7 at its optimum: the capped APG solves once
+        spent before a landing below the prune level are gone."""
+        stops = []
+        real = bb.nb_bound
+
+        def recording(prob, target, params):
+            res = real(prob, target, params)
+            stops.extend(row["apg_stop"] for row in res.trace)
+            return res
+
+        monkeypatch.setattr(bb, "nb_bound", recording)
+        inst = soundness_instance(7)
+        params = BbParams(leaf_threshold=8, leaf_band=3, audit=True, workers=2,
+                          nb=SUITE_NB)
+        cert = solve_target(inst, -10, params)
+        assert (cert.outcome, cert.node_count) == ("Proved", 9)
+        assert stops and "cap" not in stops
+
 
 class TestStepExit:
     """A targeted APG solve that has not pruned at its own y stops once the
-    Newton step it feeds is settled and lands above the prune level."""
+    Newton step it feeds is settled and lands at least STEP_MARGIN above or
+    below the prune level."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Every cone_distance call as (step_cap, result), after checking
+        """Every cone_distance call as (prune_step, result), after checking
         that it made one eigh per APG iteration plus one."""
         calls = []
         eighs = [0]
@@ -427,7 +445,7 @@ class TestStepExit:
             before = eighs[0]
             res = real(M, *args, **kwargs)
             assert eighs[0] - before == res.iterations + 1
-            calls.append((kwargs.get("step_cap"), res))
+            calls.append((kwargs.get("prune_step"), res))
             return res
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -436,34 +454,43 @@ class TestStepExit:
 
     @staticmethod
     def check_steps(prob, target, res, calls):
-        """The step stops of one targeted nb_bound; returns their count."""
+        """The step stops of one targeted nb_bound; returns how many landed
+        above and below the prune level."""
         rows = res.trace
         assert [row["apg_stop"] for row in rows] == [r.stop for _, r in calls]
-        steps = 0
-        for k, (step_cap, r) in enumerate(calls):
+        a_need = target - 1 - prob.offset + 1e-8 * max(1.0, abs(target))
+        above = below = 0
+        for k, (prune_step, r) in enumerate(calls):
+            y = rows[k]["y"]
+            assert prune_step == pytest.approx(y - a_need)
             if r.stop != "step":
                 continue
-            steps += 1
-            y = rows[k]["y"]
-            assert step_cap == pytest.approx(y - (target - 1 - prob.offset) - STEP_MARGIN)
             assert np.all(r.y2 >= 0)
-            assert k < len(rows) - 1
             assert rows[k]["b"] == (rows[k - 1]["b"] if k else prob.y_init)
-            landing = rows[k + 1]["y"]
-            assert landing >= y - step_cap - 1e-9 * max(1.0, abs(y))
-            assert _safe_ceil(landing + prob.offset) >= target
-        return steps
+            tol = 1e-9 * max(1.0, abs(y))
+            last = k == len(rows) - 1
+            landing = res.b if last else rows[k + 1]["y"]
+            if landing >= a_need:
+                above += 1
+                assert not last
+                assert landing >= a_need + STEP_MARGIN - tol
+                assert _safe_ceil(landing + prob.offset) >= target
+            else:
+                below += 1
+                assert last and res.status == "Branchable"
+                assert landing <= a_need - STEP_MARGIN + tol
+        return above, below
 
     def test_suite_subproblems(self, solves):
-        steps = 0
+        steps = np.zeros(2, dtype=int)
         for prob, target in suite_problems():
             solves.clear()
             res = nb_bound(prob, target, SUITE_NB)
             steps += self.check_steps(prob, target, res, solves)
             solves.clear()
             nb_bound(prob, None, SUITE_NB)
-            assert all(cap is None and r.stop != "step" for cap, r in solves)
-        assert steps > 0
+            assert all(step is None and r.stop != "step" for step, r in solves)
+        assert all(steps > 0)
 
     def test_torus(self, solves, monkeypatch):
         bounds = []
@@ -478,5 +505,5 @@ class TestStepExit:
         monkeypatch.setattr(bb, "nb_bound", recording)
         inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
         assert solve_target(inst, 160, BbParams(nb=FAST_NB)).outcome == "Proved"
-        steps = sum(self.check_steps(*bound) for bound in bounds)
-        assert steps > 0
+        steps = np.sum([self.check_steps(*bound) for bound in bounds], axis=0)
+        assert all(steps > 0)
