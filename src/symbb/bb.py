@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dnn import NbParams, NbResult, assemble, default_lambda, nb_bound
+from .dnn import NbParams, assemble, nb_bound
 from .instance import BqopInstance, objective
 from .subproblem import (FixSets, Infeasible, Open, SolvedLeaf, Subproblem,
                          feasibility_status, reduce, solve_exactly, subgroup)
@@ -135,7 +135,7 @@ def orbit_scores(sub: Subproblem, orbs) -> list[float]:
 def choose_orbit(sub: Subproblem, group: PermutationGroup) -> Orbit:
     """The orbit with the largest child-average score; ties break toward the
     smallest representative."""
-    orbs = orbits(group, range(sub.ell))
+    orbs = orbits(group)
     if not orbs:
         raise ValueError("no orbits to branch on")
     if len(orbs) == 1:
@@ -151,13 +151,6 @@ def branch(fix: FixSets, orbit: Orbit, free) -> tuple[FixSets, FixSets]:
     to one.  Orbit indices are reduced; ``free`` maps them back."""
     members = tuple(free[i] for i in orbit.members)
     return fix.with_zeros(members), fix.with_one(members[0])
-
-
-def bound_node(sub: Subproblem, target: int | None, params: TreeParams) -> NbResult:
-    """The DNN bound of an open subproblem: penalty weight ``lambda_scale /
-    ||B(I0,I1)||``, the lifted problem, Newton bracketing with ``params.nb``."""
-    prob = assemble(sub, default_lambda(sub, params.lambda_scale))
-    return nb_bound(prob, target, params.nb)
 
 
 @dataclass
@@ -261,7 +254,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
 
     def bound_one(sub: Subproblem):
         t0 = time.monotonic()
-        res = bound_node(sub, target, params)
+        res = nb_bound(assemble(sub, params.lambda_scale), target, params.nb)
         return res, time.monotonic() - t0
 
     unbounded = [(node, sub) for _, node, sub in open_nodes if node.pruned is None]

@@ -224,7 +224,7 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
 
     if fix_index is not None:
         sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(fix_index - 1,)))
-        orbs = symmetry.orbits(subproblem.subgroup(sub), range(sub.ell))
+        orbs = symmetry.orbits(subproblem.subgroup(sub))
         scores = bb.orbit_scores(sub, orbs)
         order = sorted(range(len(orbs)), key=lambda k: (-scores[k], orbs[k].representative))
         rows = symmetry.orbit_report_rows(
@@ -232,7 +232,7 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
             [f"{scores[k]:.1f}" for k in order])
         click.echo(f"orbits after fixing variable {fix_index}: {len(orbs)}")
     else:
-        orbs = group.orbit_partition
+        orbs = symmetry.orbits(group)
         rows = symmetry.orbit_report_rows(orbs)
         click.echo(f"orbits: {len(orbs)}")
     if orbit_csv:
@@ -267,8 +267,9 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
     bqop, digest = _load_bqop(instance_path)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
     if sub.reduced_B.any():
-        lam = dnn.default_lambda(sub, params.lambda_scale)
-        res = bb.bound_node(sub, target, params)
+        prob = dnn.assemble(sub, params.lambda_scale)
+        lam = prob.lam
+        res = dnn.nb_bound(prob, target, params.nb)
     else:
         # Every completion costs exactly offset: the bound is exact.
         lam = None
@@ -351,9 +352,10 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
         seed_list = [int(s) for s in seeds.split(",") if s.strip() != ""]
     except ValueError:
         seed_list = []
-    if not seed_list:
-        raise click.BadParameter(f"{seeds!r} is not a comma-separated list of integers",
-                                 param_hint="'--seeds'")
+    if not seed_list or min(seed_list) < 0:
+        raise click.BadParameter(
+            f"{seeds!r} is not a comma-separated list of non-negative integers",
+            param_hint="'--seeds'")
     params = _params(estimator.EstParams, dict(
         workers=workers, width_threshold=width_threshold, lambda_scale=lambda_scale))
     bqop, digest = _load_bqop(instance_path)

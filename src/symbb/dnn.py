@@ -17,10 +17,10 @@ H the corner selector); that largest zero y* of the distance function
 equals the relaxation value, is approached from above by Newton steps on g,
 and every iterate yields a validated lower bracket through an eigenvalue
 correction.  The distance itself is computed by an accelerated proximal
-gradient (APG) method splitting Q - H y into an approximately-PSD part Y1
-and an exactly nonnegative part Y2.  With a target, APG stops as soon as its
-current nonnegative iterate is certain to prove the target at this Newton
-point.
+gradient (APG) method over exactly nonnegative parts Y2 of Q - H y, whose
+remainder it brings as close to PSD as it can.  With a target, APG stops as
+soon as its current nonnegative iterate is certain to prove the target at
+this Newton point.
 
 Grounding (cited only): Kim, Kojima & Toh, "A Newton-bracketing method for a
 simple conic optimization problem" (Optim. Methods Softw., 2021); Arima, Kim,
@@ -67,12 +67,14 @@ class NbParams:
 
 @dataclass(frozen=True)
 class DnnProblem:
-    """The lifted matrix Q = Q_obj + lam * Q_pen of one subproblem, plus
-    bookkeeping for bound reporting (offset of the integral objective,
-    initial Newton point).  The corner s is the last index."""
+    """The lifted matrix Q = Q_obj + lam * Q_pen of one subproblem and the
+    penalty weight lam it was built with, plus what bound reporting needs:
+    the offset of the integral objective and the initial Newton point.  The
+    corner s is the last index."""
 
     ell: int
     q: np.ndarray
+    lam: float
     offset: int
     y_init: float
 
@@ -81,9 +83,8 @@ class DnnProblem:
 class ConeDistanceResult:
     g: float
     gprime: float
-    y1: np.ndarray
     y2: np.ndarray
-    min_eig_y1: float
+    min_eig: float              # lambda_min(M - Y2)
     stop: str                   # why APG stopped: converged | target | cap | step
     iterations: int
 
@@ -102,16 +103,22 @@ class NbResult:
     trace: tuple = ()
 
 
-def assemble(sub: Subproblem, lam: float) -> DnnProblem:
-    """Build the lifted matrices of order 2*ell + 1 for a subproblem."""
+def assemble(sub: Subproblem, lambda_scale: float) -> DnnProblem:
+    """Build the lifted matrices of order 2*ell + 1 for a subproblem, with
+    penalty weight lam = lambda_scale / ||B(I0,I1)||, the Frobenius norm of
+    the reduced matrix."""
     ell = sub.ell
     if ell == 0:
         raise ValueError("cannot assemble a DNN problem with no free variables")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if lambda_scale <= 0:
+        raise ValueError("lambda_scale must be positive")
+    C = np.asarray(sub.reduced_B, dtype=float)
+    norm = float(np.linalg.norm(C))
+    if norm == 0.0:
+        raise ValueError("reduced matrix is zero; no natural penalty scale")
+    lam = lambda_scale / norm
     d = 2 * ell + 1
     s = d - 1
-    C = np.asarray(sub.reduced_B, dtype=float)
     b = float(sub.residual_m)
 
     q_obj = np.zeros((d, d))
@@ -139,16 +146,8 @@ def assemble(sub: Subproblem, lam: float) -> DnnProblem:
     q_pen[s, iu] += -b
     q_pen[s, s] += b * b
 
-    return DnnProblem(ell=ell, q=q_obj + float(lam) * q_pen,
+    return DnnProblem(ell=ell, q=q_obj + lam * q_pen, lam=lam,
                       offset=sub.offset, y_init=initial_upper(sub))
-
-
-def default_lambda(sub: Subproblem, scale: float = 1e8) -> float:
-    """scale divided by the Frobenius norm of the reduced matrix."""
-    norm = float(np.linalg.norm(np.asarray(sub.reduced_B, dtype=float)))
-    if norm == 0.0:
-        raise ValueError("reduced matrix is zero; no natural penalty scale")
-    return scale / norm
 
 
 def initial_upper(sub: Subproblem) -> float:
@@ -159,6 +158,16 @@ def initial_upper(sub: Subproblem) -> float:
     return float(y @ sub.reduced_B @ y) + 1.0
 
 
+def _distance(wneg: np.ndarray, V: np.ndarray) -> tuple[float, float]:
+    """g = ||negpart(X)|| and its derivative g' in y, from the eigenpairs
+    (w, V) of X = M - Y2 with wneg = min(w, 0) and M = Q - y H: the negative
+    part is V diag(wneg) V^T, so g = ||wneg|| and g' = -sum_i wneg_i V[-1,
+    i]^2 / g, its corner entry over g.  g' is 0 where g is."""
+    g = math.sqrt(float(np.sum(wneg * wneg)))
+    gprime = -float(wneg @ (V[-1] * V[-1])) / g if g > 0 else 0.0
+    return g, gprime
+
+
 def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
                   warm_start: np.ndarray | None = None,
                   eig_target: float | None = None,
@@ -167,11 +176,11 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
 
     Minimizes 0.5 * || negpart(M - Y2) ||^2 over entrywise-nonnegative Y2 by
     APG (projection gradient, Lipschitz constant 1 and so step 1, Nesterov
-    momentum with adaptive restart).  The returned decomposition keeps Y2 >= 0
-    exact and Y1 = PSD projection of M - Y2, so that g = ||M - Y1 - Y2||;
-    min_eig_y1 is the raw minimum eigenvalue of M - Y2 used by the validated
-    bracket, and gprime is the derivative of g in y where M = Q - y H, H the
-    selector of the last diagonal entry.
+    momentum with adaptive restart).  The returned Y2 >= 0 is exact; with Y1
+    the PSD part of M - Y2, g = ||M - Y1 - Y2|| and its derivative gprime in
+    y, where M = Q - y H and H selects the last diagonal entry, come from the
+    eigenpairs of M - Y2 (``_distance``), and min_eig = lambda_min(M - Y2)
+    feeds the validated bracket.
 
     ``stop`` says why APG stopped: ``converged`` (relative objective change
     below ``rel_tol``), ``cap`` (``max_iter`` reached), ``target`` or
@@ -180,16 +189,15 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     >= lambda_min(M - Z) - ||Y_new - Z||_F, and lambda_min(M - Z) comes from
     the iteration's own eigendecomposition.  APG stops with Y2 = Y_new once
     that bound reaches ``eig_target``.  The exit only decides when to stop:
-    min_eig_y1 is still taken from the final eigendecomposition of M - Y2.
+    min_eig is still taken from the final eigendecomposition of M - Y2.
 
     With ``prune_step``, the Newton step that would land exactly on the prune
     level, every ``STEP_CHECK_EVERY``-th iteration whose momentum point Z is
-    entrywise nonnegative reads the Newton step g / g' of the feasible
-    decomposition (Z, PSD part of M - Z) from its own eigendecomposition: g =
-    sqrt(2 f(Z)) and g' = -sum_i min(w_i, 0) V[-1, i]^2 / g.  APG stops with
-    Y2 = Z once g' >= ``DPRIME_FLOOR``, the step differs from ``prune_step``
-    by at least ``STEP_MARGIN`` and it moved by at most ``STEP_SETTLED``
-    since the previous reading.  No extra eigendecomposition is made.
+    entrywise nonnegative reads the Newton step g / g' of Y2 = Z from its own
+    eigendecomposition, by ``_distance``.  APG stops with Y2 = Z once g' >=
+    ``DPRIME_FLOOR``, the step differs from ``prune_step`` by at least
+    ``STEP_MARGIN`` and it moved by at most ``STEP_SETTLED`` since the
+    previous reading.  No extra eigendecomposition is made.
     """
     M = np.asarray(M, dtype=float)
     Y = np.zeros_like(M) if warm_start is None else warm_start.copy()
@@ -215,9 +223,8 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
             stop = "target"
             break
         if prune_step is not None and iterations % STEP_CHECK_EVERY == 0 and \
-                f_z > 0.0 and np.all(Z >= 0.0):
-            g = math.sqrt(2.0 * f_z)
-            gprime = -float(wneg @ (V[-1] * V[-1])) / g
+                np.all(Z >= 0.0):
+            g, gprime = _distance(wneg, V)
             if gprime >= DPRIME_FLOOR:
                 step = g / gprime
                 if abs(step - prune_step) >= STEP_MARGIN and \
@@ -242,16 +249,10 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
         t = t_new
         f_prev = f_z
 
-    X = M - Y
-    w, V = np.linalg.eigh(X)
-    wpos = np.maximum(w, 0.0)
-    Y1 = (V * wpos) @ V.T
-    R = X - Y1
-    g = float(np.linalg.norm(R))
-    gprime = -float(R[-1, -1]) / g if g > 0 else 0.0
-    return ConeDistanceResult(g=g, gprime=gprime, y1=Y1, y2=Y,
-                              min_eig_y1=float(w[0]), stop=stop,
-                              iterations=iterations)
+    w, V = np.linalg.eigh(M - Y)
+    g, gprime = _distance(np.minimum(w, 0.0), V)
+    return ConeDistanceResult(g=g, gprime=gprime, y2=Y, min_eig=float(w[0]),
+                              stop=stop, iterations=iterations)
 
 
 def _safe_ceil(value: float) -> int:
@@ -264,13 +265,11 @@ def nb_bound(prob: DnnProblem, target: float | None,
     """Newton bracketing on the cone-distance function.
 
     Maintains a validated lower bracket ``a`` (running maximum of eigenvalue
-    corrected iterates) and an upper value ``b`` (running minimum of Newton
-    iterates whose APG solve converged, and of the landing point of the exit
-    below).  With a target, terminates early with Pruned once the integer
-    lower bound reaches the target, or Branchable once ``b`` lies below the
-    prune level.  Only ``a`` is a bound: after an inexact landing ``b`` may
-    sit below the relaxation value y*, and it then says only where the node
-    was decided.
+    corrected iterates) and an upper value ``b`` (running minimum of the
+    Newton points whose APG solve converged).  With a target, terminates
+    early with Pruned once the integer lower bound reaches the target, or
+    Branchable at the first new Newton point below the prune level.  Only
+    ``a`` is a bound.
 
     The correction: let M = Q - y H, Y2 >= 0 the APG iterate and z = (u, 1 -
     u, 1) the lift of any feasible binary completion.  Exactly one of u_j,
@@ -283,44 +282,33 @@ def nb_bound(prob: DnnProblem, target: float | None,
     and ``a`` takes this with an explicit roundoff slack subtracted from
     lambda_min, so it bounds every feasible completion directly.
 
-    The target-aware exit: with a target, the smallest ``a`` that prunes is
+    The target exit: with a target, the smallest ``a`` that prunes is
     ``a_need``, set a margin above the boundary of ``_safe_ceil``.  When y >=
     a_need, the corrected bound reaches a_need once lambda_min(M - Y2) >=
     slack + (a_need - y) / (ell + 1), and APG is told to stop once its Weyl
     estimate of lambda_min clears that value plus one more slack, which
     absorbs the roundoff of the final eigendecomposition.  Below a_need no
-    eigenvalue can prune and APG runs to its own stopping rule.  An APG solve
-    stopped this way has not converged and never moves ``b``.
+    eigenvalue can prune and APG runs to its own stopping rule.
 
     The step exit: with a target, APG gets ``prune_step = y - a_need``, the
     Newton step that lands exactly on the prune level, and may stop once the
     step of a feasible iterate is settled at least ``STEP_MARGIN`` away from
-    it, on either side.  Such a solve has not pruned at y; the rest of it
-    would only refine the next Newton point, and the settled step already
-    places that point at least ``STEP_MARGIN`` above or below the prune
-    level.  Above it: if that point is at or below y*, g is zero there and
-    the target exit has at least STEP_MARGIN / (ell + 1) of slack in
-    lambda_min; if it is above y*, Newton continues from above as after any
-    other solve.  Below it, the landing exit ends the node.  A ``step`` solve
-    has not converged, so, as after ``cap``, it never moves ``b`` by itself.
-    Untargeted calls never pass a ``prune_step``.
+    it, on either side.  The rest of the solve would only refine the next
+    Newton point.  Above the prune level, that point is either at or below
+    y*, where the target exit has at least STEP_MARGIN / (ell + 1) of slack
+    in lambda_min, or above y*, where Newton continues as after any solve;
+    below it, the Branchable check ends the node.  Untargeted calls never
+    pass a ``prune_step``.
 
-    The landing exit: with a target, any Newton step whose landing point
-    y_new has ``_safe_ceil(y_new + offset)`` below the target ends the
-    bracketing as Branchable, with ``b = min(b, y_new)``, whether the APG
-    solve before it converged, capped or stopped by ``step``; g is not
-    evaluated at y_new.  Once y is below the prune level, bracketing could
-    only end Branchable: no earlier ``a`` reached the prune level and every
-    later one is at most its own y; a converged solve there sets ``b = y``,
-    whether or not y is above y*; a capped solve steps lower; only the
-    ``G_FLOOR`` bisection could climb back above the prune level.  So the
-    exit gives the node the verdict the remaining solves would give it,
-    without them.  After a converged solve the landing is at or above y* (g
-    is convex, and the ``y_new <= a`` safeguard only raises y_new); after an
-    inexact one it may sit below y*, which is why the lower side of the step
-    exit keeps ``STEP_MARGIN`` too.  ``iterations`` still counts the
-    ``cone_distance`` calls, and the last trace row is the last point
-    evaluated, so its ``y`` lies above the returned ``b``.
+    The Branchable check: with a target, every new Newton point y, after a
+    Newton step or either bisection, with ``_safe_ceil(y + offset)`` below
+    the target ends the bracketing as Branchable with ``b = min(b, y)``; g
+    is not evaluated there.  No ``a`` from a point below the prune level can
+    prune, as each is at most its own y.  Branching is always sound, and
+    after an inexact solve the point may sit below y*, so ``b`` then says
+    only where the node was decided.  A ``y_init`` below the prune level is
+    still solved once.  Only converged solves move ``b`` otherwise, and the
+    last trace row is the last point evaluated.
     """
     Q = prob.q
     d = Q.shape[0]
@@ -350,19 +338,15 @@ def nb_bound(prob: DnnProblem, target: float | None,
         res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
                             prune_step=prune_step)
         warm = res.y2
-        a = max(a, y + norm_factor * min(0.0, res.min_eig_y1 - eig_slack))
+        a = max(a, y + norm_factor * min(0.0, res.min_eig - eig_slack))
         if res.converged:
             b = min(b, y)
         trace.append({"k": k, "y": y, "a": a, "b": b, "g": res.g,
                       "gprime": res.gprime, "apg_iterations": res.iterations,
                       "apg_stop": res.stop})
-        if target is not None:
-            if _safe_ceil(a + prob.offset) >= target:
-                status = "Pruned"
-                break
-            if _safe_ceil(b + prob.offset) < target:
-                status = "Branchable"
-                break
+        if target is not None and _safe_ceil(a + prob.offset) >= target:
+            status = "Pruned"
+            break
         if b - a <= params.gap_tol * max(1.0, abs(b)):
             status = "Converged"
             break
@@ -371,18 +355,16 @@ def nb_bound(prob: DnnProblem, target: float | None,
         # a — a small nonzero g with a tiny derivative can sit well above y*.
         if res.gprime >= DPRIME_FLOOR:
             y_new = y - res.g / res.gprime
-            if math.isfinite(a) and y_new <= a:
-                y_new = 0.5 * (a + y)
-            if target is not None and _safe_ceil(y_new + prob.offset) < target:
-                b = min(b, y_new)
-                status = "Branchable"
-                break
-            y = y_new
+            y = 0.5 * (a + y) if math.isfinite(a) and y_new <= a else y_new
         elif res.g <= G_FLOOR * max(1.0, float(np.linalg.norm(M))):
             # y is (numerically) at or below y*: move back up inside [y, b].
             y = 0.5 * (y + b)
         else:
             y = 0.5 * (a + y) if math.isfinite(a) else y - max(1.0, abs(y)) * 1e-3
+        if target is not None and _safe_ceil(y + prob.offset) < target:
+            b = min(b, y)
+            status = "Branchable"
+            break
 
     lb_integer = _safe_ceil(a + prob.offset) if math.isfinite(a) else None
     return NbResult(status=status, a=a, b=b, iterations=iterations,

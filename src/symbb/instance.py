@@ -7,7 +7,6 @@ instances in the intended range (including tai256c) fit comfortably.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -163,32 +162,25 @@ def sample_scaled_distribution(
     optimum: int,
     seed: int = 0,
     bins: int = 50,
-    exhaustive: bool = False,
 ) -> ScaledDistribution:
     """Scaled values (obj - optimum)/|optimum| over feasible supports.
 
     Supports are drawn uniformly over the m-subsets of {1..n}; each sample's
     RNG stream is derived from (seed, sample index) so the result is
-    deterministic regardless of evaluation order.  With ``exhaustive`` every
-    m-subset is enumerated instead (small n only).
+    deterministic regardless of evaluation order.
     """
     if optimum == 0:
         raise InstanceError("optimum must be nonzero for scaling")
     if inst.m > inst.n:
         raise InstanceError("m exceeds n")
+    if count < 1:
+        raise InstanceError("sample count must be positive")
     B = inst.B
     vals = []
-    if exhaustive:
-        for support in itertools.combinations(range(inst.n), inst.m):
-            idx = np.array(support)
-            vals.append(int(B[np.ix_(idx, idx)].sum()))
-    else:
-        if count < 1:
-            raise InstanceError("sample count must be positive")
-        for i in range(count):
-            rng = np.random.default_rng([seed, i])
-            idx = rng.choice(inst.n, size=inst.m, replace=False)
-            vals.append(int(B[np.ix_(idx, idx)].sum()))
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        idx = rng.choice(inst.n, size=inst.m, replace=False)
+        vals.append(int(B[np.ix_(idx, idx)].sum()))
     scaled = (np.array(vals, dtype=np.float64) - optimum) / abs(optimum)
     probs, edges = np.histogram(scaled, bins=bins)
     probs = probs / scaled.size
@@ -219,23 +211,3 @@ def bqop_from_json(text: str) -> BqopInstance:
     B = np.zeros((n, n), dtype=np.int64)
     B[np.tril_indices(n)] = tri
     return BqopInstance(n=n, B=B + np.tril(B, -1).T, m=m)
-
-
-def parse_solution(text: str, n: int) -> np.ndarray:
-    """Parse a solution file: either one line of n characters '0'/'1', or a
-    whitespace-separated list of 1-based support indices."""
-    tokens = text.split()
-    if not tokens:
-        raise InstanceError("empty solution file")
-    if len(tokens) == 1 and len(tokens[0]) == n and set(tokens[0]) <= {"0", "1"}:
-        return np.array([int(c) for c in tokens[0]], dtype=np.int64)
-    x = np.zeros(n, dtype=np.int64)
-    for tok in tokens:
-        try:
-            i = int(tok)
-        except ValueError:
-            raise InstanceError(f"non-numeric token {tok!r} in solution file") from None
-        if not (1 <= i <= n):
-            raise InstanceError(f"support index {i} out of range 1..{n}")
-        x[i - 1] = 1
-    return x

@@ -1,4 +1,4 @@
-"""Automorphism groups of symmetric matrices, orbits, and solution expansion.
+"""Automorphism groups of symmetric matrices and their orbits.
 
 The search maps indices one at a time with partition-refinement style
 pruning: sigma(i) = j is admissible only if rows i and j carry identical
@@ -10,9 +10,8 @@ in one step.
 Groups are not enumerated.  Along the identity path, the first leaf below
 each other candidate image j of a pivot represents one coset of the point
 stabilizer of the pivots (McKay & Piperno, "Practical graph isomorphism,
-II", 2014).  A group is stored as these per-level transversals; its order,
-orbits and solution images come from them, and its elements are listed only
-on request.
+II", 2014).  A group is stored as these per-level transversals; its order and
+orbits come from them, and its elements are listed only on request.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class Orbit:
 
 class PermutationGroup:
     """A permutation group on {0..d-1} held as the transversals of a
-    stabilizer chain, with its orbit partition.
+    stabilizer chain.
 
     Permutations are image arrays: ``sigma[i]`` is the image of ``i``.  Each
     transversal is a (k, d) array, and every element is written in exactly one
@@ -64,7 +63,6 @@ class PermutationGroup:
         self.domain_size = domain_size
         self.transversals = tuple(chain)
         self.order = math.prod(U.shape[0] for U in chain)
-        self.orbit_partition = self._compute_orbits()
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -76,29 +74,6 @@ class PermutationGroup:
         E = E[np.lexsort(E.T[::-1])]
         E.setflags(write=False)
         return E
-
-    def _compute_orbits(self) -> tuple[Orbit, ...]:
-        # The transversals generate the group, so the orbits are the
-        # components of the graph joining i to u[i] for every representative u.
-        d = self.domain_size
-        parent = list(range(d))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for U in self.transversals:
-            for sigma in U.tolist():
-                for i, j in enumerate(sigma):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        buckets: dict[int, list[int]] = {}
-        for i in range(d):
-            buckets.setdefault(find(i), []).append(i)
-        return tuple(Orbit(members=tuple(v)) for _, v in sorted(buckets.items()))
 
 
 def candidates(S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -193,38 +168,29 @@ def automorphisms(B) -> PermutationGroup:
     return PermutationGroup(domain_size=d, transversals=transversals)
 
 
-def orbits(group: PermutationGroup, domain) -> tuple[Orbit, ...]:
-    """Partition ``domain`` (a subset of the group's domain) into orbits,
-    returned sorted by representative.  The domain must be group-invariant."""
-    domain = sorted(int(i) for i in domain)
-    dset = set(domain)
-    if not dset <= set(range(group.domain_size)):
-        raise ValueError("domain contains indices outside the group's domain")
-    result = []
-    for orb in group.orbit_partition:
-        inter = [i for i in orb.members if i in dset]
-        if not inter:
-            continue
-        if len(inter) != len(orb.members):
-            raise ValueError("domain is not invariant under the group")
-        result.append(orb)
-    return tuple(sorted(result, key=lambda o: o.representative))
+def orbits(group: PermutationGroup) -> tuple[Orbit, ...]:
+    """The orbits of the group on its whole domain, sorted by representative.
+    The transversals generate the group, so the orbits are the components of
+    the graph joining i to u[i] for every representative u."""
+    d = group.domain_size
+    parent = list(range(d))
 
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-def expand_solution(group: PermutationGroup, x) -> list[np.ndarray]:
-    """The distinct images x o sigma of x under the group, sorted
-    lexicographically.
-
-    Since sigma = u_1 o ... o u_t, the images are built one transversal at a
-    time, keeping only the distinct ones after each, so no step holds more
-    rows than the orbit of x times one transversal."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.size != group.domain_size:
-        raise ValueError("dimension mismatch")
-    images = x[None, :]
     for U in group.transversals:
-        images = np.unique(images[:, U].reshape(-1, x.size), axis=0)
-    return list(images)
+        for sigma in U.tolist():
+            for i, j in enumerate(sigma):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    buckets: dict[int, list[int]] = {}
+    for i in range(d):
+        buckets.setdefault(find(i), []).append(i)
+    return tuple(Orbit(members=tuple(v)) for _, v in sorted(buckets.items()))
 
 
 def group_to_json_obj(group: PermutationGroup, element_cap: int = 1_000_000) -> dict:

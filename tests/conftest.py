@@ -122,6 +122,42 @@ def to_penalty_qubo(inst: BqopInstance, lam) -> tuple[np.ndarray, int]:
     return Q, lam * m * m
 
 
+def parse_solution(text: str, n: int) -> np.ndarray:
+    """Parse a solution file: either one line of n characters '0'/'1', or a
+    whitespace-separated list of 1-based support indices."""
+    tokens = text.split()
+    if not tokens:
+        raise InstanceError("empty solution file")
+    if len(tokens) == 1 and len(tokens[0]) == n and set(tokens[0]) <= {"0", "1"}:
+        return np.array([int(c) for c in tokens[0]], dtype=np.int64)
+    x = np.zeros(n, dtype=np.int64)
+    for tok in tokens:
+        try:
+            i = int(tok)
+        except ValueError:
+            raise InstanceError(f"non-numeric token {tok!r} in solution file") from None
+        if not (1 <= i <= n):
+            raise InstanceError(f"support index {i} out of range 1..{n}")
+        x[i - 1] = 1
+    return x
+
+
+def expand_solution(group, x) -> list[np.ndarray]:
+    """The distinct images x o sigma of x under a PermutationGroup, sorted
+    lexicographically.
+
+    Since sigma = u_1 o ... o u_t, the images are built one transversal at a
+    time, keeping only the distinct ones after each, so no step holds more
+    rows than the orbit of x times one transversal."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.size != group.domain_size:
+        raise ValueError("dimension mismatch")
+    images = x[None, :]
+    for U in group.transversals:
+        images = np.unique(images[:, U].reshape(-1, x.size), axis=0)
+    return list(images)
+
+
 # --- oracles ---------------------------------------------------------------
 
 def brute_optimum(inst):

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from symbb.bb import BbParams, solve_target
-from symbb.dnn import (ApgParams, NbParams, assemble, cone_distance,
-                       default_lambda, nb_bound)
+from symbb.dnn import ApgParams, NbParams, assemble, cone_distance, nb_bound
 from symbb.estimator import EstParams, estimate
-from symbb.instance import parse_qaplib, parse_solution, qap_to_bqop
+from symbb.instance import parse_qaplib, qap_to_bqop
 from symbb.subproblem import FixSets, reduce, subgroup
-from symbb.symmetry import automorphisms, expand_solution, orbits
+from symbb.symmetry import automorphisms, orbits
 from tests.conftest import (alternating_projection_distance, brute_optimum,
-                            planted_bqop, random_bqop, soundness_instance)
+                            expand_solution, parse_solution, planted_bqop,
+                            random_bqop, soundness_instance)
 
 BEST_KNOWN = 44_759_294
 
@@ -60,7 +60,7 @@ class TestCriterion2:
         inst = _tai256c()
         sub = reduce(inst, FixSets(i0=(), i1=(0,)))
         grp = subgroup(sub)
-        orbs = orbits(grp, range(sub.ell))
+        orbs = orbits(grp)
         assert len(orbs) == 44
         sizes = sorted(o.size for o in orbs)
         assert sizes == [1, 2] + [4] * 21 + [8] * 21
@@ -77,7 +77,7 @@ class TestCriterion3:
     def test_root_lagrangian_bound(self):
         inst = _tai256c()
         sub = reduce(inst, FixSets(i0=(), i1=(0,)))
-        prob = assemble(sub, default_lambda(sub))
+        prob = assemble(sub, 1e8)
         res = nb_bound(prob, None, NbParams())
         lb = res.a + sub.offset
         assert abs(lb - 43_881_304) <= 0.005 * 43_881_304

@@ -14,7 +14,7 @@ from symbb.dnn import ApgParams, NbParams
 from symbb.estimator import EstParams, estimate
 from symbb.instance import BqopInstance, objective
 from symbb.subproblem import FixSets, reduce, solve_exactly, subgroup
-from symbb.symmetry import Orbit, PermutationGroup, automorphisms
+from symbb.symmetry import Orbit, PermutationGroup, automorphisms, orbits
 from tests.conftest import (brute_optimum, brute_sub_optimum, planted_bqop,
                             random_bqop, torus_matrix)
 
@@ -110,8 +110,7 @@ class TestOrbitChoice:
         sub = reduce(bqop6, FixSets(i0=(), i1=(0,)))
         grp = subgroup(sub)
         orb = choose_orbit(sub, grp)
-        from symbb.symmetry import orbits
-        orbs = orbits(grp, range(sub.ell))
+        orbs = orbits(grp)
         scores = orbit_scores(sub, orbs)
         assert scores[orbs.index(orb)] == max(scores)
 
@@ -144,8 +143,9 @@ class TestBranch:
         # child and the fix-first-variable child.
         sub = reduce(bqop6, FixSets((), ()))
         grp = PermutationGroup(6, [[np.roll(np.arange(6), s) for s in range(6)]])
-        if len(grp.orbit_partition) == 1:
-            c0, c1 = branch(sub.fix, grp.orbit_partition[0], sub.free)
+        orbs = orbits(grp)
+        if len(orbs) == 1:
+            c0, c1 = branch(sub.fix, orbs[0], sub.free)
             assert c0.i0 == tuple(range(6))
             assert c1.i1 == (0,)
 

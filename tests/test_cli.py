@@ -378,7 +378,7 @@ class TestEstimate:
         assert data["config"]["params"]["width_threshold"] == 1000
 
 
-    @pytest.mark.parametrize("seeds", ["", ",", "a,b", "1.5"])
+    @pytest.mark.parametrize("seeds", ["", ",", "a,b", "1.5", "-1", "0,-1"])
     def test_bad_seeds_exit_1(self, runner, bqop_file, seeds):
         path, _ = bqop_file
         result = runner.invoke(main, ["estimate", "--instance", str(path),

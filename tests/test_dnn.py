@@ -8,8 +8,9 @@ import pytest
 
 from symbb import bb, dnn
 from symbb.bb import BbParams, solve_target
-from symbb.dnn import (STEP_MARGIN, ApgParams, NbParams, _safe_ceil, assemble,
-                       cone_distance, default_lambda, initial_upper, nb_bound)
+from symbb.dnn import (DPRIME_FLOOR, STEP_MARGIN, ApgParams, ConeDistanceResult,
+                       NbParams, _safe_ceil, assemble, cone_distance,
+                       initial_upper, nb_bound)
 from symbb.instance import BqopInstance
 from symbb.subproblem import FixSets, reduce
 from tests.conftest import (alternating_projection_distance, brute_optimum,
@@ -36,7 +37,7 @@ def suite_problems():
             sub = reduce(inst, fix)
             if not sub.reduced_B.any() or not 0 < sub.residual_m < sub.ell:
                 continue
-            prob = assemble(sub, default_lambda(sub))
+            prob = assemble(sub, 1e8)
             yield prob, opt
             yield prob, opt + 1
 
@@ -59,15 +60,14 @@ class TestAssemble:
     def test_closed_form_at_origin(self):
         # u = v = 0, s = 1: objective 0, penalty ell + b^2.
         sub = open_sub()
-        lam = 7.0
-        prob = assemble(sub, lam)
+        prob = assemble(sub, 7.0)
         val = lifted_form(prob, np.zeros(sub.ell), np.zeros(sub.ell), 1.0)
-        assert val == pytest.approx(lam * (sub.ell + sub.residual_m ** 2))
+        assert val == pytest.approx(prob.lam * (sub.ell + sub.residual_m ** 2))
 
     def test_matches_direct_penalty_evaluation(self):
         sub = open_sub(seed=3)
-        lam = 2.25
-        prob = assemble(sub, lam)
+        prob = assemble(sub, 2.25)
+        lam = prob.lam
         rng = np.random.default_rng(1)
         for _ in range(20):
             u = rng.uniform(0, 2, sub.ell)
@@ -97,23 +97,24 @@ class TestAssemble:
 
 
 class TestDefaultLambda:
+    """The penalty weight assemble derives: lambda_scale / ||B(I0,I1)||."""
+
     def test_arithmetic(self):
         sub = open_sub()
         norm = float(np.linalg.norm(sub.reduced_B.astype(float)))
-        assert default_lambda(sub) == pytest.approx(1e8 / norm)
+        assert assemble(sub, 1e8).lam == pytest.approx(1e8 / norm)
 
     def test_homogeneity(self):
         sub = open_sub()
         scaled = reduce(
             type(sub.inst)(n=sub.inst.n, B=3 * sub.inst.B, m=sub.inst.m),
             sub.fix)
-        assert default_lambda(scaled) == pytest.approx(default_lambda(sub) / 3)
+        assert assemble(scaled, 1e8).lam == pytest.approx(assemble(sub, 1e8).lam / 3)
 
     def test_zero_matrix_rejected(self):
-        from symbb.instance import BqopInstance
         inst = BqopInstance(n=4, B=np.zeros((4, 4), dtype=np.int64), m=2)
-        with pytest.raises(ValueError):
-            default_lambda(reduce(inst, FixSets((), ())))
+        with pytest.raises(ValueError, match="zero"):
+            assemble(reduce(inst, FixSets((), ())), 1e8)
 
 
 def test_initial_upper_exceeds_optimum():
@@ -152,8 +153,11 @@ class TestConeDistance:
         M = M + M.T
         res = cone_distance(M)
         assert np.all(res.y2 >= 0)
-        assert np.linalg.norm(M - res.y1 - res.y2) == pytest.approx(res.g, abs=1e-8)
-        assert np.min(np.linalg.eigvalsh(res.y1)) >= -1e-9 * max(1, np.linalg.norm(M))
+        w, V = np.linalg.eigh(M - res.y2)
+        y1 = (V * np.maximum(w, 0.0)) @ V.T
+        assert np.linalg.norm(M - y1 - res.y2) == pytest.approx(res.g, abs=1e-8)
+        assert np.min(np.linalg.eigvalsh(y1)) >= -1e-9 * max(1, np.linalg.norm(M))
+        assert res.min_eig == pytest.approx(w[0])
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(22)
@@ -188,7 +192,7 @@ class TestConeDistance:
         # unconverged).  A converged APG solve may not report more; it
         # reports 4562.5 after 8 iterations.
         sub = reduce(soundness_instance(0), FixSets((), (0,)))
-        prob = assemble(sub, default_lambda(sub))
+        prob = assemble(sub, 1e8)
         M = prob.q.copy()
         M[-1, -1] -= prob.y_init
         res = cone_distance(M)
@@ -221,7 +225,7 @@ class TestNbBound:
         for seed in range(4):
             sub = open_sub(seed=seed, n=8, m=4)
             opt = brute_sub_optimum(sub)
-            prob = assemble(sub, default_lambda(sub))
+            prob = assemble(sub, 1e8)
             res = nb_bound(prob, None, FAST_NB)
             assert res.a + sub.offset <= opt + 1e-6
             assert res.status == "Converged"
@@ -230,7 +234,7 @@ class TestNbBound:
 
     def test_monotone_brackets(self):
         sub = open_sub(seed=7)
-        prob = assemble(sub, default_lambda(sub))
+        prob = assemble(sub, 1e8)
         res = nb_bound(prob, None, FAST_NB)
         a_seq = [rec["a"] for rec in res.trace]
         b_seq = [rec["b"] for rec in res.trace]
@@ -240,22 +244,23 @@ class TestNbBound:
 
     def test_pruned_at_low_target(self):
         sub = open_sub(seed=1)
-        prob = assemble(sub, default_lambda(sub))
+        prob = assemble(sub, 1e8)
         res = nb_bound(prob, -10 ** 9, FAST_NB)
         assert res.status == "Pruned"
         assert res.iterations == 1
 
     def test_branchable_at_unreachable_target(self):
         sub = open_sub(seed=1)
-        prob = assemble(sub, default_lambda(sub))
+        prob = assemble(sub, 1e8)
         ub = initial_upper(sub)
         res = nb_bound(prob, int(ub + 10 ** 6), FAST_NB)
         assert res.status == "Branchable"
+        assert res.iterations == 1
 
     def test_integer_bound_matches_optimum(self):
         sub = open_sub(seed=11, n=10, m=5)
         opt = brute_sub_optimum(sub)
-        prob = assemble(sub, default_lambda(sub))
+        prob = assemble(sub, 1e8)
         res = nb_bound(prob, None, FAST_NB)
         assert res.lb_integer is not None
         assert res.lb_integer <= opt
@@ -264,14 +269,14 @@ class TestNbBound:
         sub = open_sub(seed=2)
         finals = []
         for scale in (1e2, 1e4, 1e6, 1e8):
-            prob = assemble(sub, default_lambda(sub, scale))
+            prob = assemble(sub, scale)
             finals.append(nb_bound(prob, None, FAST_NB).a)
         for lo, hi in zip(finals, finals[1:]):
             assert hi >= lo - 1e-6 * max(1.0, abs(hi))
 
     def test_g_nonnegative_and_zero_below_a(self):
         sub = open_sub(seed=4)
-        prob = assemble(sub, default_lambda(sub))
+        prob = assemble(sub, 1e8)
         res = nb_bound(prob, None, FAST_NB)
         M = prob.q.copy()
         M[-1, -1] -= res.a - 5.0
@@ -280,7 +285,7 @@ class TestNbBound:
 
     def test_g_convex_above_bracket(self):
         sub = open_sub(seed=4)
-        prob = assemble(sub, default_lambda(sub))
+        prob = assemble(sub, 1e8)
         res = nb_bound(prob, None, FAST_NB)
 
         def g_at(y):
@@ -298,8 +303,8 @@ class TestLiftNorm:
         rng = np.random.default_rng(12)
         inst = random_bqop(rng, 9, 4)
         sub = reduce(inst, FixSets(i0=(3,), i1=(0,)))
-        lam = default_lambda(sub)
-        prob = assemble(sub, lam)
+        prob = assemble(sub, 1e8)
+        lam = prob.lam
         C = sub.reduced_B
         for support in itertools.combinations(range(sub.ell), sub.residual_m):
             u = np.zeros(sub.ell)
@@ -322,7 +327,7 @@ class TestTargetExit:
             M = rng.normal(0, 3, (d, d))
             M = M + M.T
             full = cone_distance(M)
-            eig_target = full.min_eig_y1 - 0.1 * abs(full.min_eig_y1)
+            eig_target = full.min_eig - 0.1 * abs(full.min_eig)
             res = cone_distance(M, eig_target=eig_target)
             assert res.iterations <= full.iterations
             if res.stop != "target":
@@ -332,7 +337,7 @@ class TestTargetExit:
             assert np.all(res.y2 >= 0)
             exact = np.linalg.eigvalsh(M - res.y2)[0]
             assert exact >= eig_target - eig_slack(M)
-            assert res.min_eig_y1 >= eig_target - eig_slack(M)
+            assert res.min_eig >= eig_target - eig_slack(M)
         assert stopped >= 10
 
     def test_suite_subproblems(self, monkeypatch):
@@ -365,9 +370,30 @@ class TestTargetExit:
 
 
 class TestLandingExit:
-    """A targeted nb_bound ends Branchable where a Newton step lands below
-    the prune level, whatever stopped the APG solve before it, without
-    evaluating g there."""
+    """A targeted nb_bound ends Branchable at the first new Newton point
+    below the prune level, whether a Newton step or a bisection made it and
+    whatever stopped the APG solve before it, without evaluating g there."""
+
+    def test_bisection_point_below_prune_level(self, monkeypatch):
+        """A solve with g' below DPRIME_FLOOR and a far below the prune level
+        bisects toward a; the bisection point ends the node at once."""
+        prob = assemble(open_sub(seed=1), 1e8)
+        calls = []
+
+        def flat(M, *args, **kwargs):
+            calls.append(M)
+            return ConeDistanceResult(g=1.0, gprime=0.5 * DPRIME_FLOOR,
+                                      y2=np.zeros_like(M), min_eig=-1e6,
+                                      stop="cap", iterations=1)
+
+        monkeypatch.setattr(dnn, "cone_distance", flat)
+        target = math.floor(prob.y_init) + prob.offset
+        res = nb_bound(prob, target, FAST_NB)
+        assert res.status == "Branchable"
+        assert res.iterations == len(calls) == 1
+        a = res.trace[0]["a"]
+        assert _safe_ceil(a + prob.offset) < target
+        assert res.b == 0.5 * (a + prob.y_init)
 
     @staticmethod
     def landed(res):
@@ -400,7 +426,7 @@ class TestLandingExit:
         inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
         assert solve_target(inst, 160, BbParams(nb=FAST_NB)).outcome == "Proved"
         landings = [res for res in results if self.landed(res)]
-        # Every node this proof branches on is decided by the landing exit.
+        # Every node this proof branches on is decided by the Branchable check.
         branched = [res for res in results if res.status == "Branchable"]
         assert len(landings) == len(branched) == 85
 

@@ -170,14 +170,16 @@ class TestSharedMemo:
 
     @staticmethod
     def count_bounds(monkeypatch):
+        """The fix sets of the subproblems the engine assembles, one per
+        bound."""
         bounded = []
-        real = bb.bound_node
+        real = bb.assemble
 
-        def counting(sub, target, params):
+        def counting(sub, lambda_scale):
             bounded.append(sub.fix)
-            return real(sub, target, params)
+            return real(sub, lambda_scale)
 
-        monkeypatch.setattr(bb, "bound_node", counting)
+        monkeypatch.setattr(bb, "assemble", counting)
         return bounded
 
     def test_each_distinct_node_bounded_once(self, monkeypatch):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from symbb.instance import (BqopInstance, InstanceError, QapInstance,
                             bqop_from_json, bqop_to_json, objective,
-                            parse_qaplib, parse_solution, qap_to_bqop,
+                            parse_qaplib, qap_to_bqop,
                             sample_scaled_distribution)
-from tests.conftest import (brute_optimum, format_qaplib, random_bqop,
-                            to_penalty_qubo)
+from tests.conftest import (brute_optimum, format_qaplib, parse_solution,
+                            random_bqop, to_penalty_qubo)
 
 
 def small_qap(n=4, support=(0, 2)):
@@ -159,18 +159,13 @@ class TestSampling:
         c = sample_scaled_distribution(bqop6, 200, optimum=50, seed=4)
         assert not np.array_equal(a.values, c.values)
 
-    def test_exhaustive_mean(self, bqop6):
-        opt = brute_optimum(bqop6)
-        dist = sample_scaled_distribution(bqop6, 0, optimum=opt, exhaustive=True)
-        vals = [int(bqop6.B[np.ix_(np.array(s), np.array(s))].sum())
-                for s in itertools.combinations(range(6), 3)]
-        exact_mean = float(np.mean([(v - opt) / abs(opt) for v in vals]))
-        assert dist.values.size == 20
-        assert dist.mean == pytest.approx(exact_mean)
-
     def test_optimum_scales_to_zero(self, bqop6):
+        # 200 samples with seed 0 draw every one of the 20 supports.
+        supports = {frozenset(np.random.default_rng([0, i]).choice(6, 3, replace=False))
+                    for i in range(200)}
+        assert len(supports) == 20
         opt = brute_optimum(bqop6)
-        dist = sample_scaled_distribution(bqop6, 0, optimum=opt, exhaustive=True)
+        dist = sample_scaled_distribution(bqop6, 200, optimum=opt, seed=0)
         assert dist.values.min() == pytest.approx(0.0)
 
     def test_zero_optimum_rejected(self, bqop6):

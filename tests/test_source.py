@@ -1,0 +1,44 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "symbb"
+
+
+def unread_definitions(src: Path = SRC) -> list[str]:
+    """The undecorated top-level functions and classes of ``src/*.py`` that
+    no code there reads, by name or as an attribute, outside their own
+    definition.  Decorated definitions (dataclasses, click commands) are
+    reached through their decorator and are left out."""
+    defined = {}
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if not top.decorator_list:
+                    defined[top.name] = f"{path.name}:{top.lineno} {top.name}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
+def test_every_top_level_definition_has_a_reader():
+    # Code that only tests call belongs in tests/.
+    assert unread_definitions() == []
+
+
+def test_guard_sees_an_unread_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def unused():\n    return unused() + used()\n")
+    assert unread_definitions(tmp_path) == ["a.py:5 unused"]

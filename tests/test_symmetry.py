@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from symbb.symmetry import (GroupTooLargeError, PermutationGroup,
-                            automorphisms, candidates, expand_solution,
-                            first_leaf, group_to_json_obj, orbit_report_rows,
-                            orbits)
-from tests.conftest import (brute_automorphisms, planted_bqop,
+                            automorphisms, candidates, first_leaf,
+                            group_to_json_obj, orbit_report_rows, orbits)
+from tests.conftest import (brute_automorphisms, expand_solution, planted_bqop,
                             planted_rotation, torus_matrix, torus_symmetries)
 
 
@@ -22,8 +21,7 @@ class TestAutomorphisms:
     def test_zero_matrix_full_symmetric_group(self):
         group = automorphisms(np.zeros((3, 3), dtype=np.int64))
         assert group.order == 6
-        assert len(group.orbit_partition) == 1
-        assert group.orbit_partition[0].members == (0, 1, 2)
+        assert [o.members for o in orbits(group)] == [(0, 1, 2)]
 
     def test_weighted_cycle_dihedral(self, cycle6):
         group = automorphisms(cycle6)
@@ -77,13 +75,13 @@ class TestAutomorphisms:
         assert group.order == 8 * k * k
         assert {tuple(s) for s in group.elements} == \
             {tuple(s) for s in torus_symmetries(k)}
-        assert [o.members for o in group.orbit_partition] == \
+        assert [o.members for o in orbits(group)] == \
             reachability_orbits(group.elements)
 
     def test_order_beyond_int64(self, two_pairs24):
         group = automorphisms(two_pairs24.B)
         assert group.order == 9_731_608_032_706_560_000 > 2 ** 63
-        assert [o.members for o in group.orbit_partition] == \
+        assert [o.members for o in orbits(group)] == \
             [(0, 1), (2, 3), tuple(range(4, 24))]
 
     def test_asymmetric_rejected(self):
@@ -102,30 +100,20 @@ class TestAutomorphisms:
 class TestOrbits:
     def test_trivial_group_singletons(self):
         group = PermutationGroup(4, [])
-        orbs = orbits(group, range(4))
+        orbs = orbits(group)
         assert [o.members for o in orbs] == [(0,), (1,), (2,), (3,)]
 
     def test_partition_matches_reachability(self, cycle6):
         group = automorphisms(cycle6)
         reach = {(i, int(s[i])) for s in group.elements for i in range(6)}
-        for orb in group.orbit_partition:
+        for orb in orbits(group):
             for i in orb.members:
                 for j in orb.members:
                     assert (i, j) in reach
 
     def test_representative_is_min(self, cycle6):
-        for orb in automorphisms(cycle6).orbit_partition:
+        for orb in orbits(automorphisms(cycle6)):
             assert orb.representative == min(orb.members)
-
-    def test_subdomain(self):
-        group = PermutationGroup(4, [[[0, 1, 2, 3], [1, 0, 2, 3]]])
-        orbs = orbits(group, [0, 1])
-        assert [o.members for o in orbs] == [(0, 1)]
-
-    def test_non_invariant_domain_rejected(self):
-        group = PermutationGroup(4, [[[0, 1, 2, 3], [1, 0, 2, 3]]])
-        with pytest.raises(ValueError, match="invariant"):
-            orbits(group, [0, 2])
 
 
 class TestFirstLeaf:
@@ -188,7 +176,7 @@ class TestReports:
         assert min(min(e) for e in obj["elements"]) == 1
 
     def test_orbit_rows(self, cycle6):
-        orbs = automorphisms(cycle6).orbit_partition
+        orbs = orbits(automorphisms(cycle6))
         rows = orbit_report_rows(orbs, scores=[1.5])
         assert rows[0]["members"] == "1 2 3 4 5 6"
         assert rows[0]["size"] == 6
