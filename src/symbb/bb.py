@@ -269,6 +269,11 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
             opt = solve_exactly(sub).value
             assert res.a + sub.offset <= opt, \
                 f"invalid bound at {sub.fix}: {res.a + sub.offset} > {opt}"
+        elif audit and res.iterations == 0:
+            # Decided by a completion below the target: b is its value.
+            opt = solve_exactly(sub).value
+            assert opt <= res.b + sub.offset < target, \
+                f"no completion of {sub.fix} at {res.b + sub.offset} < {target}"
         # Branchable, unresolved Converged, and IterLimit all branch;
         # branching an undecided node is always sound.
         node.pruned = res.status == "Pruned"

@@ -112,7 +112,8 @@ def _apply_overrides(params, overrides: dict, prefix: str = ""):
 
 
 def _write_json(path: str | None, obj: dict):
-    text = json.dumps(obj, indent=1, sort_keys=True)
+    """Strict JSON: a value with no JSON form (NaN, infinity) is an error."""
+    text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
     if path is None:
         click.echo(text)
     else:
@@ -266,25 +267,33 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
         apg=dict(rel_tol=apg_tol, max_iter=apg_max_iter))))
     bqop, digest = _load_bqop(instance_path)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
-    if sub.reduced_B.any():
+    if sub.reduced_B.any() and 0 < sub.residual_m < sub.ell:
         prob = dnn.assemble(sub, params.lambda_scale)
         lam = prob.lam
         res = dnn.nb_bound(prob, target, params.nb)
     else:
-        # Every completion costs exactly offset: the bound is exact.
+        # One completion, or every completion costs the same: the trivial
+        # completion is optimal and the bound is exact.
         lam = None
-        res = dnn.NbResult(status="Exact", a=0.0, b=0.0, iterations=0,
-                           lb_integer=sub.offset)
-    lb = res.a + sub.offset
+        value = dnn.initial_upper(sub) - 1.0
+        res = dnn.NbResult(status="Exact", a=value, b=value, iterations=0,
+                           lb_integer=int(value) + sub.offset)
+    # A targeted bound is skipped when a completion is below the target.
+    lb = res.a + sub.offset if math.isfinite(res.a) else None
     click.echo(f"status: {res.status}")
-    click.echo(f"validated lower bound: {lb}")
+    if lb is None:
+        click.echo("validated lower bound: skipped, a completion is below the target")
+        click.echo(f"completion value: {int(res.b) + sub.offset}")
+    else:
+        click.echo(f"validated lower bound: {lb}")
     if res.lb_integer is not None:
         click.echo(f"integer lower bound: {res.lb_integer}")
     if trace_csv:
         _write_csv(trace_csv, [dict(row) for row in res.trace])
     if json_path:
         payload = {
-            "status": res.status, "a": res.a, "b": res.b, "offset": sub.offset,
+            "status": res.status, "a": res.a if lb is not None else None,
+            "b": res.b, "offset": sub.offset,
             "lower_bound": lb, "integer_lower_bound": res.lb_integer,
             "lambda": lam, "iterations": res.iterations,
             # bound-root reads only these settings of TreeParams.

@@ -121,6 +121,53 @@ def solve_exactly(sub: Subproblem):
     return SolvedLeaf(value=sub.offset + best_val, witness=sub.lift(y))
 
 
+# Random starts of the swap search besides the trivial completion, drawn from
+# a fixed seed so that reruns find the same completion.
+SWAP_STARTS = 3
+SWAP_SEED = 0
+
+
+def swap_search(sub: Subproblem) -> tuple[int, np.ndarray]:
+    """A cheap feasible completion: the reduced value y^T reduced_B y and the
+    0/1 vector y of the best local minimum that a best-improvement swap search
+    reaches from the trivial completion (the first ``residual_m`` free
+    indices) and from ``SWAP_STARTS`` random supports.  A swap trades one
+    index i of the support for one index j outside it; ties keep the first
+    (i, j) pair.  Starting from the trivial completion, the value is at most
+    its value.
+
+    Each swap is one pass over the ell x ell pairs: with Rx = reduced_B y,
+    kept up to date, the swap changes the value by (2 Rx_j + R_jj) - (2 Rx_i
+    - R_ii) - 2 R_ij, and pairs that are not (in, out) get ``big`` added,
+    which is more than any change can be."""
+    R = sub.reduced_B
+    r, ell = sub.residual_m, sub.ell
+    diag, R2 = np.diagonal(R), 2 * R
+    big = 4 * int(np.abs(R).sum()) + 1
+    keys = np.random.default_rng(SWAP_SEED).random(
+        (SWAP_STARTS if 0 < r < ell else 0, ell))
+    best_val, best_y = None, None
+    for support in [np.arange(r), *np.argsort(keys, axis=1)[:, :r]]:
+        y = np.zeros(ell, dtype=bool)
+        y[support] = True
+        Rx = R[:, y].sum(axis=1)
+        val = int(Rx[y].sum())
+        while 0 < r < ell:
+            g = 2 * Rx
+            delta = np.where(y, big, g + diag)[None, :] - R2 \
+                - np.where(y, g - diag, -big)[:, None]
+            k = int(np.argmin(delta))
+            if delta.flat[k] >= 0:
+                break
+            i, j = divmod(k, ell)
+            y[i], y[j] = False, True
+            Rx += R[j] - R[i]
+            val += int(delta.flat[k])
+        if best_val is None or val < best_val:
+            best_val, best_y = val, y
+    return best_val, best_y.astype(np.int64)
+
+
 def feasibility_status(sub: Subproblem, leaf_threshold: int = 20,
                        leaf_band: int = 3):
     """Classify a subproblem as Infeasible, SolvedLeaf or Open.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symbb import bb as bb_mod
+from symbb import dnn
 from symbb.bb import (BbParams, Level, branch, branch_level, choose_orbit,
                       expand_level, fingerprint, isomorphic, orbit_scores,
                       solve_target, stats_csv_rows)
@@ -16,7 +17,7 @@ from symbb.instance import BqopInstance, objective
 from symbb.subproblem import FixSets, reduce, solve_exactly, subgroup
 from symbb.symmetry import Orbit, PermutationGroup, automorphisms, orbits
 from tests.conftest import (brute_optimum, brute_sub_optimum, planted_bqop,
-                            random_bqop, torus_matrix)
+                            random_bqop, soundness_instance, torus_matrix)
 
 FAST = BbParams(leaf_threshold=4, leaf_band=2,
                 nb=NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=4000)))
@@ -354,3 +355,50 @@ class TestEngine:
         params = dataclasses.replace(FAST, audit=True)
         with pytest.raises(AssertionError, match="invalid bound"):
             solve_target(inst, brute_optimum(inst), params)
+
+    def test_audit_catches_false_completion(self, monkeypatch):
+        monkeypatch.setattr(dnn, "swap_search", lambda sub: (-10 ** 6, None))
+        inst = random_bqop(np.random.default_rng(0), 8, 4)
+        params = dataclasses.replace(FAST, audit=True)
+        with pytest.raises(AssertionError, match="no completion"):
+            solve_target(inst, brute_optimum(inst), params)
+
+
+class TestCompletionCheck:
+    """A node holding a known completion below the target is Branchable
+    without a bound; every certificate is the one the bounds alone give."""
+
+    SUITE = BbParams(leaf_threshold=8, leaf_band=3,
+                     nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
+
+    def test_suite_certificates_unchanged(self, monkeypatch):
+        skipped = []
+        real = bb_mod.nb_bound
+
+        def recording(prob, target, params):
+            res = real(prob, target, params)
+            skipped[-1] += res.iterations == 0
+            return res
+
+        def certificates(targets):
+            certs = []
+            for inst, target in targets:
+                skipped.append(0)
+                cert = solve_target(inst, target, self.SUITE).to_json_obj()
+                certs.append(json.dumps({**cert, "timing": None}))
+            return certs
+
+        monkeypatch.setattr(bb_mod, "nb_bound", recording)
+        targets = []
+        for i in range(40):
+            inst = soundness_instance(i)
+            opt = brute_optimum(inst)
+            targets += [(inst, opt), (inst, opt + 1)]
+        checked = certificates(targets)
+        fired = skipped[:]
+        monkeypatch.setattr(dnn, "swap_search", lambda sub: (float("inf"), None))
+        skipped.clear()
+        assert certificates(targets) == checked
+        assert not any(skipped)
+        assert not any(fired[0::2])
+        assert any(fired[1::2])

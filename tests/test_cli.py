@@ -195,6 +195,54 @@ class TestBoundRoot:
         assert data["status"] == "Exact"
         assert data["lower_bound"] == data["integer_lower_bound"] == 0
 
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_single_completion_is_exact(self, runner, tmp_path, m):
+        # With variable 1 fixed to one, residual 0 (m = 1) or residual ell
+        # (m = n) leaves one completion: x_1 alone, or every variable.
+        B = np.array([[0, 3, -7, 2], [3, 0, 5, -4], [-7, 5, 0, 6], [2, -4, 6, 0]])
+        inst = BqopInstance(n=4, B=B.astype(np.int64), m=m)
+        path = tmp_path / "one.json"
+        path.write_text(bqop_to_json(inst))
+        out = tmp_path / "bound.json"
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        value = int(B[:m, :m].sum())
+        assert result.output.splitlines() == [
+            "status: Exact", f"validated lower bound: {float(value)}",
+            f"integer lower bound: {value}"]
+        data = json.loads(out.read_text())
+        assert data["status"] == "Exact" and data["lambda"] is None
+        assert data["lower_bound"] == data["integer_lower_bound"] == value
+
+    def test_target_above_a_completion_skips_the_bound(self, runner, bqop_file,
+                                                       tmp_path):
+        path, inst = bqop_file
+        out, trace = tmp_path / "bound.json", tmp_path / "trace.csv"
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      "--target", str(10 ** 6), "--json", str(out),
+                                      "--trace-csv", str(trace)])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert lines[:2] == ["status: Branchable",
+                             "validated lower bound: skipped, a completion is "
+                             "below the target"]
+        value = int(lines[2].removeprefix("completion value: "))
+        assert brute_optimum(inst) <= value < 10 ** 6
+        assert len(lines) == 3
+        text = out.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        data = json.loads(text)
+        assert data["status"] == "Branchable" and data["iterations"] == 0
+        assert data["a"] is data["lower_bound"] is data["integer_lower_bound"] is None
+        assert data["b"] + data["offset"] == value
+        assert trace.read_text() == ""
+
+    def test_json_rejects_values_without_a_json_form(self, tmp_path):
+        from symbb.cli import _write_json
+        with pytest.raises(ValueError):
+            _write_json(str(tmp_path / "x.json"), {"a": float("-inf")})
+
 
 class TestSolve:
     def test_group_beyond_int64_solved(self, runner, tmp_path, two_pairs24):

@@ -250,12 +250,33 @@ class TestNbBound:
         assert res.iterations == 1
 
     def test_branchable_at_unreachable_target(self):
+        # A completion below the target ends the node before any APG solve.
         sub = open_sub(seed=1)
         prob = assemble(sub, 1e8)
         ub = initial_upper(sub)
         res = nb_bound(prob, int(ub + 10 ** 6), FAST_NB)
         assert res.status == "Branchable"
-        assert res.iterations == 1
+        assert res.iterations == 0 and res.trace == ()
+        assert res.a == -math.inf and res.lb_integer is None
+        assert res.b == prob.upper
+
+    def test_completion_below_target_skips_every_solve(self, monkeypatch):
+        calls = []
+        real = dnn.cone_distance
+
+        def recording(M, *args, **kwargs):
+            calls.append(M)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(dnn, "cone_distance", recording)
+        for seed in range(6):
+            prob = assemble(open_sub(seed=seed), 1e8)
+            level = prob.upper + prob.offset
+            res = nb_bound(prob, level + 1, FAST_NB)
+            assert (res.status, res.iterations, len(calls)) == ("Branchable", 0, 0)
+            res = nb_bound(prob, level, FAST_NB)
+            assert res.iterations == len(calls) > 0
+            calls.clear()
 
     def test_integer_bound_matches_optimum(self):
         sub = open_sub(seed=11, n=10, m=5)
@@ -387,7 +408,9 @@ class TestLandingExit:
                                       stop="cap", iterations=1)
 
         monkeypatch.setattr(dnn, "cone_distance", flat)
-        target = math.floor(prob.y_init) + prob.offset
+        # No known completion is below this target, so the bound is solved.
+        target = prob.upper + prob.offset
+        assert _safe_ceil(prob.y_init + prob.offset) > target
         res = nb_bound(prob, target, FAST_NB)
         assert res.status == "Branchable"
         assert res.iterations == len(calls) == 1
@@ -397,13 +420,17 @@ class TestLandingExit:
 
     @staticmethod
     def landed(res):
-        return res.status == "Branchable" and res.b < res.trace[-1]["y"]
+        """Whether a Branchable node was decided at a point it never solved;
+        a node the completion check decided solved none and did not land."""
+        return res.status == "Branchable" and bool(res.trace) and \
+            res.b < res.trace[-1]["y"]
 
     def test_suite_subproblems(self):
         landings = 0
         for prob, target in suite_problems():
             res = nb_bound(prob, target, SUITE_NB)
             assert res.iterations == len(res.trace)
+            assert (res.iterations == 0) == (prob.upper + prob.offset < target)
             # Pruned is tested before Converged on the same a, so a targeted
             # Converged never carries a bound at the target.
             assert res.status != "Converged" or res.lb_integer < target

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbb import subproblem
+from symbb.dnn import initial_upper
 from symbb.instance import BqopInstance, objective
 from symbb.subproblem import (FixSets, Infeasible, Open, SolvedLeaf,
                               feasibility_status, reduce, solve_exactly,
-                              subgroup)
-from tests.conftest import brute_sub_optimum, random_bqop
+                              subgroup, swap_search)
+from tests.conftest import brute_sub_optimum, random_bqop, soundness_instance
 
 
 class TestFixSets:
@@ -159,6 +161,56 @@ class TestSolveExactly:
     def test_infeasible(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=(1, 2, 3, 4), i1=()))
         assert isinstance(solve_exactly(sub), Infeasible)
+
+
+class TestSwapSearch:
+    @staticmethod
+    def subs():
+        """Residuals 0..4 of a random node, a node with residual ell, and
+        three nodes of each of soundness instances 0-39."""
+        inst = random_bqop(np.random.default_rng(5), 9, 4)
+        for ones in range(5):
+            yield reduce(inst, FixSets(i0=(8,), i1=tuple(range(ones))))
+        yield reduce(inst, FixSets(i0=(4, 5, 6, 7, 8), i1=()))
+        for i in range(40):
+            inst = soundness_instance(i)
+            for fix in (FixSets((), (0,)), FixSets((0,), (1,)), FixSets((1,), ())):
+                yield reduce(inst, fix)
+
+    def test_value_of_a_real_support(self):
+        for sub in self.subs():
+            value, y = swap_search(sub)
+            assert y.shape == (sub.ell,) and set(np.unique(y)) <= {0, 1}
+            assert y.sum() == sub.residual_m
+            assert value == int(y @ sub.reduced_B @ y)
+            assert objective(sub.inst, sub.lift(y)) == value + sub.offset
+            assert brute_sub_optimum(sub) <= value + sub.offset
+            assert value <= initial_upper(sub) - 1
+
+    def test_no_swap_improves(self):
+        for sub in self.subs():
+            value, y = swap_search(sub)
+            for i, j in itertools.product(np.flatnonzero(y), np.flatnonzero(1 - y)):
+                z = y.copy()
+                z[i], z[j] = 0, 1
+                assert int(z @ sub.reduced_B @ z) >= value
+
+    def test_repeats_across_calls(self):
+        for sub in self.subs():
+            value, y = swap_search(sub)
+            again, y_again = swap_search(sub)
+            assert value == again and np.array_equal(y, y_again)
+
+    def test_random_starts_only_improve(self, monkeypatch):
+        subs = list(self.subs())
+        best = [swap_search(sub)[0] for sub in subs]
+        monkeypatch.setattr(subproblem, "SWAP_STARTS", 0)
+        trivial = [swap_search(sub)[0] for sub in subs]
+        assert all(b <= t for b, t in zip(best, trivial))
+        assert any(b < t for b, t in zip(best, trivial))
+        # Swaps from the trivial completion alone improve it on most nodes.
+        gains = [initial_upper(sub) - 1 > t for sub, t in zip(subs, trivial)]
+        assert sum(gains) > len(gains) // 2
 
 
 class TestSubgroup:
