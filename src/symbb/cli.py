@@ -267,10 +267,13 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
         apg=dict(rel_tol=apg_tol, max_iter=apg_max_iter))))
     bqop, digest = _load_bqop(instance_path)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
+    basis = None
     if sub.reduced_B.any() and 0 < sub.residual_m < sub.ell:
         prob = dnn.assemble(sub, params.lambda_scale)
         lam = prob.lam
         res = dnn.nb_bound(prob, target, params.nb)
+        # A bound that ran has built its basis; a skipped one builds none.
+        basis = prob.blocks if res.iterations else None
     else:
         # One completion, or every completion costs the same: the trivial
         # completion is optimal and the bound is exact.
@@ -288,14 +291,24 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
         click.echo(f"validated lower bound: {lb}")
     if res.lb_integer is not None:
         click.echo(f"integer lower bound: {res.lb_integer}")
+    if basis is not None:
+        click.echo(f"node group order: {basis.group_order}")
+        click.echo("blocks: " + ", ".join(f"{size}x{copies}" if copies > 1 else str(size)
+                                          for size, copies in basis.families))
+    elif res.iterations:
+        click.echo(f"blocks: none (full order {2 * sub.ell + 1})")
     if trace_csv:
-        _write_csv(trace_csv, [dict(row) for row in res.trace])
+        _write_csv(trace_csv, [dict(row) for row in res.trace], list(dnn.TRACE_FIELDS))
     if json_path:
         payload = {
             "status": res.status, "a": res.a if lb is not None else None,
             "b": res.b, "offset": sub.offset,
             "lower_bound": lb, "integer_lower_bound": res.lb_integer,
             "lambda": lam, "iterations": res.iterations,
+            # The node group and blocks APG ran on; null on the full path.
+            "group_order": None if basis is None else basis.group_order,
+            "blocks": None if basis is None else [
+                {"size": size, "copies": copies} for size, copies in basis.families],
             # bound-root reads only these settings of TreeParams.
             "config": _run_config("bound-root", instance=instance_path, target=target,
                                   params={"lambda_scale": params.lambda_scale,

@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .subproblem import Subproblem, swap_search
+from .subproblem import Subproblem, subgroup, swap_search
+from .symmetry import PermutationGroup, pair_orbits, random_elements
 
 
 # Newton takes a step only where g' is at least this; below it, bisection.
@@ -50,6 +52,24 @@ G_FLOOR = 1e-11
 STEP_CHECK_EVERY = 25
 STEP_SETTLED = 1.0
 STEP_MARGIN = 0.5
+# The block path: APG runs on the blocks of the node group's commutant
+# (``block_basis``) at lifted orders from BLOCK_MIN_ORDER up, and on the full
+# matrix below.  Full over block time per APG iteration, on torus and
+# planted nodes (one BLAS thread, 2-core x86, numpy 2.4 with OpenBLAS):
+# 0.56-1.08 at d = 17-25, 1.05-1.45 at d = 29-39, 1.14-2.35 at d = 41-71,
+# 2.2 at d = 511.  Below 41 the gain is too small to repay the node group
+# and the basis, which take a few ms per node.  BLOCK_ELEMENTS random group
+# elements, drawn from BLOCK_SEED, define the orbitals; BLOCK_TOL is the
+# relative tolerance of equal eigenvalues, of zero couplings and of the
+# check of a split.
+BLOCK_MIN_ORDER = 41
+BLOCK_ELEMENTS = 8
+BLOCK_SEED = 0
+BLOCK_TOL = 1e-9
+# The fields of one ``nb_bound`` trace row: the Newton step k, its point y,
+# the bracket [a, b] after it, g and g' at y, and the APG solve's iterations
+# and stop reason.
+TRACE_FIELDS = ("k", "y", "a", "b", "g", "gprime", "apg_iterations", "apg_stop")
 
 
 @dataclass(frozen=True)
@@ -66,26 +86,92 @@ class NbParams:
 
 
 @dataclass(frozen=True)
+class BlockBasis:
+    """An orthonormal basis of R^d in which every matrix invariant under a
+    group of permutations is block diagonal.  Family f is one block of
+    ``families[f] = (size, copies)``: the same size x size matrix appears
+    in each of its copies.  ``first`` holds the first copy of every family
+    side by side.
+
+    The families are packed side by side into the slots of one stack, so
+    that the slots are about as wide as the largest family: ``take`` places
+    the diagonal blocks of F^T X F, F = ``first``, into the stack (zero
+    elsewhere) and ``pad`` marks the diagonal of each slot's unused rows.
+    ``lifts[s]`` is the (d * K, width) array, K the most copies in slot s,
+    whose row i * K + c holds entry i of the basis vectors of copy c (zero
+    for a family with fewer copies), and ``copies[s, j]`` is the copies of
+    the family of row j of slot s (zero on unused rows)."""
+
+    group_order: int
+    families: tuple[tuple[int, int], ...]
+    first: np.ndarray
+    take: np.ndarray
+    pad: np.ndarray
+    lifts: tuple[np.ndarray, ...]
+    copies: np.ndarray
+
+    def negative_part(self, X: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """lambda_min(X), f = 0.5 * ||negpart(X)||^2 and negpart(X) of an
+        invariant symmetric X, from one batched ``eigh`` of the stack.  The
+        unused diagonal lies above ||F^T X F||, so no padded eigenvalue is
+        negative or the smallest.  The negative part is -Y Y^T, where Y
+        holds every copy of each negative eigenvector scaled by
+        sqrt(-lambda).  An eigenvector of a slot may mix families only
+        within an eigenspace, where the sum over it leaves no cross terms."""
+        T = self.first.T @ X @ self.first
+        S = np.append(T.ravel(), 0.0)[self.take]
+        S[self.pad] = float(np.linalg.norm(T)) + 1.0
+        w, V = np.linalg.eigh(S)
+        wneg = np.minimum(w, 0.0)
+        f_x = 0.5 * float(np.einsum("sj,sj,sj->", wneg, wneg,
+                                    np.einsum("si,sij->sj", self.copies, V * V)))
+        root = np.sqrt(-wneg)
+        d = X.shape[0]
+        Y = [(lift @ (V[s, :lift.shape[1], :r] * root[s, :r])).reshape(d, -1)
+             for s, (lift, r) in enumerate(zip(self.lifts, (w < 0.0).sum(axis=1).tolist()))
+             if r]
+        if not Y:
+            return float(w[:, 0].min()), f_x, np.zeros_like(X)
+        Y = np.hstack(Y)
+        return float(w[:, 0].min()), f_x, -(Y @ Y.T)
+
+
+@dataclass(frozen=True)
 class DnnProblem:
     """The lifted matrix Q = Q_obj + lam * Q_pen of one subproblem and the
     penalty weight lam it was built with, plus what bounding needs: the
-    offset of the integral objective, the initial Newton point and ``upper``,
-    the reduced value of the best completion ``swap_search`` found.  The
-    corner s is the last index.
+    offset of the integral objective and the initial Newton point.  The
+    corner s is the last index.  Two more values are built from ``sub`` the
+    first time ``nb_bound`` reads them:
 
-    ``upper`` only decides whether a bound can reach a target at all; Newton
-    still starts at ``y_init``, the trivial completion plus one, even where
-    ``upper`` is lower.  A start nearer y* saves APG work but loses prunes,
-    measured on the soundness suite and on tori, likely because the Newton
-    sequence from the far start warm-starts APG with a better Y2 near the
-    prune level."""
+    ``upper``, the reduced value of the best completion ``swap_search``
+    found, read by targeted bounds only.  It decides whether a bound can
+    reach a target at all; Newton still starts at ``y_init``, the trivial
+    completion plus one, even where ``upper`` is lower.  A start nearer y*
+    saves APG work but loses prunes, measured on the soundness suite and on
+    tori, likely because the Newton sequence from the far start warm-starts
+    APG with a better Y2 near the prune level.
+
+    ``blocks``, the ``block_basis`` of the node group that every APG solve
+    runs on, read by bounds that solve at all; None below
+    ``BLOCK_MIN_ORDER`` and where ``block_basis`` gives none."""
 
     ell: int
     q: np.ndarray
     lam: float
     offset: int
     y_init: float
-    upper: int
+    sub: Subproblem = field(repr=False, compare=False)
+
+    @cached_property
+    def upper(self) -> int:
+        return swap_search(self.sub)[0]
+
+    @cached_property
+    def blocks(self) -> BlockBasis | None:
+        if self.q.shape[0] < BLOCK_MIN_ORDER:
+            return None
+        return block_basis(subgroup(self.sub), self.ell)
 
 
 @dataclass(frozen=True)
@@ -156,8 +242,7 @@ def assemble(sub: Subproblem, lambda_scale: float) -> DnnProblem:
     q_pen[s, s] += b * b
 
     return DnnProblem(ell=ell, q=q_obj + lam * q_pen, lam=lam,
-                      offset=sub.offset, y_init=initial_upper(sub),
-                      upper=swap_search(sub)[0])
+                      offset=sub.offset, y_init=initial_upper(sub), sub=sub)
 
 
 def initial_upper(sub: Subproblem) -> float:
@@ -166,6 +251,144 @@ def initial_upper(sub: Subproblem) -> float:
     y = np.zeros(sub.ell, dtype=np.int64)
     y[: sub.residual_m] = 1
     return float(y @ sub.reduced_B @ y) + 1.0
+
+
+def _random_invariant(labels: np.ndarray, rng) -> np.ndarray:
+    """A random symmetric matrix constant on every orbital."""
+    v = rng.uniform(-1.0, 1.0, int(labels.max()) + 1)[labels]
+    return v + v.T
+
+
+def _cluster_norms(W: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the blocks of W between the clusters of
+    consecutive indices that begin at ``starts``."""
+    return np.add.reduceat(np.add.reduceat(W * W, starts, axis=0), starts, axis=1)
+
+
+def _split(basis: np.ndarray, wb: np.ndarray, wc: np.ndarray, m: int,
+           k: int) -> np.ndarray:
+    """The (d, copies, size) columns of one isotypic component, spanned by
+    ``basis`` (d x m k): m eigenspaces of dimension k, side by side, with
+    wb and wc two random invariant matrices in that basis.  A real-type
+    component splits into k copies of one m x m block: the basis of each
+    eigenspace is turned by the polar factor of its wb block with the first
+    eigenspace, so that the copies line up.  The split is kept only if wc,
+    in the new basis, holds the same block in every copy and nothing
+    between copies; otherwise (complex-type irreducibles, as of cyclic
+    groups) the component stays one block."""
+    if k == 1:
+        return basis[:, None]
+    R = np.empty((m, k, k))
+    for a in range(m):
+        p, _, qt = np.linalg.svd(wb[a * k:(a + 1) * k, :k])
+        R[a] = p @ qt
+    T = np.einsum("aic,aibj,bje->acbe", R, wc.reshape(m, k, m, k), R)
+    same = T[:, :1, :, :1] * np.eye(k)[None, :, None, :]
+    if np.linalg.norm(T - same) > BLOCK_TOL * np.linalg.norm(wc):
+        return basis[:, None]
+    return np.einsum("dai,aic->dca", basis.reshape(-1, m, k), R)
+
+
+def _families(labels: np.ndarray, rng) -> list[np.ndarray] | None:
+    """The (d, copies, size) columns of every block family of the matrices
+    constant on the orbitals ``labels``, largest first; None where the
+    check finds a coupling between isotypic components.  The eigenspaces
+    of one random invariant matrix A are irreducible, and a second one, B,
+    couples exactly those of one isotypic component; a third, C, checks
+    the result.  The eigenvectors come from the SVD of the positive
+    definite A + c I, so that no ``eigh`` is spent outside APG."""
+    d = labels.shape[0]
+    A, B, C = (_random_invariant(labels, rng) for _ in range(3))
+    shift = float(np.linalg.norm(A)) + 1.0
+    U, s, _ = np.linalg.svd(A + shift * np.eye(d))
+    starts = np.r_[0, np.flatnonzero(s[:-1] - s[1:] > BLOCK_TOL * shift) + 1]
+    dims = np.diff(np.r_[starts, d])
+    WB, WC = U.T @ B @ U, U.T @ C @ U
+    coupled = _cluster_norms(WB, starts) > (BLOCK_TOL * np.linalg.norm(B)) ** 2
+    comp = np.arange(starts.size)
+    while True:
+        joined = np.minimum(comp, np.where(coupled, comp[None, :], comp.size).min(axis=1))
+        if np.array_equal(joined, comp):
+            break
+        comp = joined
+    apart = comp[:, None] != comp[None, :]
+    if np.any(_cluster_norms(WC, starts)[apart] > (BLOCK_TOL * np.linalg.norm(C)) ** 2):
+        return None
+    cols = []
+    for c in np.unique(comp):
+        members = np.flatnonzero(comp == c)
+        idx = np.concatenate([np.arange(starts[a], starts[a] + dims[a]) for a in members])
+        k = int(dims[members[0]])
+        if np.any(dims[members] != k):
+            cols.append(U[:, idx][:, None])
+        else:
+            ix = np.ix_(idx, idx)
+            cols.append(_split(U[:, idx], WB[ix], WC[ix], members.size, k))
+    cols.sort(key=lambda c: (-c.shape[2], c.shape[1]))
+    return cols
+
+
+def _stacked(group_order: int, cols: list[np.ndarray]) -> BlockBasis:
+    """The ``BlockBasis`` of the families ``cols``, largest first, packed
+    into slots as wide as the largest: first fit decreasing puts each
+    family into the first slot it fits in."""
+    sizes = [c.shape[2] for c in cols]
+    top = sizes[0]
+    slots: list[list[int]] = []
+    for f, m in enumerate(sizes):
+        slot = next((s for s in slots if sum(sizes[g] for g in s) + m <= top), None)
+        if slot is None:
+            slots.append([f])
+        else:
+            slot.append(f)
+    d, n = cols[0].shape[0], sum(sizes)
+    at = np.cumsum([0, *sizes])
+    take = np.full((len(slots), top, top), n * n)
+    pad = np.zeros(take.shape, dtype=bool)
+    copies = np.zeros((len(slots), top))
+    lifts = []
+    for s, members in enumerate(slots):
+        K = max(cols[f].shape[1] for f in members)
+        lift = np.zeros((d, K, top))
+        o = 0
+        for f in members:
+            m, k = sizes[f], cols[f].shape[1]
+            r = np.arange(at[f], at[f] + m)
+            take[s, o:o + m, o:o + m] = r[:, None] * n + r[None, :]
+            copies[s, o:o + m] = k
+            lift[:, :k, o:o + m] = cols[f]
+            o += m
+        pad[s, np.arange(o, top), np.arange(o, top)] = True
+        lifts.append(lift[:, :, :o].reshape(d * K, o))
+    return BlockBasis(group_order=group_order,
+                      families=tuple((m, c.shape[1]) for m, c in zip(sizes, cols)),
+                      first=np.hstack([c[:, 0] for c in cols]), take=take, pad=pad,
+                      lifts=tuple(lifts), copies=copies)
+
+
+def block_basis(group: PermutationGroup, ell: int) -> BlockBasis | None:
+    """The basis in which every matrix of order d = 2 ell + 1 invariant
+    under the node group, lifted to (u, v, s), is block diagonal; None for
+    the trivial group, where the largest block exceeds d / 2 or where the
+    check of ``_families`` fails.  sigma acts
+    on u and v alike and fixes s, and Q, H and so every APG iterate are
+    invariant.
+
+    A numerical block diagonalisation of the commutant (Murota, Kanno,
+    Kojima & Kojima, Japan J. Indust. Appl. Math., 2010; ``_families``).
+    The invariant matrices are spanned by the orbitals of ``BLOCK_ELEMENTS``
+    random group elements, composed from the transversals.  Should they
+    generate a smaller group, its invariant matrices include the node
+    group's, and the blocks only come out larger."""
+    if group.order == 1:
+        return None
+    d = 2 * ell + 1
+    rng = np.random.default_rng(BLOCK_SEED)
+    P = random_elements(group, BLOCK_ELEMENTS, rng)
+    cols = _families(pair_orbits(np.hstack([P, P + ell, np.full((len(P), 1), d - 1)])), rng)
+    if cols is None or 2 * cols[0].shape[2] > d:
+        return None
+    return _stacked(group.order, cols)
 
 
 def _distance(wneg: np.ndarray, V: np.ndarray) -> tuple[float, float]:
@@ -181,7 +404,8 @@ def _distance(wneg: np.ndarray, V: np.ndarray) -> tuple[float, float]:
 def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
                   warm_start: np.ndarray | None = None,
                   eig_target: float | None = None,
-                  prune_step: float | None = None) -> ConeDistanceResult:
+                  prune_step: float | None = None,
+                  blocks: BlockBasis | None = None) -> ConeDistanceResult:
     """Distance of a symmetric matrix to K* = PSD + Nonneg.
 
     Minimizes 0.5 * || negpart(M - Y2) ||^2 over entrywise-nonnegative Y2 by
@@ -208,6 +432,13 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     ``DPRIME_FLOOR``, the step differs from ``prune_step`` by at least
     ``STEP_MARGIN`` and it moved by at most ``STEP_SETTLED`` since the
     previous reading.  No extra eigendecomposition is made.
+
+    With ``blocks``, the basis of a group under which M and the warm start
+    are invariant, every iteration decomposes M - Z by
+    ``BlockBasis.negative_part`` (one batched block ``eigh``) in place of a
+    full ``eigh``, and the step exit reads g' = -negpart[-1, -1] / g.  The
+    final full ``eigh`` of M - Y2 is the same on either path, so min_eig
+    never rests on the basis.
     """
     M = np.asarray(M, dtype=float)
     Y = np.zeros_like(M) if warm_start is None else warm_start.copy()
@@ -220,21 +451,29 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     for k in range(params.max_iter):
         iterations = k + 1
         X = M - Z
-        w, V = np.linalg.eigh(X)
-        wneg = np.minimum(w, 0.0)
-        f_z = 0.5 * float(np.sum(wneg * wneg))
-        neg = (V * wneg) @ V.T
+        if blocks is None:
+            w, V = np.linalg.eigh(X)
+            wneg = np.minimum(w, 0.0)
+            f_z = 0.5 * float(np.sum(wneg * wneg))
+            neg = (V * wneg) @ V.T
+            lam_min = w[0]
+        else:
+            lam_min, f_z, neg = blocks.negative_part(X)
         Y_new = np.maximum(Z + neg, 0.0)
-        # w[0] >= eig_target is implied by the Weyl test; checking it first
-        # skips the norm on every iteration that cannot pass.
-        if eig_target is not None and w[0] >= eig_target and \
-                w[0] - np.linalg.norm(Y_new - Z) >= eig_target:
+        # lam_min >= eig_target is implied by the Weyl test; checking it
+        # first skips the norm on every iteration that cannot pass.
+        if eig_target is not None and lam_min >= eig_target and \
+                lam_min - np.linalg.norm(Y_new - Z) >= eig_target:
             Y = Y_new
             stop = "target"
             break
         if prune_step is not None and iterations % STEP_CHECK_EVERY == 0 and \
                 np.all(Z >= 0.0):
-            g, gprime = _distance(wneg, V)
+            if blocks is None:
+                g, gprime = _distance(wneg, V)
+            else:
+                g = math.sqrt(2.0 * f_z)
+                gprime = -float(neg[-1, -1]) / g if g > 0 else 0.0
             if gprime >= DPRIME_FLOOR:
                 step = g / gprime
                 if abs(step - prune_step) >= STEP_MARGIN and \
@@ -333,6 +572,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
     if target is not None and prob.upper + prob.offset < target:
         return NbResult(status="Branchable", a=-math.inf, b=float(prob.upper),
                         iterations=0, lb_integer=None)
+    blocks = prob.blocks
     Q = prob.q
     d = Q.shape[0]
     norm_factor = prob.ell + 1
@@ -359,14 +599,13 @@ def nb_bound(prob: DnnProblem, target: float | None,
             if y >= a_need:
                 eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
         res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
-                            prune_step=prune_step)
+                            prune_step=prune_step, blocks=blocks)
         warm = res.y2
         a = max(a, y + norm_factor * min(0.0, res.min_eig - eig_slack))
         if res.converged:
             b = min(b, y)
-        trace.append({"k": k, "y": y, "a": a, "b": b, "g": res.g,
-                      "gprime": res.gprime, "apg_iterations": res.iterations,
-                      "apg_stop": res.stop})
+        trace.append(dict(zip(TRACE_FIELDS, (k, y, a, b, res.g, res.gprime,
+                                             res.iterations, res.stop))))
         if target is not None and _safe_ceil(a + prob.offset) >= target:
             status = "Pruned"
             break

@@ -168,29 +168,58 @@ def automorphisms(B) -> PermutationGroup:
     return PermutationGroup(domain_size=d, transversals=transversals)
 
 
+def _components(images, size: int) -> np.ndarray:
+    """The smallest member of the component of every index in the graph
+    that joins i to image[i] for each image array: a vectorized union-find
+    that hooks the larger root to the smaller and then compresses every
+    path, until no image joins two roots."""
+    root = np.arange(size)
+    joined = True
+    while joined:
+        joined = False
+        for image in images:
+            other = root[image]
+            lo, hi = np.minimum(root, other), np.maximum(root, other)
+            apart = lo != hi
+            if apart.any():
+                joined = True
+                np.minimum.at(root, hi[apart], lo[apart])
+                while True:
+                    up = root[root]
+                    if np.array_equal(up, root):
+                        break
+                    root = up
+    return root
+
+
 def orbits(group: PermutationGroup) -> tuple[Orbit, ...]:
     """The orbits of the group on its whole domain, sorted by representative.
     The transversals generate the group, so the orbits are the components of
     the graph joining i to u[i] for every representative u."""
+    root = _components([u for U in group.transversals for u in U], group.domain_size)
+    return tuple(Orbit(members=tuple(np.flatnonzero(root == r).tolist()))
+                 for r in np.unique(root).tolist())
+
+
+def random_elements(group: PermutationGroup, count: int, rng) -> np.ndarray:
+    """``count`` elements drawn uniformly from the group as a (count, d)
+    array of image arrays, each composed from one random row of every
+    transversal; the elements are never listed."""
     d = group.domain_size
-    parent = list(range(d))
+    E = np.tile(np.arange(d, dtype=np.int64), (count, 1))
+    for U in reversed(group.transversals):
+        E = np.take_along_axis(U[rng.integers(U.shape[0], size=count)], E, axis=1)
+    return E
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for U in group.transversals:
-        for sigma in U.tolist():
-            for i, j in enumerate(sigma):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    buckets: dict[int, list[int]] = {}
-    for i in range(d):
-        buckets.setdefault(find(i), []).append(i)
-    return tuple(Orbit(members=tuple(v)) for _, v in sorted(buckets.items()))
+def pair_orbits(perms: np.ndarray) -> np.ndarray:
+    """Orbits on index pairs (orbitals) of the group the (k, d) image arrays
+    ``perms`` generate: a (d, d) array of orbital labels 0, 1, ..., the
+    components of the graph joining (i, j) to (sigma(i), sigma(j))."""
+    perms = np.asarray(perms, dtype=np.int64)
+    d = perms.shape[1]
+    root = _components([(p[:, None] * d + p[None, :]).ravel() for p in perms], d * d)
+    return np.unique(root, return_inverse=True)[1].reshape(d, d)
 
 
 def group_to_json_obj(group: PermutationGroup, element_cap: int = 1_000_000) -> dict:

@@ -9,8 +9,9 @@ from click.testing import CliRunner
 
 from symbb.bb import BbParams
 from symbb.cli import main
+from symbb.dnn import TRACE_FIELDS
 from symbb.instance import BqopInstance, QapInstance, bqop_to_json
-from tests.conftest import brute_optimum, format_qaplib, random_bqop
+from tests.conftest import brute_optimum, format_qaplib, random_bqop, torus_matrix
 
 # What each checked run setting must be, as its one-line error states.
 RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
@@ -139,6 +140,28 @@ class TestBoundRoot:
                    for s in (np.array((0,) + c)
                              for c in itertools.combinations(range(1, 7), 2)))
         assert data["integer_lower_bound"] <= opt1
+        # Lifted order 13 is below the block crossover: the full path.
+        assert result.output.splitlines()[-1] == "blocks: none (full order 13)"
+        assert data["group_order"] is data["blocks"] is None
+
+    def test_reports_node_group_blocks_on_a_torus(self, runner, tmp_path):
+        f = np.zeros(36, dtype=np.int64)
+        f[:11] = 1
+        qap = QapInstance(n=36, A=np.outer(f, f), B=torus_matrix(6).astype(np.int64))
+        path = tmp_path / "torus6.dat"
+        path.write_text(format_qaplib(qap))
+        out = tmp_path / "bound.json"
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      "--nb-max-iter", "2", "--apg-max-iter", "100",
+                                      "--json", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[-2:] == ["node group order: 8",
+                                                   "blocks: 19, 16x2, 12, 6, 2"]
+        data = json.loads(out.read_text())
+        assert data["group_order"] == 8
+        assert data["blocks"] == [{"size": 19, "copies": 1}, {"size": 16, "copies": 2},
+                                  {"size": 12, "copies": 1}, {"size": 6, "copies": 1},
+                                  {"size": 2, "copies": 1}]
 
     def test_trace_csv(self, runner, bqop_file, tmp_path):
         path, _ = bqop_file
@@ -236,7 +259,9 @@ class TestBoundRoot:
         assert data["status"] == "Branchable" and data["iterations"] == 0
         assert data["a"] is data["lower_bound"] is data["integer_lower_bound"] is None
         assert data["b"] + data["offset"] == value
-        assert trace.read_text() == ""
+        assert data["group_order"] is data["blocks"] is None
+        # No trace rows, but the header still names the columns.
+        assert trace.read_text().splitlines() == [",".join(TRACE_FIELDS)]
 
     def test_json_rejects_values_without_a_json_form(self, tmp_path):
         from symbb.cli import _write_json

@@ -1,5 +1,6 @@
 """Lifted-relaxation assembly, cone distance, Newton bracketing."""
 
+import dataclasses
 import itertools
 import math
 
@@ -12,10 +13,12 @@ from symbb.dnn import (DPRIME_FLOOR, STEP_MARGIN, ApgParams, ConeDistanceResult,
                        NbParams, _safe_ceil, assemble, cone_distance,
                        initial_upper, nb_bound)
 from symbb.instance import BqopInstance
-from symbb.subproblem import FixSets, reduce
+from symbb.subproblem import FixSets, reduce, subgroup
+from symbb.symmetry import automorphisms
 from tests.conftest import (alternating_projection_distance, brute_optimum,
                             brute_sub_optimum, lifted_form, penalty_value,
-                            random_bqop, soundness_instance, torus_matrix)
+                            planted_bqop, random_bqop, soundness_instance,
+                            torus_matrix, torus_symmetries)
 
 FAST_NB = NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=5000))
 SUITE_NB = NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000))
@@ -40,6 +43,37 @@ def suite_problems():
             prob = assemble(sub, 1e8)
             yield prob, opt
             yield prob, opt + 1
+
+
+def torus_root(k=6, m=11):
+    """The node x_1 = 1 of the k x k torus and its stabiliser in the torus
+    group, as image arrays on the reduced indices."""
+    inst = BqopInstance(n=k * k, B=torus_matrix(k).astype(np.int64), m=m)
+    stabiliser = [np.asarray(g)[1:] - 1 for g in torus_symmetries(k) if g[0] == 0]
+    return reduce(inst, FixSets((), (0,))), stabiliser
+
+
+def reynolds(elements, ell, rng):
+    """A random symmetric matrix of order 2 ell + 1 averaged over the group
+    of ``elements``, each lifted to (u, v, s): an invariant matrix."""
+    d = 2 * ell + 1
+    R = rng.normal(size=(d, d))
+    R = R + R.T
+    lifted = [np.concatenate([g, g + ell, [d - 1]]) for g in elements]
+    return sum(R[np.ix_(g, g)] for g in lifted) / len(lifted)
+
+
+def assert_block_step_exact(blocks, X):
+    """The block negative part, f and lambda_min of X match the full ones to
+    1e-10 relative."""
+    lam_min, f, neg = blocks.negative_part(X)
+    w, V = np.linalg.eigh(X)
+    wneg = np.minimum(w, 0.0)
+    full = (V * wneg) @ V.T
+    assert wneg.min() < 0
+    assert abs(lam_min - w[0]) <= 1e-10 * abs(w[0])
+    assert f == pytest.approx(0.5 * float(wneg @ wneg), rel=1e-10)
+    assert np.linalg.norm(neg - full) <= 1e-10 * np.linalg.norm(full)
 
 
 def eig_slack(M):
@@ -206,6 +240,126 @@ class TestConeDistance:
         cold = cone_distance(M)
         warm = cone_distance(M, warm_start=cold.y2 + 0.01)
         assert warm.g == pytest.approx(cold.g, abs=1e-7)
+
+
+class TestBlockBasis:
+    """The basis of the node group's commutant: the block step matches the
+    full eigendecomposition on invariant matrices."""
+
+    def test_torus_root_stabiliser(self, monkeypatch):
+        sub, stabiliser = torus_root()
+        group = subgroup(sub)
+        assert group.order == len(stabiliser) == 8
+        # The basis is built by SVD: every eigh stays in APG.
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        blocks = dnn.block_basis(group, sub.ell)
+        monkeypatch.undo()
+        # D4 has four one-dimensional and one two-dimensional real irreducible.
+        assert blocks.families == ((19, 1), (16, 2), (12, 1), (6, 1), (2, 1))
+        assert blocks.group_order == 8
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            assert_block_step_exact(blocks, reynolds(stabiliser, sub.ell, rng))
+        prob = assemble(sub, 1e8)
+        M = prob.q.copy()
+        M[-1, -1] -= prob.y_init
+        assert_block_step_exact(blocks, M)
+
+    def test_chiral_cyclic_group_keeps_complex_components(self):
+        # Two rings of six turned together, with no reflection: the cyclic
+        # group C6, whose two-dimensional irreducibles are of complex type.
+        inst = planted_bqop(np.random.default_rng(3), 2, 6, 5)
+        group = automorphisms(inst.B)
+        assert group.order == 6
+        blocks = dnn.block_basis(group, inst.n)
+        assert blocks.families == ((8, 1), (8, 1), (5, 1), (4, 1))
+        rotation = np.arange(12).reshape(2, 6)
+        elements = [np.roll(rotation, t, axis=1).ravel() for t in range(6)]
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            assert_block_step_exact(blocks, reynolds(elements, inst.n, rng))
+
+    def test_symmetric_group_without_element_listing(self):
+        ell = 30
+        B = np.full((ell, ell), 3, dtype=np.int64)
+        np.fill_diagonal(B, 0)
+        group = automorphisms(B)
+        assert group.order == math.factorial(ell)
+        blocks = dnn.block_basis(group, ell)
+        assert "elements" not in vars(group)
+        assert blocks.families == ((3, 1), (2, ell - 1))
+        # The invariant matrices: a I + b (J - I) on each of the four
+        # (u, v) blocks, constant rows to and from s, any corner.
+        rng = np.random.default_rng(2)
+        d = 2 * ell + 1
+        for _ in range(3):
+            X = np.empty((d, d))
+            for rows in (slice(0, ell), slice(ell, 2 * ell)):
+                for cols in (slice(0, ell), slice(ell, 2 * ell)):
+                    a, b = rng.normal(size=2)
+                    X[rows, cols] = b + (a - b) * np.eye(ell)
+                X[rows, -1] = rng.normal()
+                X[-1, rows] = rng.normal()
+            X[-1, -1] = rng.normal()
+            assert_block_step_exact(blocks, X + X.T)
+
+    def test_trivial_group_gives_no_basis(self, monkeypatch):
+        sub = open_sub(seed=0, n=24, m=8)
+        group = subgroup(sub)
+        assert group.order == 1
+        assert dnn.block_basis(group, sub.ell) is None
+        assert assemble(sub, 1e8).blocks is None
+        # Below the crossover the node group is never computed.
+        monkeypatch.setattr(dnn, "subgroup", None)
+        small = open_sub(seed=0, n=8, m=4)
+        assert 2 * small.ell + 1 < dnn.BLOCK_MIN_ORDER
+        assert assemble(small, 1e8).blocks is None
+
+    def test_untargeted_bound_never_searches_completions(self, monkeypatch):
+        monkeypatch.setattr(dnn, "swap_search", None)
+        prob = assemble(open_sub(seed=1), 1e8)
+        assert nb_bound(prob, None, FAST_NB).status == "Converged"
+
+    def test_completion_check_builds_no_group(self, monkeypatch):
+        monkeypatch.setattr(dnn, "subgroup", None)
+        sub, _ = torus_root()
+        prob = assemble(sub, 1e8)
+        res = nb_bound(prob, prob.upper + prob.offset + 1, FAST_NB)
+        assert (res.status, res.iterations) == ("Branchable", 0)
+        assert "blocks" not in vars(prob)
+
+
+class TestBlockPathAudit:
+    """Audited solves with every nontrivial node group on the block path."""
+
+    @pytest.mark.parametrize("name, inst, leaf", [
+        ("soundness-3", soundness_instance(3), 8),
+        ("soundness-7", soundness_instance(7), 8),
+        ("planted-2x8", planted_bqop(np.random.default_rng(7), 2, 8, 7), 4)])
+    def test_audited_solves(self, monkeypatch, name, inst, leaf):
+        params = BbParams(leaf_threshold=leaf, leaf_band=min(3, leaf // 2),
+                          nb=SUITE_NB)
+        opt = brute_optimum(inst)
+        full = [solve_target(inst, t, params).to_json_obj() for t in (opt, opt + 1)]
+        solves = []
+        real = dnn.cone_distance
+
+        def recording(M, *args, **kwargs):
+            solves.append(kwargs.get("blocks"))
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(dnn, "BLOCK_MIN_ORDER", 0)
+        monkeypatch.setattr(dnn, "cone_distance", recording)
+        audited = dataclasses.replace(params, audit=True)
+        certs = [solve_target(inst, t, audited).to_json_obj() for t in (opt, opt + 1)]
+        assert [c["outcome"] for c in certs] == ["Proved", "Refuted"]
+        assert certs[1]["witness_value"] == opt
+        # The planted instance's proof bounds nodes on blocks; the group
+        # of every other node is trivial or its largest block above d / 2.
+        assert any(b is not None for b in solves) == (name == "planted-2x8")
+        for cert, ref in zip(certs, full):
+            cert.pop("timing"), ref.pop("timing")
+            assert cert == ref
 
 
 class TestSafeCeil:
@@ -544,6 +698,16 @@ class TestStepExit:
             nb_bound(prob, None, SUITE_NB)
             assert all(step is None and r.stop != "step" for step, r in solves)
         assert all(steps > 0)
+
+    def test_block_path(self, solves):
+        sub, _ = torus_root()
+        prob = assemble(sub, 1e8)
+        assert prob.blocks is not None
+        params = NbParams(max_iter=4, apg=ApgParams(max_iter=400))
+        for target in (None, prob.upper + prob.offset):
+            res = nb_bound(prob, target, params)
+            assert res.iterations == len(solves) > 0
+            solves.clear()
 
     def test_torus(self, solves, monkeypatch):
         bounds = []

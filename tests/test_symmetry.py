@@ -5,7 +5,8 @@ import pytest
 
 from symbb.symmetry import (GroupTooLargeError, PermutationGroup,
                             automorphisms, candidates, first_leaf,
-                            group_to_json_obj, orbit_report_rows, orbits)
+                            group_to_json_obj, orbit_report_rows, orbits,
+                            pair_orbits, random_elements)
 from tests.conftest import (brute_automorphisms, expand_solution, planted_bqop,
                             planted_rotation, torus_matrix, torus_symmetries)
 
@@ -114,6 +115,33 @@ class TestOrbits:
     def test_representative_is_min(self, cycle6):
         for orb in orbits(automorphisms(cycle6)):
             assert orb.representative == min(orb.members)
+
+
+class TestPairOrbits:
+    """Orbitals from a few random elements, against every listed element."""
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_torus_orbitals_match_the_listed_group(self, k):
+        group = automorphisms(torus_matrix(k))
+        elements = random_elements(group, 8, np.random.default_rng(0))
+        listed = {tuple(s) for s in group.elements}
+        assert all(tuple(s) in listed for s in elements)
+        labels = pair_orbits(elements)
+        d = k * k
+        # Two pairs share an orbital iff some element maps one to the other.
+        reach = np.full((d, d), -1)
+        for i in range(d):
+            for j in range(d):
+                if reach[i, j] < 0:
+                    reach[group.elements[:, i], group.elements[:, j]] = i * d + j
+        pairs = np.unique(reach, return_inverse=True)[1].reshape(d, d)
+        assert np.array_equal(labels, pairs)
+
+    def test_trivial_group(self):
+        group = automorphisms(np.arange(9).reshape(3, 3) + np.arange(9).reshape(3, 3).T)
+        elements = random_elements(group, 3, np.random.default_rng(0))
+        assert np.array_equal(elements, np.tile(np.arange(3), (3, 1)))
+        assert np.array_equal(np.sort(pair_orbits(elements).ravel()), np.arange(9))
 
 
 class TestFirstLeaf:
