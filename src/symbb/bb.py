@@ -2,16 +2,18 @@
 isomorphism pruning, on the level-expansion engine it shares with the
 estimator.
 
-The search is level-synchronous breadth first.  The root is the one survivor
-of level 0.  ``branch_level`` branches the survivors of a level on the
-highest-scoring orbit of their reduced-matrix automorphism group;
-``expand_level`` classifies every node of the next level, sweeps the open ones
-for subproblems isomorphic to an already seen one, and bounds the rest with
-the Newton-bracketing procedure (early exit against the target).  Between
-steps only fix sets are kept, the isomorphism history included: each step
-reduces the nodes it reads again.  No upper bounding is performed: the run
-either proves that the optimum is at least the target, or refutes the target
-with an exactly solved leaf below it.
+The search is level-synchronous breadth first, and each node takes one path
+through the engine.  ``root_level`` branches the root, which is neither
+classified nor bounded.  ``expand_level`` reduces and classifies every node
+of the next level, sweeps the open ones for subproblems isomorphic to an
+already seen one, bounds the rest with the Newton-bracketing procedure (early
+exit against the target), and branches each survivor right there
+(``branch_node``), on the highest-scoring orbit of the node group its bound
+already read.  Between levels only fix sets are kept, the isomorphism history
+included, so a retained twin is reduced again only to check a merge.  No
+upper bounding is performed: the run either proves that the optimum is at
+least the target, or refutes the target with an exactly solved leaf below
+it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .dnn import NbParams, assemble, nb_bound
 from .instance import BqopInstance, objective
 from .subproblem import (FixSets, Infeasible, Open, SolvedLeaf, Subproblem,
-                         feasibility_status, reduce, solve_exactly, subgroup)
+                         feasibility_status, reduce, solve_exactly)
 from .symmetry import Orbit, PermutationGroup, candidates, first_leaf, orbits
 
 # Candidate tries of one isomorphism search; running out counts as
@@ -153,12 +155,28 @@ def branch(fix: FixSets, orbit: Orbit, free) -> tuple[FixSets, FixSets]:
     return fix.with_zeros(members), fix.with_one(members[0])
 
 
+def branch_node(sub: Subproblem, audit: bool = False) -> tuple[FixSets, FixSets]:
+    """Both children of an open node, branched on the orbit ``choose_orbit``
+    picks from its node group ``sub.group``.  With ``audit``, check by
+    enumeration that one child keeps the node's optimum."""
+    children = branch(sub.fix, choose_orbit(sub, sub.group), sub.free)
+    if audit:
+        child_opts = [leaf.value for leaf in
+                      (solve_exactly(reduce(sub.inst, f)) for f in children)
+                      if isinstance(leaf, SolvedLeaf)]
+        parent_opt = solve_exactly(sub).value
+        assert child_opts and parent_opt == min(child_opts), \
+            f"branching at {sub.fix} lost the optimum {parent_opt}"
+    return children
+
+
 @dataclass
 class Decided:
     """What the engine decided about one node: its classification
     (``status`` is Infeasible, a SolvedLeaf, or None for an open node),
-    whether its bound pruned it and the seconds that bound took, and the
-    children it was branched into.  A memo maps fix sets to these records."""
+    whether its bound pruned it and the seconds that bound took, and, for a
+    survivor or the root, the children it was branched into where it was
+    decided.  A memo maps fix sets to these records."""
 
     status: Infeasible | SolvedLeaf | None
     pruned: bool | None = None          # None until bounded
@@ -169,15 +187,18 @@ class Decided:
 @dataclass
 class Level:
     """One expanded level.  ``survivors`` are the open nodes that no bound
-    pruned; ``pruned_bound`` counts the solved leaves too.  A level with a
-    ``refutation`` (its first leaf below the target) was not bounded.  The
-    root is the one survivor of level 0, which is never expanded."""
+    pruned, and ``children`` both children of every survivor, in survivor
+    order: the next level.  ``pruned_bound`` counts the solved leaves too.  A
+    level with a ``refutation`` (its first leaf below the target) was neither
+    bounded nor branched.  Level 0 (``root_level``) holds only the root's
+    children."""
 
     pruned_iso: int = 0
     infeasible: int = 0
     leaves: int = 0
     pruned_bound: int = 0
     survivors: list[FixSets] = field(default_factory=list)
+    children: list[FixSets] = field(default_factory=list)
     refutation: SolvedLeaf | None = None
     bound_seconds: list[float] = field(default_factory=list)
 
@@ -189,14 +210,15 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     with a ``history`` (fingerprint -> fix sets of the retained subproblems),
     prune the open nodes isomorphic to a retained one, rebuilt by ``reduce``,
     and retain the rest; stop at the first leaf below the target; otherwise
-    bound the open nodes and apply the prune test.  Only branch and bound
-    passes a history.
+    bound the open nodes, apply the prune test and branch every survivor
+    from the subproblem its bound read.  Only branch and bound passes a
+    history.
 
     With a ``memo`` (fix sets -> Decided, for one target and one set of
-    params), a node recorded there is neither reduced, classified nor bounded
-    again: its recorded outcome and bound seconds count as if it had been.  A
-    merge depends on the history of the run, so a memo and a history do not
-    go together."""
+    params), a node recorded there is neither reduced, classified, bounded
+    nor branched again: its recorded outcome, bound seconds and children
+    count as if it had been.  A merge depends on the history of the run, so a
+    memo and a history do not go together."""
     if memo is not None and history is not None:
         raise ValueError("isomorphism merges depend on the run; they cannot be memoized")
     level = Level()
@@ -278,35 +300,28 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
         # branching an undecided node is always sound.
         node.pruned = res.status == "Pruned"
         node.seconds = seconds
+        if not node.pruned:
+            node.children = branch_node(sub, audit)
     for fix, node, _ in open_nodes:
         level.bound_seconds.append(node.seconds)
         if node.pruned:
             level.pruned_bound += 1
         else:
             level.survivors.append(fix)
+            level.children.extend(node.children)
     return level
 
 
-def branch_level(inst: BqopInstance, level: Level, audit: bool = False,
-                 memo: dict | None = None) -> list[FixSets]:
-    """Both children of every survivor of ``level``, in survivor order.  A
-    survivor is reduced again to find its orbit, unless a ``memo`` recorded
-    its children; a survivor the memo has not seen (the root) is recorded."""
-    children = []
-    for fix in level.survivors:
-        node = Decided(None) if memo is None else memo.setdefault(fix, Decided(None))
-        if node.children is None:
-            sub = reduce(inst, fix)
-            node.children = branch(fix, choose_orbit(sub, subgroup(sub)), sub.free)
-            if audit:
-                child_opts = [leaf.value for leaf in
-                              (solve_exactly(reduce(inst, f)) for f in node.children)
-                              if isinstance(leaf, SolvedLeaf)]
-                parent_opt = solve_exactly(sub).value
-                assert child_opts and parent_opt == min(child_opts), \
-                    f"branching at {fix} lost the optimum {parent_opt}"
-        children.extend(node.children)
-    return children
+def root_level(inst: BqopInstance, audit: bool = False,
+               memo: dict | None = None) -> Level:
+    """Level 0: the root's children.  The root is branched without being
+    classified or bounded; a ``memo`` records its children, so that the root
+    is branched once per memo."""
+    root = FixSets((), ())
+    node = Decided(None) if memo is None else memo.setdefault(root, Decided(None))
+    if node.children is None:
+        node.children = branch_node(reduce(inst, root), audit)
+    return Level(children=list(node.children))
 
 
 def _write_checkpoint(path: str, state: dict):
@@ -323,10 +338,10 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
     t_start = time.monotonic()
     history = {} if params.iso_pruning else None
     per_depth: list[dict] = []
-    level = Level(survivors=[FixSets((), ())])
+    level = root_level(inst, params.audit)
     node_count = 1
     for depth in itertools.count(1):
-        fixes = branch_level(inst, level, params.audit)
+        fixes = level.children
         created = len(fixes)
         node_count += created
         level = expand_level(inst, target, params, fixes, history, params.audit)

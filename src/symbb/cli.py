@@ -225,7 +225,7 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
 
     if fix_index is not None:
         sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(fix_index - 1,)))
-        orbs = symmetry.orbits(subproblem.subgroup(sub))
+        orbs = symmetry.orbits(sub.group)
         scores = bb.orbit_scores(sub, orbs)
         order = sorted(range(len(orbs)), key=lambda k: (-scores[k], orbs[k].representative))
         rows = symmetry.orbit_report_rows(
@@ -268,19 +268,20 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
     bqop, digest = _load_bqop(instance_path)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
     basis = None
-    if sub.reduced_B.any() and 0 < sub.residual_m < sub.ell:
+    # The engine's leaf rule with no small leaves: one completion, or every
+    # completion costs the same, and the bound is exact.
+    leaf = subproblem.feasibility_status(sub, 0, 0)
+    if isinstance(leaf, subproblem.SolvedLeaf):
+        lam = None
+        value = float(leaf.value - sub.offset)
+        res = dnn.NbResult(status="Exact", a=value, b=value, iterations=0,
+                           lb_integer=leaf.value)
+    else:
         prob = dnn.assemble(sub, params.lambda_scale)
         lam = prob.lam
         res = dnn.nb_bound(prob, target, params.nb)
         # A bound that ran has built its basis; a skipped one builds none.
         basis = prob.blocks if res.iterations else None
-    else:
-        # One completion, or every completion costs the same: the trivial
-        # completion is optimal and the bound is exact.
-        lam = None
-        value = dnn.initial_upper(sub) - 1.0
-        res = dnn.NbResult(status="Exact", a=value, b=value, iterations=0,
-                           lb_integer=int(value) + sub.offset)
     # A targeted bound is skipped when a completion is below the target.
     lb = res.a + sub.offset if math.isfinite(res.a) else None
     click.echo(f"status: {res.status}")
@@ -292,7 +293,7 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
     if res.lb_integer is not None:
         click.echo(f"integer lower bound: {res.lb_integer}")
     if basis is not None:
-        click.echo(f"node group order: {basis.group_order}")
+        click.echo(f"node group order: {sub.group.order}")
         click.echo("blocks: " + ", ".join(f"{size}x{copies}" if copies > 1 else str(size)
                                           for size, copies in basis.families))
     elif res.iterations:
@@ -306,7 +307,7 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
             "lower_bound": lb, "integer_lower_bound": res.lb_integer,
             "lambda": lam, "iterations": res.iterations,
             # The node group and blocks APG ran on; null on the full path.
-            "group_order": None if basis is None else basis.group_order,
+            "group_order": None if basis is None else sub.group.order,
             "blocks": None if basis is None else [
                 {"size": size, "copies": copies} for size, copies in basis.families],
             # bound-root reads only these settings of TreeParams.

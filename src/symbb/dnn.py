@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .subproblem import Subproblem, subgroup, swap_search
+from .subproblem import Subproblem, swap_search
 from .symmetry import PermutationGroup, pair_orbits, random_elements
 
 
@@ -102,7 +102,6 @@ class BlockBasis:
     for a family with fewer copies), and ``copies[s, j]`` is the copies of
     the family of row j of slot s (zero on unused rows)."""
 
-    group_order: int
     families: tuple[tuple[int, int], ...]
     first: np.ndarray
     take: np.ndarray
@@ -152,8 +151,8 @@ class DnnProblem:
     tori, likely because the Newton sequence from the far start warm-starts
     APG with a better Y2 near the prune level.
 
-    ``blocks``, the ``block_basis`` of the node group that every APG solve
-    runs on, read by bounds that solve at all; None below
+    ``blocks``, the ``block_basis`` of the node group ``sub.group`` that
+    every APG solve runs on, read by bounds that solve at all; None below
     ``BLOCK_MIN_ORDER`` and where ``block_basis`` gives none."""
 
     ell: int
@@ -171,7 +170,7 @@ class DnnProblem:
     def blocks(self) -> BlockBasis | None:
         if self.q.shape[0] < BLOCK_MIN_ORDER:
             return None
-        return block_basis(subgroup(self.sub), self.ell)
+        return block_basis(self.sub.group, self.ell)
 
 
 @dataclass(frozen=True)
@@ -328,7 +327,7 @@ def _families(labels: np.ndarray, rng) -> list[np.ndarray] | None:
     return cols
 
 
-def _stacked(group_order: int, cols: list[np.ndarray]) -> BlockBasis:
+def _stacked(cols: list[np.ndarray]) -> BlockBasis:
     """The ``BlockBasis`` of the families ``cols``, largest first, packed
     into slots as wide as the largest: first fit decreasing puts each
     family into the first slot it fits in."""
@@ -360,8 +359,7 @@ def _stacked(group_order: int, cols: list[np.ndarray]) -> BlockBasis:
             o += m
         pad[s, np.arange(o, top), np.arange(o, top)] = True
         lifts.append(lift[:, :, :o].reshape(d * K, o))
-    return BlockBasis(group_order=group_order,
-                      families=tuple((m, c.shape[1]) for m, c in zip(sizes, cols)),
+    return BlockBasis(families=tuple((m, c.shape[1]) for m, c in zip(sizes, cols)),
                       first=np.hstack([c[:, 0] for c in cols]), take=take, pad=pad,
                       lifts=tuple(lifts), copies=copies)
 
@@ -388,7 +386,16 @@ def block_basis(group: PermutationGroup, ell: int) -> BlockBasis | None:
     cols = _families(pair_orbits(np.hstack([P, P + ell, np.full((len(P), 1), d - 1)])), rng)
     if cols is None or 2 * cols[0].shape[2] > d:
         return None
-    return _stacked(group.order, cols)
+    return _stacked(cols)
+
+
+def _negative_part(X: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """lambda_min(X), f = 0.5 * ||negpart(X)||^2 and negpart(X) of a
+    symmetric X, from one full ``eigh``: the full-matrix counterpart of
+    ``BlockBasis.negative_part``."""
+    w, V = np.linalg.eigh(X)
+    wneg = np.minimum(w, 0.0)
+    return float(w[0]), 0.5 * float(np.sum(wneg * wneg)), (V * wneg) @ V.T
 
 
 def _distance(wneg: np.ndarray, V: np.ndarray) -> tuple[float, float]:
@@ -428,17 +435,17 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     With ``prune_step``, the Newton step that would land exactly on the prune
     level, every ``STEP_CHECK_EVERY``-th iteration whose momentum point Z is
     entrywise nonnegative reads the Newton step g / g' of Y2 = Z from its own
-    eigendecomposition, by ``_distance``.  APG stops with Y2 = Z once g' >=
+    decomposition: g = sqrt(2 f) and g' = -negpart[-1, -1] / g, the corner
+    entry of the negative part over g.  APG stops with Y2 = Z once g' >=
     ``DPRIME_FLOOR``, the step differs from ``prune_step`` by at least
     ``STEP_MARGIN`` and it moved by at most ``STEP_SETTLED`` since the
     previous reading.  No extra eigendecomposition is made.
 
-    With ``blocks``, the basis of a group under which M and the warm start
-    are invariant, every iteration decomposes M - Z by
-    ``BlockBasis.negative_part`` (one batched block ``eigh``) in place of a
-    full ``eigh``, and the step exit reads g' = -negpart[-1, -1] / g.  The
-    final full ``eigh`` of M - Y2 is the same on either path, so min_eig
-    never rests on the basis.
+    Every iteration decomposes M - Z once, by ``_negative_part`` (one full
+    ``eigh``) or, with ``blocks``, the basis of a group under which M and
+    the warm start are invariant, by ``BlockBasis.negative_part`` (one
+    batched block ``eigh``).  The final full ``eigh`` of M - Y2 is the same
+    on either path, so min_eig never rests on the basis.
     """
     M = np.asarray(M, dtype=float)
     Y = np.zeros_like(M) if warm_start is None else warm_start.copy()
@@ -448,17 +455,10 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     step_prev = math.inf
     stop = "cap"
     iterations = 0
+    negative_part = _negative_part if blocks is None else blocks.negative_part
     for k in range(params.max_iter):
         iterations = k + 1
-        X = M - Z
-        if blocks is None:
-            w, V = np.linalg.eigh(X)
-            wneg = np.minimum(w, 0.0)
-            f_z = 0.5 * float(np.sum(wneg * wneg))
-            neg = (V * wneg) @ V.T
-            lam_min = w[0]
-        else:
-            lam_min, f_z, neg = blocks.negative_part(X)
+        lam_min, f_z, neg = negative_part(M - Z)
         Y_new = np.maximum(Z + neg, 0.0)
         # lam_min >= eig_target is implied by the Weyl test; checking it
         # first skips the norm on every iteration that cannot pass.
@@ -469,11 +469,8 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
             break
         if prune_step is not None and iterations % STEP_CHECK_EVERY == 0 and \
                 np.all(Z >= 0.0):
-            if blocks is None:
-                g, gprime = _distance(wneg, V)
-            else:
-                g = math.sqrt(2.0 * f_z)
-                gprime = -float(neg[-1, -1]) / g if g > 0 else 0.0
+            g = math.sqrt(2.0 * f_z)
+            gprime = -float(neg[-1, -1]) / g if g > 0 else 0.0
             if gprime >= DPRIME_FLOOR:
                 step = g / gprime
                 if abs(step - prune_step) >= STEP_MARGIN and \

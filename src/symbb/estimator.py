@@ -4,11 +4,13 @@ The tree is expanded fully while a level holds fewer nodes than the width
 threshold.  From the first wide level onward only a random sample of each
 level is expanded; the per-level growth ratio (2 * branchable / sampled)
 extrapolates the level sizes, and their sum estimates the total node count.
-The estimator is only a sampling policy: it expands and branches its sample
-with the branch-and-bound engine (``bb.expand_level``, ``bb.branch_level``),
-so with no level sampled it counts exactly the nodes branch and bound
-creates.  Isomorphism pruning stays off here, matching the branch-and-bound
-variant whose work is being estimated.
+A level narrower than the sample size is taken whole.  The estimator is only
+a sampling policy: it starts from the root's children (``bb.root_level``)
+and expands its sample with the branch-and-bound engine
+(``bb.expand_level``), which branches each survivor it bounds, so with no
+level sampled it counts exactly the nodes branch and bound creates.
+Isomorphism pruning stays off here, matching the branch-and-bound variant
+whose work is being estimated.
 
 ``estimate_multi`` decides each distinct node once: its seeds share one memo
 of node outcomes (``bb.Decided``), made for that call only, so the root
@@ -27,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bb import Level, TreeParams, branch_level, expand_level
+from .bb import TreeParams, expand_level, root_level
 from .instance import BqopInstance
-from .subproblem import FixSets
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,18 @@ class EstimationReport:
 
 
 def _sample_count(width: int, params: EstParams) -> int:
-    return params.sample_size if width >= params.sample_cutoff else width
+    return min(params.sample_size, width) if width >= params.sample_cutoff else width
 
 
 def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
              seed: int = 0, memo: dict | None = None) -> EstimationReport:
-    """Run the sampled-subtree estimator for one seed: branch the survivors
-    of a level, starting from the root, pick the next level's sample, then
-    expand it, all with the branch-and-bound engine.  ``memo`` is the node
-    memo of ``bb.expand_level``, shared by the calls for one target and one
-    set of params."""
+    """Run the sampled-subtree estimator for one seed: from the children of
+    a level, starting from the root's, pick a sample, then expand it, all
+    with the branch-and-bound engine.  ``memo`` is the node memo of
+    ``bb.expand_level`` and ``bb.root_level``, shared by the calls for one
+    target and one set of params."""
     rng = np.random.default_rng(seed)
-    level = Level(survivors=[FixSets((), ())])
+    level = root_level(inst, memo=memo)
     per_depth: list[dict] = []
     bound_seconds: list[float] = []
     exact_sum = 0
@@ -79,7 +80,7 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
     complete = True
 
     for depth in itertools.count(1):
-        frontier = branch_level(inst, level, memo=memo)
+        frontier = level.children
         width = len(frontier)
         if not sampling and width >= params.width_threshold:
             # The first truncated level is still an exact count; later levels

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,9 @@ class FixSets:
 @dataclass(frozen=True)
 class Subproblem:
     """A reduced problem: minimize y^T reduced_B y + offset over binary y on
-    the free indices with sum(y) = residual_m."""
+    the free indices with sum(y) = residual_m.  ``group``, its node group, is
+    searched by ``subgroup`` the first time it is read, and the bound and the
+    branching of the node both read it."""
 
     inst: BqopInstance
     fix: FixSets
@@ -59,6 +62,10 @@ class Subproblem:
     @property
     def ell(self) -> int:
         return len(self.free)
+
+    @cached_property
+    def group(self) -> PermutationGroup:
+        return subgroup(self)
 
     def lift(self, y) -> np.ndarray:
         """Map a reduced solution back to a full-length solution vector."""
@@ -194,6 +201,7 @@ def feasibility_status(sub: Subproblem, leaf_threshold: int = 20,
 def subgroup(sub: Subproblem) -> PermutationGroup:
     """The automorphism group of the reduced matrix, acting on reduced
     indices: the largest group valid for orbital branching at this node.  It
-    is computed from the reduced matrix at every call; at the root that
+    is searched from the reduced matrix at every call, so the engine reads it
+    only through ``Subproblem.group``, once per subproblem; at the root that
     matrix is ``inst.B`` itself."""
     return automorphisms(sub.reduced_B)

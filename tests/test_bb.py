@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from symbb import bb as bb_mod
-from symbb import dnn
-from symbb.bb import (BbParams, Level, branch, branch_level, choose_orbit,
-                      expand_level, fingerprint, isomorphic, orbit_scores,
+from symbb import dnn, subproblem
+from symbb.bb import (BbParams, branch, choose_orbit, expand_level,
+                      fingerprint, isomorphic, orbit_scores, root_level,
                       solve_target, stats_csv_rows)
 from symbb.dnn import ApgParams, NbParams
 from symbb.estimator import EstParams, estimate
@@ -221,8 +221,7 @@ class TestSolveTarget:
         assert state["target"] == opt
         # The budget runs out after level 1: the frontier is its survivors.
         assert len(cert.per_depth) == 1
-        root = Level(survivors=[FixSets((), ())])
-        survivors = expand_level(inst, opt, params, branch_level(inst, root),
+        survivors = expand_level(inst, opt, params, root_level(inst).children,
                                  history={}).survivors
         assert state["frontier"] == [
             {"i0": [i + 1 for i in fix.i0], "i1": [i + 1 for i in fix.i1],
@@ -332,6 +331,45 @@ class TestEngine:
             for fix in bucket:
                 assert type(fix) is FixSets
                 assert not any(isinstance(v, np.ndarray) for v in vars(fix).values())
+
+    def test_each_node_reduced_and_grouped_once(self, monkeypatch):
+        # The k = 5 torus at 160 (173 nodes, no merges).  The engine reduces
+        # each node once, and a survivor's group is searched once, whether
+        # its bound on blocks or its branching reads it first.
+        reduced, grouped = [], []
+        real_reduce, real_subgroup = bb_mod.reduce, subproblem.subgroup
+
+        def reducing(inst, fix):
+            reduced.append(fix)
+            return real_reduce(inst, fix)
+
+        def grouping(sub):
+            grouped.append(sub.fix)
+            return real_subgroup(sub)
+
+        monkeypatch.setattr(bb_mod, "reduce", reducing)
+        monkeypatch.setattr(subproblem, "subgroup", grouping)
+        inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+        cert = solve_target(inst, 160, BbParams(nb=FAST.nb))
+        assert (cert.outcome, cert.node_count) == ("Proved", 173)
+        assert len(reduced) == len(set(reduced)) == cert.node_count
+        assert len(grouped) == len(set(grouped)) > 0
+
+    def test_audit_catches_lost_optimum(self, monkeypatch):
+        # Past the root, a survivor's children both fix every free index to
+        # zero, so neither keeps a feasible completion.
+        real = bb_mod.branch
+
+        def lossy(fix, orbit, free):
+            if fix == FixSets((), ()):
+                return real(fix, orbit, free)
+            return fix.with_zeros(free), fix.with_zeros(free)
+
+        monkeypatch.setattr(bb_mod, "branch", lossy)
+        inst = random_bqop(np.random.default_rng(0), 8, 4)
+        params = dataclasses.replace(FAST, audit=True)
+        with pytest.raises(AssertionError, match="lost the optimum"):
+            solve_target(inst, brute_optimum(inst), params)
 
     def test_audit_catches_unsound_merge(self, monkeypatch):
         # Every open node lands in one bucket and "matches" the first one.

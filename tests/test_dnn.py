@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from symbb import bb, dnn
+from symbb import bb, dnn, subproblem
 from symbb.bb import BbParams, solve_target
 from symbb.dnn import (DPRIME_FLOOR, STEP_MARGIN, ApgParams, ConeDistanceResult,
                        NbParams, _safe_ceil, assemble, cone_distance,
@@ -256,7 +256,6 @@ class TestBlockBasis:
         monkeypatch.undo()
         # D4 has four one-dimensional and one two-dimensional real irreducible.
         assert blocks.families == ((19, 1), (16, 2), (12, 1), (6, 1), (2, 1))
-        assert blocks.group_order == 8
         rng = np.random.default_rng(0)
         for _ in range(3):
             assert_block_step_exact(blocks, reynolds(stabiliser, sub.ell, rng))
@@ -310,7 +309,7 @@ class TestBlockBasis:
         assert dnn.block_basis(group, sub.ell) is None
         assert assemble(sub, 1e8).blocks is None
         # Below the crossover the node group is never computed.
-        monkeypatch.setattr(dnn, "subgroup", None)
+        monkeypatch.setattr(subproblem, "subgroup", None)
         small = open_sub(seed=0, n=8, m=4)
         assert 2 * small.ell + 1 < dnn.BLOCK_MIN_ORDER
         assert assemble(small, 1e8).blocks is None
@@ -321,7 +320,7 @@ class TestBlockBasis:
         assert nb_bound(prob, None, FAST_NB).status == "Converged"
 
     def test_completion_check_builds_no_group(self, monkeypatch):
-        monkeypatch.setattr(dnn, "subgroup", None)
+        monkeypatch.setattr(subproblem, "subgroup", None)
         sub, _ = torus_root()
         prob = assemble(sub, 1e8)
         res = nb_bound(prob, prob.upper + prob.offset + 1, FAST_NB)

@@ -30,6 +30,10 @@ def fast_bb(**kwargs):
 class TestSamplingRule:
     def test_wide_level_capped(self):
         assert _sample_count(600, EstParams()) == 100
+        # A sample is never larger than its level.
+        small = EstParams(width_threshold=2, sample_cutoff=2, sample_size=1000)
+        assert _sample_count(2, small) == 2
+        assert _sample_count(1001, small) == 1000
 
     def test_narrow_level_taken_whole(self):
         assert _sample_count(300, EstParams()) == 300
@@ -40,6 +44,21 @@ class TestSamplingRule:
 
 
 class TestDegenerateExactness:
+    def test_sample_covering_every_level_is_exact(self):
+        # Every level is sampled, and every sample is the whole level: the
+        # growth ratios then rebuild the exact level sizes.
+        nb = NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000))
+        est = EstParams(leaf_threshold=8, leaf_band=3, nb=nb, width_threshold=2,
+                        sample_cutoff=2, sample_size=1000)
+        solve = BbParams(leaf_threshold=8, leaf_band=3, nb=nb, iso_pruning=False)
+        for i in range(12):
+            inst = soundness_instance(i)
+            opt = brute_optimum(inst)
+            report = estimate(inst, opt, est)
+            assert report.sampled
+            assert all(r["sampled"] == r["width"] for r in report.per_depth)
+            assert report.estimated_total_nodes == solve_target(inst, opt, solve).node_count
+
     def test_matches_exact_node_count(self):
         # With a width threshold the tree never reaches, the estimate equals
         # the exact node count of the isomorphism-pruning-free search.

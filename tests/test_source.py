@@ -32,6 +32,26 @@ def unread_definitions(src: Path = SRC) -> list[str]:
     return sorted(where for name, where in defined.items() if name not in read)
 
 
+def unused_imports(src: Path = SRC) -> list[str]:
+    """The names that a module of ``src/*.py`` imports at top level and never
+    reads by name; an attribute read counts for the name it starts from.
+    ``from __future__`` imports are directives, not names."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for top in tree.body:
+            if not isinstance(top, (ast.Import, ast.ImportFrom)) or \
+                    getattr(top, "module", None) == "__future__":
+                continue
+            for alias in top.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{top.lineno} {name}")
+    return unused
+
+
 def test_every_top_level_definition_has_a_reader():
     # Code that only tests call belongs in tests/.
     assert unread_definitions() == []
@@ -42,3 +62,15 @@ def test_guard_sees_an_unread_helper(tmp_path):
         "def used():\n    return 1\n\n\n"
         "def unused():\n    return unused() + used()\n")
     assert unread_definitions(tmp_path) == ["a.py:5 unused"]
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_guard_sees_an_unused_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import math\nimport os.path\nfrom json import dumps, loads\n\n\n"
+        "def f():\n    return math.pi, os.path.sep, loads\n")
+    assert unused_imports(tmp_path) == ["a.py:5 dumps"]
