@@ -51,7 +51,10 @@ def _params(cls, flags: dict, config_path: str | None = None):
     would leave a bound to report.  So is a ``lambda_scale`` that is not a
     positive finite number, which gives no penalty weight, and a tolerance
     that is negative or not finite, which no gap or objective change can
-    meet."""
+    meet.  A ``node_budget`` below 1 would end every run after level 1, and
+    a ``time_budget`` that is negative or not finite is no budget; a
+    ``checkpoint_path`` gets the checks of ``_OutputPath``, so that a run
+    never ends unable to write it."""
     params = _apply_overrides(cls(), _given(flags))
     if config_path is not None:
         try:
@@ -62,6 +65,8 @@ def _params(cls, flags: dict, config_path: str | None = None):
             raise click.ClickException("--config must contain a JSON object")
         params = _apply_overrides(params, data)
     nb = params.nb
+    node_budget = getattr(params, "node_budget", None)
+    time_budget = getattr(params, "time_budget", None)
     for name, value, rule, ok in (
             ("workers", params.workers, "at least 1", params.workers >= 1),
             ("nb.max_iter", nb.max_iter, "at least 1", nb.max_iter >= 1),
@@ -71,9 +76,20 @@ def _params(cls, flags: dict, config_path: str | None = None):
             ("nb.gap_tol", nb.gap_tol, "a non-negative finite number",
              math.isfinite(nb.gap_tol) and nb.gap_tol >= 0),
             ("nb.apg.rel_tol", nb.apg.rel_tol, "a non-negative finite number",
-             math.isfinite(nb.apg.rel_tol) and nb.apg.rel_tol >= 0)):
+             math.isfinite(nb.apg.rel_tol) and nb.apg.rel_tol >= 0),
+            ("node_budget", node_budget, "at least 1",
+             node_budget is None or node_budget >= 1),
+            ("time_budget", time_budget, "a non-negative finite number",
+             time_budget is None or (math.isfinite(time_budget) and time_budget >= 0))):
         if not ok:
             raise click.ClickException(f"{name} must be {rule}, not {value}")
+    checkpoint = getattr(params, "checkpoint_path", None)
+    if checkpoint is not None:
+        try:
+            _output_path.convert(checkpoint, None, None)
+        except click.BadParameter as exc:
+            exc.param_hint = "'checkpoint_path'"
+            raise
     return params
 
 
@@ -267,7 +283,6 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
         apg=dict(rel_tol=apg_tol, max_iter=apg_max_iter))))
     bqop, digest = _load_bqop(instance_path)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
-    basis = None
     # The engine's leaf rule with no small leaves: one completion, or every
     # completion costs the same, and the bound is exact.
     leaf = subproblem.feasibility_status(sub, 0, 0)
@@ -280,8 +295,6 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
         prob = dnn.assemble(sub, params.lambda_scale)
         lam = prob.lam
         res = dnn.nb_bound(prob, target, params.nb)
-        # A bound that ran has built its basis; a skipped one builds none.
-        basis = prob.blocks if res.iterations else None
     # A targeted bound is skipped when a completion is below the target.
     lb = res.a + sub.offset if math.isfinite(res.a) else None
     click.echo(f"status: {res.status}")
@@ -292,10 +305,10 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
         click.echo(f"validated lower bound: {lb}")
     if res.lb_integer is not None:
         click.echo(f"integer lower bound: {res.lb_integer}")
-    if basis is not None:
+    if res.blocks is not None:
         click.echo(f"node group order: {sub.group.order}")
         click.echo("blocks: " + ", ".join(f"{size}x{copies}" if copies > 1 else str(size)
-                                          for size, copies in basis.families))
+                                          for size, copies in res.blocks))
     elif res.iterations:
         click.echo(f"blocks: none (full order {2 * sub.ell + 1})")
     if trace_csv:
@@ -307,9 +320,9 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
             "lower_bound": lb, "integer_lower_bound": res.lb_integer,
             "lambda": lam, "iterations": res.iterations,
             # The node group and blocks APG ran on; null on the full path.
-            "group_order": None if basis is None else sub.group.order,
-            "blocks": None if basis is None else [
-                {"size": size, "copies": copies} for size, copies in basis.families],
+            "group_order": None if res.blocks is None else sub.group.order,
+            "blocks": None if res.blocks is None else [
+                {"size": size, "copies": copies} for size, copies in res.blocks],
             # bound-root reads only these settings of TreeParams.
             "config": _run_config("bound-root", instance=instance_path, target=target,
                                   params={"lambda_scale": params.lambda_scale,
@@ -403,7 +416,7 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
 @_instance_option
 @click.option("--count", default=1_000_000, type=int)
 @click.option("--optimum", required=True, type=int)
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 @click.option("--bins", default=50, type=click.IntRange(min=1))
 @click.option("--csv", "csv_path", default=None, type=_output_path)
 def sample_dist(instance_path, count, optimum, seed, bins, csv_path):

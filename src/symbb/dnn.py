@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -137,40 +136,13 @@ class BlockBasis:
 
 @dataclass(frozen=True)
 class DnnProblem:
-    """The lifted matrix Q = Q_obj + lam * Q_pen of one subproblem and the
-    penalty weight lam it was built with, plus what bounding needs: the
-    offset of the integral objective and the initial Newton point.  The
-    corner s is the last index.  Two more values are built from ``sub`` the
-    first time ``nb_bound`` reads them:
+    """The lifted matrix Q = Q_obj + lam * Q_pen of the subproblem ``sub``
+    and the penalty weight lam it was built with.  The corner s is the last
+    index."""
 
-    ``upper``, the reduced value of the best completion ``swap_search``
-    found, read by targeted bounds only.  It decides whether a bound can
-    reach a target at all; Newton still starts at ``y_init``, the trivial
-    completion plus one, even where ``upper`` is lower.  A start nearer y*
-    saves APG work but loses prunes, measured on the soundness suite and on
-    tori, likely because the Newton sequence from the far start warm-starts
-    APG with a better Y2 near the prune level.
-
-    ``blocks``, the ``block_basis`` of the node group ``sub.group`` that
-    every APG solve runs on, read by bounds that solve at all; None below
-    ``BLOCK_MIN_ORDER`` and where ``block_basis`` gives none."""
-
-    ell: int
+    sub: Subproblem = field(repr=False, compare=False)
     q: np.ndarray
     lam: float
-    offset: int
-    y_init: float
-    sub: Subproblem = field(repr=False, compare=False)
-
-    @cached_property
-    def upper(self) -> int:
-        return swap_search(self.sub)[0]
-
-    @cached_property
-    def blocks(self) -> BlockBasis | None:
-        if self.q.shape[0] < BLOCK_MIN_ORDER:
-            return None
-        return block_basis(self.sub.group, self.ell)
 
 
 @dataclass(frozen=True)
@@ -195,6 +167,9 @@ class NbResult:
     iterations: int
     lb_integer: int | None
     trace: tuple = ()
+    # The (size, copies) block families every APG solve ran on; None on the
+    # full path and where no solve ran.
+    blocks: tuple[tuple[int, int], ...] | None = None
 
 
 def assemble(sub: Subproblem, lambda_scale: float) -> DnnProblem:
@@ -240,8 +215,7 @@ def assemble(sub: Subproblem, lambda_scale: float) -> DnnProblem:
     q_pen[s, iu] += -b
     q_pen[s, s] += b * b
 
-    return DnnProblem(ell=ell, q=q_obj + lam * q_pen, lam=lam,
-                      offset=sub.offset, y_init=initial_upper(sub), sub=sub)
+    return DnnProblem(sub=sub, q=q_obj + lam * q_pen, lam=lam)
 
 
 def initial_upper(sub: Subproblem) -> float:
@@ -517,14 +491,28 @@ def nb_bound(prob: DnnProblem, target: float | None,
     Branchable at the first new Newton point below the prune level.  Only
     ``a`` is a bound.
 
-    The completion check: with a target above ``upper + offset``, the value
-    of a known completion, no validated bound can prune, as every ``a`` is
-    at most the node's optimum.  The node then ends Branchable before any
-    APG solve, with no iterations, an empty trace, ``a = -inf`` and ``b =
-    upper``.  Every node on the path to a leaf below the target holds such a
-    completion, which the search often finds.  Where the relaxation of such
-    a node is tight, y* sits on the prune level: neither APG exit can decide
-    there, and the solve would run to its cap.
+    The per-node work, in this order.  With a target, ``swap_search`` looks
+    for a good completion of ``prob.sub`` (the completion check below);
+    untargeted bounds never search.  A bound that goes on to solve then
+    builds the ``block_basis`` of the node group ``sub.group`` from lifted
+    order ``BLOCK_MIN_ORDER`` up, runs every APG solve on it and reports its
+    families in ``blocks``; below that order, and where ``block_basis``
+    gives none, APG runs on the full matrix.  Newton starts at
+    ``initial_upper(sub)``, the trivial completion plus one, even where the
+    search found a lower completion.  A start nearer y* saves APG work but
+    loses prunes, measured on the soundness suite and on tori, likely
+    because the Newton sequence from the far start warm-starts APG with a
+    better Y2 near the prune level.
+
+    The completion check: with a target above the value of the completion
+    the search found, no validated bound can prune, as every ``a`` is at
+    most the node's optimum.  The node then ends Branchable before any APG
+    solve and before its group is searched, with no iterations, an empty
+    trace, ``a = -inf`` and ``b`` the completion's reduced value.  Every
+    node on the path to a leaf below the target holds such a completion,
+    which the search often finds.  Where the relaxation of such a node is
+    tight, y* sits on the prune level: neither APG exit can decide there,
+    and the solve would run to its cap.
 
     The correction: let M = Q - y H, Y2 >= 0 the APG iterate and z = (u, 1 -
     u, 1) the lift of any feasible binary completion.  Exactly one of u_j,
@@ -561,22 +549,25 @@ def nb_bound(prob: DnnProblem, target: float | None,
     is not evaluated there.  No ``a`` from a point below the prune level can
     prune, as each is at most its own y.  Branching is always sound, and
     after an inexact solve the point may sit below y*, so ``b`` then says
-    only where the node was decided.  ``y_init`` is never below the prune
-    level here, as the completion check has already ended any node whose
-    trivial completion is below the target.  Only converged solves move
+    only where the node was decided.  The Newton start is never below the
+    prune level here, as the completion check has already ended any node
+    whose trivial completion is below the target.  Only converged solves move
     ``b`` otherwise, and the last trace row is the last point evaluated.
     """
-    if target is not None and prob.upper + prob.offset < target:
-        return NbResult(status="Branchable", a=-math.inf, b=float(prob.upper),
-                        iterations=0, lb_integer=None)
-    blocks = prob.blocks
+    sub = prob.sub
+    if target is not None:
+        upper = swap_search(sub)[0]
+        if upper + sub.offset < target:
+            return NbResult(status="Branchable", a=-math.inf, b=float(upper),
+                            iterations=0, lb_integer=None)
     Q = prob.q
     d = Q.shape[0]
-    norm_factor = prob.ell + 1
+    basis = block_basis(sub.group, sub.ell) if d >= BLOCK_MIN_ORDER else None
+    norm_factor = sub.ell + 1
     # The margin is ten times the relative tolerance of _safe_ceil.
     a_need = None if target is None else \
-        target - 1 - prob.offset + 1e-8 * max(1.0, abs(target))
-    y = prob.y_init
+        target - 1 - sub.offset + 1e-8 * max(1.0, abs(target))
+    y = initial_upper(sub)
     a = -math.inf
     b = y
     warm = None
@@ -596,14 +587,14 @@ def nb_bound(prob: DnnProblem, target: float | None,
             if y >= a_need:
                 eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
         res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
-                            prune_step=prune_step, blocks=blocks)
+                            prune_step=prune_step, blocks=basis)
         warm = res.y2
         a = max(a, y + norm_factor * min(0.0, res.min_eig - eig_slack))
         if res.converged:
             b = min(b, y)
         trace.append(dict(zip(TRACE_FIELDS, (k, y, a, b, res.g, res.gprime,
                                              res.iterations, res.stop))))
-        if target is not None and _safe_ceil(a + prob.offset) >= target:
+        if target is not None and _safe_ceil(a + sub.offset) >= target:
             status = "Pruned"
             break
         if b - a <= params.gap_tol * max(1.0, abs(b)):
@@ -620,11 +611,12 @@ def nb_bound(prob: DnnProblem, target: float | None,
             y = 0.5 * (y + b)
         else:
             y = 0.5 * (a + y) if math.isfinite(a) else y - max(1.0, abs(y)) * 1e-3
-        if target is not None and _safe_ceil(y + prob.offset) < target:
+        if target is not None and _safe_ceil(y + sub.offset) < target:
             b = min(b, y)
             status = "Branchable"
             break
 
-    lb_integer = _safe_ceil(a + prob.offset) if math.isfinite(a) else None
+    lb_integer = _safe_ceil(a + sub.offset) if math.isfinite(a) else None
     return NbResult(status=status, a=a, b=b, iterations=iterations,
-                    lb_integer=lb_integer, trace=tuple(trace))
+                    lb_integer=lb_integer, trace=tuple(trace),
+                    blocks=None if basis is None else basis.families)

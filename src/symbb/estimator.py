@@ -4,7 +4,10 @@ The tree is expanded fully while a level holds fewer nodes than the width
 threshold.  From the first wide level onward only a random sample of each
 level is expanded; the per-level growth ratio (2 * branchable / sampled)
 extrapolates the level sizes, and their sum estimates the total node count.
-A level narrower than the sample size is taken whole.  The estimator is only
+A level narrower than the sample size is taken whole.  Time is priced per
+level: the bound seconds of the nodes expanded at a level, scaled by the
+estimated size of that level over the nodes expanded there, so a level
+expanded whole counts its own seconds once.  The estimator is only
 a sampling policy: it starts from the root's children (``bb.root_level``)
 and expands its sample with the branch-and-bound engine
 (``bb.expand_level``), which branches each survivor it bounds, so with no
@@ -72,6 +75,7 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
     level = root_level(inst, memo=memo)
     per_depth: list[dict] = []
     bound_seconds: list[float] = []
+    est_seconds = 0.0
     exact_sum = 0
     est_sum = 0.0
     sampling = False
@@ -99,6 +103,9 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
 
         level = expand_level(inst, target, params, selected, memo=memo)
         bound_seconds += level.bound_seconds
+        # The level's estimated size over its expanded nodes: exactly 1 while
+        # the level is expanded whole.
+        est_seconds += ((t_hat if sampling else width) / s_k) * sum(level.bound_seconds)
         r_k = len(level.survivors)
         rec = {"depth": depth, "width": width, "sampled": s_k,
                "branchable": r_k}
@@ -122,7 +129,7 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
     return EstimationReport(
         target=target, seed=seed, per_depth=tuple(per_depth),
         estimated_total_nodes=total, mean_node_seconds=mean_node_seconds,
-        estimated_time_seconds=total * mean_node_seconds,
+        estimated_time_seconds=est_seconds,
         sampled=sampling, target_refuted=refuted, complete=complete)
 
 

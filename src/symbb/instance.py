@@ -1,8 +1,10 @@
 """Problem instances: QAPLIB parsing, QAP-to-BQOP conversion, objectives
 and feasible-solution sampling.
 
-All matrices are kept in 64-bit signed integer arithmetic; objective values of
-instances in the intended range (including tai256c) fit comfortably.
+All matrices are kept in 64-bit signed integer arithmetic.  A BQOP whose
+absolute entries sum to ``VALUE_LIMIT`` or more is refused: below it, every
+objective value, reduced-matrix entry and offset is exact both in int64 and
+in the float64 that the bound reads.  tai256c is far below the limit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# The sum of |B_ij| must stay below this: 2^53, the end of the integers
+# that float64 holds exactly.
+VALUE_LIMIT = 2 ** 53
 
 
 class InstanceError(ValueError):
@@ -56,6 +63,12 @@ class BqopInstance:
             raise InstanceError("B must have zero diagonal")
         if not (0 < self.m <= self.n):
             raise InstanceError(f"cardinality target m={self.m} out of range for n={self.n}")
+        # A float64 sum of non-negative terms, each exact below 2^53, is
+        # exact while below 2^53 and at least 2^53 otherwise, in any order:
+        # it cannot overflow or misjudge the limit.
+        if float(np.abs(B.astype(np.float64)).sum()) >= VALUE_LIMIT:
+            raise InstanceError(f"the absolute entries of B sum to at least 2^53 = "
+                                f"{VALUE_LIMIT}, beyond exact arithmetic")
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
 
@@ -81,6 +94,8 @@ def parse_qaplib(text: str) -> QapInstance:
             return np.array([int(t) for t in chunk], dtype=np.int64)
         except ValueError as exc:
             raise InstanceError(f"non-numeric token while reading {what}: {exc}") from None
+        except OverflowError as exc:
+            raise InstanceError(f"entry beyond 64 bits while reading {what}: {exc}") from None
 
     n_arr = take(1, "dimension")
     n = int(n_arr[0])

@@ -78,10 +78,18 @@ class PermutationGroup:
 
 def candidates(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """cand[i, j]: index i of S may map to index j of T, because the two have
-    equal diagonal entries and equal sorted rows."""
-    rows_s, rows_t = np.sort(S, axis=1), np.sort(T, axis=1)
-    return (np.diagonal(S)[:, None] == np.diagonal(T)[None, :]) & \
-        (rows_s[:, None, :] == rows_t[None, :, :]).all(axis=2)
+    equal diagonal entries and equal sorted rows.  S and T share one dtype.
+    Each row is labelled by the bytes of its diagonal entry and sorted row,
+    in one dict shared by S and T, so that the comparison takes O(n^2)
+    memory."""
+    labels: dict[bytes, int] = {}
+
+    def label(M: np.ndarray) -> np.ndarray:
+        keys = np.column_stack([np.diagonal(M), np.sort(M, axis=1)])
+        return np.array([labels.setdefault(k.tobytes(), len(labels)) for k in keys],
+                        dtype=np.int64)
+
+    return label(S)[:, None] == label(T)[None, :]
 
 
 def _refine(S, T, cand, i: int, j: int) -> np.ndarray:

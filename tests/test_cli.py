@@ -17,7 +17,8 @@ from tests.conftest import brute_optimum, format_qaplib, random_bqop, torus_matr
 RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
          "lambda_scale": "a positive finite number", "workers": "at least 1",
          "nb.gap_tol": "a non-negative finite number",
-         "nb.apg.rel_tol": "a non-negative finite number"}
+         "nb.apg.rel_tol": "a non-negative finite number",
+         "node_budget": "at least 1", "time_budget": "a non-negative finite number"}
 
 
 @pytest.fixture
@@ -67,6 +68,17 @@ class TestConvert:
         result = runner.invoke(main, ["convert", "--instance", str(path)])
         assert result.exit_code == 1
         assert "rank-one" in result.output
+
+    def test_entry_beyond_int64_exits_1(self, runner, tmp_path):
+        path = tmp_path / "huge.dat"
+        path.write_text("2\n0 1\n1 0\n0 12345678901234567890\n12345678901234567890 0\n")
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["convert", "--instance", str(path),
+                                      "--output", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1 and result.output.startswith("error: ")
+        assert not out.exists()
 
 
 class TestSymmetry:
@@ -278,6 +290,21 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         assert "outcome: Proved" in result.output
 
+    def test_values_beyond_exact_arithmetic_exit_1(self, runner, tmp_path):
+        # Every objective value, 6 * 2^61, overflows int64; the instance is
+        # refused before a wrapped value can refute the target.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 6, "m": 3, "B_lower": [
+            0 if i == j else 2 ** 61 for i in range(6) for j in range(i + 1)]}))
+        cert = tmp_path / "cert.json"
+        result = runner.invoke(main, ["solve", "--instance", str(path), "--target", "0",
+                                      "--certificate-json", str(cert)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1 and result.output.startswith("error: ")
+        assert "2^53" in result.output
+        assert not cert.exists()
+
     def test_proved_exit_0(self, runner, bqop_file, tmp_path):
         path, inst = bqop_file
         opt = brute_optimum(inst)
@@ -390,6 +417,10 @@ class TestSolve:
         ({"nb": {"gap_tol": -1e-6}}, "nb.gap_tol"),
         ({"nb": {"apg": {"rel_tol": float("inf")}}}, "nb.apg.rel_tol"),
         ({"nb": {"apg": {"rel_tol": -1}}}, "nb.apg.rel_tol"),
+        ({"node_budget": 0}, "node_budget"),
+        ({"time_budget": float("nan")}, "time_budget"),
+        ({"time_budget": float("inf")}, "time_budget"),
+        ({"time_budget": -1}, "time_budget"),
     ])
     def test_config_cap_below_1_exits_1(self, runner, bqop_file, tmp_path,
                                         overrides, name):
@@ -406,6 +437,43 @@ class TestSolve:
         assert result.exit_code == 1
         assert result.output == f"error: {name} must be {RULES[name]}, not {value}\n"
         assert not cert.exists()
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--node-budget", "0", "node_budget"),
+        ("--node-budget", "-1", "node_budget"),
+        ("--time-budget", "nan", "time_budget"),
+        ("--time-budget", "inf", "time_budget"),
+        ("--time-budget", "-1.0", "time_budget"),
+    ])
+    def test_bad_budget_exits_1(self, runner, bqop_file, tmp_path, flag, value, name):
+        path, _ = bqop_file
+        cert = tmp_path / "cert.json"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", "0", flag, value,
+            "--certificate-json", str(cert)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {name} must be {RULES[name]}, not {value}\n"
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("where", ["missing_directory", "is_directory"])
+    def test_config_checkpoint_unwritable_exits_1(self, runner, bqop_file, tmp_path,
+                                                  where):
+        # --checkpoint is checked when parsed; a --config checkpoint_path
+        # gets the same check before any work.
+        path, _ = bqop_file
+        checkpoint = {"missing_directory": str(tmp_path / "none" / "ck.json"),
+                      "is_directory": str(tmp_path)}[where]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checkpoint_path": checkpoint, "node_budget": 1}))
+        cert = tmp_path / "cert.json"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", "0", "--config", str(cfg),
+            "--certificate-json", str(cert)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: Invalid value for 'checkpoint_path'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, cfg.name])
 
     def test_certificate_records_resolved_params(self, runner, tmp_path):
         rng = np.random.default_rng(33)
@@ -481,6 +549,17 @@ class TestSampleDist:
         assert result.exit_code == 1
         assert result.output.count("\n") == 1
         assert result.output.startswith("error: Invalid value for '--bins'")
+
+    def test_negative_seed_exits_1(self, runner, bqop_file, tmp_path):
+        path, _ = bqop_file
+        out = tmp_path / "dist.csv"
+        result = runner.invoke(main, [
+            "sample-dist", "--instance", str(path), "--count", "20",
+            "--optimum", "50", "--seed", "-1", "--csv", str(out)])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: Invalid value for '--seed'")
+        assert not out.exists()
 
 
 MALFORMED = {

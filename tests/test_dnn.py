@@ -13,7 +13,7 @@ from symbb.dnn import (DPRIME_FLOOR, STEP_MARGIN, ApgParams, ConeDistanceResult,
                        NbParams, _safe_ceil, assemble, cone_distance,
                        initial_upper, nb_bound)
 from symbb.instance import BqopInstance
-from symbb.subproblem import FixSets, reduce, subgroup
+from symbb.subproblem import FixSets, reduce, subgroup, swap_search
 from symbb.symmetry import automorphisms
 from tests.conftest import (alternating_projection_distance, brute_optimum,
                             brute_sub_optimum, lifted_form, penalty_value,
@@ -228,7 +228,7 @@ class TestConeDistance:
         sub = reduce(soundness_instance(0), FixSets((), (0,)))
         prob = assemble(sub, 1e8)
         M = prob.q.copy()
-        M[-1, -1] -= prob.y_init
+        M[-1, -1] -= initial_upper(prob.sub)
         res = cone_distance(M)
         upper, _ = alternating_projection_distance(M, max_iter=20_000)
         assert not res.converged or res.g <= upper
@@ -261,7 +261,7 @@ class TestBlockBasis:
             assert_block_step_exact(blocks, reynolds(stabiliser, sub.ell, rng))
         prob = assemble(sub, 1e8)
         M = prob.q.copy()
-        M[-1, -1] -= prob.y_init
+        M[-1, -1] -= initial_upper(prob.sub)
         assert_block_step_exact(blocks, M)
 
     def test_chiral_cyclic_group_keeps_complex_components(self):
@@ -307,12 +307,15 @@ class TestBlockBasis:
         group = subgroup(sub)
         assert group.order == 1
         assert dnn.block_basis(group, sub.ell) is None
-        assert assemble(sub, 1e8).blocks is None
+        short = NbParams(max_iter=1, apg=ApgParams(max_iter=5))
+        res = nb_bound(assemble(sub, 1e8), None, short)
+        assert res.iterations == 1 and res.blocks is None
         # Below the crossover the node group is never computed.
         monkeypatch.setattr(subproblem, "subgroup", None)
         small = open_sub(seed=0, n=8, m=4)
         assert 2 * small.ell + 1 < dnn.BLOCK_MIN_ORDER
-        assert assemble(small, 1e8).blocks is None
+        res = nb_bound(assemble(small, 1e8), None, short)
+        assert res.iterations == 1 and res.blocks is None
 
     def test_untargeted_bound_never_searches_completions(self, monkeypatch):
         monkeypatch.setattr(dnn, "swap_search", None)
@@ -323,9 +326,8 @@ class TestBlockBasis:
         monkeypatch.setattr(subproblem, "subgroup", None)
         sub, _ = torus_root()
         prob = assemble(sub, 1e8)
-        res = nb_bound(prob, prob.upper + prob.offset + 1, FAST_NB)
-        assert (res.status, res.iterations) == ("Branchable", 0)
-        assert "blocks" not in vars(prob)
+        res = nb_bound(prob, swap_search(sub)[0] + sub.offset + 1, FAST_NB)
+        assert (res.status, res.iterations, res.blocks) == ("Branchable", 0, None)
 
 
 class TestBlockPathAudit:
@@ -411,7 +413,7 @@ class TestNbBound:
         assert res.status == "Branchable"
         assert res.iterations == 0 and res.trace == ()
         assert res.a == -math.inf and res.lb_integer is None
-        assert res.b == prob.upper
+        assert res.b == swap_search(sub)[0]
 
     def test_completion_below_target_skips_every_solve(self, monkeypatch):
         calls = []
@@ -424,7 +426,7 @@ class TestNbBound:
         monkeypatch.setattr(dnn, "cone_distance", recording)
         for seed in range(6):
             prob = assemble(open_sub(seed=seed), 1e8)
-            level = prob.upper + prob.offset
+            level = swap_search(prob.sub)[0] + prob.sub.offset
             res = nb_bound(prob, level + 1, FAST_NB)
             assert (res.status, res.iterations, len(calls)) == ("Branchable", 0, 0)
             res = nb_bound(prob, level, FAST_NB)
@@ -551,7 +553,8 @@ class TestLandingExit:
     def test_bisection_point_below_prune_level(self, monkeypatch):
         """A solve with g' below DPRIME_FLOOR and a far below the prune level
         bisects toward a; the bisection point ends the node at once."""
-        prob = assemble(open_sub(seed=1), 1e8)
+        sub = open_sub(seed=1)
+        prob = assemble(sub, 1e8)
         calls = []
 
         def flat(M, *args, **kwargs):
@@ -562,14 +565,15 @@ class TestLandingExit:
 
         monkeypatch.setattr(dnn, "cone_distance", flat)
         # No known completion is below this target, so the bound is solved.
-        target = prob.upper + prob.offset
-        assert _safe_ceil(prob.y_init + prob.offset) > target
+        target = swap_search(sub)[0] + sub.offset
+        y_init = initial_upper(sub)
+        assert _safe_ceil(y_init + sub.offset) > target
         res = nb_bound(prob, target, FAST_NB)
         assert res.status == "Branchable"
         assert res.iterations == len(calls) == 1
         a = res.trace[0]["a"]
-        assert _safe_ceil(a + prob.offset) < target
-        assert res.b == 0.5 * (a + prob.y_init)
+        assert _safe_ceil(a + sub.offset) < target
+        assert res.b == 0.5 * (a + y_init)
 
     @staticmethod
     def landed(res):
@@ -583,7 +587,8 @@ class TestLandingExit:
         for prob, target in suite_problems():
             res = nb_bound(prob, target, SUITE_NB)
             assert res.iterations == len(res.trace)
-            assert (res.iterations == 0) == (prob.upper + prob.offset < target)
+            sub = prob.sub
+            assert (res.iterations == 0) == (swap_search(sub)[0] + sub.offset < target)
             # Pruned is tested before Converged on the same a, so a targeted
             # Converged never carries a bound at the target.
             assert res.status != "Converged" or res.lb_integer < target
@@ -664,7 +669,8 @@ class TestStepExit:
         above and below the prune level."""
         rows = res.trace
         assert [row["apg_stop"] for row in rows] == [r.stop for _, r in calls]
-        a_need = target - 1 - prob.offset + 1e-8 * max(1.0, abs(target))
+        offset = prob.sub.offset
+        a_need = target - 1 - offset + 1e-8 * max(1.0, abs(target))
         above = below = 0
         for k, (prune_step, r) in enumerate(calls):
             y = rows[k]["y"]
@@ -672,7 +678,7 @@ class TestStepExit:
             if r.stop != "step":
                 continue
             assert np.all(r.y2 >= 0)
-            assert rows[k]["b"] == (rows[k - 1]["b"] if k else prob.y_init)
+            assert rows[k]["b"] == (rows[k - 1]["b"] if k else initial_upper(prob.sub))
             tol = 1e-9 * max(1.0, abs(y))
             last = k == len(rows) - 1
             landing = res.b if last else rows[k + 1]["y"]
@@ -680,7 +686,7 @@ class TestStepExit:
                 above += 1
                 assert not last
                 assert landing >= a_need + STEP_MARGIN - tol
-                assert _safe_ceil(landing + prob.offset) >= target
+                assert _safe_ceil(landing + offset) >= target
             else:
                 below += 1
                 assert last and res.status == "Branchable"
@@ -701,11 +707,11 @@ class TestStepExit:
     def test_block_path(self, solves):
         sub, _ = torus_root()
         prob = assemble(sub, 1e8)
-        assert prob.blocks is not None
         params = NbParams(max_iter=4, apg=ApgParams(max_iter=400))
-        for target in (None, prob.upper + prob.offset):
+        for target in (None, swap_search(sub)[0] + sub.offset):
             res = nb_bound(prob, target, params)
             assert res.iterations == len(solves) > 0
+            assert res.blocks == dnn.block_basis(sub.group, sub.ell).families
             solves.clear()
 
     def test_torus(self, solves, monkeypatch):

@@ -1,5 +1,7 @@
 """Sampled-subtree tree-size estimation."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,40 @@ class TestSharedMemo:
         bounded.clear()
         estimate_multi(inst, self.TORUS_TARGET, [3, 4], self.TORUS_PARAMS)
         assert len(bounded) == first > 0
+
+
+class TestTimePricing:
+    """The estimated time prices each level by its own bound seconds, under a
+    clock that advances one second per bound."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """The bounds the engine makes; each takes exactly 1 s."""
+        now = [0.0]
+        real = bb.nb_bound
+
+        def bound(*args):
+            now[0] += 1.0
+            return real(*args)
+
+        monkeypatch.setattr(bb, "nb_bound", bound)
+        monkeypatch.setattr(bb, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        return now
+
+    def test_full_width_counts_each_bound_once(self, clock):
+        # 173 nodes, of which 147 are bounded: the root, the leaves and the
+        # infeasible nodes cost nothing.
+        report = estimate(TestSharedMemo.torus(), 160,
+                          EstParams(width_threshold=10 ** 6, nb=FAST_NB))
+        assert not report.sampled and report.estimated_total_nodes == 173
+        assert clock[0] == 147
+        assert report.estimated_time_seconds == 147.0
+        assert report.mean_node_seconds == 1.0
+
+    def test_shared_memo_matches_separate_calls(self, clock):
+        inst, target, params = (TestSharedMemo.torus(), TestSharedMemo.TORUS_TARGET,
+                                TestSharedMemo.TORUS_PARAMS)
+        summary = estimate_multi(inst, target, [3, 4], params)
+        separate = [estimate(inst, target, params, seed=s).to_json_obj() for s in (3, 4)]
+        assert summary["reports"] == separate
+        assert all(r["sampled"] for r in separate)

@@ -64,6 +64,10 @@ class TestParsing:
         with pytest.raises(InstanceError):
             parse_qaplib("")
 
+    def test_entry_beyond_int64(self):
+        with pytest.raises(InstanceError, match="64 bits"):
+            parse_qaplib("2  0 1 1 0  0 12345678901234567890 12345678901234567890 0")
+
 
 class TestConversion:
     def test_full_diagonal_convention(self):
@@ -216,3 +220,20 @@ class TestValidation:
         B = np.zeros((3, 3), dtype=np.int64)
         with pytest.raises(InstanceError, match="cardinality"):
             BqopInstance(n=3, B=B, m=4)
+
+    def test_value_limit(self):
+        # The absolute entries sum to 2^53 exactly: refused.  Two less: kept.
+        for half, ok in ((2 ** 52, False), (2 ** 52 - 1, True)):
+            B = np.array([[0, -half], [-half, 0]], dtype=np.int64)
+            if ok:
+                assert BqopInstance(n=2, B=B, m=1).B[0, 1] == -half
+            else:
+                with pytest.raises(InstanceError, match=r"2\^53"):
+                    BqopInstance(n=2, B=B, m=1)
+
+    def test_value_sum_beyond_int64_refused(self):
+        # The sum of these entries, 30 * 2^61, overflows int64.
+        B = np.full((6, 6), 2 ** 61, dtype=np.int64)
+        np.fill_diagonal(B, 0)
+        with pytest.raises(InstanceError, match=r"2\^53"):
+            BqopInstance(n=6, B=B, m=3)

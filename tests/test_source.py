@@ -32,6 +32,28 @@ def unread_definitions(src: Path = SRC) -> list[str]:
     return sorted(where for name, where in defined.items() if name not in read)
 
 
+def unread_members(src: Path = SRC) -> list[str]:
+    """The methods and properties, dunders excluded, defined by a ``def`` in
+    a class body of ``src/*.py`` whose name no code there reads as an
+    attribute, anywhere: a read through ``super()`` counts, so that a method
+    a library calls back through its base class is kept.  A plain name read,
+    such as a local variable of the same name, reaches no member."""
+    defined = {}
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and \
+                            not (member.name.startswith("__") and member.name.endswith("__")):
+                        defined.setdefault(member.name, f"{path.name}:{member.lineno} "
+                                                        f"{node.name}.{member.name}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
 def unused_imports(src: Path = SRC) -> list[str]:
     """The names that a module of ``src/*.py`` imports at top level and never
     reads by name; an attribute read counts for the name it starts from.
@@ -62,6 +84,21 @@ def test_guard_sees_an_unread_helper(tmp_path):
         "def used():\n    return 1\n\n\n"
         "def unused():\n    return unused() + used()\n")
     assert unread_definitions(tmp_path) == ["a.py:5 unused"]
+
+
+def test_every_method_has_a_reader():
+    assert unread_members() == []
+
+
+def test_guard_sees_an_unread_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n        self.x = 1\n\n"
+        "    def used(self):\n        return self.x\n\n"
+        "    @property\n    def stale(self):\n        stale = self.used()\n        return stale\n\n"
+        "    def hook(self):\n        return super().hook()\n\n"
+        "    def unused(self):\n        return 2\n")
+    assert unread_members(tmp_path) == ["a.py:16 A.unused", "a.py:9 A.stale"]
 
 
 def test_every_import_is_read():

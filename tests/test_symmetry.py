@@ -1,5 +1,7 @@
 """Automorphism enumeration, orbits, solution expansion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,51 @@ class TestPairOrbits:
         elements = random_elements(group, 3, np.random.default_rng(0))
         assert np.array_equal(elements, np.tile(np.arange(3), (3, 1)))
         assert np.array_equal(np.sort(pair_orbits(elements).ravel()), np.arange(9))
+
+
+def cubic_candidates(S, T):
+    """The reference for ``candidates``: every pair of sorted rows compared
+    in one n x n x n array."""
+    rows_s, rows_t = np.sort(S, axis=1), np.sort(T, axis=1)
+    return (np.diagonal(S)[:, None] == np.diagonal(T)[None, :]) & \
+        (rows_s[:, None, :] == rows_t[None, :, :]).all(axis=2)
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("k", [5, 10, 16])
+    def test_matches_cubic_reference_on_tori(self, k):
+        B = torus_matrix(k).astype(np.int64)
+        rng = np.random.default_rng(k)
+        p = rng.permutation(k * k)
+        P = B[np.ix_(p, p)]
+        for S, T in ((B, B), (B, P), (P, B)):
+            assert np.array_equal(candidates(S, T), cubic_candidates(S, T))
+
+    def test_matches_cubic_reference_on_random_pairs(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            n = int(rng.integers(1, 30))
+            S = rng.integers(-3, 4, (n, n))
+            S = S + S.T
+            p = rng.permutation(n)
+            T = S[np.ix_(p, p)].copy()
+            # A changed pair leaves some rows without their partner.
+            if n > 1 and rng.random() < 0.5:
+                T[0, 1] = T[1, 0] = T[0, 1] + 1
+            assert np.array_equal(candidates(S, T), cubic_candidates(S, T))
+
+    def test_memory_is_quadratic(self):
+        rng = np.random.default_rng(5)
+        S = rng.integers(0, 50, (600, 600))
+        S = S + S.T
+        tracemalloc.start()
+        try:
+            candidates(S, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The n x n x n comparison of ``cubic_candidates`` peaks at 212 MB here.
+        assert peak < 32 * 2 ** 20
 
 
 class TestFirstLeaf:
