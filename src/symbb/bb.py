@@ -10,8 +10,10 @@ already seen one, bounds the rest with the Newton-bracketing procedure (early
 exit against the target), and branches each survivor right there
 (``branch_node``), on the highest-scoring orbit of the node group its bound
 already read.  Between levels only fix sets are kept, the isomorphism history
-included, so a retained twin is reduced again only to check a merge.  No
-upper bounding is performed: the run either proves that the optimum is at
+included, so a retained twin is reduced again only to check a merge; the
+one exception is a survivor's last APG iterate, which warm-starts the bounds
+of its two children and is dropped once they are decided.  No upper
+bounding is performed: the run either proves that the optimum is at
 least the target, or refutes the target with an exactly solved leaf below
 it.
 """
@@ -24,6 +26,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,22 +179,31 @@ class Decided:
     (``status`` is Infeasible, a SolvedLeaf, or None for an open node),
     whether its bound pruned it and the seconds that bound took, and, for a
     survivor or the root, the children it was branched into where it was
-    decided.  A memo maps fix sets to these records."""
+    decided.  A survivor whose bound ran APG also holds ``warm``, its free
+    indices and ``NbResult.y2``: the warm start of its children's bounds
+    (``dnn.assemble``), dropped once both children are decided.  A memo maps
+    fix sets to these records."""
 
     status: Infeasible | SolvedLeaf | None
     pruned: bool | None = None          # None until bounded
     seconds: float = 0.0
     children: tuple[FixSets, FixSets] | None = None
+    warm: tuple[tuple[int, ...], np.ndarray] | None = None
+
+    @property
+    def decided(self) -> bool:
+        return self.status is not None or self.pruned is not None
 
 
 @dataclass
 class Level:
     """One expanded level.  ``survivors`` are the open nodes that no bound
     pruned, and ``children`` both children of every survivor, in survivor
-    order: the next level.  ``pruned_bound`` counts the solved leaves too.  A
-    level with a ``refutation`` (its first leaf below the target) was neither
-    bounded nor branched.  Level 0 (``root_level``) holds only the root's
-    children."""
+    order: the next level, and ``parents`` maps each child to the record of
+    the survivor it came from.  ``pruned_bound`` counts the solved leaves
+    too.  A level with a ``refutation`` (its first leaf below the target) was
+    neither bounded nor branched.  Level 0 (``root_level``) holds only the
+    root's children, with no parents: the root is never bounded."""
 
     pruned_iso: int = 0
     infeasible: int = 0
@@ -199,13 +211,15 @@ class Level:
     pruned_bound: int = 0
     survivors: list[FixSets] = field(default_factory=list)
     children: list[FixSets] = field(default_factory=list)
+    parents: dict[FixSets, Decided] = field(default_factory=dict)
     refutation: SolvedLeaf | None = None
     bound_seconds: list[float] = field(default_factory=list)
 
 
 def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                  fixes: list[FixSets], history: dict | None = None,
-                 audit: bool = False, memo: dict | None = None) -> Level:
+                 audit: bool = False, memo: dict | None = None,
+                 parents: dict | None = None) -> Level:
     """Expand one level of fix sets, in order: reduce and classify each node;
     with a ``history`` (fingerprint -> fix sets of the retained subproblems),
     prune the open nodes isomorphic to a retained one, rebuilt by ``reduce``,
@@ -213,6 +227,12 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     bound the open nodes, apply the prune test and branch every survivor
     from the subproblem its bound read.  Only branch and bound passes a
     history.
+
+    ``parents`` (the ``Level.parents`` of the level before) gives each bound
+    the warm start of its parent, if the parent still holds one.  A pruned
+    node keeps no Y2, and a parent drops its Y2 once both of its children
+    are decided: without a memo after this level, as no other call reaches
+    them; with one, once the memo has decided both.
 
     With a ``memo`` (fix sets -> Decided, for one target and one set of
     params), a node recorded there is neither reduced, classified, bounded
@@ -274,34 +294,45 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
         return level
     level.pruned_bound = level.leaves
 
-    def bound_one(sub: Subproblem):
+    parents = parents or {}
+
+    def bound_one(item):
+        parent, _, sub = item
         t0 = time.monotonic()
-        res = nb_bound(assemble(sub, params.lambda_scale), target, params.nb)
+        warm = None if parent is None else parent.warm
+        res = nb_bound(assemble(sub, params.lambda_scale, warm), target, params.nb)
         return res, time.monotonic() - t0
 
-    unbounded = [(node, sub) for _, node, sub in open_nodes if node.pruned is None]
-    subs = [sub for _, sub in unbounded]
-    if params.workers > 1 and subs:
-        with ThreadPoolExecutor(max_workers=params.workers) as pool:
-            results = list(pool.map(bound_one, subs))
-    else:
-        results = [bound_one(sub) for sub in subs]
-    for (node, sub), (res, seconds) in zip(unbounded, results):
-        if audit and math.isfinite(res.a):
-            opt = solve_exactly(sub).value
-            assert res.a + sub.offset <= opt, \
-                f"invalid bound at {sub.fix}: {res.a + sub.offset} > {opt}"
-        elif audit and res.iterations == 0:
-            # Decided by a completion below the target: b is its value.
-            opt = solve_exactly(sub).value
-            assert opt <= res.b + sub.offset < target, \
-                f"no completion of {sub.fix} at {res.b + sub.offset} < {target}"
-        # Branchable, unresolved Converged, and IterLimit all branch;
-        # branching an undecided node is always sound.
-        node.pruned = res.status == "Pruned"
-        node.seconds = seconds
-        if not node.pruned:
-            node.children = branch_node(sub, audit)
+    unbounded = [(parents.get(fix), node, sub) for fix, node, sub in open_nodes
+                 if node.pruned is None]
+    with ExitStack() as stack:
+        # Both maps are lazy, so a pruned node's Y2 is dropped once its
+        # verdict is recorded.
+        results = map(bound_one, unbounded)
+        if params.workers > 1 and unbounded:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=params.workers))
+            results = pool.map(bound_one, unbounded)
+        for (_, node, sub), (res, seconds) in zip(unbounded, results):
+            if audit and math.isfinite(res.a):
+                opt = solve_exactly(sub).value
+                assert res.a + sub.offset <= opt, \
+                    f"invalid bound at {sub.fix}: {res.a + sub.offset} > {opt}"
+            elif audit and res.iterations == 0:
+                # Decided by a completion below the target: b is its value.
+                opt = solve_exactly(sub).value
+                assert opt <= res.b + sub.offset < target, \
+                    f"no completion of {sub.fix} at {res.b + sub.offset} < {target}"
+            # Branchable, unresolved Converged, and IterLimit all branch;
+            # branching an undecided node is always sound.
+            node.pruned = res.status == "Pruned"
+            node.seconds = seconds
+            if not node.pruned:
+                node.children = branch_node(sub, audit)
+                if res.y2 is not None:
+                    node.warm = (sub.free, res.y2)
+    for parent in parents.values():
+        if memo is None or all(c in memo and memo[c].decided for c in parent.children):
+            parent.warm = None
     for fix, node, _ in open_nodes:
         level.bound_seconds.append(node.seconds)
         if node.pruned:
@@ -309,6 +340,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
         else:
             level.survivors.append(fix)
             level.children.extend(node.children)
+            level.parents.update(dict.fromkeys(node.children, node))
     return level
 
 
@@ -344,7 +376,8 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
         fixes = level.children
         created = len(fixes)
         node_count += created
-        level = expand_level(inst, target, params, fixes, history, params.audit)
+        level = expand_level(inst, target, params, fixes, history, params.audit,
+                             parents=level.parents)
         generated = created - level.pruned_iso
         per_depth.append({
             "depth": depth, "created": created, "generated": generated,

@@ -51,8 +51,9 @@ def _params(cls, flags: dict, config_path: str | None = None):
     would leave a bound to report.  So is a ``lambda_scale`` that is not a
     positive finite number, which gives no penalty weight, and a tolerance
     that is negative or not finite, which no gap or objective change can
-    meet.  A ``node_budget`` below 1 would end every run after level 1, and
-    a ``time_budget`` that is negative or not finite is no budget; a
+    meet.  A ``node_budget`` below 1 would end every run after level 1, a
+    ``width_threshold`` below 1 would sample from the root's children on,
+    and a ``time_budget`` that is negative or not finite is no budget; a
     ``checkpoint_path`` gets the checks of ``_OutputPath``, so that a run
     never ends unable to write it."""
     params = _apply_overrides(cls(), _given(flags))
@@ -67,6 +68,7 @@ def _params(cls, flags: dict, config_path: str | None = None):
     nb = params.nb
     node_budget = getattr(params, "node_budget", None)
     time_budget = getattr(params, "time_budget", None)
+    width_threshold = getattr(params, "width_threshold", None)
     for name, value, rule, ok in (
             ("workers", params.workers, "at least 1", params.workers >= 1),
             ("nb.max_iter", nb.max_iter, "at least 1", nb.max_iter >= 1),
@@ -80,7 +82,9 @@ def _params(cls, flags: dict, config_path: str | None = None):
             ("node_budget", node_budget, "at least 1",
              node_budget is None or node_budget >= 1),
             ("time_budget", time_budget, "a non-negative finite number",
-             time_budget is None or (math.isfinite(time_budget) and time_budget >= 0))):
+             time_budget is None or (math.isfinite(time_budget) and time_budget >= 0)),
+            ("width_threshold", width_threshold, "at least 1",
+             width_threshold is None or width_threshold >= 1)):
         if not ok:
             raise click.ClickException(f"{name} must be {rule}, not {value}")
     checkpoint = getattr(params, "checkpoint_path", None)

@@ -19,9 +19,11 @@ whose work is being estimated.
 of node outcomes (``bb.Decided``), made for that call only, so the root
 branch, the levels every seed expands whole and the nodes two samples share
 are classified, bounded and branched by the first seed that meets them.  A
-shared node's recorded bound seconds count in every seed that samples it, so
-each report is the one a separate ``estimate`` call would give, timings
-aside.
+survivor's warm start (``bb.Decided.warm``) stays on its record until the
+memo has decided both of its children, so a child that a later seed samples
+first is bounded from the same start as in a separate call.  A shared node's
+recorded bound seconds count in every seed that samples it, so each report
+is the one a separate ``estimate`` call would give, timings aside.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
             selected = frontier
             exact_sum += width
 
-        level = expand_level(inst, target, params, selected, memo=memo)
+        level = expand_level(inst, target, params, selected, memo=memo,
+                             parents=level.parents)
         bound_seconds += level.bound_seconds
         # The level's estimated size over its expanded nodes: exactly 1 while
         # the level is expanded whole.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ class TestSolveTarget:
         assert a.node_count == b.node_count
         assert a.per_depth == b.per_depth
 
+    def test_torus_warm_starts_across_workers(self):
+        # Each bound reads only its own parent's Y2, and no parent drops it
+        # before every bound of the level is done, so the order in which the
+        # workers finish cannot change a certificate.  More workers than
+        # cores and a short switch interval make the threads interleave.
+        inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            certs = [solve_target(inst, 160, BbParams(nb=FAST.nb, workers=w)).to_json_obj()
+                     for w in (1, 2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        for cert in certs:
+            cert.pop("timing")
+        assert certs[0] == certs[1] == certs[2] and certs[0]["node_count"] == 23
+
     def test_stats_level_invariant(self):
         rng = np.random.default_rng(13)
         inst = planted_bqop(rng, blocks=3, block_size=3, m=4)
@@ -249,15 +267,18 @@ class TestSolveTarget:
         assert "wall_time_seconds" in obj["timing"]
 
     # Per level of the k = 5 torus tree: (created, infeasible, leaf_solved,
-    # active, pruned_bound).  No isomorphism merges happen on this tree.
-    TORUS_OPEN = ((2, 1, 0, 1, 0), (2, 0, 0, 2, 0), (4, 0, 0, 4, 0), (8, 0, 0, 8, 0))
+    # active, pruned_bound).  No isomorphism merges happen on this tree.  Each
+    # child's first APG solve starts from its parent's last Y2, which narrows
+    # the proof at 160 to one survivor per level from depth 3 on.  Both
+    # certificates pass the audit.
+    TORUS_OPEN = ((2, 1, 0, 1, 0), (2, 0, 0, 2, 0))
 
     @pytest.mark.parametrize("target, outcome, node_count, levels", [
-        (160, "Proved", 173, TORUS_OPEN + (
-            (16, 0, 1, 11, 5), (22, 0, 0, 11, 11), (22, 0, 3, 14, 8),
-            (28, 0, 2, 15, 13), (30, 0, 6, 12, 18), (24, 0, 7, 7, 17),
-            (14, 0, 5, 0, 14))),
-        (170, "Refuted", 33, TORUS_OPEN + ((16, 0, 1, 0, 0),)),
+        (160, "Proved", 23, TORUS_OPEN + (
+            (4, 0, 0, 1, 3), (2, 0, 0, 1, 1), (2, 0, 0, 1, 1), (2, 0, 0, 1, 1),
+            (2, 0, 1, 1, 1), (2, 0, 0, 1, 1), (2, 0, 0, 1, 1), (2, 0, 0, 0, 2))),
+        (170, "Refuted", 33, TORUS_OPEN + (
+            (4, 0, 0, 4, 0), (8, 0, 0, 8, 0), (16, 0, 1, 0, 0))),
     ])
     def test_torus_certificates_pinned(self, target, outcome, node_count, levels):
         # Faster bounding must not change a verdict or a level count.
@@ -308,22 +329,24 @@ class TestEngine:
                 assert report.estimated_total_nodes == cert.node_count
 
     def test_history_keeps_only_fix_sets(self, monkeypatch):
-        # The planted n = 16 proof merges 4 times; its history still holds
-        # no reduced matrix, only the fix sets to rebuild one from.
+        # The planted n = 16 proof, with one Newton step per bound, merges 3
+        # times in 65 nodes; its history still holds no reduced matrix, only
+        # the fix sets to rebuild one from.  With the default Newton cap the
+        # warm-started proof takes 9 nodes and merges none.
         histories = []
         real = bb_mod.expand_level
 
-        def recording(inst, target, params, fixes, history=None, *args):
+        def recording(inst, target, params, fixes, history=None, *args, **kwargs):
             histories.append(history)
-            return real(inst, target, params, fixes, history, *args)
+            return real(inst, target, params, fixes, history, *args, **kwargs)
 
         monkeypatch.setattr(bb_mod, "expand_level", recording)
         inst = planted_bqop(np.random.default_rng(7), blocks=2, block_size=8, m=7)
         params = BbParams(leaf_threshold=4, leaf_band=2,
-                          nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
+                          nb=NbParams(max_iter=1, apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
         cert = solve_target(inst, brute_optimum(inst), params)
-        assert cert.outcome == "Proved"
-        assert sum(d["pruned_iso"] for d in cert.per_depth) == 4
+        assert (cert.outcome, cert.node_count) == ("Proved", 65)
+        assert sum(d["pruned_iso"] for d in cert.per_depth) == 3
         history = histories[-1]
         assert all(h is history for h in histories) and history
         for bucket in history.values():
@@ -333,7 +356,7 @@ class TestEngine:
                 assert not any(isinstance(v, np.ndarray) for v in vars(fix).values())
 
     def test_each_node_reduced_and_grouped_once(self, monkeypatch):
-        # The k = 5 torus at 160 (173 nodes, no merges).  The engine reduces
+        # The k = 5 torus at 160 (23 nodes, no merges).  The engine reduces
         # each node once, and a survivor's group is searched once, whether
         # its bound on blocks or its branching reads it first.
         reduced, grouped = [], []
@@ -351,9 +374,45 @@ class TestEngine:
         monkeypatch.setattr(subproblem, "subgroup", grouping)
         inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
         cert = solve_target(inst, 160, BbParams(nb=FAST.nb))
-        assert (cert.outcome, cert.node_count) == ("Proved", 173)
+        assert (cert.outcome, cert.node_count) == ("Proved", 23)
         assert len(reduced) == len(set(reduced)) == cert.node_count
         assert len(grouped) == len(set(grouped)) > 0
+
+    def test_warm_start_kept_until_both_children_decided(self):
+        # The k = 5 torus at 160: a survivor holds its free indices and its
+        # last Y2 over lam until the memo has decided both of its children;
+        # a pruned node holds none.
+        inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+        params = BbParams(nb=FAST.nb)
+        memo = {}
+        level1 = expand_level(inst, 160, params, root_level(inst, memo=memo).children,
+                              memo=memo)
+        parent = memo[level1.survivors[0]]
+        assert all(p is parent for p in level1.parents.values())
+        free, y2 = parent.warm
+        assert y2.shape == (2 * len(free) + 1,) * 2 and np.all(y2 >= 0)
+        first, second = level1.children
+        expand_level(inst, 160, params, [first], memo=memo, parents=level1.parents)
+        assert parent.warm is not None
+        expand_level(inst, 160, params, [second], memo=memo, parents=level1.parents)
+        assert parent.warm is None
+        level2 = expand_level(inst, 160, params, level1.children, memo=memo,
+                              parents=level1.parents)
+        level3 = expand_level(inst, 160, params, level2.children, memo=memo,
+                              parents=level2.parents)
+        nodes = [memo[fix] for fix in level2.children]
+        assert sum(node.pruned for node in nodes) == level3.pruned_bound == 3
+        assert all((node.warm is None) == node.pruned for node in nodes)
+        assert all(memo[fix].warm is None for fix in level2.survivors)
+        # Without a memo no later call reaches a parent: it drops its Y2
+        # after one level.
+        fresh = expand_level(inst, 160, params, root_level(inst).children)
+        kept = fresh.parents[first]
+        assert kept.warm is not None
+        after = expand_level(inst, 160, params, fresh.children, parents=fresh.parents)
+        assert kept.warm is None
+        assert after.survivors == level2.survivors
+        assert all(p.warm is not None for p in after.parents.values())
 
     def test_audit_catches_lost_optimum(self, monkeypatch):
         # Past the root, a survivor's children both fix every free index to
@@ -404,12 +463,14 @@ class TestEngine:
 
 class TestCompletionCheck:
     """A node holding a known completion below the target is Branchable
-    without a bound; every certificate is the one the bounds alone give."""
+    without a bound; every outcome and witness is the one the bounds alone
+    give.  The node counts differ: the children of a node the check decided
+    ran no APG, so their first solves start from zeros, not from a Y2."""
 
     SUITE = BbParams(leaf_threshold=8, leaf_band=3,
                      nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
 
-    def test_suite_certificates_unchanged(self, monkeypatch):
+    def test_suite_outcomes_unchanged(self, monkeypatch):
         skipped = []
         real = bb_mod.nb_bound
 
@@ -422,9 +483,13 @@ class TestCompletionCheck:
             certs = []
             for inst, target in targets:
                 skipped.append(0)
-                cert = solve_target(inst, target, self.SUITE).to_json_obj()
-                certs.append(json.dumps({**cert, "timing": None}))
+                certs.append(solve_target(inst, target, self.SUITE))
             return certs
+
+        def verdicts(certs):
+            return [(c.outcome, c.witness_value,
+                     None if c.witness is None else "".join(map(str, c.witness)))
+                    for c in certs]
 
         monkeypatch.setattr(bb_mod, "nb_bound", recording)
         targets = []
@@ -436,7 +501,10 @@ class TestCompletionCheck:
         fired = skipped[:]
         monkeypatch.setattr(dnn, "swap_search", lambda sub: (float("inf"), None))
         skipped.clear()
-        assert certificates(targets) == checked
+        unchecked = certificates(targets)
+        assert verdicts(unchecked) == verdicts(checked)
+        assert sum(c.node_count for c in checked) == 412
+        assert sum(c.node_count for c in unchecked) == 392
         assert not any(skipped)
         assert not any(fired[0::2])
         assert any(fired[1::2])

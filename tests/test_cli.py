@@ -18,7 +18,8 @@ RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
          "lambda_scale": "a positive finite number", "workers": "at least 1",
          "nb.gap_tol": "a non-negative finite number",
          "nb.apg.rel_tol": "a non-negative finite number",
-         "node_budget": "at least 1", "time_budget": "a non-negative finite number"}
+         "node_budget": "at least 1", "time_budget": "a non-negative finite number",
+         "width_threshold": "at least 1"}
 
 
 @pytest.fixture
@@ -518,6 +519,17 @@ class TestEstimate:
         assert data["config"]["subcommand"] == "estimate"
         assert data["config"]["params"]["width_threshold"] == 1000
 
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_width_threshold_below_1_exits_1(self, runner, bqop_file, tmp_path, value):
+        path, _ = bqop_file
+        out = tmp_path / "est.json"
+        result = runner.invoke(main, ["estimate", "--instance", str(path), "--target", "0",
+                                      "--width-threshold", value, "--report-json", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"error: width_threshold must be {RULES['width_threshold']}, " \
+                                f"not {value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["", ",", "a,b", "1.5", "-1", "0,-1"])
     def test_bad_seeds_exit_1(self, runner, bqop_file, seeds):

@@ -363,6 +363,78 @@ class TestBlockPathAudit:
             assert cert == ref
 
 
+class TestWarmStart:
+    """A child's first APG solve starts from its parent's last Y2, restricted
+    to the child's (u, v, s) indices and rescaled to the child's lam."""
+
+    TARGET = 160
+
+    @staticmethod
+    def torus_parent(monkeypatch):
+        """The depth-1 node x_1 = 1 of the k = 5 torus, its lifted problem,
+        its bound at 160 and the last Y2 that cone_distance returned."""
+        last = []
+        real = dnn.cone_distance
+
+        def recording(M, *args, **kwargs):
+            res = real(M, *args, **kwargs)
+            last[:] = [res.y2]
+            return res
+
+        monkeypatch.setattr(dnn, "cone_distance", recording)
+        inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+        sub = reduce(inst, FixSets((), (0,)))
+        prob = assemble(sub, 1e8)
+        res = nb_bound(prob, TestWarmStart.TARGET, FAST_NB)
+        monkeypatch.undo()
+        assert res.status == "Branchable"
+        return sub, prob, res, last[0]
+
+    def test_restricted_and_rescaled(self, monkeypatch):
+        sub, prob, res, y2 = self.torus_parent(monkeypatch)
+        assert np.array_equal(res.y2, y2 / prob.lam)
+        ell = sub.ell
+        for fix in bb.branch_node(sub):
+            child = reduce(sub.inst, fix)
+            warm = assemble(child, 1e8, (sub.free, res.y2))
+            at = [sub.free.index(i) for i in child.free]
+            idx = [*at, *(k + ell for k in at), 2 * ell]
+            expected = y2[np.ix_(idx, idx)] * (warm.lam / prob.lam)
+            assert np.allclose(warm.warm, expected, rtol=1e-12, atol=0.0)
+            assert np.all(warm.warm >= 0) and warm.warm.any()
+            assert assemble(child, 1e8).warm is None
+            with pytest.raises(ValueError, match="ancestor"):
+                assemble(sub, 1e8, (child.free, warm.warm))
+
+    def test_block_path_start_is_invariant(self, monkeypatch):
+        sub, _, res, _ = self.torus_parent(monkeypatch)
+        child = reduce(sub.inst, FixSets((), (0, 1)))
+        prob = assemble(child, 1e8, (sub.free, res.y2))
+        starts = []
+        real = dnn.cone_distance
+
+        def recording(M, *args, **kwargs):
+            starts.append(kwargs["warm_start"])
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(dnn, "cone_distance", recording)
+        short = NbParams(max_iter=2, apg=ApgParams(max_iter=50))
+        child_res = nb_bound(prob, self.TARGET, short)
+        assert child_res.blocks is not None and child.group.order == 4
+        ell, d = child.ell, 2 * child.ell + 1
+
+        def invariant(W):
+            return all(np.allclose(W[np.ix_(g, g)], W, rtol=0.0,
+                                   atol=1e-12 * np.abs(W).max())
+                       for g in (np.r_[e, e + ell, d - 1] for e in child.group.elements))
+
+        # The parent's group is not the child's: the restriction alone is
+        # not invariant, and the orbital mean makes it so.
+        assert not invariant(prob.warm)
+        W = starts[0]
+        assert np.all(W >= 0) and W.any() and invariant(W)
+
+
 class TestSafeCeil:
     def test_plain(self):
         assert _safe_ceil(2.3) == 3
@@ -613,7 +685,7 @@ class TestLandingExit:
         landings = [res for res in results if self.landed(res)]
         # Every node this proof branches on is decided by the Branchable check.
         branched = [res for res in results if res.status == "Branchable"]
-        assert len(landings) == len(branched) == 85
+        assert len(landings) == len(branched) == 10
 
     def test_suite_instance_without_capped_solve(self, monkeypatch):
         """Soundness instance 7 at its optimum: the capped APG solves once

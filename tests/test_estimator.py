@@ -196,9 +196,9 @@ class TestSharedMemo:
         bounded = []
         real = bb.assemble
 
-        def counting(sub, lambda_scale):
+        def counting(sub, *args):
             bounded.append(sub.fix)
-            return real(sub, lambda_scale)
+            return real(sub, *args)
 
         monkeypatch.setattr(bb, "assemble", counting)
         return bounded
@@ -244,13 +244,13 @@ class TestTimePricing:
         return now
 
     def test_full_width_counts_each_bound_once(self, clock):
-        # 173 nodes, of which 147 are bounded: the root, the leaves and the
+        # 23 nodes, of which 20 are bounded: the root, the leaves and the
         # infeasible nodes cost nothing.
         report = estimate(TestSharedMemo.torus(), 160,
                           EstParams(width_threshold=10 ** 6, nb=FAST_NB))
-        assert not report.sampled and report.estimated_total_nodes == 173
-        assert clock[0] == 147
-        assert report.estimated_time_seconds == 147.0
+        assert not report.sampled and report.estimated_total_nodes == 23
+        assert clock[0] == 20
+        assert report.estimated_time_seconds == 20.0
         assert report.mean_node_seconds == 1.0
 
     def test_shared_memo_matches_separate_calls(self, clock):

@@ -111,3 +111,104 @@ def test_guard_sees_an_unused_import(tmp_path):
         "import math\nimport os.path\nfrom json import dumps, loads\n\n\n"
         "def f():\n    return math.pi, os.path.sep, loads\n")
     assert unused_imports(tmp_path) == ["a.py:5 dumps"]
+
+
+# Methods that change the container they are called on.
+MUTATORS = {"append", "update", "setdefault", "clear", "add", "pop"}
+
+
+def _root_name(node: ast.AST) -> str | None:
+    """The name an attribute or subscript chain starts from: ``a`` for
+    ``a.b[c].d``; None where it starts from a call or a literal."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _local_names(fn: ast.AST) -> set[str]:
+    """The parameters of a function and every name it, or a function nested
+    in it, binds: names that shadow a module-level one there."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node is not fn:
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def module_state_mutations(src: Path = SRC) -> list[str]:
+    """The functions of ``src/*.py`` that change module-level state: by a
+    ``global`` statement, by assigning to (or deleting) a subscript or an
+    attribute of a module-level name, or by calling a method of ``MUTATORS``
+    on one.  Module-level names are everything the module binds at top
+    level, imports included, unless the function binds the name itself; a
+    function of an imported module, such as ``np.append``, is no method.
+    Such state outlives a call, so a rerun in the same process could see a
+    different result."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top, imported = set(), set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                top.add(stmt.name)
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+                top |= imported
+            else:
+                top.update(n.id for n in ast.walk(stmt)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            shared = top - _local_names(fn)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    hit = True
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                    targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+                        else [node.target]
+                    hit = any(isinstance(t, (ast.Attribute, ast.Subscript))
+                              and _root_name(t) in shared for t in targets)
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner = node.func.value
+                    hit = node.func.attr in MUTATORS and _root_name(owner) in shared and \
+                        not (isinstance(owner, ast.Name) and owner.id in imported)
+                else:
+                    hit = False
+                if hit:
+                    found.append(f"{path.name}:{node.lineno} {fn.name}")
+    return found
+
+
+def test_no_function_mutates_module_state():
+    # State kept across calls (a cache of warm starts, say) would let a
+    # rerun in one process differ from the first run.
+    assert module_state_mutations() == []
+
+
+def test_guard_sees_module_state_mutations(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import sys\n\nimport numpy as np\n\n"
+        "CACHE = {}\nCOUNT = 0\n\n\n"
+        "class Box:\n    pass\n\n\n"
+        "def bump():\n    global COUNT\n    COUNT += 1\n\n\n"
+        "def store(key, value):\n    CACHE[key] = value\n\n\n"
+        "def tag():\n    Box.label = 'x'\n\n\n"
+        "def remember(key):\n    return CACHE.setdefault(key, [])\n\n\n"
+        "def patch():\n    np.linalg.eigh = None\n\n\n"
+        "def nested(key):\n    CACHE[key].append(1)\n\n\n"
+        "def extend():\n    sys.path.append('x')\n\n\n"
+        "def reads(key):\n    return CACHE.get(key), COUNT, Box, np.append([], 1)\n\n\n"
+        "def shadows(CACHE, key):\n    CACHE[key] = 1\n    box = Box()\n"
+        "    box.label = 'y'\n    local = {}\n    local.update(CACHE)\n    return local\n\n\n"
+        "def rebinds(key):\n    CACHE = {}\n    CACHE[key] = 1\n    return CACHE\n")
+    assert module_state_mutations(tmp_path) == [
+        "a.py:14 bump", "a.py:19 store", "a.py:23 tag", "a.py:27 remember",
+        "a.py:31 patch", "a.py:35 nested", "a.py:39 extend"]
