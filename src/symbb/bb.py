@@ -9,13 +9,15 @@ of the next level, sweeps the open ones for subproblems isomorphic to an
 already seen one, bounds the rest with the Newton-bracketing procedure (early
 exit against the target), and branches each survivor right there
 (``branch_node``), on the highest-scoring orbit of the node group its bound
-already read.  Between levels only fix sets are kept, the isomorphism history
-included, so a retained twin is reduced again only to check a merge; the
-one exception is a survivor's last APG iterate, which warm-starts the bounds
-of its two children and is dropped once they are decided.  No upper
-bounding is performed: the run either proves that the optimum is at
-least the target, or refutes the target with an exactly solved leaf below
-it.
+already read.  A node's outcome is the verdict of its one record
+(``Decided``), and a level (``Level``) is the ordered list of its nodes'
+records, so every count is a sum over them.  Between levels only fix sets
+and records are kept, the isomorphism history included, so a retained twin
+is reduced again only to check a merge; a survivor's last APG iterate
+warm-starts the bounds of its two children and is dropped once both have a
+verdict.  No upper bounding is performed: the run either proves that the
+optimum is at least the target, or refutes the target with an exactly
+solved leaf below it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -33,7 +36,7 @@ import numpy as np
 
 from .dnn import NbParams, assemble, nb_bound
 from .instance import BqopInstance, objective
-from .subproblem import (FixSets, Infeasible, Open, SolvedLeaf, Subproblem,
+from .subproblem import (FixSets, Infeasible, SolvedLeaf, Subproblem,
                          feasibility_status, reduce, solve_exactly)
 from .symmetry import Orbit, PermutationGroup, candidates, first_leaf, orbits
 
@@ -175,45 +178,37 @@ def branch_node(sub: Subproblem, audit: bool = False) -> tuple[FixSets, FixSets]
 
 @dataclass
 class Decided:
-    """What the engine decided about one node: its classification
-    (``status`` is Infeasible, a SolvedLeaf, or None for an open node),
-    whether its bound pruned it and the seconds that bound took, and, for a
-    survivor or the root, the children it was branched into where it was
-    decided.  A survivor whose bound ran APG also holds ``warm``, its free
-    indices and ``NbResult.y2``: the warm start of its children's bounds
-    (``dnn.assemble``), dropped once both children are decided.  A memo maps
-    fix sets to these records."""
+    """The one record of a node.  ``verdict`` is "infeasible", "leaf"
+    (``leaf`` holds the SolvedLeaf), "merged" into an isomorphic retained
+    node, "pruned" by its bound, or "branched" into ``children`` where it
+    was decided; None while the node is open and not yet bounded.
+    ``seconds`` is what its bound took.  A branched node whose bound ran APG
+    also holds ``warm``, its free indices and ``NbResult.y2``: the warm
+    start of its children's bounds (``dnn.assemble``), dropped once both
+    children have a verdict.  A memo maps fix sets to these records."""
 
-    status: Infeasible | SolvedLeaf | None
-    pruned: bool | None = None          # None until bounded
+    verdict: str | None = None
+    leaf: SolvedLeaf | None = None
     seconds: float = 0.0
     children: tuple[FixSets, FixSets] | None = None
     warm: tuple[tuple[int, ...], np.ndarray] | None = None
 
-    @property
-    def decided(self) -> bool:
-        return self.status is not None or self.pruned is not None
-
 
 @dataclass
 class Level:
-    """One expanded level.  ``survivors`` are the open nodes that no bound
-    pruned, and ``children`` both children of every survivor, in survivor
-    order: the next level, and ``parents`` maps each child to the record of
-    the survivor it came from.  ``pruned_bound`` counts the solved leaves
-    too.  A level with a ``refutation`` (its first leaf below the target) was
-    neither bounded nor branched.  Level 0 (``root_level``) holds only the
-    root's children, with no parents: the root is never bounded."""
+    """One expanded level: ``nodes`` pairs every fix set expanded with its
+    record, in order, and ``parents`` maps each child of a branched record
+    to that record: its keys, in order, are the next level.  A level with a
+    ``refutation`` (its first leaf below the target) was neither bounded nor
+    branched.  Level 0 (``root_level``) holds only the root's record."""
 
-    pruned_iso: int = 0
-    infeasible: int = 0
-    leaves: int = 0
-    pruned_bound: int = 0
-    survivors: list[FixSets] = field(default_factory=list)
-    children: list[FixSets] = field(default_factory=list)
-    parents: dict[FixSets, Decided] = field(default_factory=dict)
+    nodes: list[tuple[FixSets, Decided]] = field(default_factory=list)
     refutation: SolvedLeaf | None = None
-    bound_seconds: list[float] = field(default_factory=list)
+
+    @property
+    def parents(self) -> dict[FixSets, Decided]:
+        return {child: node for _, node in self.nodes if node.verdict == "branched"
+                for child in node.children}
 
 
 def expand_level(inst: BqopInstance, target: int, params: TreeParams,
@@ -222,7 +217,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                  parents: dict | None = None) -> Level:
     """Expand one level of fix sets, in order: reduce and classify each node;
     with a ``history`` (fingerprint -> fix sets of the retained subproblems),
-    prune the open nodes isomorphic to a retained one, rebuilt by ``reduce``,
+    merge the open nodes isomorphic to a retained one, rebuilt by ``reduce``,
     and retain the rest; stop at the first leaf below the target; otherwise
     bound the open nodes, apply the prune test and branch every survivor
     from the subproblem its bound read.  Only branch and bound passes a
@@ -231,37 +226,33 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     ``parents`` (the ``Level.parents`` of the level before) gives each bound
     the warm start of its parent, if the parent still holds one.  A pruned
     node keeps no Y2, and a parent drops its Y2 once both of its children
-    are decided: without a memo after this level, as no other call reaches
-    them; with one, once the memo has decided both.
+    have a verdict in the memo.
 
     With a ``memo`` (fix sets -> Decided, for one target and one set of
     params), a node recorded there is neither reduced, classified, bounded
-    nor branched again: its recorded outcome, bound seconds and children
-    count as if it had been.  A merge depends on the history of the run, so a
-    memo and a history do not go together."""
+    nor branched again: its record counts as if it had been.  Without one,
+    the call uses a fresh memo of its own.  A merge depends on the history
+    of the run, so a memo and a history do not go together."""
     if memo is not None and history is not None:
         raise ValueError("isomorphism merges depend on the run; they cannot be memoized")
+    memo = {} if memo is None else memo
     level = Level()
     open_nodes = []
     for fix in fixes:
-        node = None if memo is None else memo.get(fix)
-        sub = None
+        node = memo.get(fix)
+        sub = reduce(inst, fix) if node is None or node.verdict is None else None
         if node is None:
-            sub = reduce(inst, fix)
             status = feasibility_status(sub, params.leaf_threshold, params.leaf_band)
-            node = Decided(None if isinstance(status, Open) else status)
-            if memo is not None:
-                memo[fix] = node
-        if isinstance(node.status, Infeasible):
-            level.infeasible += 1
-        elif isinstance(node.status, SolvedLeaf):
-            level.leaves += 1
-            if node.status.value < target and level.refutation is None:
-                level.refutation = node.status
-        else:
-            if sub is None and node.pruned is None:
-                sub = reduce(inst, fix)
+            node = memo[fix] = Decided()
+            if isinstance(status, Infeasible):
+                node.verdict = "infeasible"
+            elif isinstance(status, SolvedLeaf):
+                node.verdict, node.leaf = "leaf", status
+        level.nodes.append((fix, node))
+        if node.verdict not in ("infeasible", "leaf"):
             open_nodes.append((fix, node, sub))
+    level.refutation = next((node.leaf for _, node in level.nodes
+                             if node.verdict == "leaf" and node.leaf.value < target), None)
 
     if history is not None:
         # Retained subproblems with fewer ones fixed than every node of this
@@ -287,12 +278,11 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
             if audit:
                 assert solve_exactly(sub).value == solve_exactly(twin).value, \
                     f"unsound merge of {sub.fix} into {twin.fix}"
-            level.pruned_iso += 1
+            node.verdict = "merged"
         open_nodes = unmerged
 
     if level.refutation is not None:
         return level
-    level.pruned_bound = level.leaves
 
     parents = parents or {}
 
@@ -304,7 +294,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
         return res, time.monotonic() - t0
 
     unbounded = [(parents.get(fix), node, sub) for fix, node, sub in open_nodes
-                 if node.pruned is None]
+                 if node.verdict is None]
     with ExitStack() as stack:
         # Both maps are lazy, so a pruned node's Y2 is dropped once its
         # verdict is recorded.
@@ -324,36 +314,27 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                     f"no completion of {sub.fix} at {res.b + sub.offset} < {target}"
             # Branchable, unresolved Converged, and IterLimit all branch;
             # branching an undecided node is always sound.
-            node.pruned = res.status == "Pruned"
+            node.verdict = "pruned" if res.status == "Pruned" else "branched"
             node.seconds = seconds
-            if not node.pruned:
+            if node.verdict == "branched":
                 node.children = branch_node(sub, audit)
                 if res.y2 is not None:
                     node.warm = (sub.free, res.y2)
     for parent in parents.values():
-        if memo is None or all(c in memo and memo[c].decided for c in parent.children):
+        if all(c in memo and memo[c].verdict is not None for c in parent.children):
             parent.warm = None
-    for fix, node, _ in open_nodes:
-        level.bound_seconds.append(node.seconds)
-        if node.pruned:
-            level.pruned_bound += 1
-        else:
-            level.survivors.append(fix)
-            level.children.extend(node.children)
-            level.parents.update(dict.fromkeys(node.children, node))
     return level
 
 
 def root_level(inst: BqopInstance, audit: bool = False,
                memo: dict | None = None) -> Level:
-    """Level 0: the root's children.  The root is branched without being
-    classified or bounded; a ``memo`` records its children, so that the root
-    is branched once per memo."""
+    """Level 0: the root, branched without being classified or bounded; a
+    ``memo`` records it, so that the root is branched once per memo."""
     root = FixSets((), ())
-    node = Decided(None) if memo is None else memo.setdefault(root, Decided(None))
+    node = Decided() if memo is None else memo.setdefault(root, Decided())
     if node.children is None:
-        node.children = branch_node(reduce(inst, root), audit)
-    return Level(children=list(node.children))
+        node.verdict, node.children = "branched", branch_node(reduce(inst, root), audit)
+    return Level(nodes=[(root, node)])
 
 
 def _write_checkpoint(path: str, state: dict):
@@ -373,25 +354,26 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
     level = root_level(inst, params.audit)
     node_count = 1
     for depth in itertools.count(1):
-        fixes = level.children
-        created = len(fixes)
+        parents = level.parents
+        created = len(parents)
         node_count += created
-        level = expand_level(inst, target, params, fixes, history, params.audit,
-                             parents=level.parents)
-        generated = created - level.pruned_iso
+        level = expand_level(inst, target, params, list(parents), history, params.audit,
+                             parents=parents)
+        leaf = level.refutation
+        verdicts = Counter(node.verdict for _, node in level.nodes)
+        generated = created - verdicts["merged"]
         per_depth.append({
             "depth": depth, "created": created, "generated": generated,
-            "pruned_iso": level.pruned_iso, "infeasible": level.infeasible,
-            "leaf_solved": level.leaves, "active": len(level.survivors),
-            "pruned_bound": level.pruned_bound,
+            "pruned_iso": verdicts["merged"], "infeasible": verdicts["infeasible"],
+            "leaf_solved": verdicts["leaf"], "active": verdicts["branched"],
+            "pruned_bound": 0 if leaf is not None else verdicts["pruned"] + verdicts["leaf"],
             "reduction_rate": generated / created if created else 1.0})
 
-        leaf = level.refutation
         if leaf is not None:
             value = objective(inst, leaf.witness)
             assert value == leaf.value < target
             outcome = "Refuted"
-        elif not level.survivors:
+        elif not verdicts["branched"]:
             outcome = "Proved"
         elif (params.node_budget is not None and node_count > params.node_budget) or (
                 params.time_budget is not None
@@ -401,7 +383,8 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
                     "target": target,
                     "frontier": [{"i0": [i + 1 for i in fix.i0],
                                   "i1": [i + 1 for i in fix.i1],
-                                  "depth": depth} for fix in level.survivors],
+                                  "depth": depth}
+                                 for fix, node in level.nodes if node.verdict == "branched"],
                     "per_depth": per_depth,
                 })
             outcome = "Inconclusive"

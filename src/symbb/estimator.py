@@ -4,24 +4,26 @@ The tree is expanded fully while a level holds fewer nodes than the width
 threshold.  From the first wide level onward only a random sample of each
 level is expanded; the per-level growth ratio (2 * branchable / sampled)
 extrapolates the level sizes, and their sum estimates the total node count.
-A level narrower than the sample size is taken whole.  Time is priced per
+Once sampling has begun, a level narrower than the sample cutoff
+(``sample_cutoff``) is still taken whole.  Time is priced per
 level: the bound seconds of the nodes expanded at a level, scaled by the
 estimated size of that level over the nodes expanded there, so a level
 expanded whole counts its own seconds once.  The estimator is only
 a sampling policy: it starts from the root's children (``bb.root_level``)
 and expands its sample with the branch-and-bound engine
 (``bb.expand_level``), which branches each survivor it bounds, so with no
-level sampled it counts exactly the nodes branch and bound creates.
+level sampled it counts exactly the nodes branch and bound creates.  A
+level's branchable count and bound seconds are sums over its node records.
 Isomorphism pruning stays off here, matching the branch-and-bound variant
 whose work is being estimated.
 
 ``estimate_multi`` decides each distinct node once: its seeds share one memo
-of node outcomes (``bb.Decided``), made for that call only, so the root
-branch, the levels every seed expands whole and the nodes two samples share
-are classified, bounded and branched by the first seed that meets them.  A
-survivor's warm start (``bb.Decided.warm``) stays on its record until the
-memo has decided both of its children, so a child that a later seed samples
-first is bounded from the same start as in a separate call.  A shared node's
+of node records, made for that call only, so the root branch, the levels
+every seed expands whole and the nodes two samples share are classified,
+bounded and branched by the first seed that meets them.  A survivor's warm
+start (``bb.Decided.warm``) stays on its record until both of its children
+have a verdict in the memo, so a child that a later seed samples first is
+bounded from the same start as in a separate call.  A shared node's
 recorded bound seconds count in every seed that samples it, so each report
 is the one a separate ``estimate`` call would give, timings aside.
 """
@@ -86,7 +88,8 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
     complete = True
 
     for depth in itertools.count(1):
-        frontier = level.children
+        parents = level.parents
+        frontier = list(parents)
         width = len(frontier)
         if not sampling and width >= params.width_threshold:
             # The first truncated level is still an exact count; later levels
@@ -104,12 +107,16 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
             exact_sum += width
 
         level = expand_level(inst, target, params, selected, memo=memo,
-                             parents=level.parents)
-        bound_seconds += level.bound_seconds
+                             parents=parents)
+        # A refuted level was neither bounded nor branched here, though the
+        # memo may hold verdicts another seed gave its nodes.
+        bounded = [node for _, node in level.nodes
+                   if level.refutation is None and node.verdict in ("pruned", "branched")]
+        bound_seconds += [node.seconds for node in bounded]
         # The level's estimated size over its expanded nodes: exactly 1 while
         # the level is expanded whole.
-        est_seconds += ((t_hat if sampling else width) / s_k) * sum(level.bound_seconds)
-        r_k = len(level.survivors)
+        est_seconds += ((t_hat if sampling else width) / s_k) * sum(n.seconds for n in bounded)
+        r_k = sum(node.verdict == "branched" for node in bounded)
         rec = {"depth": depth, "width": width, "sampled": s_k,
                "branchable": r_k}
         if sampling:

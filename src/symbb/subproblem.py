@@ -175,8 +175,7 @@ def swap_search(sub: Subproblem) -> tuple[int, np.ndarray]:
     return best_val, best_y.astype(np.int64)
 
 
-def feasibility_status(sub: Subproblem, leaf_threshold: int = 20,
-                       leaf_band: int = 3):
+def feasibility_status(sub: Subproblem, leaf_threshold: int, leaf_band: int):
     """Classify a subproblem as Infeasible, SolvedLeaf or Open.
 
     With an all-zero reduced matrix every completion costs ``offset``, so the

@@ -230,7 +230,7 @@ def pair_orbits(perms: np.ndarray) -> np.ndarray:
     return np.unique(root, return_inverse=True)[1].reshape(d, d)
 
 
-def group_to_json_obj(group: PermutationGroup, element_cap: int = 1_000_000) -> dict:
+def group_to_json_obj(group: PermutationGroup, element_cap: int) -> dict:
     """JSON-ready dict: image arrays in 1-based indexing.  Raises
     GroupTooLargeError when the group has more than ``element_cap``
     elements."""

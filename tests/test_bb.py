@@ -239,8 +239,9 @@ class TestSolveTarget:
         assert state["target"] == opt
         # The budget runs out after level 1: the frontier is its survivors.
         assert len(cert.per_depth) == 1
-        survivors = expand_level(inst, opt, params, root_level(inst).children,
-                                 history={}).survivors
+        level1 = expand_level(inst, opt, params, list(root_level(inst).parents),
+                              history={})
+        survivors = [fix for fix, node in level1.nodes if node.verdict == "branched"]
         assert state["frontier"] == [
             {"i0": [i + 1 for i in fix.i0], "i1": [i + 1 for i in fix.i1],
              "depth": 1} for fix in survivors]
@@ -355,6 +356,54 @@ class TestEngine:
                 assert type(fix) is FixSets
                 assert not any(isinstance(v, np.ndarray) for v in vars(fix).values())
 
+    VERDICTS = {"infeasible", "leaf", "merged", "pruned", "branched"}
+
+    def solve_checking_verdicts(self, monkeypatch, inst, target, params):
+        """``solve_target``, checking each level it expands: one record per
+        fix set, in order; and, on a level without a refutation, one verdict
+        per record, with the level's counts summing to the nodes it
+        created."""
+        levels = []
+        real = bb_mod.expand_level
+
+        def recording(inst, target, params, fixes, *args, **kwargs):
+            level = real(inst, target, params, fixes, *args, **kwargs)
+            levels.append((list(fixes), level))
+            return level
+
+        monkeypatch.setattr(bb_mod, "expand_level", recording)
+        cert = solve_target(inst, target, params)
+        monkeypatch.setattr(bb_mod, "expand_level", real)
+        for (fixes, level), rec in zip(levels, cert.per_depth, strict=True):
+            assert [fix for fix, _ in level.nodes] == fixes
+            assert len({id(node) for _, node in level.nodes}) == len(fixes) == rec["created"]
+            if level.refutation is None:
+                assert {node.verdict for _, node in level.nodes} <= self.VERDICTS
+                assert rec["created"] == rec["pruned_iso"] + rec["infeasible"] + \
+                    rec["pruned_bound"] + rec["active"]
+        return cert
+
+    def test_every_node_gets_one_verdict_with_merges(self, monkeypatch):
+        # The planted n = 16 proof with one Newton step per bound: 3 merges
+        # in 65 nodes.
+        inst = planted_bqop(np.random.default_rng(7), blocks=2, block_size=8, m=7)
+        params = BbParams(leaf_threshold=4, leaf_band=2,
+                          nb=NbParams(max_iter=1, apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
+        cert = self.solve_checking_verdicts(monkeypatch, inst, brute_optimum(inst), params)
+        assert (cert.outcome, cert.node_count) == ("Proved", 65)
+        assert sum(d["pruned_iso"] for d in cert.per_depth) == 3
+
+    def test_every_node_gets_one_verdict_on_the_suite(self, monkeypatch):
+        params = BbParams(leaf_threshold=8, leaf_band=3,
+                          nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
+        outcomes = []
+        for i in range(40):
+            inst = soundness_instance(i)
+            opt = brute_optimum(inst)
+            outcomes += [self.solve_checking_verdicts(monkeypatch, inst, target, params).outcome
+                         for target in (opt, opt + 1)]
+        assert outcomes == ["Proved", "Refuted"] * 40
+
     def test_each_node_reduced_and_grouped_once(self, monkeypatch):
         # The k = 5 torus at 160 (23 nodes, no merges).  The engine reduces
         # each node once, and a survivor's group is searched once, whether
@@ -385,33 +434,38 @@ class TestEngine:
         inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
         params = BbParams(nb=FAST.nb)
         memo = {}
-        level1 = expand_level(inst, 160, params, root_level(inst, memo=memo).children,
-                              memo=memo)
-        parent = memo[level1.survivors[0]]
+        def survivors(level):
+            return [fix for fix, node in level.nodes if node.verdict == "branched"]
+
+        level1 = expand_level(inst, 160, params,
+                              list(root_level(inst, memo=memo).parents), memo=memo)
+        parent = memo[survivors(level1)[0]]
         assert all(p is parent for p in level1.parents.values())
         free, y2 = parent.warm
         assert y2.shape == (2 * len(free) + 1,) * 2 and np.all(y2 >= 0)
-        first, second = level1.children
+        first, second = level1.parents
         expand_level(inst, 160, params, [first], memo=memo, parents=level1.parents)
         assert parent.warm is not None
         expand_level(inst, 160, params, [second], memo=memo, parents=level1.parents)
         assert parent.warm is None
-        level2 = expand_level(inst, 160, params, level1.children, memo=memo,
+        level2 = expand_level(inst, 160, params, list(level1.parents), memo=memo,
                               parents=level1.parents)
-        level3 = expand_level(inst, 160, params, level2.children, memo=memo,
+        level3 = expand_level(inst, 160, params, list(level2.parents), memo=memo,
                               parents=level2.parents)
-        nodes = [memo[fix] for fix in level2.children]
-        assert sum(node.pruned for node in nodes) == level3.pruned_bound == 3
-        assert all((node.warm is None) == node.pruned for node in nodes)
-        assert all(memo[fix].warm is None for fix in level2.survivors)
+        nodes = [memo[fix] for fix in level2.parents]
+        pruned = [node.verdict == "pruned" for node in nodes]
+        assert sum(pruned) == sum(node.verdict in ("pruned", "leaf")
+                                  for _, node in level3.nodes) == 3
+        assert [node.warm is None for node in nodes] == pruned
+        assert all(memo[fix].warm is None for fix in survivors(level2))
         # Without a memo no later call reaches a parent: it drops its Y2
         # after one level.
-        fresh = expand_level(inst, 160, params, root_level(inst).children)
+        fresh = expand_level(inst, 160, params, list(root_level(inst).parents))
         kept = fresh.parents[first]
         assert kept.warm is not None
-        after = expand_level(inst, 160, params, fresh.children, parents=fresh.parents)
+        after = expand_level(inst, 160, params, list(fresh.parents), parents=fresh.parents)
         assert kept.warm is None
-        assert after.survivors == level2.survivors
+        assert survivors(after) == survivors(level2)
         assert all(p.warm is not None for p in after.parents.values())
 
     def test_audit_catches_lost_optimum(self, monkeypatch):

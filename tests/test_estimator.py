@@ -108,6 +108,20 @@ class TestSampling:
             assert rec["t_hat"] == pytest.approx(t_hat)
             t_hat = (2.0 * rec["branchable"] / rec["sampled"]) * t_hat
 
+    def test_level_below_cutoff_taken_whole_once_sampling(self):
+        # The k = 5 torus at 160, sampled from the first level on: the two
+        # levels of width 2, not narrower than the sample size of 1 but
+        # narrower than the cutoff of 3, are expanded whole, and the level of
+        # width 4 is sampled.
+        params = EstParams(width_threshold=2, sample_size=1, sample_cutoff=3, nb=FAST_NB)
+        report = estimate(TestSharedMemo.torus(), 160, params, seed=0)
+        assert report.sampled and all("t_hat" in r for r in report.per_depth)
+        band = [r for r in report.per_depth
+                if params.sample_size <= r["width"] < params.sample_cutoff]
+        assert [(r["width"], r["sampled"]) for r in band] == [(2, 2), (2, 2)]
+        assert [(r["width"], r["sampled"]) for r in report.per_depth
+                if r not in band] == [(4, 1)]
+
     def test_mean_within_factor_two(self):
         rng = np.random.default_rng(5)
         inst = planted_bqop(rng, blocks=3, block_size=3, m=4)

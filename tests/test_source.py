@@ -54,6 +54,34 @@ def unread_members(src: Path = SRC) -> list[str]:
     return sorted(where for name, where in defined.items() if name not in read)
 
 
+def _serialises_itself(cls: ast.ClassDef) -> bool:
+    """Whether a class body calls ``asdict(self)``, which reads every field."""
+    return any(isinstance(node, ast.Call) and node.args
+               and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "asdict"
+               for node in ast.walk(cls))
+
+
+def unread_fields(src: Path = SRC) -> list[str]:
+    """The annotated fields of the classes of ``src/*.py`` whose name no code
+    there reads as an attribute, anywhere.  A class that serialises itself
+    with ``dataclasses.asdict(self)`` reads all of its fields and is left
+    out.  A record should hold only what a later step reads."""
+    defined = []
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and not _serialises_itself(node):
+                defined += [(stmt.target.id, f"{path.name}:{stmt.lineno} "
+                                             f"{node.name}.{stmt.target.id}")
+                            for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(where for name, where in defined if name not in read)
+
+
 def unused_imports(src: Path = SRC) -> list[str]:
     """The names that a module of ``src/*.py`` imports at top level and never
     reads by name; an attribute read counts for the name it starts from.
@@ -99,6 +127,21 @@ def test_guard_sees_an_unread_method(tmp_path):
         "    def hook(self):\n        return super().hook()\n\n"
         "    def unused(self):\n        return 2\n")
     assert unread_members(tmp_path) == ["a.py:16 A.unused", "a.py:9 A.stale"]
+
+
+def test_every_field_has_a_reader():
+    assert unread_fields() == []
+
+
+def test_guard_sees_an_unread_field(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\n\n\n"
+        "@dataclasses.dataclass\nclass Level:\n"
+        "    nodes: list\n    survivors: list\n    LIMIT = 3\n\n\n"
+        "@dataclasses.dataclass\nclass Report:\n    seed: int\n\n"
+        "    def to_json_obj(self):\n        return dataclasses.asdict(self)\n\n\n"
+        "def count(level, survivors):\n    return len(level.nodes) + len(survivors)\n")
+    assert unread_fields(tmp_path) == ["a.py:7 Level.survivors"]
 
 
 def test_every_import_is_read():

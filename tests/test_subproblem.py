@@ -100,18 +100,18 @@ def _consistent(inst, fix):
 class TestFeasibilityStatus:
     def test_all_zero_infeasible(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=tuple(range(6)), i1=()))
-        assert isinstance(feasibility_status(sub), Infeasible)
+        assert isinstance(feasibility_status(sub, 20, 3), Infeasible)
 
     def test_residual_zero_leaf(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=(), i1=(0, 1, 2)))
-        status = feasibility_status(sub)
+        status = feasibility_status(sub, 20, 3)
         assert isinstance(status, SolvedLeaf)
         assert status.value == objective(bqop6, status.witness)
         assert status.value == int(bqop6.B[np.ix_([0, 1, 2], [0, 1, 2])].sum())
 
     def test_residual_full_leaf(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=(0, 1, 2), i1=()))
-        status = feasibility_status(sub)
+        status = feasibility_status(sub, 20, 3)
         assert isinstance(status, SolvedLeaf)
         x = np.array([0, 0, 0, 1, 1, 1])
         assert status.value == objective(bqop6, x)
@@ -125,11 +125,11 @@ class TestFeasibilityStatus:
 
     def test_open_above_threshold(self, bqop6):
         sub = reduce(bqop6, FixSets((), ()))
-        assert isinstance(feasibility_status(sub, leaf_threshold=3), Open)
+        assert isinstance(feasibility_status(sub, leaf_threshold=3, leaf_band=3), Open)
 
     def test_oversubscribed_infeasible(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=(1, 2, 3, 4), i1=()))  # |F|=2 < m=3
-        assert isinstance(feasibility_status(sub), Infeasible)
+        assert isinstance(feasibility_status(sub, 20, 3), Infeasible)
 
 
     def test_zero_reduced_matrix_leaf(self):
@@ -139,7 +139,7 @@ class TestFeasibilityStatus:
         inst = BqopInstance(n=30, B=B, m=12)
         sub = reduce(inst, FixSets(i0=(1,), i1=(0,)))
         assert not sub.reduced_B.any()
-        status = feasibility_status(sub, leaf_threshold=3)
+        status = feasibility_status(sub, leaf_threshold=3, leaf_band=3)
         assert isinstance(status, SolvedLeaf)
         assert status.value == sub.offset
         assert status.witness.sum() == inst.m

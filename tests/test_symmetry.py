@@ -246,7 +246,7 @@ class TestExpandSolution:
 
 class TestReports:
     def test_group_json_one_based(self, cycle6):
-        obj = group_to_json_obj(automorphisms(cycle6))
+        obj = group_to_json_obj(automorphisms(cycle6), 1_000_000)
         assert obj["order"] == 12
         assert min(min(e) for e in obj["elements"]) == 1
 
