@@ -23,9 +23,7 @@ solved leaf below it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -62,7 +60,6 @@ class BbParams(TreeParams):
     node_budget: int | None = None
     time_budget: float | None = None    # seconds
     audit: bool = False                 # small-n only: re-check by enumeration
-    checkpoint_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,9 @@ class Certificate:
     wall_time: float
     witness: np.ndarray | None = None
     witness_value: int | None = None
+    # Inconclusive only: the fix sets of the last level's branched nodes,
+    # whose children a longer run would expand next.
+    frontier: tuple[FixSets, ...] | None = None
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -85,6 +85,9 @@ class Certificate:
         if self.witness is not None:
             obj["witness"] = "".join(str(int(v)) for v in self.witness)
             obj["witness_value"] = self.witness_value
+        if self.frontier is not None:
+            obj["frontier"] = [{"i0": [i + 1 for i in fix.i0], "i1": [i + 1 for i in fix.i1],
+                                "depth": len(self.per_depth)} for fix in self.frontier]
         obj["timing"] = {"wall_time_seconds": self.wall_time}
         return obj
 
@@ -337,15 +340,6 @@ def root_level(inst: BqopInstance, audit: bool = False,
     return Level(nodes=[(root, node)])
 
 
-def _write_checkpoint(path: str, state: dict):
-    """Write through a temp file in the same directory and a rename, so an
-    interrupted write never leaves a truncated checkpoint."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(state, fh, indent=1)
-    os.replace(tmp, path)
-
-
 def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams()) -> Certificate:
     """Prove optimum >= target, or refute the target with a witness."""
     t_start = time.monotonic()
@@ -369,6 +363,7 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
             "pruned_bound": 0 if leaf is not None else verdicts["pruned"] + verdicts["leaf"],
             "reduction_rate": generated / created if created else 1.0})
 
+        frontier = None
         if leaf is not None:
             value = objective(inst, leaf.witness)
             assert value == leaf.value < target
@@ -378,23 +373,16 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
         elif (params.node_budget is not None and node_count > params.node_budget) or (
                 params.time_budget is not None
                 and time.monotonic() - t_start > params.time_budget):
-            if params.checkpoint_path is not None:
-                _write_checkpoint(params.checkpoint_path, {
-                    "target": target,
-                    "frontier": [{"i0": [i + 1 for i in fix.i0],
-                                  "i1": [i + 1 for i in fix.i1],
-                                  "depth": depth}
-                                 for fix, node in level.nodes if node.verdict == "branched"],
-                    "per_depth": per_depth,
-                })
             outcome = "Inconclusive"
+            frontier = tuple(fix for fix, node in level.nodes if node.verdict == "branched")
         else:
             continue
         return Certificate(outcome=outcome, target=target, node_count=node_count,
                            per_depth=tuple(per_depth),
                            wall_time=time.monotonic() - t_start,
                            witness=None if leaf is None else leaf.witness,
-                           witness_value=None if leaf is None else leaf.value)
+                           witness_value=None if leaf is None else leaf.value,
+                           frontier=frontier)
 
 
 def stats_csv_rows(cert: Certificate) -> list[dict]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -53,9 +54,7 @@ def _params(cls, flags: dict, config_path: str | None = None):
     that is negative or not finite, which no gap or objective change can
     meet.  A ``node_budget`` below 1 would end every run after level 1, a
     ``width_threshold`` below 1 would sample from the root's children on,
-    and a ``time_budget`` that is negative or not finite is no budget; a
-    ``checkpoint_path`` gets the checks of ``_OutputPath``, so that a run
-    never ends unable to write it."""
+    and a ``time_budget`` that is negative or not finite is no budget."""
     params = _apply_overrides(cls(), _given(flags))
     if config_path is not None:
         try:
@@ -87,13 +86,6 @@ def _params(cls, flags: dict, config_path: str | None = None):
              width_threshold is None or width_threshold >= 1)):
         if not ok:
             raise click.ClickException(f"{name} must be {rule}, not {value}")
-    checkpoint = getattr(params, "checkpoint_path", None)
-    if checkpoint is not None:
-        try:
-            _output_path.convert(checkpoint, None, None)
-        except click.BadParameter as exc:
-            exc.param_hint = "'checkpoint_path'"
-            raise
     return params
 
 
@@ -131,41 +123,56 @@ def _apply_overrides(params, overrides: dict, prefix: str = ""):
     return dataclasses.replace(params, **changes)
 
 
-def _write_json(path: str | None, obj: dict):
-    """Strict JSON: a value with no JSON form (NaN, infinity) is an error."""
-    text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+def _write(path: str, text: str):
+    """Write ``text`` to the file ``path`` names, following symlinks, so a
+    link stays a link.  A new path or a regular file is written to
+    ``<path>.tmp`` beside it and then moved into place, so an interrupted
+    write never leaves a truncated file; anything else that exists, such as
+    a device or a FIFO, is written in place."""
+    path = os.path.realpath(path)
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    if not in_place:
+        os.replace(tmp, path)
+
+
+def _emit(path: str | None, payload: dict, digest: str, subcommand: str, **config):
+    """Write ``payload`` as strict JSON, with the run configuration (the
+    ``subcommand`` and the ``config`` values that are not None) and the
+    instance hash, to ``path`` or, with no path, to stdout.  A value with no
+    JSON form (NaN, infinity) is an error."""
+    payload["config"] = {"subcommand": subcommand,
+                         **{k: v for k, v in config.items() if v is not None}}
+    payload["instance_sha256"] = digest
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
     if path is None:
         click.echo(text)
     else:
-        Path(path).write_text(text + "\n")
+        _write(path, text + "\n")
 
 
 def _write_csv(path: str, rows: list[dict], header: list[str] | None = None):
-    """Rows under their keys; with no rows, only ``header`` (if given)."""
-    if not rows and header is None:
-        Path(path).write_text("")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header or list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _run_config(subcommand: str, **kwargs) -> dict:
-    cfg = {"subcommand": subcommand}
-    cfg.update({k: v for k, v in kwargs.items() if v is not None})
-    return cfg
+    """Rows under ``header`` if given, or else under every key of the rows,
+    in the order met; a row without a key leaves its cell empty."""
+    out = io.StringIO()
+    fields = header or list(dict.fromkeys(key for row in rows for key in row))
+    writer = csv.DictWriter(out, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(path, out.getvalue())
 
 
 def _error_exit(call, *args, **kwargs):
-    """``call(*args, **kwargs)``; a usage error, a malformed instance or a
-    group too large to list instead prints one ``error: <message>`` line on
-    stderr and exits 1."""
+    """``call(*args, **kwargs)``; a usage error, a malformed instance, a
+    group too large to list or an output that cannot be written instead
+    prints one ``error: <message>`` line on stderr and exits 1."""
     try:
         return call(*args, **kwargs)
     except click.ClickException as exc:
         message = exc.format_message()
-    except (instance.InstanceError, symmetry.GroupTooLargeError) as exc:
+    except (instance.InstanceError, symmetry.GroupTooLargeError, OSError) as exc:
         message = str(exc)
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_ERROR)
@@ -194,7 +201,8 @@ _instance_option = click.option("--instance", "instance_path", required=True,
 
 class _OutputPath(click.Path):
     """A file a command writes: not a directory, and in a directory that
-    exists, checked when the command line is parsed, before any work."""
+    exists, checked when the command line is parsed, before any work.  The
+    directory is the one ``_write`` writes in, where symlinks lead."""
 
     def __init__(self):
         super().__init__(dir_okay=False)
@@ -203,7 +211,7 @@ class _OutputPath(click.Path):
         value = super().convert(value, param, ctx)
         if not value or value.endswith(("/", os.sep)):
             self.fail(f"{value!r} names a directory.", param, ctx)
-        parent = Path(value).absolute().parent
+        parent = Path(os.path.realpath(value)).parent
         if not parent.is_dir():
             self.fail(f"directory {str(parent)!r} does not exist.", param, ctx)
         return value
@@ -218,10 +226,8 @@ _output_path = _OutputPath()
 def convert(instance_path, output_path):
     """Convert a QAPLIB rank-one-flow instance (or a BQOP JSON) to BQOP JSON."""
     bqop, digest = _load_bqop(instance_path)
-    payload = json.loads(instance.bqop_to_json(bqop))
-    payload["config"] = _run_config("convert", instance=instance_path)
-    payload["instance_sha256"] = digest
-    _write_json(output_path, payload)
+    _emit(output_path, json.loads(instance.bqop_to_json(bqop)), digest, "convert",
+          instance=instance_path)
     sys.exit(EXIT_OK)
 
 
@@ -262,9 +268,7 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
             header.append("score")
         _write_csv(orbit_csv, rows, header)
     if group_json:
-        payload["config"] = _run_config("symmetry", instance=instance_path, fix=fix_index)
-        payload["instance_sha256"] = digest
-        _write_json(group_json, payload)
+        _emit(group_json, payload, digest, "symmetry", instance=instance_path, fix=fix_index)
     sys.exit(EXIT_OK)
 
 
@@ -327,13 +331,11 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
             "group_order": None if res.blocks is None else sub.group.order,
             "blocks": None if res.blocks is None else [
                 {"size": size, "copies": copies} for size, copies in res.blocks],
-            # bound-root reads only these settings of TreeParams.
-            "config": _run_config("bound-root", instance=instance_path, target=target,
-                                  params={"lambda_scale": params.lambda_scale,
-                                          "nb": dataclasses.asdict(params.nb)}),
-            "instance_sha256": digest,
         }
-        _write_json(json_path, payload)
+        # bound-root reads only these settings of TreeParams.
+        _emit(json_path, payload, digest, "bound-root", instance=instance_path,
+              target=target, params={"lambda_scale": params.lambda_scale,
+                                     "nb": dataclasses.asdict(params.nb)})
     sys.exit(EXIT_OK)
 
 
@@ -345,20 +347,19 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
 @click.option("--lambda-scale", default=None, type=float)
 @click.option("--node-budget", default=None, type=int)
 @click.option("--time-budget", default=None, type=float, help="Seconds.")
-@click.option("--checkpoint", "checkpoint_path", default=None, type=_output_path)
 @click.option("--stats-csv", default=None, type=_output_path)
 @click.option("--certificate-json", default=None, type=_output_path)
 @click.option("--audit", is_flag=True, default=False)
 @click.option("--config", "config_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
 def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
-          node_budget, time_budget, checkpoint_path, stats_csv,
+          node_budget, time_budget, stats_csv,
           certificate_json, audit, config_path):
     """Prove or refute a target lower bound by branch and bound."""
     params = _params(bb.BbParams, dict(
         workers=workers, iso_pruning=False if no_isomorphism_pruning else None,
         lambda_scale=lambda_scale, node_budget=node_budget, time_budget=time_budget,
-        checkpoint_path=checkpoint_path, audit=audit or None), config_path)
+        audit=audit or None), config_path)
     bqop, digest = _load_bqop(instance_path)
     cert = bb.solve_target(bqop, target, params)
     click.echo(f"outcome: {cert.outcome}")
@@ -368,11 +369,8 @@ def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
     if stats_csv:
         _write_csv(stats_csv, bb.stats_csv_rows(cert))
     if certificate_json:
-        payload = cert.to_json_obj()
-        payload["config"] = _run_config("solve", instance=instance_path, target=target,
-                                        params=dataclasses.asdict(params))
-        payload["instance_sha256"] = digest
-        _write_json(certificate_json, payload)
+        _emit(certificate_json, cert.to_json_obj(), digest, "solve", instance=instance_path,
+              target=target, params=dataclasses.asdict(params))
     sys.exit({"Proved": EXIT_OK, "Refuted": EXIT_REFUTED}.get(cert.outcome, EXIT_INCONCLUSIVE))
 
 
@@ -407,11 +405,8 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
         _write_csv(stats_csv, [{"seed": rep["seed"], **rec} for rep in summary["reports"]
                                for rec in rep["per_depth"]])
     if report_json:
-        summary["config"] = _run_config("estimate", instance=instance_path,
-                                        target=target, seeds=seeds,
-                                        params=dataclasses.asdict(params))
-        summary["instance_sha256"] = digest
-        _write_json(report_json, summary)
+        _emit(report_json, summary, digest, "estimate", instance=instance_path,
+              target=target, seeds=seeds, params=dataclasses.asdict(params))
     complete = all(rep["complete"] for rep in summary["reports"])
     sys.exit(EXIT_OK if complete else EXIT_INCONCLUSIVE)
 

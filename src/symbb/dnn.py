@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .subproblem import Subproblem, swap_search
-from .symmetry import PermutationGroup, pair_orbits, random_elements
+from .symmetry import PermutationGroup, orbits, pair_orbits, random_elements
 
 
 # Newton takes a step only where g' is at least this; below it, bisection.
@@ -215,27 +215,17 @@ def assemble(sub: Subproblem, lambda_scale: float,
     q_obj = np.zeros((d, d))
     q_obj[:ell, :ell] = C
 
-    q_pen = np.zeros((d, d))
-    iu = np.arange(ell)
-    iv = np.arange(ell, 2 * ell)
-    # sum_j (u_j + v_j - s)^2
-    q_pen[iu, iu] += 1.0
-    q_pen[iv, iv] += 1.0
-    q_pen[s, s] += ell
-    q_pen[iu, iv] += 1.0
-    q_pen[iv, iu] += 1.0
-    q_pen[iu, s] += -1.0
-    q_pen[s, iu] += -1.0
-    q_pen[iv, s] += -1.0
-    q_pen[s, iv] += -1.0
-    # complementarity sum_j u_j v_j
-    q_pen[iu, iv] += 0.5
-    q_pen[iv, iu] += 0.5
-    # cardinality residual (sum_j u_j - b s)^2
-    q_pen[:ell, :ell] += 1.0
-    q_pen[iu, s] += -b
-    q_pen[s, iu] += -b
-    q_pen[s, s] += b * b
+    # The residuals u_j + v_j - s of each j and sum_j u_j - b s are the rows
+    # of A; A^T A is the sum of their squares, and the complementarity term
+    # sum_j u_j v_j adds 1/2 on both sides of the diagonal of the uv block.
+    eye = np.eye(ell)
+    A = np.zeros((ell + 1, d))
+    A[:ell, :ell] = A[:ell, ell:s] = eye
+    A[:ell, s] = -1.0
+    A[ell, :ell], A[ell, s] = 1.0, -b
+    q_pen = A.T @ A
+    q_pen[:ell, ell:s] += 0.5 * eye
+    q_pen[ell:s, :ell] += 0.5 * eye
 
     start = None
     if warm is not None:
@@ -371,11 +361,13 @@ def _stacked(cols: list[np.ndarray], orbitals: np.ndarray) -> BlockBasis:
 
 def block_basis(group: PermutationGroup, ell: int) -> BlockBasis | None:
     """The basis in which every matrix of order d = 2 ell + 1 invariant
-    under the node group, lifted to (u, v, s), is block diagonal; None for
-    the trivial group, where the largest block exceeds d / 2 or where the
-    check of ``_families`` fails.  sigma acts
-    on u and v alike and fixes s, and Q, H and so every APG iterate are
-    invariant.
+    under the node group, lifted to (u, v, s), is block diagonal; None where
+    the largest block exceeds d / 2 or where the check of ``_families``
+    fails.  sigma acts on u and v alike and fixes s, and Q, H and so every
+    APG iterate are invariant.  The trivial family alone has one row per
+    orbit on (u, v, s), two per point orbit and one for s, so the trivial
+    group, every involution and any group with as many orbits are turned
+    down before any basis is built.
 
     A numerical block diagonalisation of the commutant (Murota, Kanno,
     Kojima & Kojima, Japan J. Indust. Appl. Math., 2010; ``_families``).
@@ -383,9 +375,9 @@ def block_basis(group: PermutationGroup, ell: int) -> BlockBasis | None:
     random group elements, composed from the transversals.  Should they
     generate a smaller group, its invariant matrices include the node
     group's, and the blocks only come out larger."""
-    if group.order == 1:
-        return None
     d = 2 * ell + 1
+    if 2 * (2 * len(orbits(group)) + 1) > d:
+        return None
     rng = np.random.default_rng(BLOCK_SEED)
     P = random_elements(group, BLOCK_ELEMENTS, rng)
     orbitals = pair_orbits(np.hstack([P, P + ell, np.full((len(P), 1), d - 1)]))

@@ -1,7 +1,6 @@
 """Branch-and-bound: branching, isomorphism pruning, certificates."""
 
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -226,28 +225,47 @@ class TestSolveTarget:
         assert with_iso.outcome == without.outcome == "Proved"
         assert with_iso.node_count <= without.node_count
 
-    def test_node_budget_inconclusive(self, tmp_path):
+    @staticmethod
+    def level1_frontier(inst, target, params):
+        """The fix sets of the branched nodes of level 1, in order, as the
+        certificate's JSON lists them."""
+        level1 = expand_level(inst, target, params, list(root_level(inst).parents),
+                              history={})
+        return [{"i0": [i + 1 for i in fix.i0], "i1": [i + 1 for i in fix.i1], "depth": 1}
+                for fix, node in level1.nodes if node.verdict == "branched"]
+
+    def test_node_budget_inconclusive(self):
         rng = np.random.default_rng(15)
         inst = random_bqop(rng, 10, 5)
         opt = brute_optimum(inst)
-        ckpt = tmp_path / "state.json"
-        params = BbParams(**{**FAST.__dict__, "node_budget": 2,
-                             "checkpoint_path": str(ckpt)})
+        params = BbParams(**{**FAST.__dict__, "node_budget": 2})
         cert = solve_target(inst, opt, params)
         assert cert.outcome == "Inconclusive"
-        state = json.loads(ckpt.read_text())
-        assert state["target"] == opt
+        obj = cert.to_json_obj()
+        assert obj["target"] == opt
         # The budget runs out after level 1: the frontier is its survivors.
         assert len(cert.per_depth) == 1
-        level1 = expand_level(inst, opt, params, list(root_level(inst).parents),
-                              history={})
-        survivors = [fix for fix, node in level1.nodes if node.verdict == "branched"]
-        assert state["frontier"] == [
-            {"i0": [i + 1 for i in fix.i0], "i1": [i + 1 for i in fix.i1],
-             "depth": 1} for fix in survivors]
-        assert len(survivors) == cert.per_depth[-1]["active"] > 0
-        # Written through a temp file and a rename: nothing else is left.
-        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+        frontier = self.level1_frontier(inst, opt, params)
+        assert obj["frontier"] == frontier
+        assert len(frontier) == cert.per_depth[-1]["active"] > 0
+
+    def test_time_budget_inconclusive(self):
+        # Level 1 takes some time, so a budget of none ends the run after it.
+        rng = np.random.default_rng(15)
+        inst = random_bqop(rng, 10, 5)
+        opt = brute_optimum(inst)
+        params = BbParams(**{**FAST.__dict__, "time_budget": 0.0})
+        cert = solve_target(inst, opt, params)
+        assert cert.outcome == "Inconclusive" and len(cert.per_depth) == 1
+        assert cert.to_json_obj()["frontier"] == self.level1_frontier(inst, opt, params)
+
+    def test_frontier_only_when_inconclusive(self):
+        rng = np.random.default_rng(16)
+        inst = random_bqop(rng, 7, 3)
+        opt = brute_optimum(inst)
+        for target in (opt, opt + 1):
+            cert = solve_target(inst, target, FAST)
+            assert cert.frontier is None and "frontier" not in cert.to_json_obj()
 
     def test_zero_reduced_matrix_is_a_solved_leaf(self):
         # Some node of this tree has an all-zero reduced matrix, which has no

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, reproducible outputs."""
 
+import csv
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -59,6 +61,14 @@ class TestConvert:
         data = json.loads(out.read_text())
         assert data["n"] == 5 and data["m"] == 2
         assert data["config"]["subcommand"] == "convert"
+        assert len(data["instance_sha256"]) == 64
+
+    def test_writes_to_stdout_without_output(self, runner, qap_file):
+        result = runner.invoke(main, ["convert", "--instance", str(qap_file)])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert data["n"] == 5 and data["m"] == 2
+        assert data["config"] == {"subcommand": "convert", "instance": str(qap_file)}
         assert len(data["instance_sha256"]) == 64
 
     def test_non_rank_one_exits_1(self, runner, tmp_path):
@@ -277,9 +287,9 @@ class TestBoundRoot:
         assert trace.read_text().splitlines() == [",".join(TRACE_FIELDS)]
 
     def test_json_rejects_values_without_a_json_form(self, tmp_path):
-        from symbb.cli import _write_json
+        from symbb.cli import _emit
         with pytest.raises(ValueError):
-            _write_json(str(tmp_path / "x.json"), {"a": float("-inf")})
+            _emit(str(tmp_path / "x.json"), {"a": float("-inf")}, "0" * 64, "bound-root")
 
 
 class TestSolve:
@@ -456,25 +466,34 @@ class TestSolve:
         assert result.output == f"error: {name} must be {RULES[name]}, not {value}\n"
         assert not cert.exists()
 
-    @pytest.mark.parametrize("where", ["missing_directory", "is_directory"])
-    def test_config_checkpoint_unwritable_exits_1(self, runner, bqop_file, tmp_path,
-                                                  where):
-        # --checkpoint is checked when parsed; a --config checkpoint_path
-        # gets the same check before any work.
+    def test_config_checkpoint_path_is_an_unknown_key(self, runner, bqop_file, tmp_path):
+        # The certificate holds the frontier; no run writes a checkpoint.
         path, _ = bqop_file
-        checkpoint = {"missing_directory": str(tmp_path / "none" / "ck.json"),
-                      "is_directory": str(tmp_path)}[where]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"checkpoint_path": checkpoint, "node_budget": 1}))
+        cfg.write_text(json.dumps({"checkpoint_path": None, "node_budget": 1}))
         cert = tmp_path / "cert.json"
         result = runner.invoke(main, [
             "solve", "--instance", str(path), "--target", "0", "--config", str(cfg),
             "--certificate-json", str(cert)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.count("\n") == 1
-        assert result.output.startswith("error: Invalid value for 'checkpoint_path'")
+        assert result.output == "error: --config: unknown key 'checkpoint_path'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, cfg.name])
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "--config is not valid JSON: "),
+        ("[1]", "--config must contain a JSON object\n")])
+    def test_config_not_a_json_object_exits_1(self, runner, bqop_file, tmp_path,
+                                              text, message):
+        path, _ = bqop_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["solve", "--instance", str(path), "--target", "0",
+                                      "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: " + message)
 
     def test_certificate_records_resolved_params(self, runner, tmp_path):
         rng = np.random.default_rng(33)
@@ -519,6 +538,34 @@ class TestEstimate:
         assert data["config"]["subcommand"] == "estimate"
         assert data["config"]["params"]["width_threshold"] == 1000
 
+
+    def test_stats_csv_one_row_per_seed_and_level(self, runner, bqop_file, tmp_path):
+        path, inst = bqop_file
+        out, stats = tmp_path / "est.json", tmp_path / "est.csv"
+        result = runner.invoke(main, [
+            "estimate", "--instance", str(path), "--target", str(brute_optimum(inst)),
+            "--seeds", "0,1", "--report-json", str(out), "--stats-csv", str(stats)])
+        assert result.exit_code == 0
+        with open(stats, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        reports = json.loads(out.read_text())["reports"]
+        assert [(int(r["seed"]), int(r["depth"])) for r in rows] == [
+            (rep["seed"], rec["depth"]) for rep in reports for rec in rep["per_depth"]]
+        assert {rep["seed"] for rep in reports} == {0, 1}
+
+    def test_stats_csv_with_a_sampled_level(self, runner, tmp_path):
+        # The k = 5 torus at 160 reaches width 4 at level 3: levels 1 and 2
+        # are counted whole, with no t_hat, and the later ones sampled.
+        path = tmp_path / "torus.json"
+        path.write_text(bqop_to_json(BqopInstance(n=25, B=torus_matrix(5).astype(np.int64),
+                                                  m=9)))
+        stats = tmp_path / "est.csv"
+        result = runner.invoke(main, ["estimate", "--instance", str(path), "--target", "160",
+                                      "--width-threshold", "4", "--stats-csv", str(stats)])
+        assert result.exit_code == 0, result.output
+        with open(stats, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["t_hat"] for r in rows[:3]] == ["", "", "4.0"]
 
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_width_threshold_below_1_exits_1(self, runner, bqop_file, tmp_path, value):
@@ -592,7 +639,7 @@ COMMANDS = {
 # Every option that names a file to write, with the command that takes it.
 OUTPUTS = [("convert", "--output"), ("symmetry", "--orbit-csv"),
            ("symmetry", "--group-json"), ("bound-root", "--trace-csv"),
-           ("bound-root", "--json"), ("solve", "--checkpoint"), ("solve", "--stats-csv"),
+           ("bound-root", "--json"), ("solve", "--stats-csv"),
            ("solve", "--certificate-json"), ("estimate", "--stats-csv"),
            ("estimate", "--report-json"), ("sample-dist", "--csv")]
 
@@ -653,3 +700,85 @@ class TestErrorExit:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert result.output.count("\n") == 1 and result.output.startswith("error: ")
+
+
+class TestWrite:
+    """Every output file goes through one write rule: through a temp file
+    and a rename where the target is new or a regular file, in place where
+    it is something else, such as a FIFO; a symlink is followed."""
+
+    @staticmethod
+    def inconclusive_solve(runner, tmp_path, out):
+        """Solve a 10-variable instance with a node budget of 2, which ends
+        after level 1 with survivors left, writing the certificate to
+        ``out``."""
+        inst = random_bqop(np.random.default_rng(15), 10, 5)
+        path = tmp_path / "ten.json"
+        path.write_text(bqop_to_json(inst))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"leaf_threshold": 4, "leaf_band": 2, "node_budget": 2}))
+        return runner.invoke(main, ["solve", "--instance", str(path), "--target",
+                                    str(brute_optimum(inst)), "--config", str(cfg),
+                                    "--certificate-json", str(out)])
+
+    def test_certificate_carries_the_frontier(self, runner, tmp_path):
+        out = tmp_path / "out" / "cert.json"
+        out.parent.mkdir()
+        for _ in range(2):
+            # A new file, then a regular file replaced.
+            result = self.inconclusive_solve(runner, tmp_path, out)
+            assert result.exit_code == 3, result.output
+            assert [p.name for p in out.parent.iterdir()] == ["cert.json"]
+        data = json.loads(out.read_text())
+        assert data["outcome"] == "Inconclusive"
+        assert len(data["frontier"]) == data["per_depth"][-1]["active"] > 0
+        assert all(entry["depth"] == 1 for entry in data["frontier"])
+
+    def test_temp_name_taken_exits_1(self, runner, tmp_path):
+        out = tmp_path / "cert.json"
+        (tmp_path / "cert.json.tmp").mkdir()
+        result = self.inconclusive_solve(runner, tmp_path, out)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        # The run finished; only writing its certificate failed.
+        assert result.stdout == "outcome: Inconclusive\nnodes: 3\n"
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+        assert not out.exists()
+
+    def test_fifo_stays_a_fifo(self, runner, tmp_path):
+        out = tmp_path / "cert.fifo"
+        os.mkfifo(out)
+        # A reader that does not block, so the write can open the FIFO.
+        fd = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            result = self.inconclusive_solve(runner, tmp_path, out)
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        assert result.exit_code == 3, result.output
+        assert json.loads(b"".join(chunks))["outcome"] == "Inconclusive"
+        assert out.is_fifo()
+
+    def test_symlink_into_a_missing_directory_exits_1_before_work(self, runner, tmp_path):
+        link = tmp_path / "cert.json"
+        link.symlink_to(tmp_path / "none" / "cert.json")
+        result = self.inconclusive_solve(runner, tmp_path, link)
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: Invalid value for '--certificate-json'")
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_symlink_is_written_through(self, runner, tmp_path, existing):
+        target = tmp_path / "data" / "cert.json"
+        target.parent.mkdir()
+        if existing:
+            target.write_text("old")
+        link = tmp_path / "cert.json"
+        link.symlink_to(target)
+        result = self.inconclusive_solve(runner, tmp_path, link)
+        assert result.exit_code == 3, result.output
+        assert link.is_symlink() and link.resolve() == target
+        assert json.loads(target.read_text())["outcome"] == "Inconclusive"
+        assert [p.name for p in target.parent.iterdir()] == ["cert.json"]

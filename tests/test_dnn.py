@@ -130,7 +130,7 @@ class TestAssemble:
             assemble(open_sub(), 0.0)
 
 
-class TestDefaultLambda:
+class TestPenaltyWeight:
     """The penalty weight assemble derives: lambda_scale / ||B(I0,I1)||."""
 
     def test_arithmetic(self):
@@ -315,6 +315,22 @@ class TestBlockBasis:
         small = open_sub(seed=0, n=8, m=4)
         assert 2 * small.ell + 1 < dnn.BLOCK_MIN_ORDER
         res = nb_bound(assemble(small, 1e8), None, short)
+        assert res.iterations == 1 and res.blocks is None
+
+    def test_involution_gives_no_basis_before_building_one(self, monkeypatch):
+        # B is invariant under i -> n - 1 - i: 11 point orbits, so the trivial
+        # family alone has 23 > 45 / 2 rows of the lifted order 45.
+        rng = np.random.default_rng(4)
+        n = 22
+        R = rng.integers(0, 50, (n, n))
+        B = R + R.T + (R + R.T)[::-1, ::-1]
+        np.fill_diagonal(B, 0)
+        sub = reduce(BqopInstance(n=n, B=B.astype(np.int64), m=7), FixSets((), ()))
+        assert sub.group.order == 2 and 2 * sub.ell + 1 >= dnn.BLOCK_MIN_ORDER
+        monkeypatch.setattr(dnn, "_families", None)
+        assert dnn.block_basis(sub.group, sub.ell) is None
+        short = NbParams(max_iter=1, apg=ApgParams(max_iter=5))
+        res = nb_bound(assemble(sub, 1e8), None, short)
         assert res.iterations == 1 and res.blocks is None
 
     def test_untargeted_bound_never_searches_completions(self, monkeypatch):

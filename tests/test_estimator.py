@@ -122,6 +122,15 @@ class TestSampling:
         assert [(r["width"], r["sampled"]) for r in report.per_depth
                 if r not in band] == [(4, 1)]
 
+    def test_depth_budget_ends_incomplete(self):
+        # The k = 5 torus at 160 takes 10 levels; a budget of 3 stops after
+        # the third, with the widths of the pinned solve (2, 2, 4).
+        report = estimate(TestSharedMemo.torus(), 160,
+                          EstParams(nb=FAST_NB, depth_budget=3), seed=0)
+        assert not report.complete and not report.target_refuted
+        assert [r["depth"] for r in report.per_depth] == [1, 2, 3]
+        assert [r["width"] for r in report.per_depth] == [2, 2, 4]
+
     def test_mean_within_factor_two(self):
         rng = np.random.default_rng(5)
         inst = planted_bqop(rng, blocks=3, block_size=3, m=4)

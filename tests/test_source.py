@@ -255,3 +255,50 @@ def test_guard_sees_module_state_mutations(tmp_path):
     assert module_state_mutations(tmp_path) == [
         "a.py:14 bump", "a.py:19 store", "a.py:23 tag", "a.py:27 remember",
         "a.py:31 patch", "a.py:35 nested", "a.py:39 extend"]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a call writes a file: ``open`` (or a ``.open`` method) with a
+    mode other than a read-only literal, ``os.replace``, ``.write_text``,
+    ``.write_bytes`` or ``json.dump``."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    owner = _root_name(func.value) if isinstance(func, ast.Attribute) else None
+    if name == "open":
+        at = 0 if isinstance(func, ast.Attribute) else 1
+        mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                    call.args[at] if len(call.args) > at else None)
+        return mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(str(mode.value)) <= set("rbt"))
+    return name in ("write_text", "write_bytes") or \
+        (owner, name) in (("os", "replace"), ("json", "dump"))
+
+
+def file_writes(src: Path = SRC) -> list[str]:
+    """The calls of ``src/*.py`` outside ``cli.py`` that write a file.  The
+    engine returns records, and only the command line writes them out."""
+    return [f"{name}:{line}" for name, line in sorted(
+        (path.name, node.lineno)
+        for path in src.glob("*.py") if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _writes_a_file(node))]
+
+
+def test_only_the_cli_writes_files():
+    assert file_writes() == []
+
+
+def test_guard_sees_file_writes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import json\nimport os\nfrom pathlib import Path\n\n\n"
+        "def save(path, state, mode):\n"
+        "    with open(path, 'w') as fh:\n        json.dump(state, fh)\n"
+        "    os.replace(path, path + '.bak')\n"
+        "    Path(path).write_text('x')\n    Path(path).write_bytes(b'x')\n"
+        "    open(path, mode=mode)\n    Path(path).open('a')\n\n\n"
+        "def load(path):\n"
+        "    with open(path) as fh, open(path, 'rb') as raw, Path(path).open() as p:\n"
+        "        return json.load(fh), raw.read(), p.read(), 'ab'.replace('a', 'b')\n")
+    (tmp_path / "cli.py").write_text("def emit(path):\n    open(path, 'w').write('x')\n")
+    assert file_writes(tmp_path) == ["a.py:7", "a.py:8", "a.py:9", "a.py:10", "a.py:11",
+                                     "a.py:12", "a.py:13"]
