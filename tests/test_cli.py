@@ -466,11 +466,16 @@ class TestSolve:
         assert result.output == f"error: {name} must be {RULES[name]}, not {value}\n"
         assert not cert.exists()
 
-    def test_config_checkpoint_path_is_an_unknown_key(self, runner, bqop_file, tmp_path):
-        # The certificate holds the frontier; no run writes a checkpoint.
+    @pytest.mark.parametrize("where", ["missing_directory", "is_directory"])
+    def test_config_checkpoint_unwritable_exits_1(self, runner, bqop_file, tmp_path,
+                                                  where):
+        # The certificate holds the frontier; no run writes a checkpoint, so
+        # a --config checkpoint_path is an unknown key, refused before any work.
         path, _ = bqop_file
+        checkpoint = {"missing_directory": str(tmp_path / "none" / "ck.json"),
+                      "is_directory": str(tmp_path)}[where]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"checkpoint_path": None, "node_budget": 1}))
+        cfg.write_text(json.dumps({"checkpoint_path": checkpoint, "node_budget": 1}))
         cert = tmp_path / "cert.json"
         result = runner.invoke(main, [
             "solve", "--instance", str(path), "--target", "0", "--config", str(cfg),
