@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dnn import NbParams, assemble, nb_bound
+from .dnn import NbParams, Settings, assemble, nb_bound, setting
 from .instance import BqopInstance, objective
 from .subproblem import (FixSets, Infeasible, SolvedLeaf, Subproblem,
                          feasibility_status, reduce, solve_exactly)
@@ -44,11 +44,12 @@ ISO_NODE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
-class TreeParams:
+class TreeParams(Settings):
     """Settings of the tree engine, shared by BbParams and EstParams."""
 
-    workers: int = 1
-    lambda_scale: float = 1e8           # penalty weight lambda_scale / ||B(I0,I1)||
+    workers: int = setting(1, "at least 1")
+    # The penalty weight is lambda_scale / ||B(I0,I1)||.
+    lambda_scale: float = setting(1e8, "a positive finite number")
     leaf_threshold: int = 20
     leaf_band: int = 3
     nb: NbParams = field(default_factory=NbParams)
@@ -57,8 +58,8 @@ class TreeParams:
 @dataclass(frozen=True)
 class BbParams(TreeParams):
     iso_pruning: bool = True
-    node_budget: int | None = None
-    time_budget: float | None = None    # seconds
+    node_budget: int | None = setting(None, "at least 1")
+    time_budget: float | None = setting(None, "a non-negative finite number")  # seconds
     audit: bool = False                 # small-n only: re-check by enumeration
 
 
@@ -96,16 +97,12 @@ def fingerprint(sub: Subproblem) -> tuple:
     """Invariants of a subproblem under the isomorphism relation; equality is
     necessary for two subproblems to merge."""
     R = sub.reduced_B
-    diag = np.diagonal(R)
     return (
         len(sub.fix.i0),
         len(sub.fix.i1),
         sub.offset,
-        int(diag.sum()),
-        int(R.sum()),
-        int(diag.max()) if diag.size else 0,
         int(R.min()) if R.size else 0,
-        tuple(sorted(int(v) for v in diag)),
+        tuple(sorted(int(v) for v in np.diagonal(R))),
         tuple(sorted(int(v) for v in R.sum(axis=1))),
     )
 
@@ -299,8 +296,10 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     unbounded = [(parents.get(fix), node, sub) for fix, node, sub in open_nodes
                  if node.verdict is None]
     with ExitStack() as stack:
-        # Both maps are lazy, so a pruned node's Y2 is dropped once its
-        # verdict is recorded.
+        # The built-in map is lazy: with one worker a pruned node's Y2 is
+        # dropped once its verdict is recorded.  The pool's map submits the
+        # whole level at once, so with workers > 1 a finished node's Y2 is
+        # held until the loop below reaches it.
         results = map(bound_one, unbounded)
         if params.workers > 1 and unbounded:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=params.workers))

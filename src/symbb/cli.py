@@ -47,14 +47,8 @@ def _load_bqop(path: str) -> tuple[instance.BqopInstance, str]:
 def _params(cls, flags: dict, config_path: str | None = None):
     """The run parameters: the defaults of the params dataclass ``cls``, then
     the flags that were given (``None`` is not given; nested dicts set ``nb``
-    and ``nb.apg``), then the ``--config`` file.  A worker count or an
-    iteration cap below 1 is an error: no thread, Newton step or APG step
-    would leave a bound to report.  So is a ``lambda_scale`` that is not a
-    positive finite number, which gives no penalty weight, and a tolerance
-    that is negative or not finite, which no gap or objective change can
-    meet.  A ``node_budget`` below 1 would end every run after level 1, a
-    ``width_threshold`` below 1 would sample from the root's children on,
-    and a ``time_budget`` that is negative or not finite is no budget."""
+    and ``nb.apg``), then the ``--config`` file.  Each step is checked as it
+    is applied, by the rules of the params dataclasses themselves."""
     params = _apply_overrides(cls(), _given(flags))
     if config_path is not None:
         try:
@@ -64,28 +58,6 @@ def _params(cls, flags: dict, config_path: str | None = None):
         if not isinstance(data, dict):
             raise click.ClickException("--config must contain a JSON object")
         params = _apply_overrides(params, data)
-    nb = params.nb
-    node_budget = getattr(params, "node_budget", None)
-    time_budget = getattr(params, "time_budget", None)
-    width_threshold = getattr(params, "width_threshold", None)
-    for name, value, rule, ok in (
-            ("workers", params.workers, "at least 1", params.workers >= 1),
-            ("nb.max_iter", nb.max_iter, "at least 1", nb.max_iter >= 1),
-            ("nb.apg.max_iter", nb.apg.max_iter, "at least 1", nb.apg.max_iter >= 1),
-            ("lambda_scale", params.lambda_scale, "a positive finite number",
-             math.isfinite(params.lambda_scale) and params.lambda_scale > 0),
-            ("nb.gap_tol", nb.gap_tol, "a non-negative finite number",
-             math.isfinite(nb.gap_tol) and nb.gap_tol >= 0),
-            ("nb.apg.rel_tol", nb.apg.rel_tol, "a non-negative finite number",
-             math.isfinite(nb.apg.rel_tol) and nb.apg.rel_tol >= 0),
-            ("node_budget", node_budget, "at least 1",
-             node_budget is None or node_budget >= 1),
-            ("time_budget", time_budget, "a non-negative finite number",
-             time_budget is None or (math.isfinite(time_budget) and time_budget >= 0)),
-            ("width_threshold", width_threshold, "at least 1",
-             width_threshold is None or width_threshold >= 1)):
-        if not ok:
-            raise click.ClickException(f"{name} must be {rule}, not {value}")
     return params
 
 
@@ -102,7 +74,8 @@ _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
 def _apply_overrides(params, overrides: dict, prefix: str = ""):
     """A copy of a params dataclass with overrides applied.  A nested JSON
     object overrides the nested dataclass of the same name (``nb``, then
-    ``apg``); unknown keys and ill-typed values are errors."""
+    ``apg``); unknown keys, ill-typed values and values the dataclass
+    refuses are errors, named by their dotted path."""
     fields = {f.name: f for f in dataclasses.fields(params)}
     changes = {}
     for key, value in overrides.items():
@@ -120,7 +93,10 @@ def _apply_overrides(params, overrides: dict, prefix: str = ""):
             raise click.ClickException(
                 f"--config: {name!r} must be {fields[key].type}, not {value!r}")
         changes[key] = value
-    return dataclasses.replace(params, **changes)
+    try:
+        return dataclasses.replace(params, **changes)
+    except ValueError as exc:
+        raise click.ClickException(f"{prefix}{exc}") from None
 
 
 def _write(path: str, text: str):

@@ -31,7 +31,7 @@ optimization problems" (Comput. Optim. Appl., 2017).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,16 +71,41 @@ BLOCK_TOL = 1e-9
 TRACE_FIELDS = ("k", "y", "a", "b", "g", "gprime", "apg_iterations", "apg_stop")
 
 
-@dataclass(frozen=True)
-class ApgParams:
-    rel_tol: float = 1e-12      # stop on relative objective change below this
-    max_iter: int = 20000
+_RULES = {"at least 1": lambda v: v >= 1,
+         "a non-negative finite number": lambda v: math.isfinite(v) and v >= 0,
+         "a positive finite number": lambda v: math.isfinite(v) and v > 0}
+
+
+def setting(default, rule: str):
+    """A settings field with this default whose value must be ``rule``."""
+    return field(default=default, metadata={"rule": rule})
+
+
+class Settings:
+    """A settings dataclass that refuses its own bad values when it is
+    built: each field made by ``setting`` must meet its rule, one of
+    ``_RULES`` by the words of its message, unless it is None, or
+    ``ValueError("<field> must be <rule>, not <value>")``."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            rule, value = f.metadata.get("rule"), getattr(self, f.name)
+            if rule is not None and value is not None and not _RULES[rule](value):
+                raise ValueError(f"{f.name} must be {rule}, not {value}")
 
 
 @dataclass(frozen=True)
-class NbParams:
-    gap_tol: float = 1e-6       # converged when b - a <= gap_tol * max(1, |b|)
-    max_iter: int = 60
+class ApgParams(Settings):
+    # Stop on relative objective change below this.
+    rel_tol: float = setting(1e-12, "a non-negative finite number")
+    max_iter: int = setting(20000, "at least 1")
+
+
+@dataclass(frozen=True)
+class NbParams(Settings):
+    # Converged when b - a <= gap_tol * max(1, |b|).
+    gap_tol: float = setting(1e-6, "a non-negative finite number")
+    max_iter: int = setting(60, "at least 1")
     apg: ApgParams = field(default_factory=ApgParams)
 
 
@@ -657,4 +682,4 @@ def nb_bound(prob: DnnProblem, target: float | None,
     return NbResult(status=status, a=a, b=b, iterations=iterations,
                     lb_integer=lb_integer, trace=tuple(trace),
                     blocks=None if basis is None else basis.families,
-                    y2=warm / prob.lam if trace else None)
+                    y2=warm / prob.lam)

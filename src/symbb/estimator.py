@@ -3,19 +3,20 @@
 The tree is expanded fully while a level holds fewer nodes than the width
 threshold.  From the first wide level onward only a random sample of each
 level is expanded; the per-level growth ratio (2 * branchable / sampled)
-extrapolates the level sizes, and their sum estimates the total node count.
-Once sampling has begun, a level narrower than the sample cutoff
-(``sample_cutoff``) is still taken whole.  Time is priced per
-level: the bound seconds of the nodes expanded at a level, scaled by the
-estimated size of that level over the nodes expanded there, so a level
-expanded whole counts its own seconds once.  The estimator is only
-a sampling policy: it starts from the root's children (``bb.root_level``)
-and expands its sample with the branch-and-bound engine
-(``bb.expand_level``), which branches each survivor it bounds, so with no
-level sampled it counts exactly the nodes branch and bound creates.  A
-level's branchable count and bound seconds are sums over its node records.
-Isomorphism pruning stays off here, matching the branch-and-bound variant
-whose work is being estimated.
+extrapolates the level sizes, and the root plus the sizes of the levels
+expanded estimates the node count.  So an estimate cut by its depth budget
+counts no level it did not expand, as ``solve_target``'s ``node_count`` on a
+budget exit.  Once sampling has begun, a level narrower than the sample
+cutoff (``sample_cutoff``) is still taken whole.  Time is priced per level:
+the bound seconds of the nodes expanded at a level, scaled by the estimated
+size of that level over the nodes expanded there, so a level expanded whole
+counts its own seconds once.  The estimator is only a sampling policy: it
+starts from the root's children (``bb.root_level``) and expands its sample
+with the branch-and-bound engine (``bb.expand_level``), which branches each
+survivor it bounds, so with no level sampled it counts exactly the nodes
+branch and bound creates.  A level's branchable count and bound seconds are
+sums over its node records.  Isomorphism pruning stays off here, matching
+the branch-and-bound variant whose work is being estimated.
 
 ``estimate_multi`` decides each distinct node once: its seeds share one memo
 of node records, made for that call only, so the root branch, the levels
@@ -37,15 +38,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bb import TreeParams, expand_level, root_level
+from .dnn import setting
 from .instance import BqopInstance
 
 
 @dataclass(frozen=True)
 class EstParams(TreeParams):
-    width_threshold: int = 1000
-    sample_size: int = 100          # nodes sampled from a wide level
+    width_threshold: int = setting(1000, "at least 1")
+    sample_size: int = setting(100, "at least 1")   # nodes sampled from a wide level
     sample_cutoff: int = 500        # levels below this are taken whole
-    depth_budget: int | None = None
+    depth_budget: int | None = setting(None, "at least 1")
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
     exact_sum = 0
     est_sum = 0.0
     sampling = False
-    t_hat = 0.0
     refuted = False
     complete = True
 
@@ -91,12 +92,14 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         parents = level.parents
         frontier = list(parents)
         width = len(frontier)
-        if not sampling and width >= params.width_threshold:
-            # The first truncated level is still an exact count; later levels
-            # contribute the extrapolated t_hat values.
-            sampling = True
-            t_hat = float(width)
+        # A level counts once it is expanded: exactly up to the first
+        # truncated level, and by its extrapolated size t_hat after it.
+        if sampling:
+            est_sum += t_hat
+        else:
             exact_sum += width
+            t_hat = float(width)
+            sampling = width >= params.width_threshold
         if sampling:
             s_k = _sample_count(width, params)
             chosen = sorted(rng.permutation(width)[:s_k].tolist())
@@ -104,7 +107,6 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         else:
             s_k = width
             selected = frontier
-            exact_sum += width
 
         level = expand_level(inst, target, params, selected, memo=memo,
                              parents=parents)
@@ -115,14 +117,13 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         bound_seconds += [node.seconds for node in bounded]
         # The level's estimated size over its expanded nodes: exactly 1 while
         # the level is expanded whole.
-        est_seconds += ((t_hat if sampling else width) / s_k) * sum(n.seconds for n in bounded)
+        est_seconds += (t_hat / s_k) * sum(n.seconds for n in bounded)
         r_k = sum(node.verdict == "branched" for node in bounded)
         rec = {"depth": depth, "width": width, "sampled": s_k,
                "branchable": r_k}
         if sampling:
             rec["t_hat"] = t_hat
-            t_hat = (2.0 * r_k / s_k) * t_hat if s_k else 0.0
-            est_sum += t_hat
+            t_hat = (2.0 * r_k / s_k) * t_hat
         per_depth.append(rec)
 
         if level.refutation is not None:

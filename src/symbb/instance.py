@@ -186,8 +186,6 @@ def sample_scaled_distribution(
     """
     if optimum == 0:
         raise InstanceError("optimum must be nonzero for scaling")
-    if inst.m > inst.n:
-        raise InstanceError("m exceeds n")
     if count < 1:
         raise InstanceError("sample count must be positive")
     B = inst.B

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from symbb import bb, dnn, subproblem
-from symbb.bb import BbParams, solve_target
+from symbb.bb import BbParams, TreeParams, solve_target
 from symbb.dnn import (DPRIME_FLOOR, STEP_MARGIN, ApgParams, ConeDistanceResult,
                        NbParams, _safe_ceil, assemble, cone_distance,
                        initial_upper, nb_bound)
+from symbb.estimator import EstParams
 from symbb.instance import BqopInstance
 from symbb.subproblem import FixSets, reduce, subgroup, swap_search
 from symbb.symmetry import automorphisms
@@ -79,6 +80,42 @@ def assert_block_step_exact(blocks, X):
 def eig_slack(M):
     """The roundoff slack nb_bound subtracts from a minimum eigenvalue."""
     return 16.0 * M.shape[0] * np.finfo(float).eps * float(np.linalg.norm(M))
+
+
+def nested_apg(**kwargs):
+    return NbParams(apg=ApgParams(**kwargs))
+
+
+class TestSettings:
+    """Every settings dataclass refuses a bad value of its own fields when it
+    is built, whoever builds it; the CLI only adds the dotted prefix."""
+
+    @pytest.mark.parametrize("cls, name, value, rule", [
+        *[(cls, name, value, "at least 1") for value in (0, -3)
+          for cls, name in ((ApgParams, "max_iter"), (NbParams, "max_iter"),
+                            (nested_apg, "max_iter"), (TreeParams, "workers"),
+                            (BbParams, "workers"), (EstParams, "workers"),
+                            (BbParams, "node_budget"), (EstParams, "width_threshold"),
+                            (EstParams, "sample_size"), (EstParams, "depth_budget"))],
+        *[(cls, name, value, "a non-negative finite number")
+          for value in (-1e-6, math.nan, math.inf)
+          for cls, name in ((ApgParams, "rel_tol"), (nested_apg, "rel_tol"),
+                            (NbParams, "gap_tol"), (BbParams, "time_budget"))],
+        *[(cls, "lambda_scale", value, "a positive finite number")
+          for value in (0.0, -1.0, math.nan, math.inf)
+          for cls in (TreeParams, BbParams, EstParams)],
+    ])
+    def test_bad_value_refused_when_built(self, cls, name, value, rule):
+        with pytest.raises(ValueError) as exc:
+            cls(**{name: value})
+        assert str(exc.value) == f"{name} must be {rule}, not {value}"
+
+    def test_edges_and_none_accepted(self):
+        # The least good values, and None where a field may be None.
+        BbParams(workers=1, lambda_scale=1e-300, node_budget=1, time_budget=0.0,
+                 nb=NbParams(gap_tol=0.0, max_iter=1, apg=ApgParams(rel_tol=0.0,
+                                                                    max_iter=1)))
+        EstParams(width_threshold=1, sample_size=1, depth_budget=None)
 
 
 class TestAssemble:

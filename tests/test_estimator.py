@@ -131,6 +131,24 @@ class TestSampling:
         assert [r["depth"] for r in report.per_depth] == [1, 2, 3]
         assert [r["width"] for r in report.per_depth] == [2, 2, 4]
 
+    @pytest.mark.parametrize("depth_budget", [2, 3])
+    def test_depth_budget_counts_only_levels_expanded(self, depth_budget):
+        # Every level sampled whole rebuilds the exact widths, so both modes
+        # count the root and the levels they expanded, and no level after
+        # them: the node count of a solve cut after the same levels.
+        inst, nb = TestSharedMemo.torus(), TestSharedMemo.SUITE_NB
+        exact = estimate(inst, 160, EstParams(nb=nb, depth_budget=depth_budget))
+        whole = estimate(inst, 160, EstParams(nb=nb, depth_budget=depth_budget,
+                                              width_threshold=1, sample_cutoff=1,
+                                              sample_size=10 ** 6))
+        assert not exact.sampled and whole.sampled
+        assert not exact.complete and not whole.complete
+        count = 1 + sum(r["width"] for r in exact.per_depth)
+        assert exact.estimated_total_nodes == whole.estimated_total_nodes == count
+        cert = solve_target(inst, 160, BbParams(nb=nb, iso_pruning=False,
+                                                node_budget=count - 1))
+        assert cert.outcome == "Inconclusive" and cert.node_count == count
+
     def test_mean_within_factor_two(self):
         rng = np.random.default_rng(5)
         inst = planted_bqop(rng, blocks=3, block_size=3, m=4)
