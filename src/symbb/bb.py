@@ -212,21 +212,21 @@ class Level:
 
 
 def expand_level(inst: BqopInstance, target: int, params: TreeParams,
-                 fixes: list[FixSets], history: dict | None = None,
-                 audit: bool = False, memo: dict | None = None,
-                 parents: dict | None = None) -> Level:
-    """Expand one level of fix sets, in order: reduce and classify each node;
-    with a ``history`` (fingerprint -> fix sets of the retained subproblems),
-    merge the open nodes isomorphic to a retained one, rebuilt by ``reduce``,
-    and retain the rest; stop at the first leaf below the target; otherwise
-    bound the open nodes, apply the prune test and branch every survivor
-    from the subproblem its bound read.  Only branch and bound passes a
-    history.
+                 frontier: dict[FixSets, Decided], history: dict | None = None,
+                 audit: bool = False, memo: dict | None = None) -> Level:
+    """Expand the fix sets of ``frontier``, in order: reduce and classify
+    each node; with a ``history`` (fingerprint -> fix sets of the retained
+    subproblems), merge the open nodes isomorphic to a retained one, rebuilt
+    by ``reduce``, and retain the rest; stop at the first leaf below the
+    target; otherwise bound the open nodes, apply the prune test and branch
+    every survivor from the subproblem its bound read.  Only branch and
+    bound passes a history.
 
-    ``parents`` (the ``Level.parents`` of the level before) gives each bound
-    the warm start of its parent, if the parent still holds one.  A pruned
-    node keeps no Y2, and a parent drops its Y2 once both of its children
-    have a verdict in the memo.
+    ``frontier`` maps each fix set to its parent's record: the
+    ``Level.parents`` of the level before, or a part of it.  Each bound
+    starts from its parent's warm start, if the parent still holds one.  A
+    pruned node keeps no Y2, and a parent drops its Y2 once both of its
+    children have a verdict in the memo.
 
     With a ``memo`` (fix sets -> Decided, for one target and one set of
     params), a node recorded there is neither reduced, classified, bounded
@@ -238,7 +238,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     memo = {} if memo is None else memo
     level = Level()
     open_nodes = []
-    for fix in fixes:
+    for fix in frontier:
         node = memo.get(fix)
         sub = reduce(inst, fix) if node is None or node.verdict is None else None
         if node is None:
@@ -257,7 +257,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     if history is not None:
         # Retained subproblems with fewer ones fixed than every node of this
         # level can never match again.
-        f1_min = min(len(fix.i1) for fix in fixes)
+        f1_min = min(len(fix.i1) for fix in frontier)
         for key in list(history):
             kept = [f for f in history[key] if len(f.i1) >= f1_min]
             if kept:
@@ -284,16 +284,13 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     if level.refutation is not None:
         return level
 
-    parents = parents or {}
-
     def bound_one(item):
         parent, _, sub = item
         t0 = time.monotonic()
-        warm = None if parent is None else parent.warm
-        res = nb_bound(assemble(sub, params.lambda_scale, warm), target, params.nb)
+        res = nb_bound(assemble(sub, params.lambda_scale, parent.warm), target, params.nb)
         return res, time.monotonic() - t0
 
-    unbounded = [(parents.get(fix), node, sub) for fix, node, sub in open_nodes
+    unbounded = [(frontier[fix], node, sub) for fix, node, sub in open_nodes
                  if node.verdict is None]
     with ExitStack() as stack:
         # The built-in map is lazy: with one worker a pruned node's Y2 is
@@ -322,7 +319,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                 node.children = branch_node(sub, audit)
                 if res.y2 is not None:
                     node.warm = (sub.free, res.y2)
-    for parent in parents.values():
+    for parent in frontier.values():
         if all(c in memo and memo[c].verdict is not None for c in parent.children):
             parent.warm = None
     return level
@@ -350,8 +347,7 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
         parents = level.parents
         created = len(parents)
         node_count += created
-        level = expand_level(inst, target, params, list(parents), history, params.audit,
-                             parents=parents)
+        level = expand_level(inst, target, params, parents, history, params.audit)
         leaf = level.refutation
         verdicts = Counter(node.verdict for _, node in level.nodes)
         generated = created - verdicts["merged"]

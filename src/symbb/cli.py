@@ -46,10 +46,19 @@ def _load_bqop(path: str) -> tuple[instance.BqopInstance, str]:
 
 def _params(cls, flags: dict, config_path: str | None = None):
     """The run parameters: the defaults of the params dataclass ``cls``, then
-    the flags that were given (``None`` is not given; nested dicts set ``nb``
-    and ``nb.apg``), then the ``--config`` file.  Each step is checked as it
-    is applied, by the rules of the params dataclasses themselves."""
-    params = _apply_overrides(cls(), _given(flags))
+    the flags that were given (``None`` is not given; a flag's name is the
+    path of the field it sets, ``nb__apg__rel_tol`` for ``nb.apg.rel_tol``),
+    then the ``--config`` file.  Each step is checked as it is applied, by
+    the params dataclasses themselves."""
+    given: dict = {}
+    for name, value in flags.items():
+        if value is not None:
+            *path, key = name.split("__")
+            nested = given
+            for part in path:
+                nested = nested.setdefault(part, {})
+            nested[key] = value
+    params = _apply_overrides(cls(), given)
     if config_path is not None:
         try:
             data = json.loads(Path(config_path).read_bytes())
@@ -61,37 +70,23 @@ def _params(cls, flags: dict, config_path: str | None = None):
     return params
 
 
-def _given(flags: dict) -> dict:
-    flags = {k: _given(v) if isinstance(v, dict) else v for k, v in flags.items()}
-    return {k: v for k, v in flags.items() if v is not None and v != {}}
-
-
-# JSON value types accepted for each scalar annotation of a params field.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "None": type(None)}
-
-
 def _apply_overrides(params, overrides: dict, prefix: str = ""):
     """A copy of a params dataclass with overrides applied.  A nested JSON
     object overrides the nested dataclass of the same name (``nb``, then
-    ``apg``); unknown keys, ill-typed values and values the dataclass
-    refuses are errors, named by their dotted path."""
-    fields = {f.name: f for f in dataclasses.fields(params)}
+    ``apg``); unknown keys, and any other value where an object goes, are
+    errors, and so are the values the dataclass refuses, all named by their
+    dotted path."""
+    names = {f.name for f in dataclasses.fields(params)}
     changes = {}
     for key, value in overrides.items():
         name = prefix + key
-        if key not in fields:
+        if key not in names:
             raise click.ClickException(f"--config: unknown key {name!r}")
         current = getattr(params, key)
         if dataclasses.is_dataclass(current):
             if not isinstance(value, dict):
                 raise click.ClickException(f"--config: {name!r} must be a JSON object")
             value = _apply_overrides(current, value, name + ".")
-        elif not any(isinstance(value, _JSON_TYPES[t]) and
-                     (t == "bool" or not isinstance(value, bool))
-                     for t in fields[key].type.split(" | ")):
-            raise click.ClickException(
-                f"--config: {name!r} must be {fields[key].type}, not {value!r}")
         changes[key] = value
     try:
         return dataclasses.replace(params, **changes)
@@ -251,20 +246,17 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
 @main.command(name="bound-root")
 @_instance_option
 @click.option("--target", default=None, type=int)
-@click.option("--lambda-scale", default=None, type=float)
-@click.option("--gap-tol", default=None, type=float)
-@click.option("--nb-max-iter", default=None, type=int)
-@click.option("--apg-tol", default=None, type=float)
-@click.option("--apg-max-iter", default=None, type=int)
+@click.option("--lambda-scale", "lambda_scale", default=None, type=float)
+@click.option("--gap-tol", "nb__gap_tol", default=None, type=float)
+@click.option("--nb-max-iter", "nb__max_iter", default=None, type=int)
+@click.option("--apg-tol", "nb__apg__rel_tol", default=None, type=float)
+@click.option("--apg-max-iter", "nb__apg__max_iter", default=None, type=int)
 @click.option("--trace-csv", default=None, type=_output_path)
 @click.option("--json", "json_path", default=None, type=_output_path)
-def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
-               apg_tol, apg_max_iter, trace_csv, json_path):
+def bound_root(instance_path, target, trace_csv, json_path, **settings):
     """Newton-bracketing bound for the root subproblem with variable 1 fixed
     to 1."""
-    params = _params(bb.TreeParams, dict(lambda_scale=lambda_scale, nb=dict(
-        gap_tol=gap_tol, max_iter=nb_max_iter,
-        apg=dict(rel_tol=apg_tol, max_iter=apg_max_iter))))
+    params = _params(bb.TreeParams, settings)
     bqop, digest = _load_bqop(instance_path)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
     # The engine's leaf rule with no small leaves: one completion, or every
@@ -318,24 +310,19 @@ def bound_root(instance_path, target, lambda_scale, gap_tol, nb_max_iter,
 @main.command()
 @_instance_option
 @click.option("--target", required=True, type=int)
-@click.option("--no-isomorphism-pruning", is_flag=True, default=False)
-@click.option("--workers", default=None, type=int)
-@click.option("--lambda-scale", default=None, type=float)
-@click.option("--node-budget", default=None, type=int)
-@click.option("--time-budget", default=None, type=float, help="Seconds.")
+@click.option("--no-isomorphism-pruning", "iso_pruning", flag_value=False, default=None)
+@click.option("--workers", "workers", default=None, type=int)
+@click.option("--lambda-scale", "lambda_scale", default=None, type=float)
+@click.option("--node-budget", "node_budget", default=None, type=int)
+@click.option("--time-budget", "time_budget", default=None, type=float, help="Seconds.")
 @click.option("--stats-csv", default=None, type=_output_path)
 @click.option("--certificate-json", default=None, type=_output_path)
-@click.option("--audit", is_flag=True, default=False)
+@click.option("--audit", "audit", flag_value=True, default=None)
 @click.option("--config", "config_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
-def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
-          node_budget, time_budget, stats_csv,
-          certificate_json, audit, config_path):
+def solve(instance_path, target, stats_csv, certificate_json, config_path, **settings):
     """Prove or refute a target lower bound by branch and bound."""
-    params = _params(bb.BbParams, dict(
-        workers=workers, iso_pruning=False if no_isomorphism_pruning else None,
-        lambda_scale=lambda_scale, node_budget=node_budget, time_budget=time_budget,
-        audit=audit or None), config_path)
+    params = _params(bb.BbParams, settings, config_path)
     bqop, digest = _load_bqop(instance_path)
     cert = bb.solve_target(bqop, target, params)
     click.echo(f"outcome: {cert.outcome}")
@@ -354,13 +341,12 @@ def solve(instance_path, target, no_isomorphism_pruning, workers, lambda_scale,
 @_instance_option
 @click.option("--target", required=True, type=int)
 @click.option("--seeds", default="0", help="Comma-separated list of seeds.")
-@click.option("--workers", default=None, type=int)
-@click.option("--width-threshold", default=None, type=int)
-@click.option("--lambda-scale", default=None, type=float)
+@click.option("--workers", "workers", default=None, type=int)
+@click.option("--width-threshold", "width_threshold", default=None, type=int)
+@click.option("--lambda-scale", "lambda_scale", default=None, type=float)
 @click.option("--stats-csv", default=None, type=_output_path)
 @click.option("--report-json", default=None, type=_output_path)
-def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
-                 lambda_scale, stats_csv, report_json):
+def estimate_cmd(instance_path, target, seeds, stats_csv, report_json, **settings):
     """Estimate the enumeration-tree size for a target lower bound."""
     try:
         seed_list = [int(s) for s in seeds.split(",") if s.strip() != ""]
@@ -370,8 +356,7 @@ def estimate_cmd(instance_path, target, seeds, workers, width_threshold,
         raise click.BadParameter(
             f"{seeds!r} is not a comma-separated list of non-negative integers",
             param_hint="'--seeds'")
-    params = _params(estimator.EstParams, dict(
-        workers=workers, width_threshold=width_threshold, lambda_scale=lambda_scale))
+    params = _params(estimator.EstParams, settings)
     bqop, digest = _load_bqop(instance_path)
     summary = estimator.estimate_multi(bqop, target, seed_list, params)
     nodes = summary["nodes"]

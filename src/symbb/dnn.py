@@ -32,11 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .subproblem import Subproblem, swap_search
-from .symmetry import PermutationGroup, orbits, pair_orbits, random_elements
+from .symmetry import (PermutationGroup, components, orbits, pair_orbits,
+                       random_elements)
 
 
 # Newton takes a step only where g' is at least this; below it, bisection.
@@ -74,6 +77,8 @@ TRACE_FIELDS = ("k", "y", "a", "b", "g", "gprime", "apg_iterations", "apg_stop")
 _RULES = {"at least 1": lambda v: v >= 1,
          "a non-negative finite number": lambda v: math.isfinite(v) and v >= 0,
          "a positive finite number": lambda v: math.isfinite(v) and v > 0}
+# What the annotations int and float accept; only a bool is a bool.
+_NUMBERS = {int: Integral, float: Real}
 
 
 def setting(default, rule: str):
@@ -83,13 +88,19 @@ def setting(default, rule: str):
 
 class Settings:
     """A settings dataclass that refuses its own bad values when it is
-    built: each field made by ``setting`` must meet its rule, one of
-    ``_RULES`` by the words of its message, unless it is None, or
-    ``ValueError("<field> must be <rule>, not <value>")``."""
+    built, with ``ValueError("<field> must be <what>, not <value>")``: each
+    field must be of its annotated type (int, float, bool, None or a
+    settings class), and each made by ``setting`` must then meet its rule,
+    one of ``_RULES`` by the words of its message, unless it is None."""
 
     def __post_init__(self):
+        hints = get_type_hints(type(self))
         for f in fields(self):
             rule, value = f.metadata.get("rule"), getattr(self, f.name)
+            kinds = get_args(hints[f.name]) or (hints[f.name],)
+            if not any(isinstance(value, _NUMBERS.get(k, k)) and
+                       isinstance(value, bool) == (k is bool) for k in kinds):
+                raise ValueError(f"{f.name} must be {f.type}, not {value!r}")
             if rule is not None and value is not None and not _RULES[rule](value):
                 raise ValueError(f"{f.name} must be {rule}, not {value}")
 
@@ -323,12 +334,8 @@ def _families(labels: np.ndarray, rng) -> list[np.ndarray] | None:
     dims = np.diff(np.r_[starts, d])
     WB, WC = U.T @ B @ U, U.T @ C @ U
     coupled = _cluster_norms(WB, starts) > (BLOCK_TOL * np.linalg.norm(B)) ** 2
-    comp = np.arange(starts.size)
-    while True:
-        joined = np.minimum(comp, np.where(coupled, comp[None, :], comp.size).min(axis=1))
-        if np.array_equal(joined, comp):
-            break
-        comp = joined
+    n = starts.size
+    comp = components([np.where(c, j, np.arange(n)) for j, c in enumerate(coupled.T)], n)
     apart = comp[:, None] != comp[None, :]
     if np.any(_cluster_norms(WC, starts)[apart] > (BLOCK_TOL * np.linalg.norm(C)) ** 2):
         return None

@@ -103,13 +103,12 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         if sampling:
             s_k = _sample_count(width, params)
             chosen = sorted(rng.permutation(width)[:s_k].tolist())
-            selected = [frontier[i] for i in chosen]
+            selected = {frontier[i]: parents[frontier[i]] for i in chosen}
         else:
             s_k = width
-            selected = frontier
+            selected = parents
 
-        level = expand_level(inst, target, params, selected, memo=memo,
-                             parents=parents)
+        level = expand_level(inst, target, params, selected, memo=memo)
         # A refuted level was neither bounded nor branched here, though the
         # memo may hold verdicts another seed gave its nodes.
         bounded = [node for _, node in level.nodes
@@ -141,7 +140,8 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         target=target, seed=seed, per_depth=tuple(per_depth),
         estimated_total_nodes=total, mean_node_seconds=mean_node_seconds,
         estimated_time_seconds=est_seconds,
-        sampled=sampling, target_refuted=refuted, complete=complete)
+        sampled=any(rec["sampled"] < rec["width"] for rec in per_depth),
+        target_refuted=refuted, complete=complete)
 
 
 def estimate_multi(inst: BqopInstance, target: int, seeds,

@@ -176,7 +176,7 @@ def automorphisms(B) -> PermutationGroup:
     return PermutationGroup(domain_size=d, transversals=transversals)
 
 
-def _components(images, size: int) -> np.ndarray:
+def components(images, size: int) -> np.ndarray:
     """The smallest member of the component of every index in the graph
     that joins i to image[i] for each image array: a vectorized union-find
     that hooks the larger root to the smaller and then compresses every
@@ -204,7 +204,7 @@ def orbits(group: PermutationGroup) -> tuple[Orbit, ...]:
     """The orbits of the group on its whole domain, sorted by representative.
     The transversals generate the group, so the orbits are the components of
     the graph joining i to u[i] for every representative u."""
-    root = _components([u for U in group.transversals for u in U], group.domain_size)
+    root = components([u for U in group.transversals for u in U], group.domain_size)
     return tuple(Orbit(members=tuple(np.flatnonzero(root == r).tolist()))
                  for r in np.unique(root).tolist())
 
@@ -226,7 +226,7 @@ def pair_orbits(perms: np.ndarray) -> np.ndarray:
     components of the graph joining (i, j) to (sigma(i), sigma(j))."""
     perms = np.asarray(perms, dtype=np.int64)
     d = perms.shape[1]
-    root = _components([(p[:, None] * d + p[None, :]).ravel() for p in perms], d * d)
+    root = components([(p[:, None] * d + p[None, :]).ravel() for p in perms], d * d)
     return np.unique(root, return_inverse=True)[1].reshape(d, d)
 
 

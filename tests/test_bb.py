@@ -92,6 +92,17 @@ class TestIsomorphic:
         if fingerprint(a) != fingerprint(b):
             assert isomorphic(a, b) is None
 
+    def test_equal_fingerprints_not_isomorphic(self):
+        # A 6-cycle and two triangles: every vertex has two neighbours, so
+        # the fingerprints agree, but only the cycle is connected.
+        ring = np.roll(np.eye(6, dtype=np.int64), 1, axis=1)
+        triangle = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
+        two = np.kron(np.eye(2, dtype=np.int64), triangle)
+        a, b = (reduce(BqopInstance(n=6, B=B, m=3), FixSets((), ()))
+                for B in (ring + ring.T, two))
+        assert fingerprint(a) == fingerprint(b)
+        assert isomorphic(a, b) is None and isomorphic(b, a) is None
+
 
 class TestOrbitChoice:
     def test_scores_formula(self, bqop6):
@@ -229,8 +240,7 @@ class TestSolveTarget:
     def level1_frontier(inst, target, params):
         """The fix sets of the branched nodes of level 1, in order, as the
         certificate's JSON lists them."""
-        level1 = expand_level(inst, target, params, list(root_level(inst).parents),
-                              history={})
+        level1 = expand_level(inst, target, params, root_level(inst).parents, history={})
         return [{"i0": [i + 1 for i in fix.i0], "i1": [i + 1 for i in fix.i1], "depth": 1}
                 for fix, node in level1.nodes if node.verdict == "branched"]
 
@@ -445,6 +455,11 @@ class TestEngine:
         assert len(reduced) == len(set(reduced)) == cert.node_count
         assert len(grouped) == len(set(grouped)) > 0
 
+    def test_memo_and_history_refused_together(self):
+        inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+        with pytest.raises(ValueError, match="cannot be memoized"):
+            expand_level(inst, 160, FAST, root_level(inst).parents, history={}, memo={})
+
     def test_warm_start_kept_until_both_children_decided(self):
         # The k = 5 torus at 160: a survivor holds its free indices and its
         # last Y2 over lam until the memo has decided both of its children;
@@ -455,21 +470,19 @@ class TestEngine:
         def survivors(level):
             return [fix for fix, node in level.nodes if node.verdict == "branched"]
 
-        level1 = expand_level(inst, 160, params,
-                              list(root_level(inst, memo=memo).parents), memo=memo)
+        level1 = expand_level(inst, 160, params, root_level(inst, memo=memo).parents,
+                              memo=memo)
         parent = memo[survivors(level1)[0]]
         assert all(p is parent for p in level1.parents.values())
         free, y2 = parent.warm
         assert y2.shape == (2 * len(free) + 1,) * 2 and np.all(y2 >= 0)
         first, second = level1.parents
-        expand_level(inst, 160, params, [first], memo=memo, parents=level1.parents)
+        expand_level(inst, 160, params, {first: parent}, memo=memo)
         assert parent.warm is not None
-        expand_level(inst, 160, params, [second], memo=memo, parents=level1.parents)
+        expand_level(inst, 160, params, {second: parent}, memo=memo)
         assert parent.warm is None
-        level2 = expand_level(inst, 160, params, list(level1.parents), memo=memo,
-                              parents=level1.parents)
-        level3 = expand_level(inst, 160, params, list(level2.parents), memo=memo,
-                              parents=level2.parents)
+        level2 = expand_level(inst, 160, params, level1.parents, memo=memo)
+        level3 = expand_level(inst, 160, params, level2.parents, memo=memo)
         nodes = [memo[fix] for fix in level2.parents]
         pruned = [node.verdict == "pruned" for node in nodes]
         assert sum(pruned) == sum(node.verdict in ("pruned", "leaf")
@@ -478,10 +491,10 @@ class TestEngine:
         assert all(memo[fix].warm is None for fix in survivors(level2))
         # Without a memo no later call reaches a parent: it drops its Y2
         # after one level.
-        fresh = expand_level(inst, 160, params, list(root_level(inst).parents))
+        fresh = expand_level(inst, 160, params, root_level(inst).parents)
         kept = fresh.parents[first]
         assert kept.warm is not None
-        after = expand_level(inst, 160, params, list(fresh.parents), parents=fresh.parents)
+        after = expand_level(inst, 160, params, fresh.parents)
         assert kept.warm is None
         assert survivors(after) == survivors(level2)
         assert all(p.warm is not None for p in after.parents.values())

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from symbb.bb import BbParams
+from symbb.bb import BbParams, TreeParams
 from symbb.cli import main
 from symbb.dnn import TRACE_FIELDS
+from symbb.estimator import EstParams
 from symbb.instance import BqopInstance, QapInstance, bqop_to_json
+from symbb.symmetry import automorphisms, group_to_json_obj
 from tests.conftest import brute_optimum, format_qaplib, random_bqop, torus_matrix
 
 # What each checked run setting must be, as its one-line error states.
@@ -131,6 +134,25 @@ class TestSymmetry:
         assert result.exit_code == 1
         assert result.output == (f"error: Invalid value for '--fix': "
                                  f"{fix} is not in 1..7\n")
+
+    def test_group_json_lists_the_elements(self, runner, tmp_path, cycle6):
+        inst = BqopInstance(n=6, B=cycle6, m=3)
+        path = tmp_path / "cycle.json"
+        path.write_text(bqop_to_json(inst))
+        outs = []
+        for name in ("first.json", "second.json"):
+            out = tmp_path / name
+            result = runner.invoke(main, ["symmetry", "--instance", str(path),
+                                          "--group-json", str(out)])
+            assert result.exit_code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        data = json.loads(outs[0])
+        assert data.pop("config") == {"subcommand": "symmetry", "instance": str(path)}
+        assert data.pop("instance_sha256") == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert data == group_to_json_obj(automorphisms(cycle6), 12)
+        assert len(data["elements"]) == 12
+        assert sorted(data["elements"][0]) == list(range(1, 7))     # 1-based
 
     def test_group_cap_limits_listing(self, runner, tmp_path, two_pairs24):
         path = tmp_path / "pairs.json"
@@ -414,7 +436,30 @@ class TestSolve:
             "solve", "--instance", str(path), "--target", "0", "--config", str(cfg)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.count("\n") == 1 and repr(key) in result.output
+        if key == "workers":
+            # A value of the wrong type is refused by the dataclass itself.
+            assert result.output == "error: workers must be int, not 'two'\n"
+        else:
+            assert result.output.count("\n") == 1 and repr(key) in result.output
+
+    @pytest.mark.parametrize("overrides, line", [
+        ({"nb": {"apg": {"max_iter": 2.5}}}, "nb.apg.max_iter must be int, not 2.5"),
+        ({"nb": {"gap_tol": [1]}}, "nb.gap_tol must be float, not [1]"),
+        ({"time_budget": True}, "time_budget must be float | None, not True"),
+        ({"node_budget": "5"}, "node_budget must be int | None, not '5'"),
+        ({"iso_pruning": "no"}, "iso_pruning must be bool, not 'no'"),
+        ({"audit": 1}, "audit must be bool, not 1"),
+        ({"leaf_threshold": None}, "leaf_threshold must be int, not None"),
+    ])
+    def test_config_of_the_wrong_type_exits_1(self, runner, bqop_file, tmp_path,
+                                              overrides, line):
+        path, _ = bqop_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", "0", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {line}\n"
 
     @pytest.mark.parametrize("overrides, name", [
         ({"nb": {"max_iter": 0}}, "nb.max_iter"),
@@ -528,6 +573,50 @@ class TestSolve:
         assert rerun == data
 
 
+class TestSettingsFlags:
+    # The output that records each command's params, the params dataclass
+    # its settings flags set, and each flag with a value other than its
+    # default (None for a flag that takes none) and the value it sets.
+    FLAGS = {
+        "solve": ("--certificate-json", BbParams, [
+            ("--no-isomorphism-pruning", None, False), ("--workers", "2", 2),
+            ("--lambda-scale", "1e7", 1e7), ("--node-budget", "1000", 1000),
+            ("--time-budget", "100", 100.0), ("--audit", None, True)]),
+        "estimate": ("--report-json", EstParams, [
+            ("--workers", "2", 2), ("--width-threshold", "7", 7),
+            ("--lambda-scale", "1e7", 1e7)]),
+        "bound-root": ("--json", TreeParams, [
+            ("--lambda-scale", "1e7", 1e7), ("--gap-tol", "1e-5", 1e-5),
+            ("--nb-max-iter", "30", 30), ("--apg-tol", "1e-9", 1e-9),
+            ("--apg-max-iter", "3000", 3000)]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_flag_sets_the_field_it_names(self, runner, bqop_file, tmp_path, command):
+        # A settings flag's parameter name is the path of its field, with
+        # "__" between the names: every one is given once, and each lands
+        # at that path in config.params.
+        path, inst = bqop_file
+        option, cls, flags = self.FLAGS[command]
+        names = {f.name for f in dataclasses.fields(cls)}
+        fields = {param.opts[0]: param.name.split("__")
+                  for param in main.commands[command].params
+                  if param.name.split("__")[0] in names}
+        assert sorted(fields) == sorted(flag for flag, _, _ in flags)
+        out = tmp_path / "out.json"
+        target = [] if command == "bound-root" else ["--target", str(brute_optimum(inst))]
+        args = [arg for flag, text, _ in flags for arg in (flag, text) if arg is not None]
+        result = runner.invoke(main, [command, "--instance", str(path), *target, *args,
+                                      option, str(out)])
+        assert result.exit_code == 0
+        params = json.loads(out.read_text())["config"]["params"]
+        for flag, _, value in flags:
+            found = params
+            for part in fields[flag]:
+                found = found[part]
+            assert found == value, flag
+
+
 class TestEstimate:
     def test_summary_and_json(self, runner, bqop_file, tmp_path):
         path, inst = bqop_file
@@ -614,6 +703,16 @@ class TestSampleDist:
         assert result.output.count("\n") == 1
         assert result.output.startswith("error: Invalid value for '--bins'")
 
+    def test_count_below_1_exits_1(self, runner, bqop_file, tmp_path):
+        path, _ = bqop_file
+        out = tmp_path / "hist.csv"
+        result = runner.invoke(main, [
+            "sample-dist", "--instance", str(path), "--count", "0",
+            "--optimum", "50", "--csv", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "error: sample count must be positive\n"
+        assert not out.exists()
+
     def test_negative_seed_exits_1(self, runner, bqop_file, tmp_path):
         path, _ = bqop_file
         out = tmp_path / "dist.csv"
@@ -631,6 +730,11 @@ MALFORMED = {
     "missing_key.json": b'{"n": 2, "B_lower": [0, 1, 0]}',
     "non_integer.json": b'{"n": 2, "m": 1, "B_lower": [0, "x", 0]}',
     "not_utf8.dat": b"2\n\xff\xfe\n",
+    "dimension_zero.dat": b"0\n",
+    "dimension_negative.dat": b"-2\n",
+    "flow_not_binary.dat": b"2\n0 2\n2 0\n0 1\n1 0\n",
+    "flow_zero.dat": b"2\n0 0\n0 0\n0 1\n1 0\n",
+    "flow_full_support.dat": b"2\n0 1\n1 0\n0 1\n1 0\n",
 }
 COMMANDS = {
     "convert": [],

@@ -15,7 +15,7 @@ from symbb.dnn import (DPRIME_FLOOR, STEP_MARGIN, ApgParams, ConeDistanceResult,
 from symbb.estimator import EstParams
 from symbb.instance import BqopInstance
 from symbb.subproblem import FixSets, reduce, subgroup, swap_search
-from symbb.symmetry import automorphisms
+from symbb.symmetry import PermutationGroup, automorphisms
 from tests.conftest import (alternating_projection_distance, brute_optimum,
                             brute_sub_optimum, lifted_form, penalty_value,
                             planted_bqop, random_bqop, soundness_instance,
@@ -116,6 +116,37 @@ class TestSettings:
                  nb=NbParams(gap_tol=0.0, max_iter=1, apg=ApgParams(rel_tol=0.0,
                                                                     max_iter=1)))
         EstParams(width_threshold=1, sample_size=1, depth_budget=None)
+
+    @pytest.mark.parametrize("cls, name, value, annotation", [
+        (ApgParams, "max_iter", 2.5, "int"),
+        (nested_apg, "max_iter", 2.5, "int"),
+        (BbParams, "nb", {"gap_tol": 1}, "NbParams"),
+        (NbParams, "apg", NbParams(), "ApgParams"),
+        (EstParams, "sample_size", 1.5, "int"),
+        (BbParams, "time_budget", True, "float | None"),
+        (BbParams, "iso_pruning", "no", "bool"),
+        (BbParams, "audit", 1, "bool"),
+        (BbParams, "node_budget", "5", "int | None"),
+        (TreeParams, "workers", True, "int"),
+        (TreeParams, "lambda_scale", "1e8", "float"),
+        (EstParams, "sample_cutoff", None, "int"),
+        (NbParams, "gap_tol", [1e-6], "float"),
+    ])
+    def test_wrong_type_refused_when_built(self, cls, name, value, annotation):
+        # The annotation is checked before the rule: the rules never see a
+        # value of the wrong type.
+        with pytest.raises(ValueError) as exc:
+            cls(**{name: value})
+        assert str(exc.value) == f"{name} must be {annotation}, not {value!r}"
+
+    def test_numpy_numbers_accepted(self):
+        # numpy integers are ints, numpy floats and any int are floats.
+        params = BbParams(workers=np.int64(2), lambda_scale=np.float32(1e8),
+                          leaf_threshold=np.uint8(8), node_budget=np.int32(5),
+                          time_budget=3, nb=NbParams(gap_tol=np.float64(1e-6),
+                                                     apg=ApgParams(max_iter=np.int16(9))))
+        assert params.workers == 2 and params.nb.apg.max_iter == 9
+        EstParams(depth_budget=np.int64(1), sample_cutoff=np.int8(3))
 
 
 class TestAssemble:
@@ -369,6 +400,26 @@ class TestBlockBasis:
         short = NbParams(max_iter=1, apg=ApgParams(max_iter=5))
         res = nb_bound(assemble(sub, 1e8), None, short)
         assert res.iterations == 1 and res.blocks is None
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_large_family_gives_no_basis_after_building_one(self, monkeypatch, k):
+        # A 3-cycle turning k triples together: with 2k + 1 orbits on
+        # (u, v, s) the basis is built, but its complex-type irreducibles
+        # stay one family of 4k rows, above half the lifted order 6k + 1.
+        ell = 3 * k
+        triples = np.arange(ell).reshape(k, 3)
+        group = PermutationGroup(ell, [[np.roll(triples, t, axis=1).ravel()
+                                        for t in range(3)]])
+        built = []
+        real = dnn._families
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(dnn, "_families", recording)
+        assert dnn.block_basis(group, ell) is None
+        assert [(c.shape[2], c.shape[1]) for c in built[0]] == [(4 * k, 1), (2 * k + 1, 1)]
 
     def test_untargeted_bound_never_searches_completions(self, monkeypatch):
         monkeypatch.setattr(dnn, "swap_search", None)

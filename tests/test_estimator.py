@@ -48,7 +48,8 @@ class TestSamplingRule:
 class TestDegenerateExactness:
     def test_sample_covering_every_level_is_exact(self):
         # Every level is sampled, and every sample is the whole level: the
-        # growth ratios then rebuild the exact level sizes.
+        # growth ratios then rebuild the exact level sizes, and no level was
+        # truncated.
         nb = NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000))
         est = EstParams(leaf_threshold=8, leaf_band=3, nb=nb, width_threshold=2,
                         sample_cutoff=2, sample_size=1000)
@@ -57,7 +58,7 @@ class TestDegenerateExactness:
             inst = soundness_instance(i)
             opt = brute_optimum(inst)
             report = estimate(inst, opt, est)
-            assert report.sampled
+            assert not report.sampled
             assert all(r["sampled"] == r["width"] for r in report.per_depth)
             assert report.estimated_total_nodes == solve_target(inst, opt, solve).node_count
 
@@ -141,7 +142,8 @@ class TestSampling:
         whole = estimate(inst, 160, EstParams(nb=nb, depth_budget=depth_budget,
                                               width_threshold=1, sample_cutoff=1,
                                               sample_size=10 ** 6))
-        assert not exact.sampled and whole.sampled
+        assert not exact.sampled and not whole.sampled
+        assert all("t_hat" in r for r in whole.per_depth)
         assert not exact.complete and not whole.complete
         count = 1 + sum(r["width"] for r in exact.per_depth)
         assert exact.estimated_total_nodes == whole.estimated_total_nodes == count

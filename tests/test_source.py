@@ -156,6 +156,64 @@ def test_guard_sees_an_unused_import(tmp_path):
     assert unused_imports(tmp_path) == ["a.py:5 dumps"]
 
 
+# The scalar annotations a settings field may carry; ``dnn.Settings`` checks
+# each of them, and a nested settings class, when the dataclass is built.
+SETTING_TYPES = {"int", "float", "bool", "None"}
+
+
+def _annotation_names(node: ast.AST) -> list[str] | None:
+    """The names an annotation joins with ``|``, or None where it is
+    anything else: a subscript, an attribute, a string."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        left, right = _annotation_names(node.left), _annotation_names(node.right)
+        return None if left is None or right is None else left + right
+    if isinstance(node, ast.Constant) and node.value is None:
+        return ["None"]
+    return [node.id] if isinstance(node, ast.Name) else None
+
+
+def unchecked_settings(src: Path = SRC) -> list[str]:
+    """The fields of the settings classes of ``src/*.py`` (``Settings`` and
+    every class that derives from one, by name) whose annotation the type
+    check of ``Settings`` cannot read: anything but int, float, bool, None
+    or a settings class, joined by ``|``."""
+    classes = [(path.name, node) for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    settings = {"Settings"}
+    grew = True
+    while grew:
+        found = {node.name for _, node in classes
+                 if any(getattr(base, "id", None) in settings for base in node.bases)}
+        grew = not found <= settings
+        settings |= found
+    return [f"{name}:{stmt.lineno} {node.name}.{stmt.target.id}"
+            for name, node in classes if node.name in settings
+            for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            and not set(_annotation_names(stmt.annotation) or ["?"]) <=
+            SETTING_TYPES | settings]
+
+
+def test_every_setting_has_a_checked_type():
+    assert unchecked_settings() == []
+
+
+def test_guard_sees_an_unchecked_setting(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "from b import Settings\n\n\n"
+        "@dataclass\nclass Inner(Settings):\n"
+        "    tol: float = 1e-6\n    label: str = 'x'\n\n\n"
+        "@dataclass\nclass Outer(Inner):\n"
+        "    cap: int | None = None\n    inner: Inner = field(default_factory=Inner)\n"
+        "    on: bool = True\n    sizes: list[int] = field(default_factory=list)\n"
+        "    name: 'Inner' = None\n    when: float | str = 0.0\n\n\n"
+        "class Other:\n    label: str = 'y'\n")
+    assert unchecked_settings(tmp_path) == [
+        "a.py:9 Inner.label", "a.py:17 Outer.sizes", "a.py:18 Outer.name",
+        "a.py:19 Outer.when"]
+
+
 # Methods that change the container they are called on.
 MUTATORS = {"append", "update", "setdefault", "clear", "add", "pop"}
 
