@@ -36,7 +36,7 @@ from .dnn import NbParams, Settings, assemble, nb_bound, setting
 from .instance import BqopInstance, objective
 from .subproblem import (FixSets, Infeasible, SolvedLeaf, Subproblem,
                          feasibility_status, reduce, solve_exactly)
-from .symmetry import Orbit, PermutationGroup, candidates, first_leaf, orbits
+from .symmetry import Orbit, candidates, first_leaf, orbits
 
 # Candidate tries of one isomorphism search; running out counts as
 # non-isomorphic, which is sound: a missed merge only costs extra work.
@@ -119,53 +119,49 @@ def isomorphic(sub_a: Subproblem, sub_b: Subproblem) -> np.ndarray | None:
     return first_leaf(Bm, A, candidates(Bm, A), np.full(A.shape[0], -1), ISO_NODE_CAP)
 
 
-def orbit_scores(sub: Subproblem, orbs) -> list[float]:
-    """Score each orbit by the average objective value of the child fixing
-    its representative to one: x has ones on I1 and the representative, the
-    fractional fill (m - |I1| - 1) / (|F| - 1) on the remaining free indices,
-    zeros elsewhere, evaluated as x^T B x on the full matrix."""
+def orbit_scores(sub: Subproblem) -> list[tuple[Orbit, float]]:
+    """The orbits of the node group ``sub.group`` in full indices, best
+    first, each with its score: the average objective value of the child
+    fixing its representative to one.  x has ones on I1 and the
+    representative, the fractional fill (m - |I1| - 1) / (|F| - 1) on the
+    remaining free indices, zeros elsewhere, evaluated as x^T B x on the full
+    matrix.  Best is the largest score; ties go to the smallest
+    representative."""
     inst = sub.inst
     B = np.asarray(inst.B, dtype=float)
     base = np.zeros(inst.n)
     base[list(sub.fix.i1)] = 1.0
-    scores = []
-    for orb in orbs:
-        rep = sub.free[orb.representative]
+    scored = []
+    for orb in orbits(sub.group):
+        full = Orbit(tuple(sub.free[i] for i in orb.members))
         x = base.copy()
-        x[rep] = 1.0
-        rest = [i for i in sub.free if i != rep]
+        x[full.representative] = 1.0
+        rest = [i for i in sub.free if i != full.representative]
         if rest:
             x[rest] = (inst.m - len(sub.fix.i1) - 1) / (sub.ell - 1)
-        scores.append(float(x @ B @ x))
-    return scores
+        scored.append((full, float(x @ B @ x)))
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0].representative))
 
 
-def choose_orbit(sub: Subproblem, group: PermutationGroup) -> Orbit:
-    """The orbit with the largest child-average score; ties break toward the
-    smallest representative."""
-    orbs = orbits(group)
-    if not orbs:
+def choose_orbit(sub: Subproblem) -> Orbit:
+    """The orbit ``orbit_scores`` ranks first, in full indices."""
+    ranked = orbit_scores(sub)
+    if not ranked:
         raise ValueError("no orbits to branch on")
-    if len(orbs) == 1:
-        return orbs[0]
-    scores = orbit_scores(sub, orbs)
-    best = max(range(len(orbs)),
-               key=lambda k: (scores[k], -orbs[k].representative))
-    return orbs[best]
+    return ranked[0][0]
 
 
-def branch(fix: FixSets, orbit: Orbit, free) -> tuple[FixSets, FixSets]:
-    """Children of a fixing: all orbit members to zero, or the representative
-    to one.  Orbit indices are reduced; ``free`` maps them back."""
-    members = tuple(free[i] for i in orbit.members)
-    return fix.with_zeros(members), fix.with_one(members[0])
+def branch(fix: FixSets, orbit: Orbit) -> tuple[FixSets, FixSets]:
+    """Children of a fixing: all members of an orbit, in full indices, to
+    zero, or its representative to one."""
+    return fix.with_zeros(orbit.members), fix.with_one(orbit.representative)
 
 
 def branch_node(sub: Subproblem, audit: bool = False) -> tuple[FixSets, FixSets]:
     """Both children of an open node, branched on the orbit ``choose_orbit``
     picks from its node group ``sub.group``.  With ``audit``, check by
     enumeration that one child keeps the node's optimum."""
-    children = branch(sub.fix, choose_orbit(sub, sub.group), sub.free)
+    children = branch(sub.fix, choose_orbit(sub))
     if audit:
         child_opts = [leaf.value for leaf in
                       (solve_exactly(reduce(sub.inst, f)) for f in children)
@@ -356,7 +352,7 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
             "pruned_iso": verdicts["merged"], "infeasible": verdicts["infeasible"],
             "leaf_solved": verdicts["leaf"], "active": verdicts["branched"],
             "pruned_bound": 0 if leaf is not None else verdicts["pruned"] + verdicts["leaf"],
-            "reduction_rate": generated / created if created else 1.0})
+            "reduction_rate": generated / created})
 
         frontier = None
         if leaf is not None:

@@ -222,13 +222,10 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
 
     if fix_index is not None:
         sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(fix_index - 1,)))
-        orbs = symmetry.orbits(sub.group)
-        scores = bb.orbit_scores(sub, orbs)
-        order = sorted(range(len(orbs)), key=lambda k: (-scores[k], orbs[k].representative))
-        rows = symmetry.orbit_report_rows(
-            [symmetry.Orbit(tuple(sub.free[i] for i in orbs[k].members)) for k in order],
-            [f"{scores[k]:.1f}" for k in order])
-        click.echo(f"orbits after fixing variable {fix_index}: {len(orbs)}")
+        ranked = bb.orbit_scores(sub)
+        rows = symmetry.orbit_report_rows([orb for orb, _ in ranked],
+                                          [f"{score:.1f}" for _, score in ranked])
+        click.echo(f"orbits after fixing variable {fix_index}: {len(ranked)}")
     else:
         orbs = symmetry.orbits(group)
         rows = symmetry.orbit_report_rows(orbs)

@@ -391,11 +391,11 @@ def _stacked(cols: list[np.ndarray], orbitals: np.ndarray) -> BlockBasis:
                       lifts=tuple(lifts), copies=copies, orbitals=orbitals)
 
 
-def block_basis(group: PermutationGroup, ell: int) -> BlockBasis | None:
+def block_basis(group: PermutationGroup) -> BlockBasis | None:
     """The basis in which every matrix of order d = 2 ell + 1 invariant
-    under the node group, lifted to (u, v, s), is block diagonal; None where
-    the largest block exceeds d / 2 or where the check of ``_families``
-    fails.  sigma acts on u and v alike and fixes s, and Q, H and so every
+    under the node group on ell points, lifted to (u, v, s), is block
+    diagonal; None where the largest block exceeds d / 2 or where the check
+    of ``_families`` fails.  sigma acts on u and v alike and fixes s, and Q, H and so every
     APG iterate are invariant.  The trivial family alone has one row per
     orbit on (u, v, s), two per point orbit and one for s, so the trivial
     group, every involution and any group with as many orbits are turned
@@ -407,6 +407,7 @@ def block_basis(group: PermutationGroup, ell: int) -> BlockBasis | None:
     random group elements, composed from the transversals.  Should they
     generate a smaller group, its invariant matrices include the node
     group's, and the blocks only come out larger."""
+    ell = group.domain_size
     d = 2 * ell + 1
     if 2 * (2 * len(orbits(group)) + 1) > d:
         return None
@@ -629,7 +630,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
                             iterations=0, lb_integer=None)
     Q = prob.q
     d = Q.shape[0]
-    basis = block_basis(sub.group, sub.ell) if d >= BLOCK_MIN_ORDER else None
+    basis = block_basis(sub.group) if d >= BLOCK_MIN_ORDER else None
     norm_factor = sub.ell + 1
     # The margin is ten times the relative tolerance of _safe_ceil.
     a_need = None if target is None else \
@@ -649,7 +650,8 @@ def nb_bound(prob: DnnProblem, target: float | None,
         M[-1, -1] -= y
         # The minimum eigenvalue carries roundoff of order d * eps * ||M||;
         # subtract an explicit slack so a stays a valid lower bound.
-        eig_slack = 16.0 * d * np.finfo(float).eps * float(np.linalg.norm(M))
+        norm_M = float(np.linalg.norm(M))
+        eig_slack = 16.0 * d * np.finfo(float).eps * norm_M
         eig_target = prune_step = None
         if a_need is not None:
             prune_step = y - a_need
@@ -675,7 +677,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
         if res.gprime >= DPRIME_FLOOR:
             y_new = y - res.g / res.gprime
             y = 0.5 * (a + y) if math.isfinite(a) and y_new <= a else y_new
-        elif res.g <= G_FLOOR * max(1.0, float(np.linalg.norm(M))):
+        elif res.g <= G_FLOOR * max(1.0, norm_M):
             # y is (numerically) at or below y*: move back up inside [y, b].
             y = 0.5 * (y + b)
         else:

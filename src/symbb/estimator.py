@@ -56,7 +56,6 @@ class EstimationReport:
     seed: int
     per_depth: tuple[dict, ...]
     estimated_total_nodes: float
-    mean_node_seconds: float
     estimated_time_seconds: float
     sampled: bool                   # whether any level was truncated
     target_refuted: bool
@@ -80,11 +79,10 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
     rng = np.random.default_rng(seed)
     level = root_level(inst, memo=memo)
     per_depth: list[dict] = []
-    bound_seconds: list[float] = []
     est_seconds = 0.0
     exact_sum = 0
     est_sum = 0.0
-    sampling = False
+    t_hat = None                    # set once a level reaches the width threshold
     refuted = False
     complete = True
 
@@ -94,13 +92,13 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         width = len(frontier)
         # A level counts once it is expanded: exactly up to the first
         # truncated level, and by its extrapolated size t_hat after it.
-        if sampling:
+        if t_hat is not None:
             est_sum += t_hat
         else:
             exact_sum += width
-            t_hat = float(width)
-            sampling = width >= params.width_threshold
-        if sampling:
+            if width >= params.width_threshold:
+                t_hat = float(width)
+        if t_hat is not None:
             s_k = _sample_count(width, params)
             chosen = sorted(rng.permutation(width)[:s_k].tolist())
             selected = {frontier[i]: parents[frontier[i]] for i in chosen}
@@ -113,14 +111,14 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
         # memo may hold verdicts another seed gave its nodes.
         bounded = [node for _, node in level.nodes
                    if level.refutation is None and node.verdict in ("pruned", "branched")]
-        bound_seconds += [node.seconds for node in bounded]
-        # The level's estimated size over its expanded nodes: exactly 1 while
-        # the level is expanded whole.
-        est_seconds += (t_hat / s_k) * sum(n.seconds for n in bounded)
+        # Once sampling, a level's seconds scale by its estimated size over
+        # the nodes expanded there.
+        seconds = sum(n.seconds for n in bounded)
+        est_seconds += seconds if t_hat is None else (t_hat / s_k) * seconds
         r_k = sum(node.verdict == "branched" for node in bounded)
         rec = {"depth": depth, "width": width, "sampled": s_k,
                "branchable": r_k}
-        if sampling:
+        if t_hat is not None:
             rec["t_hat"] = t_hat
             t_hat = (2.0 * r_k / s_k) * t_hat
         per_depth.append(rec)
@@ -134,11 +132,9 @@ def estimate(inst: BqopInstance, target: int, params: EstParams = EstParams(),
             complete = False
             break
 
-    total = 1.0 + exact_sum + est_sum
-    mean_node_seconds = float(np.mean(bound_seconds)) if bound_seconds else 0.0
     return EstimationReport(
         target=target, seed=seed, per_depth=tuple(per_depth),
-        estimated_total_nodes=total, mean_node_seconds=mean_node_seconds,
+        estimated_total_nodes=1.0 + exact_sum + est_sum,
         estimated_time_seconds=est_seconds,
         sampled=any(rec["sampled"] < rec["width"] for rec in per_depth),
         target_refuted=refuted, complete=complete)

@@ -104,11 +104,6 @@ class SolvedLeaf:
     witness: np.ndarray  # full-length solution vector
 
 
-@dataclass(frozen=True)
-class Open:
-    pass
-
-
 def solve_exactly(sub: Subproblem):
     """Infeasible, or the SolvedLeaf of the optimum found by enumerating every
     support of size ``residual_m``; ties keep the first support in
@@ -176,25 +171,30 @@ def swap_search(sub: Subproblem) -> tuple[int, np.ndarray]:
 
 
 def feasibility_status(sub: Subproblem, leaf_threshold: int, leaf_band: int):
-    """Classify a subproblem as Infeasible, SolvedLeaf or Open.
+    """Classify a subproblem as Infeasible or SolvedLeaf, or return None for
+    an open node.
 
-    With an all-zero reduced matrix every completion costs ``offset``, so the
-    first ``residual_m`` free indices are an optimal witness.  Leaves with a
-    unique completion (residual 0 or |F|) and small leaves (|F| <=
-    leaf_threshold and the residual within ``leaf_band`` of either end) are
-    solved exactly.
+    A uniform reduced matrix, with every diagonal entry a and every other
+    entry b, gives every completion the value offset + r a + r (r - 1) b for
+    r = ``residual_m``, so the first r free indices are an optimal witness;
+    the all-zero matrix is one.  Leaves with a unique completion (residual 0
+    or |F|) and small leaves (|F| <= leaf_threshold and the residual within
+    ``leaf_band`` of either end) are solved exactly.
     """
+    R = sub.reduced_B
     r, ell = sub.residual_m, sub.ell
     if r < 0 or r > ell:
         return Infeasible()
-    if not sub.reduced_B.any():
+    a = int(R[0, 0]) if ell else 0
+    b = int(R[0, 1]) if ell > 1 else 0
+    if np.array_equal(R, b + (a - b) * np.eye(ell, dtype=np.int64)):
         y = np.zeros(ell, dtype=np.int64)
         y[:r] = 1
-        return SolvedLeaf(value=sub.offset, witness=sub.lift(y))
+        return SolvedLeaf(value=sub.offset + r * a + r * (r - 1) * b, witness=sub.lift(y))
     if r in (0, ell) or (ell <= leaf_threshold and
                          (r <= leaf_band or r >= ell - leaf_band)):
         return solve_exactly(sub)
-    return Open()
+    return None
 
 
 def subgroup(sub: Subproblem) -> PermutationGroup:

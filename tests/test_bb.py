@@ -107,46 +107,48 @@ class TestIsomorphic:
 class TestOrbitChoice:
     def test_scores_formula(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=(), i1=(0,)))
-        grp = subgroup(sub)
-        orbs = [Orbit(members=(i,)) for i in range(sub.ell)]
-        scores = orbit_scores(sub, orbs)
+        ranked = orbit_scores(sub)
+        assert sorted(i for orb, _ in ranked for i in orb.members) == list(sub.free)
         fill = (bqop6.m - 1 - 1) / (sub.ell - 1)
-        for k, orb in enumerate(orbs):
+        for orb, score in ranked:
             x = np.zeros(6)
             x[0] = 1.0
             x[list(sub.free)] = fill
-            x[sub.free[orb.representative]] = 1.0
-            assert scores[k] == pytest.approx(float(x @ bqop6.B @ x))
+            x[orb.representative] = 1.0
+            assert score == pytest.approx(float(x @ bqop6.B @ x))
+
+    def test_orbits_in_full_indices(self, bqop6):
+        sub = reduce(bqop6, FixSets(i0=(), i1=(0,)))
+        reduced = {tuple(sub.free[i] for i in orb.members) for orb in orbits(sub.group)}
+        assert {orb.members for orb, _ in orbit_scores(sub)} == reduced
 
     def test_highest_score_wins(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=(), i1=(0,)))
-        grp = subgroup(sub)
-        orb = choose_orbit(sub, grp)
-        orbs = orbits(grp)
-        scores = orbit_scores(sub, orbs)
-        assert scores[orbs.index(orb)] == max(scores)
+        ranked = orbit_scores(sub)
+        scores = [score for _, score in ranked]
+        assert scores == sorted(scores, reverse=True)
+        assert choose_orbit(sub) == ranked[0][0]
 
-    def test_tie_breaks_to_smallest_representative(self, bqop6, monkeypatch):
-        sub = reduce(bqop6, FixSets(i0=(), i1=(0,)))
-        grp = subgroup(sub)
-        monkeypatch.setattr(bb_mod, "orbit_scores",
-                            lambda s, orbs: [1.0] * len(orbs))
-        orb = choose_orbit(sub, grp)
-        assert orb.representative == 0
+    def test_tie_breaks_to_smallest_representative(self):
+        # Distinct weights leave the group trivial, and with every free index
+        # filled to one each child scores the whole matrix.
+        B = np.zeros((4, 4), dtype=np.int64)
+        B[np.triu_indices(4, 1)] = [1, 2, 3, 4, 5, 6]
+        inst = BqopInstance(n=4, B=B + B.T, m=4)
+        ranked = orbit_scores(reduce(inst, FixSets((), ())))
+        assert [score for _, score in ranked] == [42.0] * 4
+        assert [orb.representative for orb, _ in ranked] == [0, 1, 2, 3]
 
     def test_single_orbit_shortcut(self, cycle6):
-        from symbb.instance import BqopInstance
         inst = BqopInstance(n=6, B=cycle6, m=3)
         sub = reduce(inst, FixSets((), ()))
-        grp = automorphisms(cycle6)
-        assert choose_orbit(sub, grp).members == tuple(range(6))
+        assert choose_orbit(sub).members == tuple(range(6))
 
 
 class TestBranch:
     def test_children_fix_sets(self):
         fix = FixSets(i0=(), i1=(0,))
-        free = (1, 2, 3, 4, 5)
-        c0, c1 = branch(fix, Orbit(members=(1, 3)), free)
+        c0, c1 = branch(fix, Orbit(members=(2, 4)))
         assert c0.i0 == (2, 4) and c0.i1 == (0,)
         assert c1.i0 == () and c1.i1 == (0, 2)
 
@@ -157,7 +159,7 @@ class TestBranch:
         grp = PermutationGroup(6, [[np.roll(np.arange(6), s) for s in range(6)]])
         orbs = orbits(grp)
         if len(orbs) == 1:
-            c0, c1 = branch(sub.fix, orbs[0], sub.free)
+            c0, c1 = branch(sub.fix, orbs[0])
             assert c0.i0 == tuple(range(6))
             assert c1.i1 == (0,)
 
@@ -283,6 +285,29 @@ class TestSolveTarget:
         inst = planted_bqop(np.random.default_rng(7), blocks=3, block_size=5, m=3)
         cert = solve_target(inst, brute_optimum(inst), FAST)
         assert cert.outcome == "Proved"
+
+    def test_uniform_child_is_a_solved_leaf(self, monkeypatch):
+        # Variable 1 is joined to the rest by 9, the rest to each other by 5,
+        # so the root branches on {1}.  Both children are uniform: the rest
+        # alone (diagonal 0, 3 ones, value 30) and variable 1 fixed to one
+        # (diagonal 18, 2 ones, value 46).  With no small leaves both would
+        # otherwise be bounded, and no node group but the root's is searched.
+        B = np.full((8, 8), 5, dtype=np.int64)
+        B[0, :] = B[:, 0] = 9
+        np.fill_diagonal(B, 0)
+        inst = BqopInstance(n=8, B=B, m=3)
+        searched = []
+        real = subproblem.automorphisms
+        monkeypatch.setattr(subproblem, "automorphisms",
+                            lambda R: searched.append(R.shape) or real(R))
+        params = dataclasses.replace(FAST, leaf_threshold=0, leaf_band=0, audit=True)
+        proved = solve_target(inst, 30, params)
+        assert proved.outcome == "Proved" and proved.node_count == 3
+        assert proved.per_depth[0]["leaf_solved"] == 2
+        assert searched == [(8, 8)]
+        refuted = solve_target(inst, 31, params)
+        assert refuted.outcome == "Refuted" and refuted.witness_value == 30
+        assert objective(inst, refuted.witness) == 30
 
     def test_certificate_json_witness(self):
         rng = np.random.default_rng(16)
@@ -503,14 +528,15 @@ class TestEngine:
         # Past the root, a survivor's children both fix every free index to
         # zero, so neither keeps a feasible completion.
         real = bb_mod.branch
+        inst = random_bqop(np.random.default_rng(0), 8, 4)
 
-        def lossy(fix, orbit, free):
+        def lossy(fix, orbit):
             if fix == FixSets((), ()):
-                return real(fix, orbit, free)
+                return real(fix, orbit)
+            free = fix.free(inst.n)
             return fix.with_zeros(free), fix.with_zeros(free)
 
         monkeypatch.setattr(bb_mod, "branch", lossy)
-        inst = random_bqop(np.random.default_rng(0), 8, 4)
         params = dataclasses.replace(FAST, audit=True)
         with pytest.raises(AssertionError, match="lost the optimum"):
             solve_target(inst, brute_optimum(inst), params)

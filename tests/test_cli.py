@@ -5,16 +5,19 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from symbb.bb import BbParams, TreeParams
+from symbb import subproblem
+from symbb.bb import BbParams, TreeParams, orbit_scores
 from symbb.cli import main
 from symbb.dnn import TRACE_FIELDS
 from symbb.estimator import EstParams
 from symbb.instance import BqopInstance, QapInstance, bqop_to_json
+from symbb.subproblem import FixSets, reduce
 from symbb.symmetry import automorphisms, group_to_json_obj
 from tests.conftest import brute_optimum, format_qaplib, random_bqop, torus_matrix
 
@@ -115,6 +118,23 @@ class TestSymmetry:
         assert "orbits after fixing variable 1" in result.output
         header = csv_path.read_text().splitlines()[0]
         assert header == "orbit,members,size,score"
+
+    def test_fix_lists_orbits_in_branching_order(self, runner, tmp_path):
+        inst = random_bqop(np.random.default_rng(3), 9, 4)
+        path = tmp_path / "random.json"
+        path.write_text(bqop_to_json(inst))
+        csv_path = tmp_path / "orbits.csv"
+        result = runner.invoke(main, ["symmetry", "--instance", str(path),
+                                      "--fix", "2", "--orbit-csv", str(csv_path)])
+        assert result.exit_code == 0, result.output
+        ranked = orbit_scores(reduce(inst, FixSets(i0=(), i1=(1,))))
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["members"], row["score"]) for row in rows] == [
+            (" ".join(str(i + 1) for i in orb.members), f"{score:.1f}")
+            for orb, score in ranked]
+        assert [float(row["score"]) for row in rows] == \
+            sorted((float(row["score"]) for row in rows), reverse=True)
 
     def test_fix_leaving_no_free_variable(self, runner, tmp_path):
         path = tmp_path / "one.json"
@@ -262,6 +282,27 @@ class TestBoundRoot:
         data = json.loads(out.read_text())
         assert data["status"] == "Exact"
         assert data["lower_bound"] == data["integer_lower_bound"] == 0
+
+    def test_uniform_reduced_matrix_is_exact(self, runner, tmp_path, monkeypatch):
+        # Every off-diagonal entry 5: with variable 1 fixed to one, each of the
+        # 19 other ones costs 2 * 5 on the diagonal and 5 per ordered pair,
+        # 190 + 1710 in all.  The node group, S_59, is never searched.
+        monkeypatch.setattr(subproblem, "automorphisms", None)
+        B = np.full((60, 60), 5, dtype=np.int64)
+        np.fill_diagonal(B, 0)
+        path = tmp_path / "uniform.json"
+        path.write_text(bqop_to_json(BqopInstance(n=60, B=B, m=20)))
+        out = tmp_path / "bound.json"
+        start = time.monotonic()
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      "--json", str(out)])
+        assert time.monotonic() - start < 1.0
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [
+            "status: Exact", "validated lower bound: 1900.0", "integer lower bound: 1900"]
+        data = json.loads(out.read_text())
+        assert data["status"] == "Exact" and data["lambda"] is None
+        assert data["lower_bound"] == data["integer_lower_bound"] == 1900
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_single_completion_is_exact(self, runner, tmp_path, m):

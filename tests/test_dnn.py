@@ -320,7 +320,7 @@ class TestBlockBasis:
         assert group.order == len(stabiliser) == 8
         # The basis is built by SVD: every eigh stays in APG.
         monkeypatch.setattr(np.linalg, "eigh", None)
-        blocks = dnn.block_basis(group, sub.ell)
+        blocks = dnn.block_basis(group)
         monkeypatch.undo()
         # D4 has four one-dimensional and one two-dimensional real irreducible.
         assert blocks.families == ((19, 1), (16, 2), (12, 1), (6, 1), (2, 1))
@@ -338,7 +338,7 @@ class TestBlockBasis:
         inst = planted_bqop(np.random.default_rng(3), 2, 6, 5)
         group = automorphisms(inst.B)
         assert group.order == 6
-        blocks = dnn.block_basis(group, inst.n)
+        blocks = dnn.block_basis(group)
         assert blocks.families == ((8, 1), (8, 1), (5, 1), (4, 1))
         rotation = np.arange(12).reshape(2, 6)
         elements = [np.roll(rotation, t, axis=1).ravel() for t in range(6)]
@@ -352,7 +352,7 @@ class TestBlockBasis:
         np.fill_diagonal(B, 0)
         group = automorphisms(B)
         assert group.order == math.factorial(ell)
-        blocks = dnn.block_basis(group, ell)
+        blocks = dnn.block_basis(group)
         assert "elements" not in vars(group)
         assert blocks.families == ((3, 1), (2, ell - 1))
         # The invariant matrices: a I + b (J - I) on each of the four
@@ -374,7 +374,7 @@ class TestBlockBasis:
         sub = open_sub(seed=0, n=24, m=8)
         group = subgroup(sub)
         assert group.order == 1
-        assert dnn.block_basis(group, sub.ell) is None
+        assert dnn.block_basis(group) is None
         short = NbParams(max_iter=1, apg=ApgParams(max_iter=5))
         res = nb_bound(assemble(sub, 1e8), None, short)
         assert res.iterations == 1 and res.blocks is None
@@ -396,7 +396,7 @@ class TestBlockBasis:
         sub = reduce(BqopInstance(n=n, B=B.astype(np.int64), m=7), FixSets((), ()))
         assert sub.group.order == 2 and 2 * sub.ell + 1 >= dnn.BLOCK_MIN_ORDER
         monkeypatch.setattr(dnn, "_families", None)
-        assert dnn.block_basis(sub.group, sub.ell) is None
+        assert dnn.block_basis(sub.group) is None
         short = NbParams(max_iter=1, apg=ApgParams(max_iter=5))
         res = nb_bound(assemble(sub, 1e8), None, short)
         assert res.iterations == 1 and res.blocks is None
@@ -418,7 +418,7 @@ class TestBlockBasis:
             return built[-1]
 
         monkeypatch.setattr(dnn, "_families", recording)
-        assert dnn.block_basis(group, ell) is None
+        assert dnn.block_basis(group) is None
         assert [(c.shape[2], c.shape[1]) for c in built[0]] == [(4 * k, 1), (2 * k + 1, 1)]
 
     def test_untargeted_bound_never_searches_completions(self, monkeypatch):
@@ -887,7 +887,7 @@ class TestStepExit:
         for target in (None, swap_search(sub)[0] + sub.offset):
             res = nb_bound(prob, target, params)
             assert res.iterations == len(solves) > 0
-            assert res.blocks == dnn.block_basis(sub.group, sub.ell).families
+            assert res.blocks == dnn.block_basis(sub.group).families
             solves.clear()
 
     def test_torus(self, solves, monkeypatch):

@@ -156,6 +156,51 @@ def test_guard_sees_an_unused_import(tmp_path):
     assert unused_imports(tmp_path) == ["a.py:5 dumps"]
 
 
+def unread_parameters(src: Path = SRC) -> list[str]:
+    """The parameters of the functions of ``src/*.py``, lambdas and nested
+    functions included, that the function body never reads by name; a read
+    in a nested function counts, and a bare ``super()`` reads the first
+    parameter.  Names starting with ``_`` are left out, for callbacks whose
+    signature a library fixes."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            if "super" in read and params:
+                read.add(params[0])
+            name = getattr(fn, "name", "<lambda>")
+            found += [f"{path.name}:{fn.lineno} {name}({p})" for p in params
+                      if p not in read and not p.startswith("_")]
+    return found
+
+
+def test_every_parameter_is_read():
+    # A parameter nothing reads is a second copy of a fact the callee finds
+    # elsewhere, or a leftover of an older signature.
+    assert unread_parameters() == []
+
+
+def test_guard_sees_an_unread_parameter(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def branch(fix, orbit, free):\n    return fix, orbit\n\n\n"
+        "def choose(sub, group, *rest, _ctx=None, **opts):\n"
+        "    def inner(x):\n        return sub, opts\n    return inner\n\n\n"
+        "class A:\n    def used(self, key):\n        return self.d[key]\n\n"
+        "    def stale(self, key):\n        return 1\n\n"
+        "    def hook(self):\n        return super().hook()\n\n\n"
+        "KEY = lambda pair, _i: pair[0]\n")
+    assert unread_parameters(tmp_path) == [
+        "a.py:1 branch(free)", "a.py:5 choose(group)", "a.py:5 choose(rest)",
+        "a.py:6 inner(x)", "a.py:15 stale(self)", "a.py:15 stale(key)"]
+
+
 # The scalar annotations a settings field may carry; ``dnn.Settings`` checks
 # each of them, and a nested settings class, when the dataclass is built.
 SETTING_TYPES = {"int", "float", "bool", "None"}

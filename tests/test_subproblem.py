@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from symbb import subproblem
 from symbb.dnn import initial_upper
 from symbb.instance import BqopInstance, objective
-from symbb.subproblem import (FixSets, Infeasible, Open, SolvedLeaf,
+from symbb.subproblem import (FixSets, Infeasible, SolvedLeaf,
                               feasibility_status, reduce, solve_exactly,
                               subgroup, swap_search)
 from tests.conftest import brute_sub_optimum, random_bqop, soundness_instance
@@ -125,7 +125,7 @@ class TestFeasibilityStatus:
 
     def test_open_above_threshold(self, bqop6):
         sub = reduce(bqop6, FixSets((), ()))
-        assert isinstance(feasibility_status(sub, leaf_threshold=3, leaf_band=3), Open)
+        assert feasibility_status(sub, leaf_threshold=3, leaf_band=3) is None
 
     def test_oversubscribed_infeasible(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=(1, 2, 3, 4), i1=()))  # |F|=2 < m=3
@@ -144,6 +144,32 @@ class TestFeasibilityStatus:
         assert status.value == sub.offset
         assert status.witness.sum() == inst.m
         assert objective(inst, status.witness) == status.value
+
+    @pytest.mark.parametrize("c, b", [(0, 5), (3, 3), (1, -2), (-2, 1), (-1, -3)])
+    def test_uniform_reduced_matrix_leaf(self, c, b, monkeypatch):
+        # Fixing variable 1 to one puts a = 2c on the diagonal and leaves b
+        # everywhere else: every completion of the r = m - 1 free ones costs
+        # r a + r (r - 1) b, and the group is never searched.
+        monkeypatch.setattr(subproblem, "automorphisms", None)
+        n, m = 9, 5
+        B = np.full((n, n), b, dtype=np.int64)
+        B[0, :] = B[:, 0] = c
+        np.fill_diagonal(B, 0)
+        inst = BqopInstance(n=n, B=B, m=m)
+        sub = reduce(inst, FixSets(i0=(), i1=(0,)))
+        status = feasibility_status(sub, leaf_threshold=0, leaf_band=0)
+        assert isinstance(status, SolvedLeaf)
+        r = m - 1
+        assert status.value == r * 2 * c + r * (r - 1) * b == solve_exactly(sub).value
+        assert np.array_equal(status.witness, solve_exactly(sub).witness)
+        assert objective(inst, status.witness) == status.value
+
+    def test_one_entry_off_uniform_stays_open(self):
+        B = np.full((9, 9), 5, dtype=np.int64)
+        np.fill_diagonal(B, 0)
+        B[3, 7] = B[7, 3] = 6
+        sub = reduce(BqopInstance(n=9, B=B, m=4), FixSets((), ()))
+        assert feasibility_status(sub, leaf_threshold=0, leaf_band=0) is None
 
 
 class TestSolveExactly:
