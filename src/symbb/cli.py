@@ -208,7 +208,7 @@ def convert(instance_path, output_path):
               help="Report orbits after fixing this 1-based variable to 1.")
 @click.option("--orbit-csv", default=None, type=_output_path)
 @click.option("--group-json", default=None, type=_output_path)
-@click.option("--group-cap", default=1_000_000, type=int,
+@click.option("--group-cap", default=1_000_000, type=click.IntRange(min=1),
               help="Largest group whose elements --group-json may list.")
 def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
     """Compute the automorphism group of the cost matrix and its orbits."""

@@ -7,11 +7,15 @@ sorted value multisets and every previously assigned pair is consistent
 index and completes a node whose open indices each have one candidate left
 in one step.
 
-Groups are not enumerated.  Along the identity path, the first leaf below
-each other candidate image j of a pivot represents one coset of the point
-stabilizer of the pivots (McKay & Piperno, "Practical graph isomorphism,
-II", 2014).  A group is stored as these per-level transversals; its order and
-orbits come from them, and its elements are listed only on request.
+Groups are not enumerated.  A group is stored as the transversals of the
+point-stabilizer chain of the pivots of the identity path: for each pivot,
+one element for each image it takes under the stabilizer of the earlier
+pivots.  Its order and orbits come from them, and its elements are listed
+only on request.  The transversals are filled from the deepest pivot up,
+with orbit pruning (McKay & Piperno, "Practical graph isomorphism, II",
+2014): the leaves found so far generate a group whose orbit of the pivot a
+Schreier vector holds (Seress, "Permutation Group Algorithms", 2003), and
+only a candidate image outside that orbit costs a leaf search.
 """
 
 from __future__ import annotations
@@ -143,11 +147,61 @@ def first_leaf(S, T, cand, image, node_cap: int | None = None) -> np.ndarray | N
     return search(cand)
 
 
+class _SchreierVector:
+    """The orbit of a pivot under a growing set of generators, with one
+    element for each orbit point that maps the pivot there: row 0 of
+    ``elements`` is the identity, and ``row[p]`` is the row of point p (-1
+    outside the orbit)."""
+
+    def __init__(self, pivot: int, d: int):
+        self.pivot = pivot
+        self.elements = np.arange(d, dtype=np.int64)[None, :]
+        self.row = np.full(d, -1, dtype=np.int64)
+        self.row[pivot] = 0
+
+    def grow(self, gens: np.ndarray):
+        """Close the orbit under ``gens`` after their last row joined them;
+        it was closed under the others.  A new point g(p) joins with the
+        element g o u_p, taken from the first row and then the first
+        generator that reaches it; the new rows are then closed in turn."""
+        step, rows = gens[-1:], np.arange(len(self.elements))
+        while True:
+            images = step[:, self.elements[rows, self.pivot]].T
+            r, g = np.nonzero(self.row[images] < 0)
+            if not r.size:
+                return
+            points, first = np.unique(images[r, g], return_index=True)
+            r, g = rows[r[first]], g[first]
+            rows = np.arange(len(self.elements), len(self.elements) + points.size)
+            self.row[points] = rows
+            self.elements = np.vstack(
+                [self.elements, np.take_along_axis(step[g], self.elements[r], axis=1)])
+            step = gens
+
+    def transversal(self) -> np.ndarray:
+        """The elements, the identity first and then by increasing image of
+        the pivot."""
+        rest = 1 + np.argsort(self.elements[1:, self.pivot])
+        return self.elements[np.concatenate([[0], rest])]
+
+
 def automorphisms(B) -> PermutationGroup:
     """The group of all permutations sigma with B[sigma(i), sigma(j)] ==
     B[i, j], held as one representative for each image that each pivot of
     the identity path takes under the stabilizer of the earlier pivots.  An
-    empty matrix has the trivial group on no points."""
+    empty matrix has the trivial group on no points.
+
+    The pivots are found first, and the transversals are filled from the
+    deepest level up.  Every leaf found at or below a level fixes the
+    earlier pivots, and the group they generate moves the pivot over the
+    orbit a Schreier vector holds; the deeper leaves fix the pivot too, so
+    the orbit starts as the pivot alone.  A leaf search runs only for a
+    candidate image of the pivot outside that orbit, and a leaf it finds
+    joins the generators, so once every candidate is in the orbit or has no
+    leaf, the orbit is the pivot's orbit under the stabilizer and its
+    Schreier vector is the level's transversal.  A symmetric group on n
+    points so takes n - 1 leaf searches, not one for each of the
+    n(n - 1)/2 candidate images."""
     B = np.asarray(B)
     d = B.shape[0]
     if B.shape != (d, d) or not np.array_equal(B, B.T):
@@ -155,25 +209,31 @@ def automorphisms(B) -> PermutationGroup:
 
     cand = candidates(B, B)
     image = np.full(d, -1, dtype=np.int64)
-    transversals = []
+    path = []
     while True:
         open_idx = np.flatnonzero(image < 0)
         counts = cand[open_idx].sum(axis=1)
         if np.all(counts == 1):
             break  # only the identity is left below
         i = int(open_idx[int(np.argmin(counts))])
-        reps = [np.arange(d, dtype=np.int64)]
+        path.append((i, cand, image.copy()))
+        image[i] = i
+        cand = _refine(B, B, cand, i, i)
+
+    gens = np.empty((0, d), dtype=np.int64)
+    transversals = []
+    for i, cand, image in reversed(path):
+        orbit = _SchreierVector(i, d)
         for j in np.flatnonzero(cand[i]).tolist():
-            if j != i:
+            if orbit.row[j] < 0:
                 image[i] = j
                 leaf = first_leaf(B, B, _refine(B, B, cand, i, j), image)
                 if leaf is not None:
-                    reps.append(leaf)
-        image[i] = i
-        cand = _refine(B, B, cand, i, i)
-        if len(reps) > 1:
-            transversals.append(reps)
-    return PermutationGroup(domain_size=d, transversals=transversals)
+                    gens = np.vstack([gens, leaf])
+                    orbit.grow(gens)
+        if len(orbit.elements) > 1:
+            transversals.append(orbit.transversal())
+    return PermutationGroup(domain_size=d, transversals=transversals[::-1])
 
 
 def components(images, size: int) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 The oracles here deliberately avoid the package's own algorithms: optima come
 from exhaustive enumeration, automorphism groups from brute force over all
-permutations, and cone distances from alternating projections.
+permutations, and cone distances from alternating projections.  The one
+exception is ``topdown_automorphisms``, the search without orbit pruning,
+which shares the package's leaf search but runs it for every candidate
+image of every pivot.
 """
 
 import itertools
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from symbb.instance import BqopInstance, InstanceError, QapInstance
+from symbb.symmetry import PermutationGroup, _refine, candidates, first_leaf
 
 
 # --- instance factories ----------------------------------------------------
@@ -210,6 +214,37 @@ def brute_automorphisms(B):
         if np.array_equal(B[np.ix_(p, p)], B):
             found.append(p)
     return found
+
+
+def topdown_automorphisms(B):
+    """The automorphism group of B and the pivot of each of its transversals,
+    by one leaf search for every candidate image of every pivot of the
+    identity path, top level first: the reference for the orbit-pruned
+    ``symmetry.automorphisms``, whose rows must match it."""
+    B = np.asarray(B)
+    d = B.shape[0]
+    cand = candidates(B, B)
+    image = np.full(d, -1, dtype=np.int64)
+    transversals, pivots = [], []
+    while True:
+        open_idx = np.flatnonzero(image < 0)
+        counts = cand[open_idx].sum(axis=1)
+        if np.all(counts == 1):
+            break
+        i = int(open_idx[int(np.argmin(counts))])
+        reps = [np.arange(d, dtype=np.int64)]
+        for j in np.flatnonzero(cand[i]).tolist():
+            if j != i:
+                image[i] = j
+                leaf = first_leaf(B, B, _refine(B, B, cand, i, j), image)
+                if leaf is not None:
+                    reps.append(leaf)
+        image[i] = i
+        cand = _refine(B, B, cand, i, i)
+        if len(reps) > 1:
+            transversals.append(reps)
+            pivots.append(i)
+    return PermutationGroup(domain_size=d, transversals=transversals), pivots
 
 
 def alternating_projection_distance(M, tol=1e-11, max_iter=200_000):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from symbb import subproblem
+from symbb import subproblem, symmetry
 from symbb.bb import BbParams, TreeParams, orbit_scores
 from symbb.cli import main
 from symbb.dnn import TRACE_FIELDS
@@ -186,6 +187,31 @@ class TestSymmetry:
         assert result.exit_code == 1
         assert result.output == ("error: group order 9731608032706560000 "
                                  "exceeds the element cap 1000\n")
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_group_cap_below_one_exits_1_before_the_search(self, runner, tmp_path,
+                                                           monkeypatch, cap, cycle6):
+        # Every group holds the identity, so no cap below 1 can list one.
+        path = tmp_path / "cycle.json"
+        path.write_text(bqop_to_json(BqopInstance(n=6, B=cycle6, m=3)))
+        monkeypatch.setattr(symmetry, "automorphisms", None)
+        out = tmp_path / "g.json"
+        result = runner.invoke(main, ["symmetry", "--instance", str(path),
+                                      "--group-json", str(out), "--group-cap", cap])
+        assert result.exit_code == 1
+        assert result.output == (f"error: Invalid value for '--group-cap': "
+                                 f"{cap} is not in the range x>=1.\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_fix_on_a_symmetric_group_of_120_points(self, runner, tmp_path):
+        n = 120
+        B = np.full((n, n), 4, dtype=np.int64)
+        np.fill_diagonal(B, 0)
+        path = tmp_path / "uniform.json"
+        path.write_text(bqop_to_json(BqopInstance(n=n, B=B, m=40)))
+        result = runner.invoke(main, ["symmetry", "--instance", str(path), "--fix", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == f"group order: {math.factorial(n)}"
 
 
 class TestBoundRoot:

@@ -15,7 +15,7 @@ from symbb.dnn import (DPRIME_FLOOR, STEP_MARGIN, ApgParams, ConeDistanceResult,
 from symbb.estimator import EstParams
 from symbb.instance import BqopInstance
 from symbb.subproblem import FixSets, reduce, subgroup, swap_search
-from symbb.symmetry import PermutationGroup, automorphisms
+from symbb.symmetry import PermutationGroup, automorphisms, pair_orbits
 from tests.conftest import (alternating_projection_distance, brute_optimum,
                             brute_sub_optimum, lifted_form, penalty_value,
                             planted_bqop, random_bqop, soundness_instance,
@@ -331,6 +331,18 @@ class TestBlockBasis:
         M = prob.q.copy()
         M[-1, -1] -= initial_upper(prob.sub)
         assert_block_step_exact(blocks, M)
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_torus_root_orbitals_are_the_listed_groups(self, k):
+        # The block path draws a few elements from the transversals; the
+        # group they generate must keep every orbital of the node group.
+        sub, stabiliser = torus_root(k, m=k * k // 3)
+        group = sub.group
+        assert {tuple(g) for g in group.elements} == {tuple(g) for g in stabiliser}
+        ell, d = sub.ell, 2 * sub.ell + 1
+        E = group.elements
+        listed = pair_orbits(np.hstack([E, E + ell, np.full((len(E), 1), d - 1)]))
+        assert np.array_equal(dnn.block_basis(group).orbitals, listed)
 
     def test_chiral_cyclic_group_keeps_complex_components(self):
         # Two rings of six turned together, with no reflection: the cyclic

@@ -1,16 +1,19 @@
 """Automorphism enumeration, orbits, solution expansion."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from symbb import symmetry
 from symbb.symmetry import (GroupTooLargeError, PermutationGroup,
                             automorphisms, candidates, first_leaf,
                             group_to_json_obj, orbit_report_rows, orbits,
                             pair_orbits, random_elements)
 from tests.conftest import (brute_automorphisms, expand_solution, planted_bqop,
-                            planted_rotation, torus_matrix, torus_symmetries)
+                            planted_rotation, topdown_automorphisms,
+                            torus_matrix, torus_symmetries)
 
 
 def reachability_orbits(elements):
@@ -33,11 +36,7 @@ class TestAutomorphisms:
         assert {tuple(s) for s in group.elements} == brute
 
     def test_matches_brute_force_random(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            B = rng.integers(0, 3, (6, 6))
-            B = B + B.T
-            np.fill_diagonal(B, 0)
+        for B in random_matrices():
             group = automorphisms(B)
             brute = {tuple(p) for p in brute_automorphisms(B)}
             assert {tuple(s) for s in group.elements} == brute
@@ -98,6 +97,88 @@ class TestAutomorphisms:
         b = automorphisms(cycle6).elements
         assert np.array_equal(a, b)
         assert np.array_equal(a, a[np.lexsort(a.T[::-1])])
+
+
+def uniform_matrix(n):
+    """Every off-diagonal entry 3: the group is the symmetric group S_n."""
+    B = np.full((n, n), 3, dtype=np.int64)
+    np.fill_diagonal(B, 0)
+    return B
+
+
+def random_matrices():
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        B = rng.integers(0, 3, (6, 6))
+        B = B + B.T
+        np.fill_diagonal(B, 0)
+        yield B
+
+
+class TestOrbitPruning:
+    """The orbit-pruned search against the top-down search with one leaf
+    search per coset, which it replaced."""
+
+    @staticmethod
+    def assert_matches_topdown(B):
+        group = automorphisms(B)
+        reference, pivots = topdown_automorphisms(B)
+        assert group.order == reference.order
+        assert np.array_equal(group.elements, reference.elements)
+        assert orbits(group) == orbits(reference)
+        assert [U.shape[0] for U in group.transversals] == \
+            [U.shape[0] for U in reference.transversals]
+        for U, V, i in zip(group.transversals, reference.transversals, pivots):
+            assert np.array_equal(U[:, i], V[:, i])
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_tori(self, k):
+        self.assert_matches_topdown(torus_matrix(k))
+
+    def test_cycle(self, cycle6):
+        self.assert_matches_topdown(cycle6)
+
+    @pytest.mark.parametrize("seed, blocks, size", [(13, 2, 4), (3, 2, 6), (5, 3, 3), (7, 2, 8)])
+    def test_planted(self, seed, blocks, size):
+        inst = planted_bqop(np.random.default_rng(seed), blocks, size, m=3)
+        self.assert_matches_topdown(inst.B)
+
+    def test_random(self):
+        for B in random_matrices():
+            self.assert_matches_topdown(B)
+
+    def test_order_beyond_int64(self, two_pairs24):
+        group = automorphisms(two_pairs24.B)
+        reference, _ = topdown_automorphisms(two_pairs24.B)
+        assert group.order == reference.order
+        assert orbits(group) == orbits(reference)
+
+    @staticmethod
+    def leaf_searches(monkeypatch, B) -> int:
+        calls = 0
+        real = symmetry.first_leaf
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(symmetry, "first_leaf", counting)
+        automorphisms(B)
+        return calls
+
+    def test_symmetric_group_takes_one_search_per_level(self, monkeypatch):
+        # One search per candidate image of each pivot took n(n - 1)/2 = 435.
+        assert self.leaf_searches(monkeypatch, uniform_matrix(30)) <= 29
+
+    def test_torus_takes_a_few_searches(self, monkeypatch):
+        # One search per candidate image of each pivot took 102.
+        assert self.leaf_searches(monkeypatch, torus_matrix(10)) <= 10
+
+    def test_huge_symmetric_group(self):
+        group = automorphisms(uniform_matrix(120))
+        assert group.order == math.factorial(120)
+        assert orbits(group) == (symmetry.Orbit(members=tuple(range(120))),)
 
 
 class TestOrbits:
