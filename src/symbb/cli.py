@@ -109,15 +109,24 @@ def _write(path: str, text: str):
         os.replace(tmp, path)
 
 
+# Without an indent CPython encodes in C; any indent selects its pure-Python
+# encoder, which took longer to write a large group than to search it.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _emit(path: str | None, payload: dict, digest: str, subcommand: str, **config):
     """Write ``payload`` as strict JSON, with the run configuration (the
     ``subcommand`` and the ``config`` values that are not None) and the
-    instance hash, to ``path`` or, with no path, to stdout.  A value with no
+    instance hash, to ``path`` or, with no path, to stdout.  Each top-level
+    key takes one line, in sorted order, with its value encoded compactly
+    and its keys sorted, so that two outputs diff by key.  A value with no
     JSON form (NaN, infinity) is an error."""
     payload["config"] = {"subcommand": subcommand,
                          **{k: v for k, v in config.items() if v is not None}}
     payload["instance_sha256"] = digest
-    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    encode = _ENCODER.encode
+    text = "{\n" + ",\n".join(f" {encode(key)}: {encode(value)}"
+                               for key, value in sorted(payload.items())) + "\n}"
     if path is None:
         click.echo(text)
     else:

@@ -91,7 +91,7 @@ def parse_qaplib(text: str) -> QapInstance:
                                 f"expected {count} entries, found {len(chunk)}")
         pos += count
         try:
-            return np.array([int(t) for t in chunk], dtype=np.int64)
+            return np.array(chunk, dtype=np.int64)   # numpy calls int() on each token
         except ValueError as exc:
             raise InstanceError(f"non-numeric token while reading {what}: {exc}") from None
         except OverflowError as exc:

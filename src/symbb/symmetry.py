@@ -53,13 +53,14 @@ class PermutationGroup:
     Permutations are image arrays: ``sigma[i]`` is the image of ``i``.  Each
     transversal is a (k, d) array, and every element is written in exactly one
     way as ``u_1 o u_2 o ... o u_t`` with ``u_s`` a row of the s-th
-    transversal; a full element list is a chain of one transversal.
+    transversal; a full element list is a chain of one transversal.  An
+    int64 transversal array is held without a copy and made read-only.
     """
 
     def __init__(self, domain_size: int, transversals):
         chain = []
         for U in transversals:
-            U = np.array(U, dtype=np.int64)
+            U = np.asarray(U, dtype=np.int64)
             if U.ndim != 2 or U.shape[1] != domain_size:
                 raise ValueError("each transversal must be a (k, d) array of image arrays")
             U.setflags(write=False)

@@ -20,7 +20,8 @@ from symbb.estimator import EstParams
 from symbb.instance import BqopInstance, QapInstance, bqop_to_json
 from symbb.subproblem import FixSets, reduce
 from symbb.symmetry import automorphisms, group_to_json_obj
-from tests.conftest import brute_optimum, format_qaplib, random_bqop, torus_matrix
+from tests.conftest import (brute_optimum, format_qaplib, random_bqop, torus_matrix,
+                            torus_symmetries)
 
 # What each checked run setting must be, as its one-line error states.
 RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
@@ -174,6 +175,29 @@ class TestSymmetry:
         assert data == group_to_json_obj(automorphisms(cycle6), 12)
         assert len(data["elements"]) == 12
         assert sorted(data["elements"][0]) == list(range(1, 7))     # 1-based
+
+    def test_group_json_lists_a_torus_group(self, runner, tmp_path):
+        B = torus_matrix(6)
+        path = tmp_path / "torus.json"
+        path.write_text(bqop_to_json(BqopInstance(n=36, B=B, m=11)))
+        outs = []
+        for name in ("first.json", "second.json"):
+            out = tmp_path / name
+            result = runner.invoke(main, ["symmetry", "--instance", str(path),
+                                          "--group-json", str(out)])
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        data = json.loads(outs[0])
+        assert data["order"] == 288 and data["domain_size"] == 36
+        elements = np.array(data["elements"]) - 1
+        assert elements.shape == (288, 36)
+        listed = {tuple(row) for row in elements.tolist()}
+        assert len(listed) == 288
+        for sigma in elements:
+            assert sorted(sigma) == list(range(36))
+            assert np.array_equal(B[np.ix_(sigma, sigma)], B)
+        assert {tuple(sigma.tolist()) for sigma in torus_symmetries(6)} <= listed
 
     def test_group_cap_limits_listing(self, runner, tmp_path, two_pairs24):
         path = tmp_path / "pairs.json"
@@ -379,6 +403,34 @@ class TestBoundRoot:
         from symbb.cli import _emit
         with pytest.raises(ValueError):
             _emit(str(tmp_path / "x.json"), {"a": float("-inf")}, "0" * 64, "bound-root")
+
+
+class TestEmit:
+    def test_one_line_per_key_through_the_c_encoder(self, tmp_path, monkeypatch):
+        # Any indent reaches the pure-Python encoder, which is slow on a
+        # large group listing; the writer must never take that path.
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        from symbb.cli import _emit
+        payload = {"zeta": [[1, 2], [3, 4]], "alpha": {"b": [1.5, None], "a": "x"},
+                   "mid": True, "empty": {}}
+        texts = []
+        for name in ("first.json", "second.json"):
+            out = tmp_path / name
+            _emit(str(out), dict(payload), "0" * 64, "convert", instance="x.dat")
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        data = json.loads(texts[0])
+        assert data.pop("config") == {"subcommand": "convert", "instance": "x.dat"}
+        assert data.pop("instance_sha256") == "0" * 64
+        assert data == payload
+        lines = texts[0].decode().splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        keys = [next(iter(json.loads("{" + line.rstrip(",") + "}"))) for line in lines[1:-1]]
+        assert keys == sorted(payload.keys() | {"config", "instance_sha256"})
+        # Nested keys are sorted too.
+        assert lines[1] == ' "alpha": {"a": "x", "b": [1.5, null]},'
 
 
 class TestSolve:

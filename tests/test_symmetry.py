@@ -181,6 +181,23 @@ class TestOrbitPruning:
         assert orbits(group) == (symmetry.Orbit(members=tuple(range(120))),)
 
 
+class TestPermutationGroup:
+    def test_holds_an_int64_transversal_without_a_copy(self):
+        U = np.array([np.roll(np.arange(5), s) for s in range(5)], dtype=np.int64)
+        group = PermutationGroup(5, [U])
+        assert np.shares_memory(group.transversals[0], U)
+        assert not U.flags.writeable
+        with pytest.raises(ValueError):
+            U[0, 0] = 1
+
+    def test_builds_from_lists(self):
+        rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        group = PermutationGroup(3, [rows])
+        assert group.order == 3
+        assert group.transversals[0].dtype == np.int64
+        assert group.transversals[0].tolist() == rows
+
+
 class TestOrbits:
     def test_trivial_group_singletons(self):
         group = PermutationGroup(4, [])
