@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import bb, dnn, estimator, instance, subproblem, symmetry
 
@@ -94,17 +95,17 @@ def _apply_overrides(params, overrides: dict, prefix: str = ""):
         raise click.ClickException(f"{prefix}{exc}") from None
 
 
-def _write(path: str, text: str):
-    """Write ``text`` to the file ``path`` names, following symlinks, so a
-    link stays a link.  A new path or a regular file is written to
-    ``<path>.tmp`` beside it and then moved into place, so an interrupted
-    write never leaves a truncated file; anything else that exists, such as
-    a device or a FIFO, is written in place."""
+def _write(path: str, pieces):
+    """Write the text ``pieces``, in order, to the file ``path`` names,
+    following symlinks, so a link stays a link.  A new path or a regular
+    file is written to ``<path>.tmp`` beside it and then moved into place,
+    so an interrupted write never leaves a truncated file; anything else
+    that exists, such as a device or a FIFO, is written in place."""
     path = os.path.realpath(path)
     in_place = os.path.exists(path) and not os.path.isfile(path)
     tmp = path if in_place else f"{path}.tmp"
     with open(tmp, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     if not in_place:
         os.replace(tmp, path)
 
@@ -113,24 +114,55 @@ def _write(path: str, text: str):
 # encoder, which took longer to write a large group than to search it.
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
+# Rows of an integer array encoded at a time: a group listing is written
+# without a list or a string of the whole listing ever being held.
+_CHUNK_ROWS = 64
+
+
+def _rows_text(rows: np.ndarray):
+    """The JSON text of the 2-D integer array ``rows``, the same as the
+    encoder gives for ``rows.tolist()``, in pieces of ``_CHUNK_ROWS`` rows."""
+    yield "["
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        yield (", " if start else "") + \
+            _ENCODER.encode(rows[start:start + _CHUNK_ROWS].tolist())[1:-1]
+    yield "]"
+
 
 def _emit(path: str | None, payload: dict, digest: str, subcommand: str, **config):
     """Write ``payload`` as strict JSON, with the run configuration (the
     ``subcommand`` and the ``config`` values that are not None) and the
     instance hash, to ``path`` or, with no path, to stdout.  Each top-level
     key takes one line, in sorted order, with its value encoded compactly
-    and its keys sorted, so that two outputs diff by key.  A value with no
-    JSON form (NaN, infinity) is an error."""
+    and its keys sorted, so that two outputs diff by key.  A 2-D integer
+    array value, such as a group listing, is written as its nested list, a
+    chunk of rows at a time.  A value with no JSON form (NaN, infinity) is
+    an error, raised before anything is written: every other value is
+    encoded first."""
     payload["config"] = {"subcommand": subcommand,
                          **{k: v for k, v in config.items() if v is not None}}
     payload["instance_sha256"] = digest
     encode = _ENCODER.encode
-    text = "{\n" + ",\n".join(f" {encode(key)}: {encode(value)}"
-                               for key, value in sorted(payload.items())) + "\n}"
+    lines = [(f" {encode(key)}: ",
+              value if isinstance(value, np.ndarray) and value.ndim == 2
+              and value.dtype.kind == "i" else encode(value))
+             for key, value in sorted(payload.items())]
+
+    def pieces():
+        yield "{\n"
+        for k, (head, value) in enumerate(lines):
+            yield (",\n" if k else "") + head
+            if isinstance(value, str):
+                yield value
+            else:
+                yield from _rows_text(value)
+        yield "\n}\n"
+
     if path is None:
-        click.echo(text)
+        for piece in pieces():
+            click.echo(piece, nl=False)
     else:
-        _write(path, text + "\n")
+        _write(path, pieces())
 
 
 def _write_csv(path: str, rows: list[dict], header: list[str] | None = None):
@@ -141,7 +173,7 @@ def _write_csv(path: str, rows: list[dict], header: list[str] | None = None):
     writer = csv.DictWriter(out, fieldnames=fields)
     writer.writeheader()
     writer.writerows(rows)
-    _write(path, out.getvalue())
+    _write(path, [out.getvalue()])
 
 
 def _error_exit(call, *args, **kwargs):
@@ -217,8 +249,9 @@ def convert(instance_path, output_path):
               help="Report orbits after fixing this 1-based variable to 1.")
 @click.option("--orbit-csv", default=None, type=_output_path)
 @click.option("--group-json", default=None, type=_output_path)
-@click.option("--group-cap", default=1_000_000, type=click.IntRange(min=1),
-              help="Largest group whose elements --group-json may list.")
+# 2^25 entries take about 0.54 GB: the listing and its sorted copy, 8 B each.
+@click.option("--group-cap", default=2 ** 25, type=click.IntRange(min=1),
+              help="Most entries (group order times points) --group-json may list.")
 def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
     """Compute the automorphism group of the cost matrix and its orbits."""
     bqop, digest = _load_bqop(instance_path)

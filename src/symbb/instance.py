@@ -24,6 +24,25 @@ class InstanceError(ValueError):
     """Malformed instance data."""
 
 
+def _int64_matrix(M, name: str) -> np.ndarray:
+    """``M`` as an int64 array, without a copy if it is one.  Integral
+    floats are kept; an entry that is not an integer within 64 bits (a
+    fractional part, NaN, infinity, or no number at all) is an error, so
+    that no entry is rounded or wrapped silently."""
+    try:
+        M = np.asarray(M)
+    except ValueError as exc:
+        raise InstanceError(f"{name} is not a matrix: {exc}") from None
+    kind = M.dtype.kind
+    if kind == "f":
+        integral = np.isfinite(M) & (np.trunc(M) == M) & (np.abs(M) < 2.0 ** 63)
+    else:
+        integral = kind in "bi" or (kind == "u" and M < 2 ** 63)
+    if not np.all(integral):
+        raise InstanceError(f"the entries of {name} must be integers within 64 bits")
+    return M.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class QapInstance:
     """A QAP with flow matrix A and distance matrix B, both n x n symmetric."""
@@ -34,7 +53,7 @@ class QapInstance:
 
     def __post_init__(self):
         for name in ("A", "B"):
-            M = np.asarray(getattr(self, name), dtype=np.int64)
+            M = _int64_matrix(getattr(self, name), name)
             if M.shape != (self.n, self.n):
                 raise InstanceError(f"{name} has shape {M.shape}, expected ({self.n}, {self.n})")
             if not np.array_equal(M, M.T):
@@ -54,7 +73,7 @@ class BqopInstance:
     m: int
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=np.int64)
+        B = _int64_matrix(self.B, "B")
         if B.shape != (self.n, self.n):
             raise InstanceError(f"B has shape {B.shape}, expected ({self.n}, {self.n})")
         if not np.array_equal(B, B.T):

@@ -28,7 +28,7 @@ import numpy as np
 
 
 class GroupTooLargeError(RuntimeError):
-    """The group has more elements than a listing may hold."""
+    """A listing of the group would take more entries than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ class PermutationGroup:
         d = self.domain_size
         E = np.arange(d, dtype=np.int64)[None, :]
         for U in reversed(self.transversals):
-            E = U[:, E].reshape(-1, d)
-        E = E[np.lexsort(E.T[::-1])]
+            E = np.take(U, E, axis=1).reshape(-1, d)
+        if self.order > 1:
+            E = E[np.lexsort(E.T[::-1])]
         E.setflags(write=False)
         return E
 
@@ -291,17 +292,21 @@ def pair_orbits(perms: np.ndarray) -> np.ndarray:
     return np.unique(root, return_inverse=True)[1].reshape(d, d)
 
 
-def group_to_json_obj(group: PermutationGroup, element_cap: int) -> dict:
-    """JSON-ready dict: image arrays in 1-based indexing.  Raises
-    GroupTooLargeError when the group has more than ``element_cap``
-    elements."""
-    if group.order > element_cap:
+def group_to_json_obj(group: PermutationGroup, entry_cap: int) -> dict:
+    """The group listing that ``symmetry --group-json`` writes, with the
+    elements as an (order, d) int64 array of image arrays in 1-based
+    indexing.  Raises GroupTooLargeError, before any
+    element is listed, when the listing has more than ``entry_cap`` entries
+    (order times domain size)."""
+    entries = group.order * group.domain_size
+    if entries > entry_cap:
         raise GroupTooLargeError(
-            f"group order {group.order} exceeds the element cap {element_cap}")
+            f"listing group order {group.order} on {group.domain_size} points "
+            f"takes {entries} entries, beyond the entry cap {entry_cap}")
     return {
         "domain_size": group.domain_size,
         "order": group.order,
-        "elements": (group.elements + 1).tolist(),
+        "elements": group.elements + 1,
     }
 
 

@@ -172,7 +172,8 @@ class TestSymmetry:
         data = json.loads(outs[0])
         assert data.pop("config") == {"subcommand": "symmetry", "instance": str(path)}
         assert data.pop("instance_sha256") == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert data == group_to_json_obj(automorphisms(cycle6), 12)
+        listing = group_to_json_obj(automorphisms(cycle6), 72)
+        assert data == {**listing, "elements": listing["elements"].tolist()}
         assert len(data["elements"]) == 12
         assert sorted(data["elements"][0]) == list(range(1, 7))     # 1-based
 
@@ -209,8 +210,25 @@ class TestSymmetry:
                                       "--group-json", str(tmp_path / "g.json"),
                                       "--group-cap", "1000"])
         assert result.exit_code == 1
-        assert result.output == ("error: group order 9731608032706560000 "
-                                 "exceeds the element cap 1000\n")
+        assert result.output == ("error: listing group order 9731608032706560000 on 24 "
+                                 "points takes 233558592784957440000 entries, beyond "
+                                 "the entry cap 1000\n")
+
+    def test_group_cap_refuses_before_listing(self, runner, tmp_path, monkeypatch,
+                                              two_pairs24):
+        path = tmp_path / "pairs.json"
+        path.write_text(bqop_to_json(two_pairs24))
+
+        def no_listing(group):
+            raise AssertionError("elements listed")
+        monkeypatch.setattr(symmetry.PermutationGroup, "elements", property(no_listing))
+        result = runner.invoke(main, ["symmetry", "--instance", str(path),
+                                      "--group-json", str(tmp_path / "g.json"),
+                                      "--group-cap", "1000"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.count("\n") == 1 and result.output.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_group_cap_below_one_exits_1_before_the_search(self, runner, tmp_path,
@@ -403,6 +421,7 @@ class TestBoundRoot:
         from symbb.cli import _emit
         with pytest.raises(ValueError):
             _emit(str(tmp_path / "x.json"), {"a": float("-inf")}, "0" * 64, "bound-root")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEmit:
@@ -431,6 +450,63 @@ class TestEmit:
         assert keys == sorted(payload.keys() | {"config", "instance_sha256"})
         # Nested keys are sorted too.
         assert lines[1] == ' "alpha": {"a": "x", "b": [1.5, null]},'
+
+
+class TestStreamedListing:
+    """An integer array in a payload is written a chunk of rows at a time,
+    with the same bytes as its nested list."""
+
+    @staticmethod
+    def whole_text(payload):
+        """The layout with every value encoded whole: one top-level key per
+        line, then the encoder's text of the value."""
+        from symbb.cli import _ENCODER
+        return "{\n" + ",\n".join(
+            f" {_ENCODER.encode(key)}: "
+            f"{_ENCODER.encode(value.tolist() if isinstance(value, np.ndarray) else value)}"
+            for key, value in sorted(payload.items())) + "\n}\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, 64, 65, 130])
+    def test_bytes_equal_the_whole_encoding(self, tmp_path, rows):
+        from symbb.cli import _emit
+        # Both sides of the 64-row chunk boundary.
+        listing = np.arange(rows * 3, dtype=np.int64).reshape(rows, 3) - 5
+        payload = {"elements": listing, "order": rows, "b": [1.5, None]}
+        out = tmp_path / "g.json"
+        _emit(str(out), payload, "0" * 64, "symmetry", instance="x.dat")
+        assert out.read_text() == self.whole_text(payload)
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+    def test_trivial_group_on_no_points(self, tmp_path):
+        from symbb.cli import _emit
+        payload = group_to_json_obj(automorphisms(np.zeros((0, 0), dtype=np.int64)), 0)
+        assert payload["elements"].shape == (1, 0)
+        out = tmp_path / "g.json"
+        _emit(str(out), payload, "0" * 64, "symmetry")
+        assert out.read_text() == self.whole_text(payload)
+        assert '"elements": [[]],' in out.read_text()
+
+    def test_writing_a_listing_holds_a_chunk_at_a_time(self, tmp_path):
+        import itertools
+        import tracemalloc
+        from symbb.cli import _emit
+        # S_7 on the first 7 of 256 points: 5040 x 256 entries, 10.3 MB.
+        moved = np.array(list(itertools.permutations(range(7))), dtype=np.int64)
+        fixed = np.broadcast_to(np.arange(7, 256), (len(moved), 249))
+        group = symmetry.PermutationGroup(256, [np.hstack([moved, fixed])])
+        payload = group_to_json_obj(group, 5040 * 256)
+        nbytes = group.elements.nbytes
+        out = tmp_path / "g.json"
+        tracemalloc.start()
+        try:
+            _emit(str(out), payload, "0" * 64, "symmetry", instance="x.dat")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 4, (peak, nbytes)
+        data = json.loads(out.read_bytes())
+        assert data["order"] == 5040 and len(data["elements"]) == 5040
+        assert data["elements"][-1][:8] == [7, 6, 5, 4, 3, 2, 1, 8]
 
 
 class TestSolve:

@@ -231,6 +231,20 @@ class TestValidation:
                 with pytest.raises(InstanceError, match=r"2\^53"):
                     BqopInstance(n=2, B=B, m=1)
 
+    @pytest.mark.parametrize("entry", [1.5, float("nan"), float("inf"), -float("inf"),
+                                       2.0 ** 63, 2 ** 70, "1", None])
+    @pytest.mark.parametrize("build", [
+        lambda M: BqopInstance(n=2, B=M, m=1),
+        lambda M: QapInstance(n=2, A=[[1, 0], [0, 0]], B=M),
+    ], ids=["bqop", "qap"])
+    def test_entries_must_be_integers(self, build, entry):
+        # An entry is neither rounded, wrapped nor parsed; an integral float
+        # is kept as its integer.
+        with pytest.raises(InstanceError, match="must be integers"):
+            build([[0, entry], [entry, 0]])
+        inst = build([[0, 2.0], [2.0, 0]])
+        assert inst.B.dtype == np.int64 and inst.B.tolist() == [[0, 2], [2, 0]]
+
     def test_value_sum_beyond_int64_refused(self):
         # The sum of these entries, 30 * 2^61, overflows int64.
         B = np.full((6, 6), 2 ** 61, dtype=np.int64)

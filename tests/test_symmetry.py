@@ -63,13 +63,19 @@ class TestAutomorphisms:
         group = automorphisms(inst.B)
         assert tuple(planted_rotation(2, 4)) in {tuple(s) for s in group.elements}
 
-    def test_element_cap(self):
-        # The group (order 7! = 5040) is found; only listing it is capped.
-        group = automorphisms(np.zeros((7, 7), dtype=np.int64))
-        assert group.order == 5040
-        with pytest.raises(GroupTooLargeError):
-            group_to_json_obj(group, element_cap=100)
-        assert len(group_to_json_obj(group, element_cap=5040)["elements"]) == 5040
+    def test_element_cap(self, cycle6):
+        # The group is found either way; only listing it is capped, by its
+        # entries, order times points: 12 x 6 for cycle6, 7! x 7 for S_7.
+        for B, order in ((cycle6, 12), (np.zeros((7, 7), dtype=np.int64), 5040)):
+            group = automorphisms(B)
+            assert group.order == order
+            entries = order * len(B)
+            with pytest.raises(GroupTooLargeError,
+                               match=f" {entries} entries, beyond the entry cap {entries - 1}$"):
+                group_to_json_obj(group, entry_cap=entries - 1)
+            listing = group_to_json_obj(group, entry_cap=entries)["elements"]
+            assert listing.dtype == np.int64
+            assert np.array_equal(listing, group.elements + 1)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_torus_group(self, k):
