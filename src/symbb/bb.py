@@ -9,15 +9,15 @@ of the next level, sweeps the open ones for subproblems isomorphic to an
 already seen one, bounds the rest with the Newton-bracketing procedure (early
 exit against the target), and branches each survivor right there
 (``branch_node``), on the highest-scoring orbit of the node group its bound
-already read.  A node's outcome is the verdict of its one record
-(``Decided``), and a level (``Level``) is the ordered list of its nodes'
-records, so every count is a sum over them.  Between levels only fix sets
-and records are kept, the isomorphism history included, so a retained twin
-is reduced again only to check a merge; a survivor's last APG iterate
-warm-starts the bounds of its two children and is dropped once both have a
-verdict.  No upper bounding is performed: the run either proves that the
-optimum is at least the target, or refutes the target with an exactly
-solved leaf below it.
+already read that the bound's relaxation has not set to zero.  A node's
+outcome is the verdict of its one record (``Decided``), and a level
+(``Level``) is the ordered list of its nodes' records, so every count is a
+sum over them.  Between levels only fix sets and records are kept, the
+isomorphism history included, so a retained twin is reduced again only to
+check a merge; a survivor's last APG iterate warm-starts the bounds of its
+two children and is dropped once both have a verdict.  No upper bounding is
+performed: the run either proves that the optimum is at least the target,
+or refutes the target with an exactly solved leaf below it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ from .symmetry import Orbit, candidates, first_leaf, orbits
 # Candidate tries of one isomorphism search; running out counts as
 # non-isomorphic, which is sound: a missed merge only costs extra work.
 ISO_NODE_CAP = 1_000_000
+# An orbit whose mean relaxation value xbar is below this is one the node's
+# relaxation has set to zero: its 0-child would keep the parent's bound.
+# Measured xbar lies in [-0.006, 1.005], so this sits just above the noise.
+XBAR_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -143,11 +147,22 @@ def orbit_scores(sub: Subproblem) -> list[tuple[Orbit, float]]:
     return sorted(scored, key=lambda pair: (-pair[1], pair[0].representative))
 
 
-def choose_orbit(sub: Subproblem) -> Orbit:
-    """The orbit ``orbit_scores`` ranks first, in full indices."""
+def choose_orbit(sub: Subproblem, xbar: np.ndarray | None = None) -> Orbit:
+    """The orbit to branch on, in full indices: the first in
+    ``orbit_scores`` order whose mean ``xbar`` is at least ``XBAR_FLOOR``.
+    ``xbar`` holds the relaxation's value of each free variable
+    (``NbResult.xbar``, in ``sub.free`` order); fixing to zero an orbit it
+    already sets to zero leaves the 0-child's relaxation where the node's
+    was.  Without ``xbar``, or where every orbit is below the floor, the
+    first orbit ``orbit_scores`` ranks.  Ties go to the smallest
+    representative either way."""
     ranked = orbit_scores(sub)
     if not ranked:
         raise ValueError("no orbits to branch on")
+    if xbar is not None:
+        for orb, _ in ranked:
+            if xbar[np.searchsorted(sub.free, orb.members)].mean() >= XBAR_FLOOR:
+                return orb
     return ranked[0][0]
 
 
@@ -157,11 +172,14 @@ def branch(fix: FixSets, orbit: Orbit) -> tuple[FixSets, FixSets]:
     return fix.with_zeros(orbit.members), fix.with_one(orbit.representative)
 
 
-def branch_node(sub: Subproblem, audit: bool = False) -> tuple[FixSets, FixSets]:
+def branch_node(sub: Subproblem, audit: bool = False,
+                xbar: np.ndarray | None = None) -> tuple[FixSets, FixSets]:
     """Both children of an open node, branched on the orbit ``choose_orbit``
-    picks from its node group ``sub.group``.  With ``audit``, check by
+    picks from its node group ``sub.group`` and ``xbar``, the relaxation
+    values of the node's own bound (None for the root, which is not bounded,
+    and for a node that ran no APG solve).  With ``audit``, check by
     enumeration that one child keeps the node's optimum."""
-    children = branch(sub.fix, choose_orbit(sub))
+    children = branch(sub.fix, choose_orbit(sub, xbar))
     if audit:
         child_opts = [leaf.value for leaf in
                       (solve_exactly(reduce(sub.inst, f)) for f in children)
@@ -312,7 +330,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
             node.verdict = "pruned" if res.status == "Pruned" else "branched"
             node.seconds = seconds
             if node.verdict == "branched":
-                node.children = branch_node(sub, audit)
+                node.children = branch_node(sub, audit, res.xbar)
                 if res.y2 is not None:
                     node.warm = (sub.free, res.y2)
     for parent in frontier.values():

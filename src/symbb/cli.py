@@ -99,13 +99,19 @@ def _write(path: str, pieces):
     """Write the text ``pieces``, in order, to the file ``path`` names,
     following symlinks, so a link stays a link.  A new path or a regular
     file is written to ``<path>.tmp`` beside it and then moved into place,
-    so an interrupted write never leaves a truncated file; anything else
-    that exists, such as a device or a FIFO, is written in place."""
+    so an interrupted write never leaves a truncated file, and a write that
+    fails removes its ``<path>.tmp``; anything else that exists, such as a
+    device or a FIFO, is written in place."""
     path = os.path.realpath(path)
     in_place = os.path.exists(path) and not os.path.isfile(path)
     tmp = path if in_place else f"{path}.tmp"
     with open(tmp, "w", newline="") as fh:
-        fh.writelines(pieces)
+        try:
+            fh.writelines(pieces)
+        except BaseException:
+            if not in_place:
+                os.unlink(tmp)
+            raise
     if not in_place:
         os.replace(tmp, path)
 
@@ -178,14 +184,17 @@ def _write_csv(path: str, rows: list[dict], header: list[str] | None = None):
 
 def _error_exit(call, *args, **kwargs):
     """``call(*args, **kwargs)``; a usage error, a malformed instance, a
-    group too large to list or an output that cannot be written instead
-    prints one ``error: <message>`` line on stderr and exits 1."""
+    group too large to list, a run out of memory or an output that cannot be
+    written instead prints one ``error: <message>`` line on stderr and exits
+    1."""
     try:
         return call(*args, **kwargs)
     except click.ClickException as exc:
         message = exc.format_message()
     except (instance.InstanceError, symmetry.GroupTooLargeError, OSError) as exc:
         message = str(exc)
+    except MemoryError as exc:
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_ERROR)
 

@@ -201,6 +201,9 @@ class ConeDistanceResult:
     min_eig: float              # lambda_min(M - Y2)
     stop: str                   # why APG stopped: converged | target | cap | step
     iterations: int
+    # Column s of X = -negpart(M - Y2), the approximate primal DNN solution;
+    # None only in a result built without the final eigh.
+    x_s: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -221,6 +224,11 @@ class NbResult:
     # The last APG iterate Y2 over lam, the warm start of a child
     # (``assemble``); None where no solve ran.
     y2: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # The relaxation's value of each free variable, xbar_j = X[u_j, s] /
+    # X[s, s] with X = -negpart(M - Y2) of the last APG solve, whatever
+    # stopped it; the branching of a survivor reads it (``bb.choose_orbit``).
+    # None where no solve ran or where X[s, s] <= 0.
+    xbar: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def assemble(sub: Subproblem, lambda_scale: float,
@@ -452,7 +460,8 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     the PSD part of M - Y2, g = ||M - Y1 - Y2|| and its derivative gprime in
     y, where M = Q - y H and H selects the last diagonal entry, come from the
     eigenpairs of M - Y2 (``_distance``), and min_eig = lambda_min(M - Y2)
-    feeds the validated bracket.
+    feeds the validated bracket.  ``x_s``, column s of the approximate
+    primal X = -negpart(M - Y2), comes from the same eigenpairs.
 
     ``stop`` says why APG stopped: ``converged`` (relative objective change
     below ``rel_tol``), ``cap`` (``max_iter`` reached), ``target`` or
@@ -527,9 +536,11 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
         f_prev = f_z
 
     w, V = np.linalg.eigh(M - Y)
-    g, gprime = _distance(np.minimum(w, 0.0), V)
+    wneg = np.minimum(w, 0.0)
+    g, gprime = _distance(wneg, V)
     return ConeDistanceResult(g=g, gprime=gprime, y2=Y, min_eig=float(w[0]),
-                              stop=stop, iterations=iterations)
+                              stop=stop, iterations=iterations,
+                              x_s=-(V @ (wneg * V[-1])))
 
 
 def _safe_ceil(value: float) -> int:
@@ -570,7 +581,8 @@ def nb_bound(prob: DnnProblem, target: float | None,
     shares: from it the k = 5 torus proof at 160 takes 23 nodes, not 173.
     Any Y2 >= 0 gives a valid ``a`` (the correction below), so no start
     moves soundness.  ``y2`` returns the last Y2 over lam, for the node's
-    children.
+    children, and ``xbar`` the relaxation's values of the free variables
+    at the last solve, where the node is branched.
 
     The completion check: with a target above the value of the completion
     the search found, no validated bound can prune, as every ``a`` is at
@@ -659,7 +671,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
                 eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
         res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
                             prune_step=prune_step, blocks=basis)
-        warm = res.y2
+        warm, x_s = res.y2, res.x_s
         a = max(a, y + norm_factor * min(0.0, res.min_eig - eig_slack))
         if res.converged:
             b = min(b, y)
@@ -688,7 +700,8 @@ def nb_bound(prob: DnnProblem, target: float | None,
             break
 
     lb_integer = _safe_ceil(a + sub.offset) if math.isfinite(a) else None
+    xbar = x_s[:sub.ell] / x_s[-1] if x_s is not None and x_s[-1] > 0 else None
     return NbResult(status=status, a=a, b=b, iterations=iterations,
                     lb_integer=lb_integer, trace=tuple(trace),
                     blocks=None if basis is None else basis.families,
-                    y2=warm / prob.lam)
+                    y2=warm / prob.lam, xbar=xbar)

@@ -52,19 +52,23 @@ def planted_bqop(rng, blocks, block_size, m, low=-5, high=12):
     return BqopInstance(n=n, B=B, m=m)
 
 
-def torus_matrix(k, seed=0):
+def torus_matrix(k, seed=0, weight=None):
     """Cost matrix of the k x k wrap-around grid, cell (r, c) at index r*k + c.
 
     The cost of two cells depends only on the unordered pair of wrap-around
     distances along the two axes, with a distinct nonzero weight per pair, so
-    the translations and the 8 symmetries of the square preserve it."""
+    the translations and the 8 symmetries of the square preserve it.  An
+    explicit ``weight`` table, symmetric and indexed by the two distances,
+    replaces the draw."""
     def dist(t):
         return np.minimum(t % k, -t % k)
 
     h = k // 2 + 1
-    weight = 1 + np.random.default_rng(seed).permutation(h * h).reshape(h, h)
-    weight = np.minimum(weight, weight.T)   # one weight per unordered pair
-    weight[0, 0] = 0
+    if weight is None:
+        weight = 1 + np.random.default_rng(seed).permutation(h * h).reshape(h, h)
+        weight = np.minimum(weight, weight.T)   # one weight per unordered pair
+        weight[0, 0] = 0
+    weight = np.asarray(weight)
     r, c = np.divmod(np.arange(k * k), k)
     return weight[dist(r[:, None] - r[None, :]), dist(c[:, None] - c[None, :])]
 

@@ -230,6 +230,30 @@ class TestSymmetry:
         assert result.output.count("\n") == 1 and result.output.startswith("error: ")
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("where", ["listing", "writing"])
+    def test_out_of_memory_exits_1(self, runner, tmp_path, monkeypatch, where, two_pairs24):
+        # A cap raised past memory: the listing cannot be allocated, or the
+        # write fails part way, which leaves no <path>.tmp either.
+        from symbb import cli
+        path = tmp_path / "pairs.json"
+        path.write_text(bqop_to_json(two_pairs24))
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 664. MiB")
+        if where == "listing":
+            monkeypatch.setattr(symmetry, "group_to_json_obj", out_of_memory)
+        else:
+            monkeypatch.setattr(symmetry, "group_to_json_obj", lambda group, cap: {
+                "order": 1, "elements": np.zeros((1, 24), dtype=np.int64)})
+            monkeypatch.setattr(cli, "_rows_text", out_of_memory)
+        out = tmp_path / "g.json"
+        result = runner.invoke(main, ["symmetry", "--instance", str(path),
+                                      "--group-json", str(out), "--group-cap", str(10 ** 24)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: out of memory: Unable to allocate 664. MiB\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.json"]
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_group_cap_below_one_exits_1_before_the_search(self, runner, tmp_path,
                                                            monkeypatch, cap, cycle6):

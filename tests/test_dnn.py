@@ -54,6 +54,30 @@ def torus_root(k=6, m=11):
     return reduce(inst, FixSets((), (0,))), stabiliser
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Every cone_distance call as (prune_step, result), after checking that
+    it made one eigh per APG iteration plus one."""
+    calls = []
+    eighs = [0]
+    real_eigh, real = np.linalg.eigh, dnn.cone_distance
+
+    def counting_eigh(*args, **kwargs):
+        eighs[0] += 1
+        return real_eigh(*args, **kwargs)
+
+    def recording(M, *args, **kwargs):
+        before = eighs[0]
+        res = real(M, *args, **kwargs)
+        assert eighs[0] - before == res.iterations + 1
+        calls.append((kwargs.get("prune_step"), res))
+        return res
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(dnn, "cone_distance", recording)
+    return calls
+
+
 def reynolds(elements, ell, rng):
     """A random symmetric matrix of order 2 ell + 1 averaged over the group
     of ``elements``, each lifted to (u, v, s): an invariant matrix."""
@@ -828,29 +852,6 @@ class TestStepExit:
     Newton step it feeds is settled and lands at least STEP_MARGIN above or
     below the prune level."""
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """Every cone_distance call as (prune_step, result), after checking
-        that it made one eigh per APG iteration plus one."""
-        calls = []
-        eighs = [0]
-        real_eigh, real = np.linalg.eigh, dnn.cone_distance
-
-        def counting_eigh(*args, **kwargs):
-            eighs[0] += 1
-            return real_eigh(*args, **kwargs)
-
-        def recording(M, *args, **kwargs):
-            before = eighs[0]
-            res = real(M, *args, **kwargs)
-            assert eighs[0] - before == res.iterations + 1
-            calls.append((kwargs.get("prune_step"), res))
-            return res
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(dnn, "cone_distance", recording)
-        return calls
-
     @staticmethod
     def check_steps(prob, target, res, calls):
         """The step stops of one targeted nb_bound; returns how many landed
@@ -917,3 +918,50 @@ class TestStepExit:
         assert solve_target(inst, 160, BbParams(nb=FAST_NB)).outcome == "Proved"
         steps = np.sum([self.check_steps(*bound) for bound in bounds], axis=0)
         assert all(steps > 0)
+
+
+class TestPrimal:
+    """``NbResult.xbar``: the relaxation's value of each free variable,
+    X[u_j, s] / X[s, s] with X = -negpart(M - Y2) of the last APG solve."""
+
+    # Weights by pair of wrap-around distances of the k = 5 torus that the
+    # torus-prove benchmark proves (drawn from 1-100).
+    WEIGHT = [[0, 39, 84], [39, 55, 40], [84, 40, 42]]
+
+    def test_torus_root(self, solves):
+        inst = BqopInstance(n=25, B=torus_matrix(5, weight=self.WEIGHT).astype(np.int64), m=9)
+        sub = reduce(inst, FixSets((), (0,)))
+        prob = assemble(sub, 1e8)
+        res = nb_bound(prob, None, NbParams())
+        assert res.status == "Converged" and res.iterations == len(solves)
+        assert res.xbar.shape == (sub.ell,)
+        assert np.all((res.xbar >= -0.01) & (res.xbar <= 1.01))
+        # The penalty holds sum_j u_j = b s on X too: 7.995 against 8.
+        assert abs(res.xbar.sum() - sub.residual_m) <= 0.05
+        # The last solve's column, from its own final eigh, is the one a
+        # second decomposition of M - Y2 gives.
+        last = solves[-1][1]
+        M = prob.q.copy()
+        M[-1, -1] -= res.trace[-1]["y"]
+        X = -dnn._negative_part(M - last.y2)[2]
+        assert np.allclose(last.x_s, X[:, -1], rtol=0.0, atol=1e-9 * np.abs(X).max())
+        assert np.allclose(res.xbar, X[:sub.ell, -1] / X[-1, -1])
+
+    def test_none_without_a_solve(self):
+        sub = open_sub()
+        res = nb_bound(assemble(sub, 1e8), swap_search(sub)[0] + sub.offset + 1, FAST_NB)
+        assert res.iterations == 0 and res.xbar is None
+
+    @pytest.mark.parametrize("corner", [0.0, -1e-3])
+    def test_none_without_a_positive_corner(self, monkeypatch, corner):
+        sub = open_sub()
+
+        def flat(M, *args, **kwargs):
+            x_s = np.full(M.shape[0], 0.5)
+            x_s[-1] = corner
+            return ConeDistanceResult(g=1.0, gprime=0.0, y2=np.zeros_like(M), min_eig=-1.0,
+                                      stop="cap", iterations=1, x_s=x_s)
+
+        monkeypatch.setattr(dnn, "cone_distance", flat)
+        res = nb_bound(assemble(sub, 1e8), None, NbParams(max_iter=1))
+        assert res.iterations == 1 and res.xbar is None
