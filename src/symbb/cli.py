@@ -307,8 +307,8 @@ def bound_root(instance_path, target, trace_csv, json_path, **settings):
     params = _params(bb.TreeParams, settings)
     bqop, digest = _load_bqop(instance_path)
     sub = subproblem.reduce(bqop, subproblem.FixSets(i0=(), i1=(0,)))
-    # The engine's leaf rule with no small leaves: one completion, or every
-    # completion costs the same, and the bound is exact.
+    # The engine's leaf rule with no small leaves: at most ell completions,
+    # or every completion costs the same, and the bound is exact.
     leaf = subproblem.feasibility_status(sub, 0, 0)
     if isinstance(leaf, subproblem.SolvedLeaf):
         lam = None
@@ -334,7 +334,7 @@ def bound_root(instance_path, target, trace_csv, json_path, **settings):
         click.echo("blocks: " + ", ".join(f"{size}x{copies}" if copies > 1 else str(size)
                                           for size, copies in res.blocks))
     elif res.iterations:
-        click.echo(f"blocks: none (full order {2 * sub.ell + 1})")
+        click.echo(f"blocks: none (face order {sub.ell + 1})")
     if trace_csv:
         _write_csv(trace_csv, [dict(row) for row in res.trace], list(dnn.TRACE_FIELDS))
     if json_path:

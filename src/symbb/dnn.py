@@ -1,31 +1,46 @@
-"""Lagrangian DNN lower bounds via Newton bracketing.
+"""Lagrangian DNN lower bounds via Newton bracketing, on the face of the lift.
 
 A subproblem (minimize y^T C y over binary y with sum(y) = b) is lifted to a
-quadratic form in (u, v, s) of order 2*ell + 1, where v is the complement
+quadratic form in (u, v, s) of order d = 2*ell + 1, where v is the complement
 slack for u and s the homogenizing scalar.  With penalty weight lam the
 lifted matrix is
 
     Q = Q_obj + lam * Q_pen,
 
 where Q_obj carries u^T C u and Q_pen carries sum_j (u_j + v_j - s)^2 +
-sum_j u_j v_j + (sum_j u_j - b s)^2.  The dual of the conic relaxation asks
-for the largest y with Q - H y in K* (PSD + entrywise-nonnegative matrices,
-H the corner selector); that largest zero y* of the distance function
+sum_j u_j v_j + (sum_j u_j - b s)^2.
 
-    g(y) = dist(Q - H y, K*)
+Every feasible lift z = (u, 1 - u, 1) lies in the range of V: (u, s) ->
+(u, s 1 - u, s), where the ell linear penalty terms vanish.  V~ is an
+orthonormal basis of that face, of order ell + 1: the columns (e_{u_j} -
+e_{v_j}) / sqrt(2), one for each j, and (1/2 * 1, 1/2 * 1, 1) / kappa with
+kappa^2 = ell / 2 + 1.  ``to_face`` and ``from_face`` apply it by index
+arithmetic.  The dual of the conic relaxation asks for the largest y with
+Q - H y in the face cone {Y1 + Y2: Y2 >= 0 of order d, V~^T Y1 V~ PSD}, H
+the corner selector; on the face V~^T H V~ = e e^T / kappa^2, with e the
+last face coordinate.  That largest zero y* of the distance function
+
+    g(y) = dist(Q - H y, face cone)
 
 equals the relaxation value, is approached from above by Newton steps on g,
 and every iterate yields a validated lower bracket through an eigenvalue
-correction.  The distance itself is computed by an accelerated proximal
-gradient (APG) method over exactly nonnegative parts Y2 of Q - H y, whose
-remainder it brings as close to PSD as it can.  With a target, APG stops as
-soon as its current nonnegative iterate is certain to prove the target at
-this Newton point.
+correction of the face part V~^T (Q - H y - Y2) V~.  The face cone contains
+the DNN cone K* = PSD + Nonneg, so its bound is at least as strong, and each
+eigendecomposition has order ell + 1 instead of 2 ell + 1.  The distance
+itself is computed by an accelerated proximal gradient (APG) method over
+exactly nonnegative parts Y2 of Q - H y, whose face part it brings as close
+to PSD as it can.  With a target, APG stops as soon as its current
+nonnegative iterate is certain to prove the target at this Newton point.
 
 Grounding (cited only): Kim, Kojima & Toh, "A Newton-bracketing method for a
 simple conic optimization problem" (Optim. Methods Softw., 2021); Arima, Kim,
 Kojima & Toh, "A robust Lagrangian-DNN method for a class of quadratic
-optimization problems" (Comput. Optim. Appl., 2017).
+optimization problems" (Comput. Optim. Appl., 2017); for the face, Zhao,
+Karisch, Rendl & Wolkowicz, "Semidefinite programming relaxations for the
+quadratic assignment problem" (J. Comb. Optim., 1998), and Oliveira,
+Wolkowicz & Xu, "ADMM for the SDP relaxation of the QAP" (Math. Program.
+Comput., 2018), which pairs a facially reduced PSD block with a full-size
+nonnegative one, as here.
 """
 
 from __future__ import annotations
@@ -55,16 +70,23 @@ STEP_CHECK_EVERY = 25
 STEP_SETTLED = 1.0
 STEP_MARGIN = 0.5
 # The block path: APG runs on the blocks of the node group's commutant
-# (``block_basis``) at lifted orders from BLOCK_MIN_ORDER up, and on the full
-# matrix below.  Full over block time per APG iteration, on torus and
-# planted nodes (one BLAS thread, 2-core x86, numpy 2.4 with OpenBLAS):
-# 0.56-1.08 at d = 17-25, 1.05-1.45 at d = 29-39, 1.14-2.35 at d = 41-71,
-# 2.2 at d = 511.  Below 41 the gain is too small to repay the node group
-# and the basis, which take a few ms per node.  BLOCK_ELEMENTS random group
-# elements, drawn from BLOCK_SEED, define the orbitals; BLOCK_TOL is the
-# relative tolerance of equal eigenvalues, of zero couplings and of the
-# check of a split.
-BLOCK_MIN_ORDER = 41
+# (``block_basis``) at face orders ell + 1 from BLOCK_MIN_ORDER up, and on
+# the one-family face basis below.  One-family over block time per APG
+# iteration, on torus and planted nodes (one BLAS thread, 2-core x86, numpy
+# 2.4 with OpenBLAS): 0.61-0.93 at face order 13-21, 1.15-1.28 at 24-25,
+# 1.07-1.52 at 31-36, 1.44-2.04 at 48-64.  Below 24 the gain is too small
+# to repay the node group and the basis, which take a few ms per node.
+# BLOCK_ELEMENTS random group elements, drawn from BLOCK_SEED, define the
+# orbitals; BLOCK_TOL is the relative tolerance of equal eigenvalues, of
+# zero couplings and of the check of a split.
+BLOCK_MIN_ORDER = 24
+# The one-family face basis applies V~ as a dense (2 ell + 1, ell + 1) array
+# below this face order, where two BLAS products cost less than the dozen
+# numpy calls of the index arithmetic, and by index arithmetic from it up.
+# One APG iteration, dense / index arithmetic: 17 / 43 us at face order 5,
+# 40 / 71 at 14, 258 / 291 at 48, about equal at 52-64, 3.1 / 2.3 ms at 128
+# and 12.6 / 8.9 ms at 256 (the full order 511 took 35.3 ms).
+FACE_DENSE_BELOW = 64
 BLOCK_ELEMENTS = 8
 BLOCK_SEED = 0
 BLOCK_TOL = 1e-9
@@ -120,48 +142,105 @@ class NbParams(Settings):
     apg: ApgParams = field(default_factory=ApgParams)
 
 
+def _kappa(ell: int) -> float:
+    """kappa = ||(1/2 * 1, 1/2 * 1, 1)||, the norm of the last face
+    direction: kappa^2 = ell / 2 + 1."""
+    return math.sqrt(0.5 * ell + 1.0)
+
+
+def _face_rows(X: np.ndarray) -> np.ndarray:
+    """V~^T X for X with 2 ell + 1 rows, by index arithmetic: row j < ell is
+    (X[u_j] - X[v_j]) / sqrt(2), and row ell is (1/2 * the sum of the u and
+    v rows + X[s]) / kappa."""
+    ell = X.shape[0] // 2
+    return np.vstack([(X[:ell] - X[ell:-1]) / math.sqrt(2.0),
+                      (0.5 * X[:-1].sum(axis=0) + X[-1]) / _kappa(ell)])
+
+
+def _lift_rows(R: np.ndarray) -> np.ndarray:
+    """V~ R for R with ell + 1 rows, by index arithmetic: rows u_j and v_j
+    are +-R[j] / sqrt(2) + R[ell] / (2 kappa), and row s is R[ell] / kappa."""
+    ell = R.shape[0] - 1
+    top, mid = R[:ell] / math.sqrt(2.0), R[ell] / (2.0 * _kappa(ell))
+    return np.vstack([top + mid, mid - top, 2.0 * mid])
+
+
+def to_face(X: np.ndarray) -> np.ndarray:
+    """V~^T X V~ of a symmetric X of order 2 ell + 1: the face part of X,
+    of order ell + 1, in O(ell^2) without a dense product (``dnn`` module
+    docstring)."""
+    return _face_rows(_face_rows(X).T)
+
+
+def from_face(R: np.ndarray) -> np.ndarray:
+    """V~ R V~^T of a symmetric R of order ell + 1, of order 2 ell + 1."""
+    return _lift_rows(_lift_rows(R).T)
+
+
 @dataclass(frozen=True)
 class BlockBasis:
-    """An orthonormal basis of R^d in which every matrix invariant under a
-    group of permutations is block diagonal.  Family f is one block of
-    ``families[f] = (size, copies)``: the same size x size matrix appears
-    in each of its copies.  ``first`` holds the first copy of every family
-    side by side.
+    """An orthonormal basis of the space APG decomposes in, in which every
+    matrix invariant under a group of permutations is block diagonal.  The
+    space is the face of the lift (``face``: the range of V~, of dimension
+    ell + 1, inside R^d with d = 2 ell + 1), or all of R^d.  Family f is
+    one block of ``families[f] = (size, copies)``: the same size x size
+    matrix appears in each of its copies.
 
-    The families are packed side by side into the slots of one stack, so
-    that the slots are about as wide as the largest family: ``take`` places
-    the diagonal blocks of F^T X F, F = ``first``, into the stack (zero
-    elsewhere) and ``pad`` marks the diagonal of each slot's unused rows.
-    ``lifts[s]`` is the (d * K, width) array, K the most copies in slot s,
-    whose row i * K + c holds entry i of the basis vectors of copy c (zero
-    for a family with fewer copies), and ``copies[s, j]`` is the copies of
-    the family of row j of slot s (zero on unused rows).  ``orbitals`` are
-    the (d, d) orbital labels the basis was built from."""
+    The one-family basis (``face_basis``; ``take`` None) is V~ itself, or
+    the identity on R^d: one block, decomposed whole.  ``first`` then holds
+    V~ as a dense (d, ell + 1) array, or is None where ``to_face`` and
+    ``from_face`` apply it by index arithmetic, and on R^d.
+
+    A group's basis (``block_basis``) is that of the group's commutant on
+    the ell + 1 face points composed with V~: ``first`` holds the first
+    copy of every family side by side, as (d, .) columns.  The families are
+    packed side by side into the slots of one stack, so that the slots are
+    about as wide as the largest family: ``take`` places the diagonal
+    blocks of F^T X F, F = ``first``, into the stack (zero elsewhere) and
+    ``pad`` marks the diagonal of each slot's unused rows.  ``lifts[s]`` is
+    the (d * K, width) array, K the most copies in slot s, whose row i * K
+    + c holds entry i of the basis vectors of copy c (zero for a family
+    with fewer copies), and ``copies[s, j]`` is the copies of the family of
+    row j of slot s (zero on unused rows).  ``orbitals`` are the (d, d)
+    orbital labels of the group lifted to (u, v, s)."""
 
     families: tuple[tuple[int, int], ...]
-    first: np.ndarray
-    take: np.ndarray
-    pad: np.ndarray
-    lifts: tuple[np.ndarray, ...]
-    copies: np.ndarray
-    orbitals: np.ndarray
+    face: bool = True
+    first: np.ndarray | None = None
+    take: np.ndarray | None = None
+    pad: np.ndarray | None = None
+    lifts: tuple[np.ndarray, ...] = ()
+    copies: np.ndarray | None = None
+    orbitals: np.ndarray | None = None
 
     def invariant(self, X: np.ndarray) -> np.ndarray:
         """X averaged over every orbital: its orthogonal projection onto the
-        matrices the basis block-diagonalises.  A mean keeps X >= 0, and
-        the mean over an orbital and over its transpose agree on a
-        symmetric X."""
+        matrices the basis block-diagonalises; X itself on a one-family
+        basis.  A mean keeps X >= 0, and the mean over an orbital and over
+        its transpose agree on a symmetric X."""
+        if self.orbitals is None:
+            return X
         labels = self.orbitals.ravel()
         return (np.bincount(labels, weights=X.ravel()) / np.bincount(labels))[self.orbitals]
 
     def negative_part(self, X: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """lambda_min(X), f = 0.5 * ||negpart(X)||^2 and negpart(X) of an
-        invariant symmetric X, from one batched ``eigh`` of the stack.  The
-        unused diagonal lies above ||F^T X F||, so no padded eigenvalue is
-        negative or the smallest.  The negative part is -Y Y^T, where Y
-        holds every copy of each negative eigenvector scaled by
-        sqrt(-lambda).  An eigenvector of a slot may mix families only
-        within an eigenspace, where the sum over it leaves no cross terms."""
+        """lambda_min(N), f = 0.5 * ||negpart(N)||^2 and V~ negpart(N) V~^T
+        of N = V~^T X V~ (N = X on R^d), for an invariant symmetric X of
+        order d, from one ``eigh``: of N itself on a one-family basis, or
+        batched over the stack.  The unused diagonal lies above ||F^T X F||,
+        so no padded eigenvalue is negative or the smallest.  The negative
+        part is -Y Y^T, where Y holds every copy of each negative
+        eigenvector scaled by sqrt(-lambda).  An eigenvector of a slot may
+        mix families only within an eigenspace, where the sum over it leaves
+        no cross terms."""
+        if self.take is None:
+            F = self.first
+            N = (to_face(X) if self.face else X) if F is None else F.T @ X @ F
+            w, V = np.linalg.eigh(N)
+            wneg = np.minimum(w, 0.0)
+            R = (V * wneg) @ V.T
+            R = (from_face(R) if self.face else R) if F is None else F @ R @ F.T
+            return float(w[0]), 0.5 * float(wneg @ wneg), R
         T = self.first.T @ X @ self.first
         S = np.append(T.ravel(), 0.0)[self.take]
         S[self.pad] = float(np.linalg.norm(T)) + 1.0
@@ -178,6 +257,13 @@ class BlockBasis:
             return float(w[:, 0].min()), f_x, np.zeros_like(X)
         Y = np.hstack(Y)
         return float(w[:, 0].min()), f_x, -(Y @ Y.T)
+
+
+def face_basis(ell: int) -> BlockBasis:
+    """The one-family basis of the face, V~ of order ell + 1: dense below
+    face order ``FACE_DENSE_BELOW``, by index arithmetic from there up."""
+    dense = _lift_rows(np.eye(ell + 1)) if ell + 1 < FACE_DENSE_BELOW else None
+    return BlockBasis(families=((ell + 1, 1),), first=dense)
 
 
 @dataclass(frozen=True)
@@ -198,11 +284,11 @@ class ConeDistanceResult:
     g: float
     gprime: float
     y2: np.ndarray
-    min_eig: float              # lambda_min(M - Y2)
+    min_eig: float              # lambda_min(N), N = V~^T (M - Y2) V~ on the face
     stop: str                   # why APG stopped: converged | target | cap | step
     iterations: int
-    # Column s of X = -negpart(M - Y2), the approximate primal DNN solution;
-    # None only in a result built without the final eigh.
+    # Column s of X = -V~ negpart(N) V~^T, the approximate primal DNN
+    # solution; None only in a result built without the final eigh.
     x_s: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -219,13 +305,13 @@ class NbResult:
     lb_integer: int | None
     trace: tuple = ()
     # The (size, copies) block families every APG solve ran on; None on the
-    # full path and where no solve ran.
+    # one-family face basis and where no solve ran.
     blocks: tuple[tuple[int, int], ...] | None = None
     # The last APG iterate Y2 over lam, the warm start of a child
     # (``assemble``); None where no solve ran.
     y2: np.ndarray | None = field(default=None, repr=False, compare=False)
     # The relaxation's value of each free variable, xbar_j = X[u_j, s] /
-    # X[s, s] with X = -negpart(M - Y2) of the last APG solve, whatever
+    # X[s, s] with X = -V~ negpart(N) V~^T of the last APG solve, whatever
     # stopped it; the branching of a survivor reads it (``bb.choose_orbit``).
     # None where no solve ran or where X[s, s] <= 0.
     xbar: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -235,7 +321,10 @@ def assemble(sub: Subproblem, lambda_scale: float,
              warm: tuple[tuple[int, ...], np.ndarray] | None = None) -> DnnProblem:
     """Build the lifted matrices of order 2*ell + 1 for a subproblem, with
     penalty weight lam = lambda_scale / ||B(I0,I1)||, the Frobenius norm of
-    the reduced matrix.
+    the reduced matrix.  Q keeps the full order, as the nonnegative part Y2
+    does, though the bound reads only its face part V~^T (Q - Y2) V~ of
+    order ell + 1 (module docstring): there the ell linear penalty terms
+    vanish, so lam weighs only complementarity and cardinality.
 
     ``warm`` is the free indices of an ancestor and the ``NbResult.y2`` of
     its bound, Y2 over the ancestor's lam.  ``DnnProblem.warm`` is then its
@@ -400,13 +489,16 @@ def _stacked(cols: list[np.ndarray], orbitals: np.ndarray) -> BlockBasis:
 
 
 def block_basis(group: PermutationGroup) -> BlockBasis | None:
-    """The basis in which every matrix of order d = 2 ell + 1 invariant
-    under the node group on ell points, lifted to (u, v, s), is block
-    diagonal; None where the largest block exceeds d / 2 or where the check
-    of ``_families`` fails.  sigma acts on u and v alike and fixes s, and Q, H and so every
-    APG iterate are invariant.  The trivial family alone has one row per
-    orbit on (u, v, s), two per point orbit and one for s, so the trivial
-    group, every involution and any group with as many orbits are turned
+    """The basis of the face in which every matrix of order d = 2 ell + 1
+    invariant under the node group on ell points, lifted to (u, v, s), is
+    block diagonal after ``to_face``; None where the largest block exceeds
+    half the face order ell + 1 or where the check of ``_families`` fails.
+    sigma acts on u and v alike and fixes s, and Q, H and so every APG
+    iterate are invariant; on the face it permutes the first ell points and
+    fixes the last, so the families are built on those ell + 1 points and
+    composed with V~.  The trivial family alone has one row per orbit of
+    the ell + 1 points, so a group with more than about (ell + 1) / 2 point
+    orbits, the trivial group and most involutions among them, is turned
     down before any basis is built.
 
     A numerical block diagonalisation of the commutant (Murota, Kanno,
@@ -416,78 +508,72 @@ def block_basis(group: PermutationGroup) -> BlockBasis | None:
     generate a smaller group, its invariant matrices include the node
     group's, and the blocks only come out larger."""
     ell = group.domain_size
-    d = 2 * ell + 1
-    if 2 * (2 * len(orbits(group)) + 1) > d:
+    n, d = ell + 1, 2 * ell + 1
+    if 2 * (len(orbits(group)) + 1) > n:
         return None
     rng = np.random.default_rng(BLOCK_SEED)
     P = random_elements(group, BLOCK_ELEMENTS, rng)
     orbitals = pair_orbits(np.hstack([P, P + ell, np.full((len(P), 1), d - 1)]))
-    cols = _families(orbitals, rng)
-    if cols is None or 2 * cols[0].shape[2] > d:
+    # The face points are u_1 .. u_ell and s: their orbitals are those of
+    # the lifted group on the (u, s) rows and columns.
+    points = np.r_[:ell, d - 1]
+    cols = _families(orbitals[np.ix_(points, points)], rng)
+    if cols is None or 2 * cols[0].shape[2] > n:
         return None
-    return _stacked(cols, orbitals)
-
-
-def _negative_part(X: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """lambda_min(X), f = 0.5 * ||negpart(X)||^2 and negpart(X) of a
-    symmetric X, from one full ``eigh``: the full-matrix counterpart of
-    ``BlockBasis.negative_part``."""
-    w, V = np.linalg.eigh(X)
-    wneg = np.minimum(w, 0.0)
-    return float(w[0]), 0.5 * float(np.sum(wneg * wneg)), (V * wneg) @ V.T
-
-
-def _distance(wneg: np.ndarray, V: np.ndarray) -> tuple[float, float]:
-    """g = ||negpart(X)|| and its derivative g' in y, from the eigenpairs
-    (w, V) of X = M - Y2 with wneg = min(w, 0) and M = Q - y H: the negative
-    part is V diag(wneg) V^T, so g = ||wneg|| and g' = -sum_i wneg_i V[-1,
-    i]^2 / g, its corner entry over g.  g' is 0 where g is."""
-    g = math.sqrt(float(np.sum(wneg * wneg)))
-    gprime = -float(wneg @ (V[-1] * V[-1])) / g if g > 0 else 0.0
-    return g, gprime
+    return _stacked([_lift_rows(c.reshape(n, -1)).reshape(d, *c.shape[1:]) for c in cols],
+                    orbitals)
 
 
 def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
                   warm_start: np.ndarray | None = None,
                   eig_target: float | None = None,
                   prune_step: float | None = None,
-                  blocks: BlockBasis | None = None) -> ConeDistanceResult:
-    """Distance of a symmetric matrix to K* = PSD + Nonneg.
+                  basis: BlockBasis | None = None) -> ConeDistanceResult:
+    """Distance of a symmetric matrix to K* = PSD + Nonneg, or, with a
+    ``basis`` on the face, to the face cone {Y1 + Y2: Y2 >= 0, V~^T Y1 V~
+    PSD}.
 
-    Minimizes 0.5 * || negpart(M - Y2) ||^2 over entrywise-nonnegative Y2 by
-    APG (projection gradient, Lipschitz constant 1 and so step 1, Nesterov
-    momentum with adaptive restart).  The returned Y2 >= 0 is exact; with Y1
-    the PSD part of M - Y2, g = ||M - Y1 - Y2|| and its derivative gprime in
-    y, where M = Q - y H and H selects the last diagonal entry, come from the
-    eigenpairs of M - Y2 (``_distance``), and min_eig = lambda_min(M - Y2)
-    feeds the validated bracket.  ``x_s``, column s of the approximate
-    primal X = -negpart(M - Y2), comes from the same eigenpairs.
+    Minimizes f(Y2) = 0.5 * || negpart(N) ||^2, N = V~^T (M - Y2) V~ on the
+    face and M - Y2 without a basis, over entrywise-nonnegative Y2 of the
+    order of M by APG (projection gradient, Lipschitz constant 1 and so step
+    1, Nesterov momentum with adaptive restart): the gradient is -V~
+    negpart(N) V~^T.  The returned Y2 >= 0 is exact; g = ||negpart(N)||,
+    its derivative gprime in y, where M = Q - y H and H selects the last
+    diagonal entry, and min_eig = lambda_min(N), which feeds the validated
+    bracket, come from one final ``eigh`` of N.  With P the lifted
+    negpart(N), g' = -P[s, s] / g: on the face V~^T H V~ = e e^T / kappa^2,
+    with e the last face coordinate.  ``x_s``, column s of the approximate
+    primal X = -P, comes from the same eigenpairs.
 
     ``stop`` says why APG stopped: ``converged`` (relative objective change
-    below ``rel_tol``), ``cap`` (``max_iter`` reached), ``target`` or
-    ``step``.  With ``eig_target``, each iteration bounds the minimum
-    eigenvalue of its new iterate for free: by Weyl, lambda_min(M - Y_new)
-    >= lambda_min(M - Z) - ||Y_new - Z||_F, and lambda_min(M - Z) comes from
-    the iteration's own eigendecomposition.  APG stops with Y2 = Y_new once
-    that bound reaches ``eig_target``.  The exit only decides when to stop:
-    min_eig is still taken from the final eigendecomposition of M - Y2.
+    below ``rel_tol`` at an entrywise nonnegative momentum point Z, which
+    is then Y2, so that g is the distance at the f the rule tested; at a Z
+    with a negative entry the momentum restarts at the projected Y_new
+    instead), ``cap`` (``max_iter`` reached), ``target`` or ``step``.  With
+    ``eig_target``, each iteration bounds the minimum eigenvalue of its new
+    iterate for free: by Weyl, lambda_min(N(Y_new)) >= lambda_min(N(Z)) -
+    ||Y_new - Z||_F, as V~ has orthonormal columns, and lambda_min(N(Z))
+    comes from the iteration's own eigendecomposition.  APG stops with Y2 =
+    Y_new once that bound reaches ``eig_target``.  The exit only decides
+    when to stop: min_eig is still taken from the final eigendecomposition.
 
     With ``prune_step``, the Newton step that would land exactly on the prune
     level, every ``STEP_CHECK_EVERY``-th iteration whose momentum point Z is
     entrywise nonnegative reads the Newton step g / g' of Y2 = Z from its own
-    decomposition: g = sqrt(2 f) and g' = -negpart[-1, -1] / g, the corner
-    entry of the negative part over g.  APG stops with Y2 = Z once g' >=
-    ``DPRIME_FLOOR``, the step differs from ``prune_step`` by at least
-    ``STEP_MARGIN`` and it moved by at most ``STEP_SETTLED`` since the
+    decomposition: g = sqrt(2 f) and g' = -P[s, s] / g.  APG stops with Y2 =
+    Z once g' >= ``DPRIME_FLOOR``, the step differs from ``prune_step`` by at
+    least ``STEP_MARGIN`` and it moved by at most ``STEP_SETTLED`` since the
     previous reading.  No extra eigendecomposition is made.
 
-    Every iteration decomposes M - Z once, by ``_negative_part`` (one full
-    ``eigh``) or, with ``blocks``, the basis of a group under which M and
-    the warm start are invariant, by ``BlockBasis.negative_part`` (one
-    batched block ``eigh``).  The final full ``eigh`` of M - Y2 is the same
-    on either path, so min_eig never rests on the basis.
+    Every iteration decomposes N(Z) once, by ``BlockBasis.negative_part``:
+    one ``eigh`` of N on the one-family basis, or one batched block ``eigh``
+    on the basis of a group under which M and the warm start are
+    invariant.  The final ``eigh`` is of N itself on either, so min_eig
+    never rests on the group's basis.
     """
     M = np.asarray(M, dtype=float)
+    if basis is None:
+        basis = BlockBasis(families=((M.shape[0], 1),), face=False)
     Y = np.zeros_like(M) if warm_start is None else warm_start.copy()
     Z = Y.copy()
     t = 1.0
@@ -495,10 +581,9 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     step_prev = math.inf
     stop = "cap"
     iterations = 0
-    negative_part = _negative_part if blocks is None else blocks.negative_part
     for k in range(params.max_iter):
         iterations = k + 1
-        lam_min, f_z, neg = negative_part(M - Z)
+        lam_min, f_z, neg = basis.negative_part(M - Z)
         Y_new = np.maximum(Z + neg, 0.0)
         # lam_min >= eig_target is implied by the Weyl test; checking it
         # first skips the norm on every iteration that cannot pass.
@@ -526,21 +611,30 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
             f_prev = math.inf
             continue
         if abs(f_prev - f_z) <= params.rel_tol * max(1.0, abs(f_z)):
-            Y = Y_new
-            stop = "converged"
-            break
+            if np.all(Z >= 0.0):
+                Y = Z
+                stop = "converged"
+                break
+            # Settled at a point outside Y2 >= 0, where f may be far below
+            # its value at any feasible point: restart the momentum at the
+            # projected point, whose next two iterates are feasible.
+            t = 1.0
+            Y = Z = Y_new
+            f_prev = math.inf
+            continue
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         Z = Y_new + ((t - 1.0) / t_new) * (Y_new - Y)
         Y = Y_new
         t = t_new
         f_prev = f_z
 
-    w, V = np.linalg.eigh(M - Y)
-    wneg = np.minimum(w, 0.0)
-    g, gprime = _distance(wneg, V)
-    return ConeDistanceResult(g=g, gprime=gprime, y2=Y, min_eig=float(w[0]),
-                              stop=stop, iterations=iterations,
-                              x_s=-(V @ (wneg * V[-1])))
+    # The final decomposition is of N itself, never on the group's blocks.
+    whole = basis if basis.take is None else face_basis(M.shape[0] // 2)
+    min_eig, f, P = whole.negative_part(M - Y)
+    g = math.sqrt(2.0 * f)
+    return ConeDistanceResult(g=g, gprime=-float(P[-1, -1]) / g if g > 0 else 0.0,
+                              y2=Y, min_eig=min_eig, stop=stop, iterations=iterations,
+                              x_s=-P[:, -1])
 
 
 def _safe_ceil(value: float) -> int:
@@ -562,10 +656,11 @@ def nb_bound(prob: DnnProblem, target: float | None,
     The per-node work, in this order.  With a target, ``swap_search`` looks
     for a good completion of ``prob.sub`` (the completion check below);
     untargeted bounds never search.  A bound that goes on to solve then
-    builds the ``block_basis`` of the node group ``sub.group`` from lifted
+    builds the ``block_basis`` of the node group ``sub.group`` from face
     order ``BLOCK_MIN_ORDER`` up, runs every APG solve on it and reports its
     families in ``blocks``; below that order, and where ``block_basis``
-    gives none, APG runs on the full matrix.  Newton starts at
+    gives none, APG runs on the one-family ``face_basis`` and ``blocks`` is
+    None.  Newton starts at
     ``initial_upper(sub)``, the trivial completion plus one, even where the
     search found a lower completion.  A start nearer y* saves APG work but
     loses prunes, measured on the soundness suite and on tori, likely
@@ -597,20 +692,21 @@ def nb_bound(prob: DnnProblem, target: float | None,
     The correction: let M = Q - y H, Y2 >= 0 the APG iterate and z = (u, 1 -
     u, 1) the lift of any feasible binary completion.  Exactly one of u_j,
     v_j is 1 for every j, so ||z||^2 = ell + 1, and the penalty vanishes at
-    z, so z^T Q z is the reduced objective.  As z >= 0 and Y2 >= 0,
+    z, so z^T Q z is the reduced objective.  z lies on the face, z = V~ w
+    with ||w||^2 = ||z||^2, and z >= 0 and Y2 >= 0, so
 
-        z^T Q z = y + z^T (M - Y2) z + z^T Y2 z
-                >= y + (ell + 1) * min(0, lambda_min(M - Y2)),
+        z^T Q z = y + w^T V~^T (M - Y2) V~ w + z^T Y2 z
+                >= y + (ell + 1) * min(0, lambda_min(V~^T (M - Y2) V~)),
 
     and ``a`` takes this with an explicit roundoff slack subtracted from
     lambda_min, so it bounds every feasible completion directly.
 
     The target exit: with a target, the smallest ``a`` that prunes is
     ``a_need``, set a margin above the boundary of ``_safe_ceil``.  When y >=
-    a_need, the corrected bound reaches a_need once lambda_min(M - Y2) >=
-    slack + (a_need - y) / (ell + 1), and APG is told to stop once its Weyl
-    estimate of lambda_min clears that value plus one more slack, which
-    absorbs the roundoff of the final eigendecomposition.  Below a_need no
+    a_need, the corrected bound reaches a_need once lambda_min of the face
+    part >= slack + (a_need - y) / (ell + 1), and APG is told to stop once
+    its Weyl estimate of lambda_min clears that value plus one more slack,
+    which absorbs the roundoff of the final eigendecomposition.  Below a_need no
     eigenvalue can prune and APG runs to its own stopping rule.
 
     The step exit: with a target, APG gets ``prune_step = y - a_need``, the
@@ -642,8 +738,9 @@ def nb_bound(prob: DnnProblem, target: float | None,
                             iterations=0, lb_integer=None)
     Q = prob.q
     d = Q.shape[0]
-    basis = block_basis(sub.group) if d >= BLOCK_MIN_ORDER else None
     norm_factor = sub.ell + 1
+    blocks = block_basis(sub.group) if norm_factor >= BLOCK_MIN_ORDER else None
+    basis = face_basis(sub.ell) if blocks is None else blocks
     # The margin is ten times the relative tolerance of _safe_ceil.
     a_need = None if target is None else \
         target - 1 - sub.offset + 1e-8 * max(1.0, abs(target))
@@ -651,7 +748,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
     a = -math.inf
     b = y
     warm = prob.warm
-    if warm is not None and basis is not None:
+    if warm is not None:
         warm = basis.invariant(warm)
     trace = []
     status = "IterLimit"
@@ -660,8 +757,11 @@ def nb_bound(prob: DnnProblem, target: float | None,
         iterations = k + 1
         M = Q.copy()
         M[-1, -1] -= y
-        # The minimum eigenvalue carries roundoff of order d * eps * ||M||;
-        # subtract an explicit slack so a stays a valid lower bound.
+        # The minimum eigenvalue of the face part, of order ell + 1, carries
+        # the roundoff of its eigh, of order (ell + 1) * eps * ||M||, and of
+        # the transform, whose entries sum at most d terms; subtract an
+        # explicit slack of twice d * eps * ||M|| per source so that a stays
+        # a valid lower bound.
         norm_M = float(np.linalg.norm(M))
         eig_slack = 16.0 * d * np.finfo(float).eps * norm_M
         eig_target = prune_step = None
@@ -670,7 +770,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
             if y >= a_need:
                 eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
         res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
-                            prune_step=prune_step, blocks=basis)
+                            prune_step=prune_step, basis=basis)
         warm, x_s = res.y2, res.x_s
         a = max(a, y + norm_factor * min(0.0, res.min_eig - eig_slack))
         if res.converged:
@@ -703,5 +803,5 @@ def nb_bound(prob: DnnProblem, target: float | None,
     xbar = x_s[:sub.ell] / x_s[-1] if x_s is not None and x_s[-1] > 0 else None
     return NbResult(status=status, a=a, b=b, iterations=iterations,
                     lb_integer=lb_integer, trace=tuple(trace),
-                    blocks=None if basis is None else basis.families,
+                    blocks=None if blocks is None else blocks.families,
                     y2=warm / prob.lam, xbar=xbar)

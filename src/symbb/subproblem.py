@@ -177,9 +177,10 @@ def feasibility_status(sub: Subproblem, leaf_threshold: int, leaf_band: int):
     A uniform reduced matrix, with every diagonal entry a and every other
     entry b, gives every completion the value offset + r a + r (r - 1) b for
     r = ``residual_m``, so the first r free indices are an optimal witness;
-    the all-zero matrix is one.  Leaves with a unique completion (residual 0
-    or |F|) and small leaves (|F| <= leaf_threshold and the residual within
-    ``leaf_band`` of either end) are solved exactly.
+    the all-zero matrix is one.  Leaves with at most |F| completions
+    (residual 0, 1, |F| - 1 or |F|), which ``solve_exactly`` enumerates in
+    at most |F| supports, and small leaves (|F| <= leaf_threshold and the
+    residual within ``leaf_band`` of either end) are solved exactly.
     """
     R = sub.reduced_B
     r, ell = sub.residual_m, sub.ell
@@ -191,8 +192,8 @@ def feasibility_status(sub: Subproblem, leaf_threshold: int, leaf_band: int):
         y = np.zeros(ell, dtype=np.int64)
         y[:r] = 1
         return SolvedLeaf(value=sub.offset + r * a + r * (r - 1) * b, witness=sub.lift(y))
-    if r in (0, ell) or (ell <= leaf_threshold and
-                         (r <= leaf_band or r >= ell - leaf_band)):
+    if r <= 1 or r >= ell - 1 or (ell <= leaf_threshold and
+                                  (r <= leaf_band or r >= ell - leaf_band)):
         return solve_exactly(sub)
     return None
 

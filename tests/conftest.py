@@ -251,6 +251,29 @@ def topdown_automorphisms(B):
     return PermutationGroup(domain_size=d, transversals=transversals), pivots
 
 
+def face_matrix(ell):
+    """The dense orthonormal basis of the face of the lift of order 2 ell +
+    1: columns (e_j - e_{ell+j}) / sqrt(2), one for each j, then (1/2 * 1,
+    1/2 * 1, 1) / kappa with kappa^2 = ell / 2 + 1.  Every feasible lift
+    (u, 1 - u, 1) lies in its range."""
+    d = 2 * ell + 1
+    V = np.zeros((d, ell + 1))
+    for j in range(ell):
+        V[j, j], V[ell + j, j] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    V[:, ell] = np.r_[np.full(2 * ell, 0.5), 1.0] / np.sqrt(ell / 2 + 1)
+    return V
+
+
+def face_negative_part(X):
+    """lambda_min(N), 0.5 * ||negpart(N)||^2 and V~ negpart(N) V~^T for N =
+    V~^T X V~, with V~ = ``face_matrix``, from dense products and a full
+    ``eigh``."""
+    V = face_matrix(X.shape[0] // 2)
+    w, U = np.linalg.eigh(V.T @ X @ V)
+    wneg = np.minimum(w, 0.0)
+    return w[0], 0.5 * float(wneg @ wneg), V @ ((U * wneg) @ U.T) @ V.T
+
+
 def alternating_projection_distance(M, tol=1e-11, max_iter=200_000):
     """Distance of M to K* = PSD + Nonneg via alternating projections, and
     whether the run converged.

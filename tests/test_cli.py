@@ -20,8 +20,8 @@ from symbb.estimator import EstParams
 from symbb.instance import BqopInstance, QapInstance, bqop_to_json
 from symbb.subproblem import FixSets, reduce
 from symbb.symmetry import automorphisms, group_to_json_obj
-from tests.conftest import (brute_optimum, format_qaplib, random_bqop, torus_matrix,
-                            torus_symmetries)
+from tests.conftest import (brute_optimum, format_qaplib, random_bqop,
+                            soundness_instance, torus_matrix, torus_symmetries)
 
 # What each checked run setting must be, as its one-line error states.
 RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
@@ -297,8 +297,8 @@ class TestBoundRoot:
                    for s in (np.array((0,) + c)
                              for c in itertools.combinations(range(1, 7), 2)))
         assert data["integer_lower_bound"] <= opt1
-        # Lifted order 13 is below the block crossover: the full path.
-        assert result.output.splitlines()[-1] == "blocks: none (full order 13)"
+        # Face order 7 is below the block crossover: the one-family basis.
+        assert result.output.splitlines()[-1] == "blocks: none (face order 7)"
         assert data["group_order"] is data["blocks"] is None
 
     def test_reports_node_group_blocks_on_a_torus(self, runner, tmp_path):
@@ -313,12 +313,12 @@ class TestBoundRoot:
                                       "--json", str(out)])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[-2:] == ["node group order: 8",
-                                                   "blocks: 19, 16x2, 12, 6, 2"]
+                                                   "blocks: 10, 8x2, 6, 3, 1"]
         data = json.loads(out.read_text())
         assert data["group_order"] == 8
-        assert data["blocks"] == [{"size": 19, "copies": 1}, {"size": 16, "copies": 2},
-                                  {"size": 12, "copies": 1}, {"size": 6, "copies": 1},
-                                  {"size": 2, "copies": 1}]
+        assert data["blocks"] == [{"size": 10, "copies": 1}, {"size": 8, "copies": 2},
+                                  {"size": 6, "copies": 1}, {"size": 3, "copies": 1},
+                                  {"size": 1, "copies": 1}]
 
     def test_trace_csv(self, runner, bqop_file, tmp_path):
         path, _ = bqop_file
@@ -415,6 +415,18 @@ class TestBoundRoot:
         data = json.loads(out.read_text())
         assert data["status"] == "Exact" and data["lambda"] is None
         assert data["lower_bound"] == data["integer_lower_bound"] == value
+
+    def test_residual_one_is_exact(self, runner, tmp_path):
+        # Soundness instance 0 has m = 2: with variable 1 fixed to one, each
+        # of the ell completions adds one more variable, and the best is -2.
+        inst = soundness_instance(0)
+        path = tmp_path / "soundness0.json"
+        path.write_text(bqop_to_json(inst))
+        result = runner.invoke(main, ["bound-root", "--instance", str(path)])
+        assert result.exit_code == 0, result.output
+        assert inst.m == 2
+        assert result.output.splitlines() == [
+            "status: Exact", "validated lower bound: -2.0", "integer lower bound: -2"]
 
     def test_target_above_a_completion_skips_the_bound(self, runner, bqop_file,
                                                        tmp_path):
@@ -581,9 +593,9 @@ class TestSolve:
         assert f"witness value: {opt}" in result.output
 
     def test_budget_exit_3(self, runner, tmp_path):
-        rng = np.random.default_rng(32)
-        inst = random_bqop(rng, 10, 5)
-        path = tmp_path / "ten.json"
+        rng = np.random.default_rng(15)
+        inst = random_bqop(rng, 16, 8)
+        path = tmp_path / "sixteen.json"
         path.write_text(bqop_to_json(inst))
         result = runner.invoke(main, [
             "solve", "--instance", str(path),
@@ -616,9 +628,9 @@ class TestSolve:
         assert params == dataclasses.asdict(BbParams())
 
     def test_config_override(self, runner, tmp_path):
-        rng = np.random.default_rng(33)
-        inst = random_bqop(rng, 10, 5)
-        path = tmp_path / "ten.json"
+        rng = np.random.default_rng(6)
+        inst = random_bqop(rng, 16, 8)
+        path = tmp_path / "sixteen.json"
         path.write_text(bqop_to_json(inst))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"node_budget": 2}))
@@ -1037,11 +1049,11 @@ class TestWrite:
 
     @staticmethod
     def inconclusive_solve(runner, tmp_path, out):
-        """Solve a 10-variable instance with a node budget of 2, which ends
+        """Solve a 16-variable instance with a node budget of 2, which ends
         after level 1 with survivors left, writing the certificate to
         ``out``."""
-        inst = random_bqop(np.random.default_rng(15), 10, 5)
-        path = tmp_path / "ten.json"
+        inst = random_bqop(np.random.default_rng(15), 16, 8)
+        path = tmp_path / "sixteen.json"
         path.write_text(bqop_to_json(inst))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"leaf_threshold": 4, "leaf_band": 2, "node_budget": 2}))

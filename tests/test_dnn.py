@@ -17,9 +17,9 @@ from symbb.instance import BqopInstance
 from symbb.subproblem import FixSets, reduce, subgroup, swap_search
 from symbb.symmetry import PermutationGroup, automorphisms, pair_orbits
 from tests.conftest import (alternating_projection_distance, brute_optimum,
-                            brute_sub_optimum, lifted_form, penalty_value,
-                            planted_bqop, random_bqop, soundness_instance,
-                            torus_matrix, torus_symmetries)
+                            brute_sub_optimum, face_matrix, face_negative_part,
+                            lifted_form, penalty_value, planted_bqop, random_bqop,
+                            soundness_instance, torus_matrix, torus_symmetries)
 
 FAST_NB = NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=5000))
 SUITE_NB = NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000))
@@ -89,15 +89,13 @@ def reynolds(elements, ell, rng):
 
 
 def assert_block_step_exact(blocks, X):
-    """The block negative part, f and lambda_min of X match the full ones to
-    1e-10 relative."""
+    """The block negative part, f and lambda_min of X match those of the
+    face part of X, from a dense V~ and a full eigh, to 1e-10 relative."""
     lam_min, f, neg = blocks.negative_part(X)
-    w, V = np.linalg.eigh(X)
-    wneg = np.minimum(w, 0.0)
-    full = (V * wneg) @ V.T
-    assert wneg.min() < 0
-    assert abs(lam_min - w[0]) <= 1e-10 * abs(w[0])
-    assert f == pytest.approx(0.5 * float(wneg @ wneg), rel=1e-10)
+    w0, f_full, full = face_negative_part(X)
+    assert w0 < 0
+    assert abs(lam_min - w0) <= 1e-10 * abs(w0)
+    assert f == pytest.approx(f_full, rel=1e-10)
     assert np.linalg.norm(neg - full) <= 1e-10 * np.linalg.norm(full)
 
 
@@ -310,13 +308,12 @@ class TestConeDistance:
             assert res.gprime == pytest.approx(fd, rel=1e-3)
             checked += 1
 
-    @pytest.mark.xfail(strict=True, reason="convergence is tested at the momentum "
-                       "point, which may be infeasible (ROADMAP open item)")
     def test_root_lift_not_above_alternating_projections(self):
         # A capped alternating-projection run is only an upper bound on the
         # distance (588.5 after 20000 iterations, 131.5 after 200000, both
-        # unconverged).  A converged APG solve may not report more; it
-        # reports 4562.5 after 8 iterations.
+        # unconverged).  A converged APG solve may not report more; when
+        # convergence was tested at an infeasible momentum point, it
+        # reported 4562.5 after 8 iterations.
         sub = reduce(soundness_instance(0), FixSets((), (0,)))
         prob = assemble(sub, 1e8)
         M = prob.q.copy()
@@ -334,6 +331,137 @@ class TestConeDistance:
         assert warm.g == pytest.approx(cold.g, abs=1e-7)
 
 
+class TestFace:
+    """The face of the lift: V~ has orthonormal columns that span every
+    feasible lift (u, 1 - u, 1), and both transforms are index arithmetic."""
+
+    @pytest.mark.parametrize("ell", [1, 2, 7, 35])
+    def test_transforms_match_a_dense_basis(self, ell):
+        V = face_matrix(ell)
+        assert np.allclose(V.T @ V, np.eye(ell + 1), rtol=0.0, atol=1e-15)
+        rng = np.random.default_rng(ell)
+        X = rng.normal(size=(2 * ell + 1, 2 * ell + 1))
+        R = rng.normal(size=(ell + 1, ell + 1))
+        X, R = X + X.T, R + R.T
+        assert np.abs(dnn.to_face(X) - V.T @ X @ V).max() <= 1e-12
+        assert np.abs(dnn.from_face(R) - V @ R @ V.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("ell", [1, 2, 7, 35])
+    def test_corner_maps_to_the_corner(self, ell):
+        # V~^T H V~ = e e^T / kappa^2, e the last face coordinate.
+        d = 2 * ell + 1
+        H = np.zeros((d, d))
+        H[-1, -1] = 1.0
+        expected = np.zeros((ell + 1, ell + 1))
+        expected[-1, -1] = 1.0 / (ell / 2 + 1)
+        assert np.abs(dnn.to_face(H) - expected).max() <= 1e-15
+        V = face_matrix(ell)
+        assert np.abs(V.T @ H @ V - expected).max() <= 1e-15
+
+    def test_feasible_lifts_lie_on_the_face(self):
+        V = face_matrix(9)
+        for u in itertools.product((0.0, 1.0), repeat=9):
+            z = np.r_[u, 1.0 - np.array(u), 1.0]
+            assert np.allclose(V @ (V.T @ z), z, rtol=0.0, atol=1e-14)
+
+    def test_dense_and_index_arithmetic_bases_agree(self):
+        # The one-family basis is V~ as a dense array below FACE_DENSE_BELOW
+        # and index arithmetic from there up; both give the dense oracle's
+        # decomposition.
+        ell = dnn.FACE_DENSE_BELOW - 2
+        dense, arithmetic = dnn.face_basis(ell), dnn.face_basis(ell + 1)
+        assert np.array_equal(dense.first, face_matrix(ell))
+        assert arithmetic.first is None
+        rng = np.random.default_rng(5)
+        for basis, order in ((dense, ell), (arithmetic, ell + 1)):
+            X = rng.normal(size=(2 * order + 1, 2 * order + 1))
+            X = X + X.T
+            lam_min, f, neg = basis.negative_part(X)
+            w0, f_dense, full = face_negative_part(X)
+            assert lam_min == pytest.approx(w0, rel=1e-12)
+            assert f == pytest.approx(f_dense, rel=1e-12)
+            assert np.abs(neg - full).max() <= 1e-12 * np.abs(full).max()
+
+
+class TestConvergedStop:
+    """A ``converged`` stop returns Y2 = Z, the momentum point whose f its
+    rule tested, and only where Z >= 0: its g is the distance at that f.
+    Elsewhere APG restarts its momentum at the projected point."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Every cone_distance call as (M, result, (X, f)), with X and f the
+        input and f of the decomposition of its last APG iteration."""
+        calls, parts = [], []
+        real_part, real = dnn.BlockBasis.negative_part, dnn.cone_distance
+
+        def part(self, X):
+            out = real_part(self, X)
+            parts.append((X, out[1]))
+            return out
+
+        def recording(M, *args, **kwargs):
+            parts.clear()
+            res = real(M, *args, **kwargs)
+            # The last decomposition is the final one of M - Y2.
+            assert len(parts) == res.iterations + 1
+            calls.append((M, res, parts[-2]))
+            return res
+
+        monkeypatch.setattr(dnn.BlockBasis, "negative_part", part)
+        monkeypatch.setattr(dnn, "cone_distance", recording)
+        return calls
+
+    @staticmethod
+    def converged_stops(calls):
+        stops = 0
+        for M, res, (X, f) in calls:
+            if not res.converged:
+                continue
+            stops += 1
+            assert np.all(res.y2 >= 0.0)
+            assert np.array_equal(X, M - res.y2)
+            assert abs(res.g - math.sqrt(2.0 * f)) <= \
+                1e-9 * max(1.0, res.g) + 1e-14 * np.linalg.norm(M)
+        return stops
+
+    def test_random_matrices(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        rng = np.random.default_rng(25)
+        for _ in range(30):
+            d = int(rng.integers(3, 10))
+            M = rng.normal(0, 3, (d, d))
+            dnn.cone_distance(M + M.T)
+        assert self.converged_stops(calls) == len(calls)
+
+    def test_suite_bounds(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        for prob, target in suite_problems():
+            nb_bound(prob, target, SUITE_NB)
+            nb_bound(prob, None, SUITE_NB)
+        assert self.converged_stops(calls) > 0
+
+    def test_torus_root_on_blocks(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        sub, _ = torus_root()
+        res = nb_bound(assemble(sub, 1e8), None, NbParams(max_iter=3))
+        assert res.blocks is not None
+        assert self.converged_stops(calls) > 0
+
+    def test_infeasible_momentum_point_restarts(self, monkeypatch):
+        # The root lift of soundness instance 0 settles at an infeasible Z
+        # after 8 iterations, where f is far below its value at any Y2 >= 0
+        # (g = 4562.5 there).  That is a restart now; the solve converges
+        # at a feasible Z, near the 7.9 a capped run reaches.
+        calls = self.recorded(monkeypatch)
+        sub = reduce(soundness_instance(0), FixSets((), (0,)))
+        M = assemble(sub, 1e8).q.copy()
+        M[-1, -1] -= initial_upper(sub)
+        res = dnn.cone_distance(M)
+        assert res.converged and res.iterations > 8 and res.g < 8.0
+        assert self.converged_stops(calls) == 1
+
+
 class TestBlockBasis:
     """The basis of the node group's commutant: the block step matches the
     full eigendecomposition on invariant matrices."""
@@ -346,8 +474,9 @@ class TestBlockBasis:
         monkeypatch.setattr(np.linalg, "eigh", None)
         blocks = dnn.block_basis(group)
         monkeypatch.undo()
-        # D4 has four one-dimensional and one two-dimensional real irreducible.
-        assert blocks.families == ((19, 1), (16, 2), (12, 1), (6, 1), (2, 1))
+        # D4 has four one-dimensional and one two-dimensional real
+        # irreducible; the families split the face order 36.
+        assert blocks.families == ((10, 1), (8, 2), (6, 1), (3, 1), (1, 1))
         rng = np.random.default_rng(0)
         for _ in range(3):
             assert_block_step_exact(blocks, reynolds(stabiliser, sub.ell, rng))
@@ -375,7 +504,7 @@ class TestBlockBasis:
         group = automorphisms(inst.B)
         assert group.order == 6
         blocks = dnn.block_basis(group)
-        assert blocks.families == ((8, 1), (8, 1), (5, 1), (4, 1))
+        assert blocks.families == ((4, 1), (4, 1), (3, 1), (2, 1))
         rotation = np.arange(12).reshape(2, 6)
         elements = [np.roll(rotation, t, axis=1).ravel() for t in range(6)]
         rng = np.random.default_rng(1)
@@ -390,7 +519,7 @@ class TestBlockBasis:
         assert group.order == math.factorial(ell)
         blocks = dnn.block_basis(group)
         assert "elements" not in vars(group)
-        assert blocks.families == ((3, 1), (2, ell - 1))
+        assert blocks.families == ((2, 1), (1, ell - 1))
         # The invariant matrices: a I + b (J - I) on each of the four
         # (u, v) blocks, constant rows to and from s, any corner.
         rng = np.random.default_rng(2)
@@ -417,20 +546,20 @@ class TestBlockBasis:
         # Below the crossover the node group is never computed.
         monkeypatch.setattr(subproblem, "subgroup", None)
         small = open_sub(seed=0, n=8, m=4)
-        assert 2 * small.ell + 1 < dnn.BLOCK_MIN_ORDER
+        assert small.ell + 1 < dnn.BLOCK_MIN_ORDER
         res = nb_bound(assemble(small, 1e8), None, short)
         assert res.iterations == 1 and res.blocks is None
 
     def test_involution_gives_no_basis_before_building_one(self, monkeypatch):
-        # B is invariant under i -> n - 1 - i: 11 point orbits, so the trivial
-        # family alone has 23 > 45 / 2 rows of the lifted order 45.
+        # B is invariant under i -> n - 1 - i: 12 point orbits, so the trivial
+        # family alone has 13 > 25 / 2 rows of the face order 25.
         rng = np.random.default_rng(4)
-        n = 22
+        n = 24
         R = rng.integers(0, 50, (n, n))
         B = R + R.T + (R + R.T)[::-1, ::-1]
         np.fill_diagonal(B, 0)
         sub = reduce(BqopInstance(n=n, B=B.astype(np.int64), m=7), FixSets((), ()))
-        assert sub.group.order == 2 and 2 * sub.ell + 1 >= dnn.BLOCK_MIN_ORDER
+        assert sub.group.order == 2 and sub.ell + 1 >= dnn.BLOCK_MIN_ORDER
         monkeypatch.setattr(dnn, "_families", None)
         assert dnn.block_basis(sub.group) is None
         short = NbParams(max_iter=1, apg=ApgParams(max_iter=5))
@@ -439,9 +568,9 @@ class TestBlockBasis:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_large_family_gives_no_basis_after_building_one(self, monkeypatch, k):
-        # A 3-cycle turning k triples together: with 2k + 1 orbits on
-        # (u, v, s) the basis is built, but its complex-type irreducibles
-        # stay one family of 4k rows, above half the lifted order 6k + 1.
+        # A 3-cycle turning k triples together: with k + 1 orbits on the
+        # face points the basis is built, but its complex-type irreducibles
+        # stay one family of 2k rows, above half the face order 3k + 1.
         ell = 3 * k
         triples = np.arange(ell).reshape(k, 3)
         group = PermutationGroup(ell, [[np.roll(triples, t, axis=1).ravel()
@@ -455,7 +584,7 @@ class TestBlockBasis:
 
         monkeypatch.setattr(dnn, "_families", recording)
         assert dnn.block_basis(group) is None
-        assert [(c.shape[2], c.shape[1]) for c in built[0]] == [(4 * k, 1), (2 * k + 1, 1)]
+        assert [(c.shape[2], c.shape[1]) for c in built[0]] == [(2 * k, 1), (k + 1, 1)]
 
     def test_untargeted_bound_never_searches_completions(self, monkeypatch):
         monkeypatch.setattr(dnn, "swap_search", None)
@@ -476,7 +605,8 @@ class TestBlockPathAudit:
     @pytest.mark.parametrize("name, inst, leaf", [
         ("soundness-3", soundness_instance(3), 8),
         ("soundness-7", soundness_instance(7), 8),
-        ("planted-2x8", planted_bqop(np.random.default_rng(7), 2, 8, 7), 4)])
+        ("planted-2x8", planted_bqop(np.random.default_rng(7), 2, 8, 7), 4),
+        ("planted-2x8-m5", planted_bqop(np.random.default_rng(7), 2, 8, 5), 4)])
     def test_audited_solves(self, monkeypatch, name, inst, leaf):
         params = BbParams(leaf_threshold=leaf, leaf_band=min(3, leaf // 2),
                           nb=SUITE_NB)
@@ -486,7 +616,7 @@ class TestBlockPathAudit:
         real = dnn.cone_distance
 
         def recording(M, *args, **kwargs):
-            solves.append(kwargs.get("blocks"))
+            solves.append(kwargs["basis"])
             return real(M, *args, **kwargs)
 
         monkeypatch.setattr(dnn, "BLOCK_MIN_ORDER", 0)
@@ -495,12 +625,42 @@ class TestBlockPathAudit:
         certs = [solve_target(inst, t, audited).to_json_obj() for t in (opt, opt + 1)]
         assert [c["outcome"] for c in certs] == ["Proved", "Refuted"]
         assert certs[1]["witness_value"] == opt
-        # The planted instance's proof bounds nodes on blocks; the group
-        # of every other node is trivial or its largest block above d / 2.
-        assert any(b is not None for b in solves) == (name == "planted-2x8")
+        # The planted instance's proof at m = 5 bounds nodes on blocks.  At
+        # m = 7 every node whose group is the rotation of one ring of eight
+        # is left with residual ell - 1, a leaf solved exactly.  The group
+        # of every other node is trivial or its largest block above half the
+        # face order, and those run on the one-family basis V~.
+        assert any(b.take is not None for b in solves) == (name == "planted-2x8-m5")
         for cert, ref in zip(certs, full):
             cert.pop("timing"), ref.pop("timing")
             assert cert == ref
+
+
+class TestTorusBlockPath:
+    """The tori's proofs give the same certificates with every nontrivial
+    node group on blocks as with none."""
+
+    @pytest.mark.parametrize("k, m, target", [(5, 9, 156), (5, 9, 160),
+                                              (6, 11, 496), (6, 11, 500)])
+    def test_same_certificate_with_and_without_blocks(self, monkeypatch, k, m, target):
+        inst = BqopInstance(n=k * k, B=torus_matrix(k).astype(np.int64), m=m)
+        real = dnn.cone_distance
+        certs = []
+        for order in (0, 10 ** 9):
+            solves = []
+
+            def recording(M, *args, **kwargs):
+                solves.append(kwargs["basis"].take is not None)
+                return real(M, *args, **kwargs)
+
+            monkeypatch.setattr(dnn, "BLOCK_MIN_ORDER", order)
+            monkeypatch.setattr(dnn, "cone_distance", recording)
+            cert = solve_target(inst, target, BbParams(nb=FAST_NB)).to_json_obj()
+            cert.pop("timing")
+            certs.append(cert)
+            assert any(solves) == (order == 0)
+        assert certs[0]["outcome"] == "Proved"
+        assert certs[0] == certs[1]
 
 
 class TestWarmStart:
@@ -662,6 +822,17 @@ class TestNbBound:
         for lo, hi in zip(finals, finals[1:]):
             assert hi >= lo - 1e-6 * max(1.0, abs(hi))
 
+    def test_untargeted_torus_root_keeps_its_bound(self):
+        # The node x_1 = 1 of the k = 5 torus.  When convergence was tested
+        # at an infeasible momentum point, the first solve stopped at g = 366
+        # and its Newton step landed at y = -4977, inside the cone, where the
+        # bracket closed.
+        inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
+        sub = reduce(inst, FixSets((), (0,)))
+        res = nb_bound(assemble(sub, 1e8), None, NbParams())
+        assert res.status == "Converged" and res.a >= 150
+        assert res.a + sub.offset <= 160
+
     def test_g_nonnegative_and_zero_below_a(self):
         sub = open_sub(seed=4)
         prob = assemble(sub, 1e8)
@@ -752,7 +923,7 @@ class TestTargetExit:
                 if r.stop != "target":
                     continue
                 assert np.all(r.y2 >= 0)
-                exact = np.linalg.eigvalsh(M - r.y2)[0]
+                exact = face_negative_part(M - r.y2)[0]
                 assert exact >= eig_target - eig_slack(M)
         assert exits > 0
 
@@ -843,7 +1014,7 @@ class TestLandingExit:
         params = BbParams(leaf_threshold=8, leaf_band=3, audit=True, workers=2,
                           nb=SUITE_NB)
         cert = solve_target(inst, -10, params)
-        assert (cert.outcome, cert.node_count) == ("Proved", 9)
+        assert (cert.outcome, cert.node_count) == ("Proved", 3)
         assert stops and "cap" not in stops
 
 
@@ -943,7 +1114,7 @@ class TestPrimal:
         last = solves[-1][1]
         M = prob.q.copy()
         M[-1, -1] -= res.trace[-1]["y"]
-        X = -dnn._negative_part(M - last.y2)[2]
+        X = -face_negative_part(M - last.y2)[2]
         assert np.allclose(last.x_s, X[:, -1], rtol=0.0, atol=1e-9 * np.abs(X).max())
         assert np.allclose(res.xbar, X[:sub.ell, -1] / X[-1, -1])
 

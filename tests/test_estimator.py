@@ -177,7 +177,7 @@ def test_multi_seed_summary():
 def test_root_group_computed_once(monkeypatch):
     from symbb import subproblem
     rng = np.random.default_rng(6)
-    inst = random_bqop(rng, 8, 4)
+    inst = random_bqop(rng, 16, 8)
     full = []
 
     def counting(B, inner=subproblem.automorphisms):

@@ -164,6 +164,27 @@ class TestFeasibilityStatus:
         assert np.array_equal(status.witness, solve_exactly(sub).witness)
         assert objective(inst, status.witness) == status.value
 
+    @pytest.mark.parametrize("m, fix", [(2, FixSets((), (0,))), (11, FixSets((), (0,))),
+                                        (3, FixSets((4,), (0, 7))), (10, FixSets((2,), ()))])
+    def test_at_most_ell_completions_solved_exactly(self, m, fix):
+        # Residual 1 or ell - 1 leaves ell completions: a leaf at any size,
+        # with solve_exactly's value and witness.
+        inst = random_bqop(np.random.default_rng(m), 12, m)
+        sub = reduce(inst, fix)
+        assert sub.residual_m in (1, sub.ell - 1)
+        status = feasibility_status(sub, leaf_threshold=0, leaf_band=0)
+        exact = solve_exactly(sub)
+        assert isinstance(status, SolvedLeaf)
+        assert status.value == exact.value == brute_sub_optimum(sub)
+        assert np.array_equal(status.witness, exact.witness)
+
+    def test_more_completions_stay_open(self):
+        inst = random_bqop(np.random.default_rng(2), 12, 4)
+        for fix in (FixSets((), (0,)), FixSets((), (0, 1)), FixSets((3,), ())):
+            sub = reduce(inst, fix)
+            assert 2 <= sub.residual_m <= sub.ell - 2
+            assert feasibility_status(sub, leaf_threshold=0, leaf_band=0) is None
+
     def test_one_entry_off_uniform_stays_open(self):
         B = np.full((9, 9), 5, dtype=np.int64)
         np.fill_diagonal(B, 0)
