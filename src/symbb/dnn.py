@@ -14,8 +14,7 @@ Every feasible lift z = (u, 1 - u, 1) lies in the range of V: (u, s) ->
 (u, s 1 - u, s), where the ell linear penalty terms vanish.  V~ is an
 orthonormal basis of that face, of order ell + 1: the columns (e_{u_j} -
 e_{v_j}) / sqrt(2), one for each j, and (1/2 * 1, 1/2 * 1, 1) / kappa with
-kappa^2 = ell / 2 + 1.  ``to_face`` and ``from_face`` apply it by index
-arithmetic.  The dual of the conic relaxation asks for the largest y with
+kappa^2 = ell / 2 + 1 (``face_basis``).  The dual of the conic relaxation asks for the largest y with
 Q - H y in the face cone {Y1 + Y2: Y2 >= 0 of order d, V~^T Y1 V~ PSD}, H
 the corner selector; on the face V~^T H V~ = e e^T / kappa^2, with e the
 last face coordinate.  That largest zero y* of the distance function
@@ -80,13 +79,6 @@ STEP_MARGIN = 0.5
 # orbitals; BLOCK_TOL is the relative tolerance of equal eigenvalues, of
 # zero couplings and of the check of a split.
 BLOCK_MIN_ORDER = 24
-# The one-family face basis applies V~ as a dense (2 ell + 1, ell + 1) array
-# below this face order, where two BLAS products cost less than the dozen
-# numpy calls of the index arithmetic, and by index arithmetic from it up.
-# One APG iteration, dense / index arithmetic: 17 / 43 us at face order 5,
-# 40 / 71 at 14, 258 / 291 at 48, about equal at 52-64, 3.1 / 2.3 ms at 128
-# and 12.6 / 8.9 ms at 256 (the full order 511 took 35.3 ms).
-FACE_DENSE_BELOW = 64
 BLOCK_ELEMENTS = 8
 BLOCK_SEED = 0
 BLOCK_TOL = 1e-9
@@ -148,15 +140,6 @@ def _kappa(ell: int) -> float:
     return math.sqrt(0.5 * ell + 1.0)
 
 
-def _face_rows(X: np.ndarray) -> np.ndarray:
-    """V~^T X for X with 2 ell + 1 rows, by index arithmetic: row j < ell is
-    (X[u_j] - X[v_j]) / sqrt(2), and row ell is (1/2 * the sum of the u and
-    v rows + X[s]) / kappa."""
-    ell = X.shape[0] // 2
-    return np.vstack([(X[:ell] - X[ell:-1]) / math.sqrt(2.0),
-                      (0.5 * X[:-1].sum(axis=0) + X[-1]) / _kappa(ell)])
-
-
 def _lift_rows(R: np.ndarray) -> np.ndarray:
     """V~ R for R with ell + 1 rows, by index arithmetic: rows u_j and v_j
     are +-R[j] / sqrt(2) + R[ell] / (2 kappa), and row s is R[ell] / kappa."""
@@ -165,31 +148,16 @@ def _lift_rows(R: np.ndarray) -> np.ndarray:
     return np.vstack([top + mid, mid - top, 2.0 * mid])
 
 
-def to_face(X: np.ndarray) -> np.ndarray:
-    """V~^T X V~ of a symmetric X of order 2 ell + 1: the face part of X,
-    of order ell + 1, in O(ell^2) without a dense product (``dnn`` module
-    docstring)."""
-    return _face_rows(_face_rows(X).T)
-
-
-def from_face(R: np.ndarray) -> np.ndarray:
-    """V~ R V~^T of a symmetric R of order ell + 1, of order 2 ell + 1."""
-    return _lift_rows(_lift_rows(R).T)
-
-
 @dataclass(frozen=True)
 class BlockBasis:
-    """An orthonormal basis of the space APG decomposes in, in which every
-    matrix invariant under a group of permutations is block diagonal.  The
-    space is the face of the lift (``face``: the range of V~, of dimension
-    ell + 1, inside R^d with d = 2 ell + 1), or all of R^d.  Family f is
-    one block of ``families[f] = (size, copies)``: the same size x size
-    matrix appears in each of its copies.
+    """An orthonormal basis of the face of the lift (the range of V~, of
+    dimension ell + 1, inside R^d with d = 2 ell + 1), in which every
+    matrix invariant under a group of permutations is block diagonal.
+    Family f is one block of ``families[f] = (size, copies)``: the same
+    size x size matrix appears in each of its copies.
 
-    The one-family basis (``face_basis``; ``take`` None) is V~ itself, or
-    the identity on R^d: one block, decomposed whole.  ``first`` then holds
-    V~ as a dense (d, ell + 1) array, or is None where ``to_face`` and
-    ``from_face`` apply it by index arithmetic, and on R^d.
+    The one-family basis (``face_basis``; ``take`` None) is V~ itself, a
+    dense (d, ell + 1) array in ``first``: one block, decomposed whole.
 
     A group's basis (``block_basis``) is that of the group's commutant on
     the ell + 1 face points composed with V~: ``first`` holds the first
@@ -205,8 +173,7 @@ class BlockBasis:
     orbital labels of the group lifted to (u, v, s)."""
 
     families: tuple[tuple[int, int], ...]
-    face: bool = True
-    first: np.ndarray | None = None
+    first: np.ndarray
     take: np.ndarray | None = None
     pad: np.ndarray | None = None
     lifts: tuple[np.ndarray, ...] = ()
@@ -225,7 +192,7 @@ class BlockBasis:
 
     def negative_part(self, X: np.ndarray) -> tuple[float, float, np.ndarray]:
         """lambda_min(N), f = 0.5 * ||negpart(N)||^2 and V~ negpart(N) V~^T
-        of N = V~^T X V~ (N = X on R^d), for an invariant symmetric X of
+        of N = V~^T X V~, for an invariant symmetric X of
         order d, from one ``eigh``: of N itself on a one-family basis, or
         batched over the stack.  The unused diagonal lies above ||F^T X F||,
         so no padded eigenvalue is negative or the smallest.  The negative
@@ -233,15 +200,12 @@ class BlockBasis:
         eigenvector scaled by sqrt(-lambda).  An eigenvector of a slot may
         mix families only within an eigenspace, where the sum over it leaves
         no cross terms."""
+        F = self.first
         if self.take is None:
-            F = self.first
-            N = (to_face(X) if self.face else X) if F is None else F.T @ X @ F
-            w, V = np.linalg.eigh(N)
+            w, V = np.linalg.eigh(F.T @ X @ F)
             wneg = np.minimum(w, 0.0)
-            R = (V * wneg) @ V.T
-            R = (from_face(R) if self.face else R) if F is None else F @ R @ F.T
-            return float(w[0]), 0.5 * float(wneg @ wneg), R
-        T = self.first.T @ X @ self.first
+            return float(w[0]), 0.5 * float(wneg @ wneg), F @ ((V * wneg) @ V.T) @ F.T
+        T = F.T @ X @ F
         S = np.append(T.ravel(), 0.0)[self.take]
         S[self.pad] = float(np.linalg.norm(T)) + 1.0
         w, V = np.linalg.eigh(S)
@@ -260,10 +224,8 @@ class BlockBasis:
 
 
 def face_basis(ell: int) -> BlockBasis:
-    """The one-family basis of the face, V~ of order ell + 1: dense below
-    face order ``FACE_DENSE_BELOW``, by index arithmetic from there up."""
-    dense = _lift_rows(np.eye(ell + 1)) if ell + 1 < FACE_DENSE_BELOW else None
-    return BlockBasis(families=((ell + 1, 1),), first=dense)
+    """The one-family basis of the face: V~, of order ell + 1."""
+    return BlockBasis(families=((ell + 1, 1),), first=_lift_rows(np.eye(ell + 1)))
 
 
 @dataclass(frozen=True)
@@ -491,7 +453,7 @@ def _stacked(cols: list[np.ndarray], orbitals: np.ndarray) -> BlockBasis:
 def block_basis(group: PermutationGroup) -> BlockBasis | None:
     """The basis of the face in which every matrix of order d = 2 ell + 1
     invariant under the node group on ell points, lifted to (u, v, s), is
-    block diagonal after ``to_face``; None where the largest block exceeds
+    block diagonal after V~^T . V~; None where the largest block exceeds
     half the face order ell + 1 or where the check of ``_families`` fails.
     sigma acts on u and v alike and fixes s, and Q, H and so every APG
     iterate are invariant; on the face it permutes the first ell points and
@@ -529,15 +491,14 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
                   eig_target: float | None = None,
                   prune_step: float | None = None,
                   basis: BlockBasis | None = None) -> ConeDistanceResult:
-    """Distance of a symmetric matrix to K* = PSD + Nonneg, or, with a
-    ``basis`` on the face, to the face cone {Y1 + Y2: Y2 >= 0, V~^T Y1 V~
-    PSD}.
+    """Distance of a symmetric matrix M of order d = 2 ell + 1 to the face
+    cone {Y1 + Y2: Y2 >= 0, V~^T Y1 V~ PSD}, on ``basis`` (default: the
+    one-family ``face_basis(ell)``).
 
-    Minimizes f(Y2) = 0.5 * || negpart(N) ||^2, N = V~^T (M - Y2) V~ on the
-    face and M - Y2 without a basis, over entrywise-nonnegative Y2 of the
-    order of M by APG (projection gradient, Lipschitz constant 1 and so step
-    1, Nesterov momentum with adaptive restart): the gradient is -V~
-    negpart(N) V~^T.  The returned Y2 >= 0 is exact; g = ||negpart(N)||,
+    Minimizes f(Y2) = 0.5 * || negpart(N) ||^2, N = V~^T (M - Y2) V~, over
+    entrywise-nonnegative Y2 of order d by APG (projection gradient,
+    Lipschitz constant 1 and so step 1, Nesterov momentum with adaptive
+    restart): the gradient is -V~ negpart(N) V~^T.  The returned Y2 >= 0 is exact; g = ||negpart(N)||,
     its derivative gprime in y, where M = Q - y H and H selects the last
     diagonal entry, and min_eig = lambda_min(N), which feeds the validated
     bracket, come from one final ``eigh`` of N.  With P the lifted
@@ -572,8 +533,10 @@ def cone_distance(M: np.ndarray, params: ApgParams = ApgParams(),
     never rests on the group's basis.
     """
     M = np.asarray(M, dtype=float)
+    if M.shape[0] % 2 != 1:
+        raise ValueError(f"a lifted matrix has odd order 2 ell + 1, not {M.shape[0]}")
     if basis is None:
-        basis = BlockBasis(families=((M.shape[0], 1),), face=False)
+        basis = face_basis(M.shape[0] // 2)
     Y = np.zeros_like(M) if warm_start is None else warm_start.copy()
     Z = Y.copy()
     t = 1.0

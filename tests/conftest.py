@@ -275,22 +275,22 @@ def face_negative_part(X):
 
 
 def alternating_projection_distance(M, tol=1e-11, max_iter=200_000):
-    """Distance of M to K* = PSD + Nonneg via alternating projections, and
-    whether the run converged.
+    """Distance of M, of order 2 ell + 1, to the face cone {Y1 + Y2: Y2 >=
+    0, V~^T Y1 V~ PSD} via alternating projections, with V~ =
+    ``face_matrix``, and whether the run converged.
 
-    Minimizes ||M - Y1 - Y2|| by block-coordinate projection: Y1 onto the PSD
-    cone given Y2, then Y2 onto the nonnegative cone given Y1.  Independent of
-    the package's APG formulation.  Every iterate is a feasible decomposition,
-    so a run that stops at ``max_iter`` (``converged`` False) still returns an
-    upper bound on the distance.
+    Minimizes ||M - Y1 - Y2|| by block-coordinate projection: Y1 onto {Y1:
+    V~^T Y1 V~ PSD} given Y2, which is X - V~ negpart(V~^T X V~) V~^T for X
+    = M - Y2, then Y2 onto the nonnegative cone given Y1.  Independent of
+    the package's APG formulation.  Every iterate is a feasible
+    decomposition, so a run that stops at ``max_iter`` (``converged``
+    False) still returns an upper bound on the distance.
     """
     M = np.asarray(M, dtype=float)
-    Y1 = np.zeros_like(M)
     Y2 = np.zeros_like(M)
     prev = np.inf
     for _ in range(max_iter):
-        w, V = np.linalg.eigh(M - Y2)
-        Y1 = (V * np.maximum(w, 0.0)) @ V.T
+        Y1 = M - Y2 - face_negative_part(M - Y2)[2]
         Y2 = np.maximum(M - Y1, 0.0)
         g = float(np.linalg.norm(M - Y1 - Y2))
         if abs(prev - g) <= tol * max(1.0, g):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from symbb.bb import BbParams, solve_target
-from symbb.dnn import ApgParams, NbParams, assemble, cone_distance, nb_bound
+from symbb.dnn import (ApgParams, NbParams, assemble, cone_distance, face_basis,
+                       nb_bound)
 from symbb.estimator import EstParams, estimate
 from symbb.instance import parse_qaplib, qap_to_bqop
 from symbb.subproblem import FixSets, reduce, subgroup
@@ -168,31 +169,33 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_cone_distance_oracle_equivalence(self):
+        # The distance to the face cone, on matrices of order 2 ell + 1.
         rng = np.random.default_rng(80)
         for _ in range(50):
-            d = int(rng.integers(2, 8))
-            M = rng.normal(0, 3, (d, d))
+            ell = int(rng.integers(1, 4))
+            M = rng.normal(0, 3, (2 * ell + 1, 2 * ell + 1))
             M = M + M.T
-            res = cone_distance(M)
+            res = cone_distance(M, basis=face_basis(ell))
             oracle, converged = alternating_projection_distance(M)
             assert converged and abs(res.g - oracle) <= 1e-6
-        _report(8, "cone distance matches the alternating-projection oracle "
-                   "on 50 matrices to 1e-6")
+        _report(8, "face cone distance matches the alternating-projection "
+                   "oracle on 50 matrices to 1e-6")
 
     def test_derivative_matches_finite_differences(self):
+        # g' = -P[s, s] / g on the face, where the corner is e e^T / kappa^2.
         rng = np.random.default_rng(81)
         checked = 0
         while checked < 20:
-            d = int(rng.integers(3, 8))
+            ell = int(rng.integers(1, 4))
+            d = 2 * ell + 1
             M0 = rng.normal(0, 2, (d, d))
             M0 = M0 + M0.T
-            c = d - 1
             y = float(np.trace(M0)) + d
 
             def g_at(yy):
                 M = M0.copy()
-                M[c, c] -= yy
-                return cone_distance(M)
+                M[-1, -1] -= yy
+                return cone_distance(M, basis=face_basis(ell))
 
             res = g_at(y)
             if res.g < 1e-6:

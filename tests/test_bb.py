@@ -1,6 +1,7 @@
 """Branch-and-bound: branching, isomorphism pruning, certificates."""
 
 import dataclasses
+import itertools
 import sys
 
 import numpy as np
@@ -622,11 +623,19 @@ class TestEngine:
 
 class TestCompletionCheck:
     """A node holding a known completion below the target is Branchable
-    without a bound; every outcome and witness value is the one the bounds
-    alone give.  The trees differ: the children of a node the check decided
-    ran no APG, so their first solves start from zeros, not from a Y2, and
+    without a bound; every outcome and witness is the one the bounds alone
+    give.  The trees differ: the children of a node the check decided ran
+    no APG, so their first solves start from zeros, not from a Y2, and
     their branching has no relaxation values to read.  So the node counts
-    differ, and a refutation may come from another optimal solution."""
+    differ, and where the optimum is not unique a refutation may come from
+    another optimal solution."""
+
+    @staticmethod
+    def optimal_supports(inst):
+        """How many m-subsets attain the optimum, by enumeration."""
+        values = [int(inst.B[np.ix_(s, s)].sum())
+                  for s in map(list, itertools.combinations(range(inst.n), inst.m))]
+        return values.count(min(values))
 
     SUITE = BbParams(leaf_threshold=8, leaf_band=3,
                      nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
@@ -662,8 +671,11 @@ class TestCompletionCheck:
         skipped.clear()
         unchecked = certificates(targets)
         assert verdicts(unchecked) == verdicts(checked)
-        for (inst, _), cert in zip(targets * 2, checked + unchecked):
-            assert cert.witness is None or objective(inst, cert.witness) == cert.witness_value
+        for (inst, _), a, b in zip(targets, checked, unchecked):
+            if a.witness is None or np.array_equal(a.witness, b.witness):
+                continue
+            assert objective(inst, a.witness) == objective(inst, b.witness) == a.witness_value
+            assert self.optimal_supports(inst) > 1
         assert sum(c.node_count for c in checked) == 340
         assert sum(c.node_count for c in unchecked) == 350
         assert not any(skipped)

@@ -11,7 +11,7 @@ from symbb import bb, dnn, subproblem
 from symbb.bb import BbParams, TreeParams, solve_target
 from symbb.dnn import (DPRIME_FLOOR, STEP_MARGIN, ApgParams, ConeDistanceResult,
                        NbParams, _safe_ceil, assemble, cone_distance,
-                       initial_upper, nb_bound)
+                       face_basis, initial_upper, nb_bound)
 from symbb.estimator import EstParams
 from symbb.instance import BqopInstance
 from symbb.subproblem import FixSets, reduce, subgroup, swap_search
@@ -248,55 +248,72 @@ def test_initial_upper_exceeds_optimum():
 
 
 class TestConeDistance:
+    """The distance to the face cone {Y1 + Y2: Y2 >= 0, V~^T Y1 V~ PSD} of
+    matrices of order 2 ell + 1, on the one-family ``face_basis(ell)``."""
+
     def test_psd_matrix_inside(self):
-        res = cone_distance(np.eye(4))
+        res = cone_distance(np.eye(5))
         assert res.g == pytest.approx(0.0, abs=1e-9)
 
+    def test_even_order_refused(self):
+        with pytest.raises(ValueError, match="odd order"):
+            cone_distance(np.eye(4))
+
     def test_negative_corner(self):
-        # -H has a -1 diagonal entry; every cone element has nonnegative
-        # diagonal, so the distance is exactly 1 (attained at Y = 0).
-        M = np.zeros((3, 3))
-        M[2, 2] = -1.0
-        res = cone_distance(M)
-        assert res.g == pytest.approx(1.0, abs=1e-9)
+        # On the face -H is -e e^T / kappa^2, so g(0) = 1 / kappa^2 and the
+        # gradient V~ e e^T V~^T / kappa^4 is entrywise nonnegative: Y2 = 0
+        # is optimal.  g(y) of -y H is y / kappa^2, so g' = 1 / kappa^2.
+        for ell in (1, 2, 7):
+            d = 2 * ell + 1
+            M = np.zeros((d, d))
+            M[-1, -1] = -1.0
+            res = cone_distance(M, basis=face_basis(ell))
+            kappa2 = ell / 2 + 1
+            assert not res.y2.any()
+            assert res.g == pytest.approx(1.0 / kappa2, rel=1e-12)
+            assert res.gprime == pytest.approx(1.0 / kappa2, rel=1e-12)
 
     def test_matches_alternating_projections(self):
         rng = np.random.default_rng(20)
         for _ in range(15):
-            d = int(rng.integers(3, 8))
-            M = rng.normal(0, 3, (d, d))
+            ell = int(rng.integers(1, 4))
+            M = rng.normal(0, 3, (2 * ell + 1, 2 * ell + 1))
             M = M + M.T
-            res = cone_distance(M)
+            res = cone_distance(M, basis=face_basis(ell))
             oracle, converged = alternating_projection_distance(M)
             assert converged
             assert res.g == pytest.approx(oracle, abs=1e-7)
 
     def test_decomposition_consistency(self):
+        # Y1 = X - V~ negpart(V~^T X V~) V~^T, X = M - Y2, is the nearest
+        # matrix with a PSD face part; the rest of M is Y2 and the residual.
         rng = np.random.default_rng(21)
-        M = rng.normal(0, 2, (6, 6))
+        M = rng.normal(0, 2, (7, 7))
         M = M + M.T
-        res = cone_distance(M)
+        res = cone_distance(M, basis=face_basis(3))
         assert np.all(res.y2 >= 0)
-        w, V = np.linalg.eigh(M - res.y2)
-        y1 = (V * np.maximum(w, 0.0)) @ V.T
+        w0, _, neg = face_negative_part(M - res.y2)
+        y1 = M - res.y2 - neg
+        V = face_matrix(3)
         assert np.linalg.norm(M - y1 - res.y2) == pytest.approx(res.g, abs=1e-8)
-        assert np.min(np.linalg.eigvalsh(y1)) >= -1e-9 * max(1, np.linalg.norm(M))
-        assert res.min_eig == pytest.approx(w[0])
+        assert np.min(np.linalg.eigvalsh(V.T @ y1 @ V)) >= -1e-9 * max(1, np.linalg.norm(M))
+        assert res.min_eig == pytest.approx(w0)
 
     def test_derivative_matches_finite_differences(self):
+        # g' = -P[s, s] / g on the face, where the corner is e e^T / kappa^2.
         rng = np.random.default_rng(22)
         checked = 0
         while checked < 8:
-            d = int(rng.integers(3, 8))
+            ell = int(rng.integers(1, 4))
+            d = 2 * ell + 1
             M0 = rng.normal(0, 2, (d, d))
             M0 = M0 + M0.T
-            c = d - 1
             y = float(np.trace(M0)) + d
 
             def g_at(yy):
                 M = M0.copy()
-                M[c, c] -= yy
-                return cone_distance(M)
+                M[-1, -1] -= yy
+                return cone_distance(M, basis=face_basis(ell))
 
             res = g_at(y)
             if res.g < 1e-6:
@@ -309,22 +326,22 @@ class TestConeDistance:
             checked += 1
 
     def test_root_lift_not_above_alternating_projections(self):
-        # A capped alternating-projection run is only an upper bound on the
-        # distance (588.5 after 20000 iterations, 131.5 after 200000, both
-        # unconverged).  A converged APG solve may not report more; when
-        # convergence was tested at an infeasible momentum point, it
-        # reported 4562.5 after 8 iterations.
-        sub = reduce(soundness_instance(0), FixSets((), (0,)))
+        # Every alternating-projection iterate is a decomposition, so its
+        # value bounds the distance from above (35.78858823 on the root lift
+        # of soundness instance 5).  A converged APG solve may not report
+        # more; had it returned the projected point where its rule settled
+        # at an infeasible momentum point, it would report 192.3.
+        sub = reduce(soundness_instance(5), FixSets((), (0,)))
         prob = assemble(sub, 1e8)
         M = prob.q.copy()
         M[-1, -1] -= initial_upper(prob.sub)
         res = cone_distance(M)
         upper, _ = alternating_projection_distance(M, max_iter=20_000)
-        assert not res.converged or res.g <= upper
+        assert res.converged and res.g <= upper * (1.0 + 1e-6)
 
     def test_warm_start_agrees(self):
         rng = np.random.default_rng(23)
-        M = rng.normal(0, 2, (6, 6))
+        M = rng.normal(0, 2, (7, 7))
         M = M + M.T
         cold = cone_distance(M)
         warm = cone_distance(M, warm_start=cold.y2 + 0.01)
@@ -333,18 +350,22 @@ class TestConeDistance:
 
 class TestFace:
     """The face of the lift: V~ has orthonormal columns that span every
-    feasible lift (u, 1 - u, 1), and both transforms are index arithmetic."""
+    feasible lift (u, 1 - u, 1), and the one-family basis applies it."""
 
     @pytest.mark.parametrize("ell", [1, 2, 7, 35])
     def test_transforms_match_a_dense_basis(self, ell):
         V = face_matrix(ell)
         assert np.allclose(V.T @ V, np.eye(ell + 1), rtol=0.0, atol=1e-15)
+        basis = face_basis(ell)
+        assert np.abs(basis.first - V).max() <= 1e-15
         rng = np.random.default_rng(ell)
         X = rng.normal(size=(2 * ell + 1, 2 * ell + 1))
-        R = rng.normal(size=(ell + 1, ell + 1))
-        X, R = X + X.T, R + R.T
-        assert np.abs(dnn.to_face(X) - V.T @ X @ V).max() <= 1e-12
-        assert np.abs(dnn.from_face(R) - V @ R @ V.T).max() <= 1e-12
+        X = X + X.T
+        lam_min, f, neg = basis.negative_part(X)
+        w0, f_dense, full = face_negative_part(X)
+        assert abs(lam_min - w0) <= 1e-12 * abs(w0)
+        assert f == pytest.approx(f_dense, rel=1e-12)
+        assert np.abs(neg - full).max() <= 1e-12 * np.abs(full).max()
 
     @pytest.mark.parametrize("ell", [1, 2, 7, 35])
     def test_corner_maps_to_the_corner(self, ell):
@@ -354,33 +375,14 @@ class TestFace:
         H[-1, -1] = 1.0
         expected = np.zeros((ell + 1, ell + 1))
         expected[-1, -1] = 1.0 / (ell / 2 + 1)
-        assert np.abs(dnn.to_face(H) - expected).max() <= 1e-15
-        V = face_matrix(ell)
-        assert np.abs(V.T @ H @ V - expected).max() <= 1e-15
+        for V in (face_basis(ell).first, face_matrix(ell)):
+            assert np.abs(V.T @ H @ V - expected).max() <= 1e-15
 
     def test_feasible_lifts_lie_on_the_face(self):
         V = face_matrix(9)
         for u in itertools.product((0.0, 1.0), repeat=9):
             z = np.r_[u, 1.0 - np.array(u), 1.0]
             assert np.allclose(V @ (V.T @ z), z, rtol=0.0, atol=1e-14)
-
-    def test_dense_and_index_arithmetic_bases_agree(self):
-        # The one-family basis is V~ as a dense array below FACE_DENSE_BELOW
-        # and index arithmetic from there up; both give the dense oracle's
-        # decomposition.
-        ell = dnn.FACE_DENSE_BELOW - 2
-        dense, arithmetic = dnn.face_basis(ell), dnn.face_basis(ell + 1)
-        assert np.array_equal(dense.first, face_matrix(ell))
-        assert arithmetic.first is None
-        rng = np.random.default_rng(5)
-        for basis, order in ((dense, ell), (arithmetic, ell + 1)):
-            X = rng.normal(size=(2 * order + 1, 2 * order + 1))
-            X = X + X.T
-            lam_min, f, neg = basis.negative_part(X)
-            w0, f_dense, full = face_negative_part(X)
-            assert lam_min == pytest.approx(w0, rel=1e-12)
-            assert f == pytest.approx(f_dense, rel=1e-12)
-            assert np.abs(neg - full).max() <= 1e-12 * np.abs(full).max()
 
 
 class TestConvergedStop:
@@ -429,7 +431,7 @@ class TestConvergedStop:
         calls = self.recorded(monkeypatch)
         rng = np.random.default_rng(25)
         for _ in range(30):
-            d = int(rng.integers(3, 10))
+            d = 2 * int(rng.integers(1, 5)) + 1
             M = rng.normal(0, 3, (d, d))
             dnn.cone_distance(M + M.T)
         assert self.converged_stops(calls) == len(calls)
@@ -449,16 +451,18 @@ class TestConvergedStop:
         assert self.converged_stops(calls) > 0
 
     def test_infeasible_momentum_point_restarts(self, monkeypatch):
-        # The root lift of soundness instance 0 settles at an infeasible Z
-        # after 8 iterations, where f is far below its value at any Y2 >= 0
-        # (g = 4562.5 there).  That is a restart now; the solve converges
-        # at a feasible Z, near the 7.9 a capped run reaches.
+        # The root lift of soundness instance 5 settles at an infeasible Z
+        # after 28 iterations, where f = 0 lies far below its value at any
+        # Y2 >= 0 (g = 192.3 at the projected point).  That is a restart
+        # now; the solve converges at a feasible Z, at the 35.79 of the
+        # alternating projections.
         calls = self.recorded(monkeypatch)
-        sub = reduce(soundness_instance(0), FixSets((), (0,)))
+        sub = reduce(soundness_instance(5), FixSets((), (0,)))
         M = assemble(sub, 1e8).q.copy()
         M[-1, -1] -= initial_upper(sub)
         res = dnn.cone_distance(M)
-        assert res.converged and res.iterations > 8 and res.g < 8.0
+        assert res.converged and res.iterations > 28
+        assert res.g == pytest.approx(35.7885882, abs=1e-6)
         assert self.converged_stops(calls) == 1
 
 
@@ -846,11 +850,16 @@ class TestNbBound:
         sub = open_sub(seed=4)
         prob = assemble(sub, 1e8)
         res = nb_bound(prob, None, FAST_NB)
+        # g of the face cone is convex here by a margin of 2.4e-4 at the
+        # middle point, where a solve stopped at FAST's rel_tol 1e-10 reads
+        # g 6.4e-4 above the distance (0.34059 after 1,175 iterations, not
+        # 0.33994 after 21,558 at 1e-13): g is read at 1e-13.
+        apg = ApgParams(rel_tol=1e-13, max_iter=100_000)
 
         def g_at(y):
             M = prob.q.copy()
             M[-1, -1] -= y
-            return cone_distance(M, FAST_NB.apg).g
+            return cone_distance(M, apg).g
 
         ys = res.b + np.array([1.0, 3.0, 5.0]) * max(1.0, abs(res.b)) * 0.01
         mid = g_at(ys[1])
@@ -882,7 +891,7 @@ class TestTargetExit:
         rng = np.random.default_rng(24)
         stopped = 0
         for _ in range(30):
-            d = int(rng.integers(3, 10))
+            d = 2 * int(rng.integers(1, 5)) + 1
             M = rng.normal(0, 3, (d, d))
             M = M + M.T
             full = cone_distance(M)
@@ -894,7 +903,7 @@ class TestTargetExit:
             stopped += 1
             assert not res.converged
             assert np.all(res.y2 >= 0)
-            exact = np.linalg.eigvalsh(M - res.y2)[0]
+            exact = face_negative_part(M - res.y2)[0]
             assert exact >= eig_target - eig_slack(M)
             assert res.min_eig >= eig_target - eig_slack(M)
         assert stopped >= 10
