@@ -70,11 +70,12 @@ STEP_SETTLED = 1.0
 STEP_MARGIN = 0.5
 # The block path: APG runs on the blocks of the node group's commutant
 # (``block_basis``) at face orders ell + 1 from BLOCK_MIN_ORDER up, and on
-# the one-family face basis below.  One-family over block time per APG
-# iteration, on torus and planted nodes (one BLAS thread, 2-core x86, numpy
-# 2.4 with OpenBLAS): 0.61-0.93 at face order 13-21, 1.15-1.28 at 24-25,
-# 1.07-1.52 at 31-36, 1.44-2.04 at 48-64.  Below 24 the gain is too small
-# to repay the node group and the basis, which take a few ms per node.
+# the one-family face basis below.  Block over one-family time per step on
+# torus and planted nodes (one BLAS thread, 2-core x86, numpy 2.4 with
+# OpenBLAS): 0.70-0.91 at face order 13-19, 0.59-0.70 at 21, 0.47-0.65 at
+# 24-25, 0.34-0.59 at 35-36.  Below 24 the 4-25 us a step saves repay the
+# 1.1-3.0 ms basis of a node only after 80-400 APG iterations, not the 50-60
+# the benchmark's nodes there take.
 # BLOCK_ELEMENTS random group elements, drawn from BLOCK_SEED, define the
 # orbitals; BLOCK_TOL is the relative tolerance of equal eigenvalues, of
 # zero couplings and of the check of a split.
@@ -161,23 +162,23 @@ class BlockBasis:
 
     A group's basis (``block_basis``) is that of the group's commutant on
     the ell + 1 face points composed with V~: ``first`` holds the first
-    copy of every family side by side, as (d, .) columns.  The families are
-    packed side by side into the slots of one stack, so that the slots are
-    about as wide as the largest family: ``take`` places the diagonal
-    blocks of F^T X F, F = ``first``, into the stack (zero elsewhere) and
-    ``pad`` marks the diagonal of each slot's unused rows.  ``lifts[s]`` is
-    the (d * K, width) array, K the most copies in slot s, whose row i * K
-    + c holds entry i of the basis vectors of copy c (zero for a family
-    with fewer copies), and ``copies[s, j]`` is the copies of the family of
-    row j of slot s (zero on unused rows).  ``orbitals`` are the (d, d)
-    orbital labels of the group lifted to (u, v, s)."""
+    copy of every family side by side, as (d, .) columns, and ``full``
+    every copy of every family in turn, as (d, ell + 1) columns in column
+    order, so that full^T, the right factor of the lift back, is contiguous
+    (a strided one cost 5 of the 62 us of a step at face order 36).  The
+    families are packed side by side into the slots of one stack about as
+    wide as the largest: ``take`` gathers the blocks of F^T X F, F =
+    ``first``, into the stack from its entries followed by 0 and by a value
+    above ||F^T X F|| for the diagonal of unused rows, and ``expand``
+    gathers each family's block of a stack, followed by 0, onto the
+    diagonal of an (ell + 1, ell + 1) matrix once per copy.  ``orbitals``
+    are the (d, d) orbital labels of the group lifted to (u, v, s)."""
 
     families: tuple[tuple[int, int], ...]
     first: np.ndarray
     take: np.ndarray | None = None
-    pad: np.ndarray | None = None
-    lifts: tuple[np.ndarray, ...] = ()
-    copies: np.ndarray | None = None
+    full: np.ndarray | None = None
+    expand: np.ndarray | None = None
     orbitals: np.ndarray | None = None
 
     def invariant(self, X: np.ndarray) -> np.ndarray:
@@ -195,32 +196,22 @@ class BlockBasis:
         of N = V~^T X V~, for an invariant symmetric X of
         order d, from one ``eigh``: of N itself on a one-family basis, or
         batched over the stack.  The unused diagonal lies above ||F^T X F||,
-        so no padded eigenvalue is negative or the smallest.  The negative
-        part is -Y Y^T, where Y holds every copy of each negative
-        eigenvector scaled by sqrt(-lambda).  An eigenvector of a slot may
-        mix families only within an eigenspace, where the sum over it leaves
-        no cross terms."""
+        so no padded eigenvalue is negative or the smallest.  On the stack,
+        P = V min(w, 0) V^T holds the negative part of every family; D, its
+        family blocks once per copy, is negpart(N) in the basis ``full``.  A
+        slot's eigenvectors may mix families only within an eigenspace,
+        where P keeps no cross terms."""
         F = self.first
         if self.take is None:
             w, V = np.linalg.eigh(F.T @ X @ F)
             wneg = np.minimum(w, 0.0)
             return float(w[0]), 0.5 * float(wneg @ wneg), F @ ((V * wneg) @ V.T) @ F.T
         T = F.T @ X @ F
-        S = np.append(T.ravel(), 0.0)[self.take]
-        S[self.pad] = float(np.linalg.norm(T)) + 1.0
+        S = np.concatenate((T.ravel(), (0.0, math.sqrt(np.vdot(T, T)) + 1.0)))[self.take]
         w, V = np.linalg.eigh(S)
-        wneg = np.minimum(w, 0.0)
-        f_x = 0.5 * float(np.einsum("sj,sj,sj->", wneg, wneg,
-                                    np.einsum("si,sij->sj", self.copies, V * V)))
-        root = np.sqrt(-wneg)
-        d = X.shape[0]
-        Y = [(lift @ (V[s, :lift.shape[1], :r] * root[s, :r])).reshape(d, -1)
-             for s, (lift, r) in enumerate(zip(self.lifts, (w < 0.0).sum(axis=1).tolist()))
-             if r]
-        if not Y:
-            return float(w[:, 0].min()), f_x, np.zeros_like(X)
-        Y = np.hstack(Y)
-        return float(w[:, 0].min()), f_x, -(Y @ Y.T)
+        P = (V * np.minimum(w, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
+        D = np.concatenate((P.ravel(), (0.0,)))[self.expand]
+        return float(w[:, 0].min()), 0.5 * float(np.vdot(D, D)), self.full @ D @ self.full.T
 
 
 def face_basis(ell: int) -> BlockBasis:
@@ -426,28 +417,25 @@ def _stacked(cols: list[np.ndarray], orbitals: np.ndarray) -> BlockBasis:
             slots.append([f])
         else:
             slot.append(f)
-    d, n = cols[0].shape[0], sum(sizes)
+    n = sum(sizes)
     at = np.cumsum([0, *sizes])
+    start = np.cumsum([0, *(c.shape[1] * c.shape[2] for c in cols)])
     take = np.full((len(slots), top, top), n * n)
-    pad = np.zeros(take.shape, dtype=bool)
-    copies = np.zeros((len(slots), top))
-    lifts = []
+    take[:, np.arange(top), np.arange(top)] = n * n + 1
+    expand = np.full((start[-1], start[-1]), take.size)
     for s, members in enumerate(slots):
-        K = max(cols[f].shape[1] for f in members)
-        lift = np.zeros((d, K, top))
         o = 0
         for f in members:
-            m, k = sizes[f], cols[f].shape[1]
-            r = np.arange(at[f], at[f] + m)
-            take[s, o:o + m, o:o + m] = r[:, None] * n + r[None, :]
-            copies[s, o:o + m] = k
-            lift[:, :k, o:o + m] = cols[f]
-            o += m
-        pad[s, np.arange(o, top), np.arange(o, top)] = True
-        lifts.append(lift[:, :, :o].reshape(d * K, o))
+            r = np.arange(sizes[f])
+            take[s, o + r[:, None], o + r] = (at[f] + r[:, None]) * n + at[f] + r
+            for c in range(cols[f].shape[1]):
+                p = start[f] + c * sizes[f] + r
+                expand[p[:, None], p] = (s * top + o + r[:, None]) * top + o + r
+            o += sizes[f]
     return BlockBasis(families=tuple((m, c.shape[1]) for m, c in zip(sizes, cols)),
-                      first=np.hstack([c[:, 0] for c in cols]), take=take, pad=pad,
-                      lifts=tuple(lifts), copies=copies, orbitals=orbitals)
+                      first=np.hstack([c[:, 0] for c in cols]), take=take,
+                      full=np.asfortranarray(np.hstack([c.reshape(len(c), -1) for c in cols])),
+                      expand=expand, orbitals=orbitals)
 
 
 def block_basis(group: PermutationGroup) -> BlockBasis | None:
@@ -691,7 +679,8 @@ def nb_bound(prob: DnnProblem, target: float | None,
     only where the node was decided.  The Newton start is never below the
     prune level here, as the completion check has already ended any node
     whose trivial completion is below the target.  Only converged solves move
-    ``b`` otherwise, and the last trace row is the last point evaluated.
+    ``b`` otherwise, and the last trace row is the last point evaluated.  A
+    next point equal to the last stops the bracketing as it stands.
     """
     sub = prob.sub
     if target is not None:
@@ -751,12 +740,16 @@ def nb_bound(prob: DnnProblem, target: float | None,
         # a — a small nonzero g with a tiny derivative can sit well above y*.
         if res.gprime >= DPRIME_FLOOR:
             y_new = y - res.g / res.gprime
-            y = 0.5 * (a + y) if math.isfinite(a) and y_new <= a else y_new
+            y_new = 0.5 * (a + y) if math.isfinite(a) and y_new <= a else y_new
         elif res.g <= G_FLOOR * max(1.0, norm_M):
             # y is (numerically) at or below y*: move back up inside [y, b].
-            y = 0.5 * (y + b)
+            y_new = 0.5 * (y + b)
         else:
-            y = 0.5 * (a + y) if math.isfinite(a) else y - max(1.0, abs(y)) * 1e-3
+            y_new = 0.5 * (a + y) if math.isfinite(a) else y - max(1.0, abs(y)) * 1e-3
+        if y_new == y:
+            # Stalled: a solve at the same point could only repeat this one.
+            break
+        y = y_new
         if target is not None and _safe_ceil(y + sub.offset) < target:
             b = min(b, y)
             status = "Branchable"

@@ -474,12 +474,23 @@ class TestBlockBasis:
         sub, stabiliser = torus_root()
         group = subgroup(sub)
         assert group.order == len(stabiliser) == 8
-        # The basis is built by SVD: every eigh stays in APG.
-        monkeypatch.setattr(np.linalg, "eigh", None)
+        # The basis is built by SVD, and each block step makes one batched
+        # eigh: the benchmark's tracer counts eigh = APG iterations +
+        # cone_distance calls.
+        eighs = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            eighs.append(args[0].shape)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         blocks = dnn.block_basis(group)
-        monkeypatch.undo()
+        assert eighs == []
         # D4 has four one-dimensional and one two-dimensional real
-        # irreducible; the families split the face order 36.
+        # irreducible; the families split the face order 36, and the two
+        # copies of the 8 x 8 family are lifted back each through its own
+        # columns of the basis.
         assert blocks.families == ((10, 1), (8, 2), (6, 1), (3, 1), (1, 1))
         rng = np.random.default_rng(0)
         for _ in range(3):
@@ -487,6 +498,29 @@ class TestBlockBasis:
         prob = assemble(sub, 1e8)
         M = prob.q.copy()
         M[-1, -1] -= initial_upper(prob.sub)
+        assert_block_step_exact(blocks, M)
+        # Each face step made one eigh too, of order 36.
+        assert eighs == [(3, 10, 10), (36, 36)] * 4
+
+    @pytest.mark.parametrize("k, m, fix, face, order, families", [
+        (4, 5, FixSets((), (0,)), 16, 8, ((6, 1), (3, 1), (3, 2), (1, 1))),
+        (5, 9, FixSets((), (0,)), 25, 8, ((6, 1), (6, 2), (3, 1), (3, 1), (1, 1))),
+        (5, 9, FixSets((1, 2, 3, 4), (0,)), 21, 4, ((7, 1), (6, 1), (4, 1), (4, 1)))])
+    def test_block_step_on_torus_nodes(self, k, m, fix, face, order, families):
+        # More node kinds than the k = 6 root: smaller faces, a family of
+        # three rows in two copies, and a node with I0 set whose group has
+        # order 4.
+        inst = BqopInstance(n=k * k, B=torus_matrix(k).astype(np.int64), m=m)
+        sub = reduce(inst, fix)
+        group = subgroup(sub)
+        assert (sub.ell + 1, group.order) == (face, order)
+        blocks = dnn.block_basis(group)
+        assert blocks.families == families
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            assert_block_step_exact(blocks, reynolds(group.elements, sub.ell, rng))
+        M = assemble(sub, 1e8).q.copy()
+        M[-1, -1] -= initial_upper(sub)
         assert_block_step_exact(blocks, M)
 
     @pytest.mark.parametrize("k", range(4, 9))
@@ -836,6 +870,23 @@ class TestNbBound:
         res = nb_bound(assemble(sub, 1e8), None, NbParams())
         assert res.status == "Converged" and res.a >= 150
         assert res.a + sub.offset <= 160
+
+    def test_untargeted_bound_stops_where_the_point_repeats(self):
+        # The node x_1 = 1 of a k = 6 torus: a converged solve with g = 0 at
+        # y == b bisects to y itself.  The bracketing ran to the 60-step cap
+        # there (8,451 APG iterations), re-solving one point from step 6 on.
+        inst = BqopInstance(n=36, B=torus_matrix(6, 1).astype(np.int64), m=11)
+        sub = reduce(inst, FixSets((), (0,)))
+        prob = assemble(sub, 1e8)
+        res = nb_bound(prob, None, NbParams())
+        assert res.status == "IterLimit" and res.iterations <= 8
+        last = res.trace[-1]
+        assert (last["y"], last["g"], last["apg_stop"]) == (res.b, 0.0, "converged")
+        assert res.a == pytest.approx(357.7584, abs=1e-3)
+        # The stop keeps the bracket as it stands: a, b and the trace are
+        # bit for bit those of the same bound cut there by its step cap.
+        cut = nb_bound(prob, None, NbParams(max_iter=res.iterations))
+        assert (cut.status, cut.a, cut.b, cut.trace) == (res.status, res.a, res.b, res.trace)
 
     def test_g_nonnegative_and_zero_below_a(self):
         sub = open_sub(seed=4)
