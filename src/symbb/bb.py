@@ -52,8 +52,11 @@ class TreeParams(Settings):
     """Settings of the tree engine, shared by BbParams and EstParams."""
 
     workers: int = setting(1, "at least 1")
-    # The penalty weight is lambda_scale / ||B(I0,I1)||.
-    lambda_scale: float = setting(1e8, "a positive finite number")
+    # The penalty weight is lambda_scale / ||B(I0,I1)||.  2e8 was chosen by a
+    # sweep on the face (ROADMAP item 2): against 1e8 it cuts the APG work of
+    # untargeted bounds by about 40% and raises them, and above it targeted
+    # bounds take more APG iterations.
+    lambda_scale: float = setting(2e8, "a positive finite number")
     leaf_threshold: int = 20
     leaf_band: int = 3
     nb: NbParams = field(default_factory=NbParams)
@@ -325,7 +328,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                 opt = solve_exactly(sub).value
                 assert opt <= res.b + sub.offset < target, \
                     f"no completion of {sub.fix} at {res.b + sub.offset} < {target}"
-            # Branchable, unresolved Converged, and IterLimit all branch;
+            # Branchable, unresolved Converged, IterLimit and Stalled all branch;
             # branching an undecided node is always sound.
             node.verdict = "pruned" if res.status == "Pruned" else "branched"
             node.seconds = seconds

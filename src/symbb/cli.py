@@ -318,7 +318,13 @@ def bound_root(instance_path, target, trace_csv, json_path, **settings):
     else:
         prob = dnn.assemble(sub, params.lambda_scale)
         lam = prob.lam
-        res = dnn.nb_bound(prob, target, params.nb)
+        # A lambda_scale so large that ||M|| overflows leaves a = -inf.
+        with np.errstate(over="ignore"):
+            res = dnn.nb_bound(prob, target, params.nb)
+        if res.iterations and not math.isfinite(res.a):
+            raise click.ClickException(
+                f"no finite lower bound at lambda_scale {params.lambda_scale:g}: "
+                "the lifted matrix overflows; use a smaller lambda_scale")
     # A targeted bound is skipped when a completion is below the target.
     lb = res.a + sub.offset if math.isfinite(res.a) else None
     click.echo(f"status: {res.status}")

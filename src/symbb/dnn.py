@@ -157,27 +157,29 @@ class BlockBasis:
     Family f is one block of ``families[f] = (size, copies)``: the same
     size x size matrix appears in each of its copies.
 
-    The one-family basis (``face_basis``; ``take`` None) is V~ itself, a
-    dense (d, ell + 1) array in ``first``: one block, decomposed whole.
+    ``full`` holds the whole basis as (d, ell + 1) columns in column order,
+    so that full^T, the right factor of the lift back, is contiguous (a
+    strided one cost 5 of the 62 us of a step at face order 36).
+
+    The one-family basis (``face_basis``; ``take`` None) is V~ itself, also
+    held in row order in ``first``: one block, decomposed whole.
 
     A group's basis (``block_basis``) is that of the group's commutant on
     the ell + 1 face points composed with V~: ``first`` holds the first
     copy of every family side by side, as (d, .) columns, and ``full``
-    every copy of every family in turn, as (d, ell + 1) columns in column
-    order, so that full^T, the right factor of the lift back, is contiguous
-    (a strided one cost 5 of the 62 us of a step at face order 36).  The
-    families are packed side by side into the slots of one stack about as
-    wide as the largest: ``take`` gathers the blocks of F^T X F, F =
-    ``first``, into the stack from its entries followed by 0 and by a value
-    above ||F^T X F|| for the diagonal of unused rows, and ``expand``
-    gathers each family's block of a stack, followed by 0, onto the
-    diagonal of an (ell + 1, ell + 1) matrix once per copy.  ``orbitals``
-    are the (d, d) orbital labels of the group lifted to (u, v, s)."""
+    every copy of every family in turn.  The families are packed side by
+    side into the slots of one stack about as wide as the largest: ``take``
+    gathers the blocks of F^T X F, F = ``first``, into the stack from its
+    entries followed by 0 and by a value above ||F^T X F|| for the diagonal
+    of unused rows, and ``expand`` gathers each family's block of a stack,
+    followed by 0, onto the diagonal of an (ell + 1, ell + 1) matrix once
+    per copy.  ``orbitals`` are the (d, d) orbital labels of the group
+    lifted to (u, v, s)."""
 
     families: tuple[tuple[int, int], ...]
     first: np.ndarray
+    full: np.ndarray
     take: np.ndarray | None = None
-    full: np.ndarray | None = None
     expand: np.ndarray | None = None
     orbitals: np.ndarray | None = None
 
@@ -205,7 +207,7 @@ class BlockBasis:
         if self.take is None:
             w, V = np.linalg.eigh(F.T @ X @ F)
             wneg = np.minimum(w, 0.0)
-            return float(w[0]), 0.5 * float(wneg @ wneg), F @ ((V * wneg) @ V.T) @ F.T
+            return float(w[0]), 0.5 * float(wneg @ wneg), F @ ((V * wneg) @ V.T) @ self.full.T
         T = F.T @ X @ F
         S = np.concatenate((T.ravel(), (0.0, math.sqrt(np.vdot(T, T)) + 1.0)))[self.take]
         w, V = np.linalg.eigh(S)
@@ -216,7 +218,8 @@ class BlockBasis:
 
 def face_basis(ell: int) -> BlockBasis:
     """The one-family basis of the face: V~, of order ell + 1."""
-    return BlockBasis(families=((ell + 1, 1),), first=_lift_rows(np.eye(ell + 1)))
+    first = _lift_rows(np.eye(ell + 1))
+    return BlockBasis(families=((ell + 1, 1),), first=first, full=np.asfortranarray(first))
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,9 @@ class ConeDistanceResult:
 
 @dataclass(frozen=True)
 class NbResult:
-    status: str                 # Pruned | Branchable | Converged | IterLimit
+    # Pruned | Branchable | Converged; IterLimit after max_iter Newton steps;
+    # Stalled where the next Newton point equals the last.
+    status: str
     a: float
     b: float
     iterations: int
@@ -680,7 +685,8 @@ def nb_bound(prob: DnnProblem, target: float | None,
     prune level here, as the completion check has already ended any node
     whose trivial completion is below the target.  Only converged solves move
     ``b`` otherwise, and the last trace row is the last point evaluated.  A
-    next point equal to the last stops the bracketing as it stands.
+    next point equal to the last stops the bracketing as it stands, as
+    Stalled.
     """
     sub = prob.sub
     if target is not None:
@@ -747,7 +753,8 @@ def nb_bound(prob: DnnProblem, target: float | None,
         else:
             y_new = 0.5 * (a + y) if math.isfinite(a) else y - max(1.0, abs(y)) * 1e-3
         if y_new == y:
-            # Stalled: a solve at the same point could only repeat this one.
+            # A solve at the same point could only repeat this one.
+            status = "Stalled"
             break
         y = y_new
         if target is not None and _safe_ceil(y + sub.offset) < target:

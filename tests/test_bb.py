@@ -677,7 +677,7 @@ class TestCompletionCheck:
             assert objective(inst, a.witness) == objective(inst, b.witness) == a.witness_value
             assert self.optimal_supports(inst) > 1
         assert sum(c.node_count for c in checked) == 340
-        assert sum(c.node_count for c in unchecked) == 350
+        assert sum(c.node_count for c in unchecked) == 352
         assert not any(skipped)
         assert not any(fired[0::2])
         assert any(fired[1::2])

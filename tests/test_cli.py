@@ -339,7 +339,7 @@ class TestBoundRoot:
             "--apg-max-iter", "3000", "--nb-max-iter", "30", "--json", str(out)])
         assert result.exit_code == 0
         params = json.loads(out.read_text())["config"]["params"]
-        assert params == {"lambda_scale": 1e8, "nb": {
+        assert params == {"lambda_scale": 2e8, "nb": {
             "gap_tol": 1e-6, "max_iter": 30, "apg": {"rel_tol": 1e-9, "max_iter": 3000}}}
 
     @pytest.mark.parametrize("value, flag, name", [
@@ -452,6 +452,19 @@ class TestBoundRoot:
         assert data["group_order"] is data["blocks"] is None
         # No trace rows, but the header still names the columns.
         assert trace.read_text().splitlines() == [",".join(TRACE_FIELDS)]
+
+    def test_overflowing_lambda_scale_exits_1(self, runner, tmp_path):
+        # At this weight ||M|| overflows and the one Newton step leaves a =
+        # -inf: there is no bound, and no completion decided the node.
+        path, out, trace = tmp_path / "s1.json", tmp_path / "bound.json", tmp_path / "t.csv"
+        path.write_text(bqop_to_json(soundness_instance(1)))
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      "--lambda-scale", "1e300", "--json", str(out),
+                                      "--trace-csv", str(trace)])
+        assert result.exit_code == 1
+        assert result.output == ("error: no finite lower bound at lambda_scale 1e+300: "
+                                 "the lifted matrix overflows; use a smaller lambda_scale\n")
+        assert not out.exists() and not trace.exists()
 
     def test_json_rejects_values_without_a_json_form(self, tmp_path):
         from symbb.cli import _emit
