@@ -29,7 +29,8 @@ eigendecomposition has order ell + 1 instead of 2 ell + 1.  The distance
 itself is computed by an accelerated proximal gradient (APG) method over
 exactly nonnegative parts Y2 of Q - H y, whose face part it brings as close
 to PSD as it can.  With a target, APG stops as soon as its current
-nonnegative iterate is certain to prove the target at this Newton point.
+nonnegative iterate is certain to prove the target at this Newton point;
+without one, the integer bound that the point itself sits in.
 
 Grounding (cited only): Kim, Kojima & Toh, "A Newton-bracketing method for a
 simple conic optimization problem" (Optim. Methods Softw., 2021); Arima, Kim,
@@ -254,8 +255,10 @@ class ConeDistanceResult:
 
 @dataclass(frozen=True)
 class NbResult:
-    # Pruned | Branchable | Converged; IterLimit after max_iter Newton steps;
-    # Stalled where the next Newton point equals the last.
+    # Pruned | Branchable | Converged; Settled where an untargeted bound's
+    # integer is fixed; IterLimit after max_iter Newton steps; Stalled where
+    # the next Newton point equals the last; Overflow where ||M|| is not
+    # finite.
     status: str
     a: float
     b: float
@@ -606,22 +609,25 @@ def nb_bound(prob: DnnProblem, target: float | None,
     corrected iterates) and an upper value ``b`` (running minimum of the
     Newton points whose APG solve converged).  With a target, terminates
     early with Pruned once the integer lower bound reaches the target, or
-    Branchable at the first new Newton point below the prune level.  Only
-    ``a`` is a bound.
+    Branchable at the first new Newton point below the prune level.
+    Without one, it computes the best integer bound, not the relaxation
+    value to ``gap_tol``: it ends Settled once that integer is fixed (the
+    settled stop below).  Only ``a`` is a bound.
 
-    The per-node work, in this order.  With a target, ``swap_search`` looks
-    for a good completion of ``prob.sub`` (the completion check below);
-    untargeted bounds never search.  A bound that goes on to solve then
-    builds the ``block_basis`` of the node group ``sub.group`` from face
-    order ``BLOCK_MIN_ORDER`` up, runs every APG solve on it and reports its
-    families in ``blocks``; below that order, and where ``block_basis``
-    gives none, APG runs on the one-family ``face_basis`` and ``blocks`` is
-    None.  Newton starts at
+    The per-node work, in this order.  ``swap_search`` looks for a good
+    completion of ``prob.sub`` (with a target, the completion check below).
+    A bound that goes on to solve then builds the ``block_basis`` of the
+    node group ``sub.group`` from face order ``BLOCK_MIN_ORDER`` up, runs
+    every APG solve on it and reports its families in ``blocks``; below that
+    order, and where ``block_basis`` gives none, APG runs on the one-family
+    ``face_basis`` and ``blocks`` is None.  Without a target, Newton starts
+    at the searched completion plus one.  With a target, it starts at
     ``initial_upper(sub)``, the trivial completion plus one, even where the
-    search found a lower completion.  A start nearer y* saves APG work but
-    loses prunes, measured on the soundness suite and on tori, likely
-    because the Newton sequence from the far start warm-starts APG with a
-    better Y2 near the prune level.
+    search found a lower completion.  There a start nearer y* saves APG
+    work but loses prunes, measured on the soundness suite and on tori,
+    likely because the Newton sequence from the far start warm-starts APG
+    with a better Y2 near the prune level; an untargeted bound has no prune
+    level to lose.
 
     The warm starts act on that: the APG solve at the first Newton point
     starts from ``prob.warm``, the parent's last Y2 on this node's indices
@@ -663,7 +669,19 @@ def nb_bound(prob: DnnProblem, target: float | None,
     part >= slack + (a_need - y) / (ell + 1), and APG is told to stop once
     its Weyl estimate of lambda_min clears that value plus one more slack,
     which absorbs the roundoff of the final eigendecomposition.  Below a_need no
-    eigenvalue can prune and APG runs to its own stopping rule.
+    eigenvalue can prune and APG runs to its own stopping rule.  Without a
+    target, each Newton point y gets the same exit at the integer
+    ``_safe_ceil(y + offset)``, the most any ``a`` from y can prove.
+
+    The settled stop: without a target, once ``a`` is finite and
+    ``_safe_ceil(a + offset)`` reaches ``_safe_ceil(y + offset)`` at the
+    Newton point y, the bracketing ends as Settled with ``b = min(b, y)``,
+    unless the Converged test ended it first.  Newton points approach y*
+    from above, and every later ``a`` is at most y*, so no further work
+    can raise ``lb_integer``.  After an inexact solve a point may sit below
+    y*; a converged solve there would close the bracket at the same
+    integer.  The ``a`` returned is then accurate only to its integer, and
+    ``xbar`` comes from a short last solve.
 
     The step exit: with a target, APG gets ``prune_step = y - a_need``, the
     Newton step that lands exactly on the prune level, and may stop once the
@@ -673,7 +691,9 @@ def nb_bound(prob: DnnProblem, target: float | None,
     y*, where the target exit has at least STEP_MARGIN / (ell + 1) of slack
     in lambda_min, or above y*, where Newton continues as after any solve;
     below it, the Branchable check ends the node.  Untargeted calls never
-    pass a ``prune_step``.
+    pass a ``prune_step``: on the k = 6 torus root of the benchmark, the
+    step exit cuts the APG work to 403 iterations but lowers the integer
+    bound from 5387 to 5386.
 
     The Branchable check: with a target, every new Newton point y, after a
     Newton step or either bisection, with ``_safe_ceil(y + offset)`` below
@@ -683,29 +703,27 @@ def nb_bound(prob: DnnProblem, target: float | None,
     after an inexact solve the point may sit below y*, so ``b`` then says
     only where the node was decided.  The Newton start is never below the
     prune level here, as the completion check has already ended any node
-    whose trivial completion is below the target.  Only converged solves move
-    ``b`` otherwise, and the last trace row is the last point evaluated.  A
-    next point equal to the last stops the bracketing as it stands, as
-    Stalled.
+    whose trivial completion is below the target.  Only converged solves
+    and the settled stop move ``b`` otherwise, and the last trace row is
+    the last point evaluated.  A next point equal to the last stops the
+    bracketing as it stands, as Stalled.  A point where ||M|| is not finite
+    (a penalty weight so large that the lifted matrix overflows) ends it as
+    Overflow before any solve there; at the first point ``a`` stays -inf.
     """
     sub = prob.sub
-    if target is not None:
-        upper = swap_search(sub)[0]
-        if upper + sub.offset < target:
-            return NbResult(status="Branchable", a=-math.inf, b=float(upper),
-                            iterations=0, lb_integer=None)
+    upper = swap_search(sub)[0]
+    if target is not None and upper + sub.offset < target:
+        return NbResult(status="Branchable", a=-math.inf, b=float(upper),
+                        iterations=0, lb_integer=None)
     Q = prob.q
     d = Q.shape[0]
     norm_factor = sub.ell + 1
     blocks = block_basis(sub.group) if norm_factor >= BLOCK_MIN_ORDER else None
     basis = face_basis(sub.ell) if blocks is None else blocks
-    # The margin is ten times the relative tolerance of _safe_ceil.
-    a_need = None if target is None else \
-        target - 1 - sub.offset + 1e-8 * max(1.0, abs(target))
-    y = initial_upper(sub)
+    y = initial_upper(sub) if target is not None else upper + 1.0
     a = -math.inf
     b = y
-    warm = prob.warm
+    warm, x_s = prob.warm, None
     if warm is not None:
         warm = basis.invariant(warm)
     trace = []
@@ -721,14 +739,21 @@ def nb_bound(prob: DnnProblem, target: float | None,
         # explicit slack of twice d * eps * ||M|| per source so that a stays
         # a valid lower bound.
         norm_M = float(np.linalg.norm(M))
+        if not math.isfinite(norm_M):
+            status = "Overflow"
+            break
         eig_slack = 16.0 * d * np.finfo(float).eps * norm_M
-        eig_target = prune_step = None
-        if a_need is not None:
-            prune_step = y - a_need
-            if y >= a_need:
-                eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
+        # The integer this point decides: the target, or untargeted the
+        # ceiling of y itself.  The margin is ten times the relative
+        # tolerance of _safe_ceil.
+        level = target if target is not None else _safe_ceil(y + sub.offset)
+        a_need = level - 1 - sub.offset + 1e-8 * max(1.0, abs(level))
+        eig_target = None
+        if y >= a_need:
+            eig_target = 2.0 * eig_slack + (a_need - y) / norm_factor
         res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
-                            prune_step=prune_step, basis=basis)
+                            prune_step=None if target is None else y - a_need,
+                            basis=basis)
         warm, x_s = res.y2, res.x_s
         a = max(a, y + norm_factor * min(0.0, res.min_eig - eig_slack))
         if res.converged:
@@ -740,6 +765,10 @@ def nb_bound(prob: DnnProblem, target: float | None,
             break
         if b - a <= params.gap_tol * max(1.0, abs(b)):
             status = "Converged"
+            break
+        if target is None and math.isfinite(a) and _safe_ceil(a + sub.offset) >= level:
+            b = min(b, y)
+            status = "Settled"
             break
         # Newton step whenever the derivative is usable; bisection fallbacks
         # otherwise.  Only the eigenvalue-corrected update above counts toward
@@ -767,4 +796,4 @@ def nb_bound(prob: DnnProblem, target: float | None,
     return NbResult(status=status, a=a, b=b, iterations=iterations,
                     lb_integer=lb_integer, trace=tuple(trace),
                     blocks=None if blocks is None else blocks.families,
-                    y2=warm / prob.lam, xbar=xbar)
+                    y2=None if warm is None else warm / prob.lam, xbar=xbar)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from symbb import subproblem, symmetry
+from symbb import dnn, subproblem, symmetry
 from symbb.bb import BbParams, TreeParams, orbit_scores
 from symbb.cli import main
 from symbb.dnn import TRACE_FIELDS
@@ -463,6 +463,24 @@ class TestBoundRoot:
                                       "--trace-csv", str(trace)])
         assert result.exit_code == 1
         assert result.output == ("error: no finite lower bound at lambda_scale 1e+300: "
+                                 "the lifted matrix overflows; use a smaller lambda_scale\n")
+        assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e300", "1e305"])
+    def test_overflow_ends_before_any_solve(self, runner, tmp_path, monkeypatch, scale):
+        # ||M|| is infinite at the first Newton point, so no APG solve can
+        # give a bound there; the bracketing ends before its first one.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("cone_distance called on an overflowing matrix")
+
+        monkeypatch.setattr(dnn, "cone_distance", no_solve)
+        path, out, trace = tmp_path / "s1.json", tmp_path / "bound.json", tmp_path / "t.csv"
+        path.write_text(bqop_to_json(soundness_instance(1)))
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      "--lambda-scale", scale, "--json", str(out),
+                                      "--trace-csv", str(trace)])
+        assert result.exit_code == 1
+        assert result.output == (f"error: no finite lower bound at lambda_scale {float(scale):g}: "
                                  "the lifted matrix overflows; use a smaller lambda_scale\n")
         assert not out.exists() and not trace.exists()
 
