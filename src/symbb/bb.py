@@ -328,8 +328,8 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                 opt = solve_exactly(sub).value
                 assert opt <= res.b + sub.offset < target, \
                     f"no completion of {sub.fix} at {res.b + sub.offset} < {target}"
-            # Branchable, unresolved Converged, IterLimit, Stalled and Overflow
-            # all branch; branching an undecided node is always sound.
+            # Branchable, IterLimit and Stalled all branch; branching an
+            # undecided node is always sound.
             node.verdict = "pruned" if res.status == "Pruned" else "branched"
             node.seconds = seconds
             if node.verdict == "branched":

@@ -30,7 +30,9 @@ itself is computed by an accelerated proximal gradient (APG) method over
 exactly nonnegative parts Y2 of Q - H y, whose face part it brings as close
 to PSD as it can.  With a target, APG stops as soon as its current
 nonnegative iterate is certain to prove the target at this Newton point;
-without one, the integer bound that the point itself sits in.
+without one, the integer bound that the point itself sits in.  The
+bracketing likewise ends on an integer: once its validated bound reaches
+the target, or, without one, the integer of its Newton point.
 
 Grounding (cited only): Kim, Kojima & Toh, "A Newton-bracketing method for a
 simple conic optimization problem" (Optim. Methods Softw., 2021); Arima, Kim,
@@ -130,8 +132,6 @@ class ApgParams(Settings):
 
 @dataclass(frozen=True)
 class NbParams(Settings):
-    # Converged when b - a <= gap_tol * max(1, |b|).
-    gap_tol: float = setting(1e-6, "a non-negative finite number")
     max_iter: int = setting(60, "at least 1")
     apg: ApgParams = field(default_factory=ApgParams)
 
@@ -245,8 +245,8 @@ class ConeDistanceResult:
     stop: str                   # why APG stopped: converged | target | cap | step
     iterations: int
     # Column s of X = -V~ negpart(N) V~^T, the approximate primal DNN
-    # solution; None only in a result built without the final eigh.
-    x_s: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # solution.
+    x_s: np.ndarray = field(repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -255,10 +255,10 @@ class ConeDistanceResult:
 
 @dataclass(frozen=True)
 class NbResult:
-    # Pruned | Branchable | Converged; Settled where an untargeted bound's
-    # integer is fixed; IterLimit after max_iter Newton steps; Stalled where
-    # the next Newton point equals the last; Overflow where ||M|| is not
-    # finite.
+    # Pruned where a targeted bound's integer reaches the target, Settled
+    # where an untargeted bound's integer is fixed; Branchable where a
+    # targeted one cannot prune; IterLimit after max_iter Newton steps;
+    # Stalled where the next Newton point equals the last.
     status: str
     a: float
     b: float
@@ -291,7 +291,10 @@ def assemble(sub: Subproblem, lambda_scale: float,
     its bound, Y2 over the ancestor's lam.  ``DnnProblem.warm`` is then its
     rows and columns at this node's (u, v, s) indices, times this node's
     lam: the penalty part of Q scales with lam, and so does the part of it
-    that Y2 absorbs."""
+    that Y2 absorbs.
+
+    A ``lambda_scale`` so large that Q overflows, where ||Q|| is not finite
+    and no bound can be validated, raises ``OverflowError``."""
     ell = sub.ell
     if ell == 0:
         raise ValueError("cannot assemble a DNN problem with no free variables")
@@ -320,6 +323,12 @@ def assemble(sub: Subproblem, lambda_scale: float,
     q_pen = A.T @ A
     q_pen[:ell, ell:s] += 0.5 * eye
     q_pen[ell:s, :ell] += 0.5 * eye
+    with np.errstate(over="ignore"):
+        q = q_obj + lam * q_pen
+        finite = math.isfinite(np.linalg.norm(q))
+    if not finite:
+        raise OverflowError(f"no finite lower bound at lambda_scale {lambda_scale:g}: "
+                            "the lifted matrix overflows; use a smaller lambda_scale")
 
     start = None
     if warm is not None:
@@ -329,7 +338,7 @@ def assemble(sub: Subproblem, lambda_scale: float,
         at = np.searchsorted(free, sub.free)
         idx = np.r_[at, at + len(free), 2 * len(free)]
         start = lam * y2[np.ix_(idx, idx)]
-    return DnnProblem(sub=sub, q=q_obj + lam * q_pen, lam=lam, warm=start)
+    return DnnProblem(sub=sub, q=q, lam=lam, warm=start)
 
 
 def initial_upper(sub: Subproblem) -> float:
@@ -607,12 +616,12 @@ def nb_bound(prob: DnnProblem, target: float | None,
 
     Maintains a validated lower bracket ``a`` (running maximum of eigenvalue
     corrected iterates) and an upper value ``b`` (running minimum of the
-    Newton points whose APG solve converged).  With a target, terminates
-    early with Pruned once the integer lower bound reaches the target, or
-    Branchable at the first new Newton point below the prune level.
-    Without one, it computes the best integer bound, not the relaxation
-    value to ``gap_tol``: it ends Settled once that integer is fixed (the
-    settled stop below).  Only ``a`` is a bound.
+    Newton points whose APG solve converged).  The bracketing ends on an
+    integer, not on the width of [a, b]: with a target, as Pruned once the
+    integer lower bound reaches the target, or as Branchable at the first
+    new Newton point below the prune level; without one, as Settled once
+    the best integer bound is fixed (the integer stop below).  Only ``a``
+    is a bound.
 
     The per-node work, in this order.  ``swap_search`` looks for a good
     completion of ``prob.sub`` (with a target, the completion check below).
@@ -673,15 +682,15 @@ def nb_bound(prob: DnnProblem, target: float | None,
     target, each Newton point y gets the same exit at the integer
     ``_safe_ceil(y + offset)``, the most any ``a`` from y can prove.
 
-    The settled stop: without a target, once ``a`` is finite and
-    ``_safe_ceil(a + offset)`` reaches ``_safe_ceil(y + offset)`` at the
-    Newton point y, the bracketing ends as Settled with ``b = min(b, y)``,
-    unless the Converged test ended it first.  Newton points approach y*
-    from above, and every later ``a`` is at most y*, so no further work
-    can raise ``lb_integer``.  After an inexact solve a point may sit below
-    y*; a converged solve there would close the bracket at the same
-    integer.  The ``a`` returned is then accurate only to its integer, and
-    ``xbar`` comes from a short last solve.
+    The integer stop: after each solve, once ``_safe_ceil(a + offset)``
+    reaches the level of the Newton point y, the target with one, the
+    integer ``_safe_ceil(y + offset)`` without, the bracketing ends: as
+    Pruned with a target, and as Settled with ``b = min(b, y)`` without.
+    Newton points approach y* from above, and every later ``a`` is at most
+    y*, so no further work can raise ``lb_integer``.  After an inexact
+    solve a point may sit below y*, where ``a`` can only reach the integer
+    of y* as well.  The ``a`` returned is then accurate only to its
+    integer, and ``xbar`` comes from a short last solve.
 
     The step exit: with a target, APG gets ``prune_step = y - a_need``, the
     Newton step that lands exactly on the prune level, and may stop once the
@@ -704,11 +713,12 @@ def nb_bound(prob: DnnProblem, target: float | None,
     only where the node was decided.  The Newton start is never below the
     prune level here, as the completion check has already ended any node
     whose trivial completion is below the target.  Only converged solves
-    and the settled stop move ``b`` otherwise, and the last trace row is
+    and the integer stop move ``b`` otherwise, and the last trace row is
     the last point evaluated.  A next point equal to the last stops the
-    bracketing as it stands, as Stalled.  A point where ||M|| is not finite
-    (a penalty weight so large that the lifted matrix overflows) ends it as
-    Overflow before any solve there; at the first point ``a`` stays -inf.
+    bracketing as it stands, as Stalled.  Every Newton step runs one APG
+    solve, so a bound that passes the completion check returns a finite
+    ``a``, ``y2`` and ``lb_integer``; ``assemble`` has refused a lifted
+    matrix that overflows.
     """
     sub = prob.sub
     upper = swap_search(sub)[0]
@@ -723,7 +733,7 @@ def nb_bound(prob: DnnProblem, target: float | None,
     y = initial_upper(sub) if target is not None else upper + 1.0
     a = -math.inf
     b = y
-    warm, x_s = prob.warm, None
+    warm = prob.warm
     if warm is not None:
         warm = basis.invariant(warm)
     trace = []
@@ -739,9 +749,6 @@ def nb_bound(prob: DnnProblem, target: float | None,
         # explicit slack of twice d * eps * ||M|| per source so that a stays
         # a valid lower bound.
         norm_M = float(np.linalg.norm(M))
-        if not math.isfinite(norm_M):
-            status = "Overflow"
-            break
         eig_slack = 16.0 * d * np.finfo(float).eps * norm_M
         # The integer this point decides: the target, or untargeted the
         # ceiling of y itself.  The margin is ten times the relative
@@ -754,33 +761,28 @@ def nb_bound(prob: DnnProblem, target: float | None,
         res = cone_distance(M, params.apg, warm_start=warm, eig_target=eig_target,
                             prune_step=None if target is None else y - a_need,
                             basis=basis)
-        warm, x_s = res.y2, res.x_s
+        warm = res.y2
         a = max(a, y + norm_factor * min(0.0, res.min_eig - eig_slack))
         if res.converged:
             b = min(b, y)
         trace.append(dict(zip(TRACE_FIELDS, (k, y, a, b, res.g, res.gprime,
                                              res.iterations, res.stop))))
-        if target is not None and _safe_ceil(a + sub.offset) >= target:
+        if _safe_ceil(a + sub.offset) >= level:
             status = "Pruned"
-            break
-        if b - a <= params.gap_tol * max(1.0, abs(b)):
-            status = "Converged"
-            break
-        if target is None and math.isfinite(a) and _safe_ceil(a + sub.offset) >= level:
-            b = min(b, y)
-            status = "Settled"
+            if target is None:
+                b, status = min(b, y), "Settled"
             break
         # Newton step whenever the derivative is usable; bisection fallbacks
         # otherwise.  Only the eigenvalue-corrected update above counts toward
         # a — a small nonzero g with a tiny derivative can sit well above y*.
         if res.gprime >= DPRIME_FLOOR:
             y_new = y - res.g / res.gprime
-            y_new = 0.5 * (a + y) if math.isfinite(a) and y_new <= a else y_new
+            y_new = 0.5 * (a + y) if y_new <= a else y_new
         elif res.g <= G_FLOOR * max(1.0, norm_M):
             # y is (numerically) at or below y*: move back up inside [y, b].
             y_new = 0.5 * (y + b)
         else:
-            y_new = 0.5 * (a + y) if math.isfinite(a) else y - max(1.0, abs(y)) * 1e-3
+            y_new = 0.5 * (a + y)
         if y_new == y:
             # A solve at the same point could only repeat this one.
             status = "Stalled"
@@ -791,9 +793,8 @@ def nb_bound(prob: DnnProblem, target: float | None,
             status = "Branchable"
             break
 
-    lb_integer = _safe_ceil(a + sub.offset) if math.isfinite(a) else None
-    xbar = x_s[:sub.ell] / x_s[-1] if x_s is not None and x_s[-1] > 0 else None
+    x_s = res.x_s
     return NbResult(status=status, a=a, b=b, iterations=iterations,
-                    lb_integer=lb_integer, trace=tuple(trace),
+                    lb_integer=_safe_ceil(a + sub.offset), trace=tuple(trace),
                     blocks=None if blocks is None else blocks.families,
-                    y2=None if warm is None else warm / prob.lam, xbar=xbar)
+                    y2=warm / prob.lam, xbar=x_s[:sub.ell] / x_s[-1] if x_s[-1] > 0 else None)

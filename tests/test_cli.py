@@ -26,7 +26,6 @@ from tests.conftest import (brute_optimum, format_qaplib, random_bqop,
 # What each checked run setting must be, as its one-line error states.
 RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
          "lambda_scale": "a positive finite number", "workers": "at least 1",
-         "nb.gap_tol": "a non-negative finite number",
          "nb.apg.rel_tol": "a non-negative finite number",
          "node_budget": "at least 1", "time_budget": "a non-negative finite number",
          "width_threshold": "at least 1"}
@@ -340,7 +339,7 @@ class TestBoundRoot:
         assert result.exit_code == 0
         params = json.loads(out.read_text())["config"]["params"]
         assert params == {"lambda_scale": 2e8, "nb": {
-            "gap_tol": 1e-6, "max_iter": 30, "apg": {"rel_tol": 1e-9, "max_iter": 3000}}}
+            "max_iter": 30, "apg": {"rel_tol": 1e-9, "max_iter": 3000}}}
 
     @pytest.mark.parametrize("value, flag, name", [
         *[(cap, flag, name) for cap in ("0", "-1")
@@ -348,9 +347,7 @@ class TestBoundRoot:
                              ("--apg-max-iter", "nb.apg.max_iter"))],
         *[(value, "--lambda-scale", "lambda_scale")
           for value in ("0.0", "-1.0", "nan", "inf")],
-        *[(value, flag, name) for value in ("-1.0", "nan", "inf")
-          for flag, name in (("--gap-tol", "nb.gap_tol"),
-                             ("--apg-tol", "nb.apg.rel_tol"))],
+        *[(value, "--apg-tol", "nb.apg.rel_tol") for value in ("-1.0", "nan", "inf")],
     ])
     def test_cap_below_1_exits_1(self, runner, bqop_file, tmp_path, value, flag, name):
         path, _ = bqop_file
@@ -675,20 +672,22 @@ class TestSolve:
     def test_nested_config_override(self, runner, bqop_file, tmp_path):
         path, inst = bqop_file
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nb": {"gap_tol": 1e-5, "apg": {"max_iter": 4000}}}))
+        cfg.write_text(json.dumps({"nb": {"max_iter": 30, "apg": {"max_iter": 4000}}}))
         cert = tmp_path / "cert.json"
         result = runner.invoke(main, [
             "solve", "--instance", str(path), "--target", str(brute_optimum(inst)),
             "--config", str(cfg), "--certificate-json", str(cert)])
         assert result.exit_code == 0
         nb = json.loads(cert.read_text())["config"]["params"]["nb"]
-        assert nb["gap_tol"] == 1e-5 and nb["apg"]["max_iter"] == 4000
+        assert nb["max_iter"] == 30 and nb["apg"]["max_iter"] == 4000
 
     @pytest.mark.parametrize("overrides, key", [
         ({"bogus": 1}, "bogus"),
         ({"nb": {"bogus": 1}}, "nb.bogus"),
         ({"nb": 3}, "nb"),
         ({"workers": "two"}, "workers"),
+        # The bracketing has no width tolerance.
+        ({"nb": {"gap_tol": 1e-6}}, "nb.gap_tol"),
     ])
     def test_bad_config_exits_1(self, runner, bqop_file, tmp_path, overrides, key):
         path, inst = bqop_file
@@ -706,7 +705,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("overrides, line", [
         ({"nb": {"apg": {"max_iter": 2.5}}}, "nb.apg.max_iter must be int, not 2.5"),
-        ({"nb": {"gap_tol": [1]}}, "nb.gap_tol must be float, not [1]"),
+        ({"nb": {"apg": {"rel_tol": [1]}}}, "nb.apg.rel_tol must be float, not [1]"),
         ({"time_budget": True}, "time_budget must be float | None, not True"),
         ({"node_budget": "5"}, "node_budget must be int | None, not '5'"),
         ({"iso_pruning": "no"}, "iso_pruning must be bool, not 'no'"),
@@ -731,8 +730,8 @@ class TestSolve:
         ({"lambda_scale": float("inf")}, "lambda_scale"),
         ({"lambda_scale": -1}, "lambda_scale"),
         ({"workers": 0}, "workers"),
-        ({"nb": {"gap_tol": float("nan")}}, "nb.gap_tol"),
-        ({"nb": {"gap_tol": -1e-6}}, "nb.gap_tol"),
+        ({"nb": {"apg": {"rel_tol": float("nan")}}}, "nb.apg.rel_tol"),
+        ({"nb": {"apg": {"rel_tol": -1e-6}}}, "nb.apg.rel_tol"),
         ({"nb": {"apg": {"rel_tol": float("inf")}}}, "nb.apg.rel_tol"),
         ({"nb": {"apg": {"rel_tol": -1}}}, "nb.apg.rel_tol"),
         ({"node_budget": 0}, "node_budget"),
@@ -848,9 +847,8 @@ class TestSettingsFlags:
             ("--workers", "2", 2), ("--width-threshold", "7", 7),
             ("--lambda-scale", "1e7", 1e7)]),
         "bound-root": ("--json", TreeParams, [
-            ("--lambda-scale", "1e7", 1e7), ("--gap-tol", "1e-5", 1e-5),
-            ("--nb-max-iter", "30", 30), ("--apg-tol", "1e-9", 1e-9),
-            ("--apg-max-iter", "3000", 3000)]),
+            ("--lambda-scale", "1e7", 1e7), ("--nb-max-iter", "30", 30),
+            ("--apg-tol", "1e-9", 1e-9), ("--apg-max-iter", "3000", 3000)]),
     }
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
@@ -1043,6 +1041,24 @@ class TestErrorExit:
                                       "--workers", workers])
         assert result.exit_code == 1
         assert result.output == f"error: workers must be at least 1, not {workers}\n"
+
+    @pytest.mark.parametrize("command, option", [("solve", "--certificate-json"),
+                                                 ("estimate", "--report-json")])
+    def test_overflowing_lambda_scale_exits_1(self, runner, tmp_path, command, option):
+        # A tree refuses the weight at its first bound, as bound-root does:
+        # with every bound lost it would branch every node, 55 on instance 8
+        # at its optimum, where 3 suffice.
+        inst = soundness_instance(8)
+        path, out = tmp_path / "s8.json", tmp_path / "out.json"
+        path.write_text(bqop_to_json(inst))
+        result = runner.invoke(main, [command, "--instance", str(path),
+                                      "--target", str(brute_optimum(inst)),
+                                      "--lambda-scale", "1e300", option, str(out)])
+        assert result.exit_code == 1
+        assert result.output == ("error: no finite lower bound at lambda_scale 1e+300: "
+                                 "the lifted matrix overflows; use a smaller lambda_scale\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_malformed_instance_exits_1(self, runner, tmp_path, name, command):

@@ -122,7 +122,7 @@ class TestSettings:
         *[(cls, name, value, "a non-negative finite number")
           for value in (-1e-6, math.nan, math.inf)
           for cls, name in ((ApgParams, "rel_tol"), (nested_apg, "rel_tol"),
-                            (NbParams, "gap_tol"), (BbParams, "time_budget"))],
+                            (BbParams, "time_budget"))],
         *[(cls, "lambda_scale", value, "a positive finite number")
           for value in (0.0, -1.0, math.nan, math.inf)
           for cls in (TreeParams, BbParams, EstParams)],
@@ -135,14 +135,13 @@ class TestSettings:
     def test_edges_and_none_accepted(self):
         # The least good values, and None where a field may be None.
         BbParams(workers=1, lambda_scale=1e-300, node_budget=1, time_budget=0.0,
-                 nb=NbParams(gap_tol=0.0, max_iter=1, apg=ApgParams(rel_tol=0.0,
-                                                                    max_iter=1)))
+                 nb=NbParams(max_iter=1, apg=ApgParams(rel_tol=0.0, max_iter=1)))
         EstParams(width_threshold=1, sample_size=1, depth_budget=None)
 
     @pytest.mark.parametrize("cls, name, value, annotation", [
         (ApgParams, "max_iter", 2.5, "int"),
         (nested_apg, "max_iter", 2.5, "int"),
-        (BbParams, "nb", {"gap_tol": 1}, "NbParams"),
+        (BbParams, "nb", {"max_iter": 1}, "NbParams"),
         (NbParams, "apg", NbParams(), "ApgParams"),
         (EstParams, "sample_size", 1.5, "int"),
         (BbParams, "time_budget", True, "float | None"),
@@ -152,7 +151,7 @@ class TestSettings:
         (TreeParams, "workers", True, "int"),
         (TreeParams, "lambda_scale", "1e8", "float"),
         (EstParams, "sample_cutoff", None, "int"),
-        (NbParams, "gap_tol", [1e-6], "float"),
+        (ApgParams, "rel_tol", [1e-12], "float"),
     ])
     def test_wrong_type_refused_when_built(self, cls, name, value, annotation):
         # The annotation is checked before the rule: the rules never see a
@@ -165,8 +164,8 @@ class TestSettings:
         # numpy integers are ints, numpy floats and any int are floats.
         params = BbParams(workers=np.int64(2), lambda_scale=np.float32(1e8),
                           leaf_threshold=np.uint8(8), node_budget=np.int32(5),
-                          time_budget=3, nb=NbParams(gap_tol=np.float64(1e-6),
-                                                     apg=ApgParams(max_iter=np.int16(9))))
+                          time_budget=3, nb=NbParams(apg=ApgParams(rel_tol=np.float64(1e-12),
+                                                                   max_iter=np.int16(9))))
         assert params.workers == 2 and params.nb.apg.max_iter == 9
         EstParams(depth_budget=np.int64(1), sample_cutoff=np.int8(3))
 
@@ -838,7 +837,7 @@ class TestNbBound:
             prob = assemble(sub, 1e8)
             res = nb_bound(prob, None, FAST_NB)
             assert res.a + sub.offset <= opt + 1e-6
-            assert res.status in ("Converged", "Settled")
+            assert res.status == "Settled"
             # Lag-DNN at the default weight is tight on these instances.
             assert res.a + sub.offset >= opt - 0.05 * max(1, abs(opt))
 
@@ -913,7 +912,7 @@ class TestNbBound:
         inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
         sub = reduce(inst, FixSets((), (0,)))
         res = nb_bound(assemble(sub, 1e8), None, NbParams())
-        assert res.status in ("Converged", "Settled") and res.a >= 150
+        assert res.status == "Settled" and res.a >= 150
         assert res.a + sub.offset <= 160
 
     def test_untargeted_bound_stops_where_the_point_repeats(self):
@@ -987,16 +986,31 @@ class TestSettledStop:
         for sub, params in self.roots():
             prob = assemble(sub, lam)
             res = nb_bound(prob, None, params)
-            assert res.status in ("Settled", "Converged")
-            if res.status == "Settled":
-                # b is the last Newton point, and a the best bound below it.
-                assert res.b == res.trace[-1]["y"]
-                assert res.lb_integer == _safe_ceil(res.b + sub.offset)
+            assert res.status == "Settled"
+            # b is the last Newton point, and a the best bound below it.
+            assert res.b == res.trace[-1]["y"]
+            assert res.lb_integer == _safe_ceil(res.b + sub.offset)
             probe = nb_bound(prob, res.lb_integer + 1, params)
             assert probe.status != "Pruned", (sub.inst.n, res.lb_integer)
             solved += probe.iterations > 0
         # Not every probe is decided by a completion at the integer bound.
         assert solved >= 5
+
+    def test_untargeted_soundness_roots_settle(self):
+        # Every untargeted root ends on its integer, not on the width of its
+        # bracket: instance 27 narrows to a relative width of 1e-6 one APG
+        # iteration before its integer, -30, is settled.
+        lam = TreeParams().lambda_scale
+        bounded = 0
+        for i in range(40):
+            sub = reduce(soundness_instance(i), FixSets((), (0,)))
+            if isinstance(subproblem.feasibility_status(sub, 0, 0), subproblem.SolvedLeaf):
+                continue
+            bounded += 1
+            res = nb_bound(assemble(sub, lam), None, SUITE_NB)
+            assert res.status == "Settled", i
+            assert res.lb_integer <= brute_sub_optimum(sub), i
+        assert bounded == 38
 
     def test_targeted_bounds_never_settle(self):
         assert all(nb_bound(prob, target, SUITE_NB).status != "Settled"
@@ -1092,7 +1106,7 @@ class TestLandingExit:
             calls.append(M)
             return ConeDistanceResult(g=1.0, gprime=0.5 * DPRIME_FLOOR,
                                       y2=np.zeros_like(M), min_eig=-1e6,
-                                      stop="cap", iterations=1)
+                                      stop="cap", iterations=1, x_s=np.ones(M.shape[0]))
 
         monkeypatch.setattr(dnn, "cone_distance", flat)
         # No known completion is below this target, so the bound is solved.
@@ -1120,9 +1134,6 @@ class TestLandingExit:
             assert res.iterations == len(res.trace)
             sub = prob.sub
             assert (res.iterations == 0) == (swap_search(sub)[0] + sub.offset < target)
-            # Pruned is tested before Converged on the same a, so a targeted
-            # Converged never carries a bound at the target.
-            assert res.status != "Converged" or res.lb_integer < target
             if not self.landed(res):
                 continue
             landings += 1
@@ -1251,10 +1262,10 @@ class TestPrimal:
         inst = BqopInstance(n=25, B=torus_matrix(5, weight=self.WEIGHT).astype(np.int64), m=9)
         sub = reduce(inst, FixSets((), (0,)))
         prob = assemble(sub, 1e8)
-        # At this gap the bracket closes after a converged solve; the
-        # default one is settled by a short solve stopped at the integer.
-        res = nb_bound(prob, None, NbParams(gap_tol=1e-4))
-        assert res.status == "Converged" and res.iterations == len(solves)
+        # The first two Newton steps end on converged solves; the default
+        # bound is settled by a short third solve stopped at the integer.
+        res = nb_bound(prob, None, NbParams(max_iter=2))
+        assert res.status == "IterLimit" and res.iterations == len(solves)
         assert res.trace[-1]["apg_stop"] == "converged"
         assert res.xbar.shape == (sub.ell,)
         assert np.all((res.xbar >= -0.01) & (res.xbar <= 1.01))
