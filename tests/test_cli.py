@@ -334,12 +334,12 @@ class TestBoundRoot:
         path, _ = bqop_file
         out = tmp_path / "bound.json"
         result = runner.invoke(main, [
-            "bound-root", "--instance", str(path), "--apg-tol", "1e-9",
+            "bound-root", "--instance", str(path), "--apg-tol", "1e-10",
             "--apg-max-iter", "3000", "--nb-max-iter", "30", "--json", str(out)])
         assert result.exit_code == 0
         params = json.loads(out.read_text())["config"]["params"]
         assert params == {"lambda_scale": 2e8, "nb": {
-            "max_iter": 30, "apg": {"rel_tol": 1e-9, "max_iter": 3000}}}
+            "max_iter": 30, "apg": {"rel_tol": 1e-10, "max_iter": 3000}}}
 
     @pytest.mark.parametrize("value, flag, name", [
         *[(cap, flag, name) for cap in ("0", "-1")
@@ -848,14 +848,15 @@ class TestSettingsFlags:
             ("--lambda-scale", "1e7", 1e7)]),
         "bound-root": ("--json", TreeParams, [
             ("--lambda-scale", "1e7", 1e7), ("--nb-max-iter", "30", 30),
-            ("--apg-tol", "1e-9", 1e-9), ("--apg-max-iter", "3000", 3000)]),
+            ("--apg-tol", "1e-10", 1e-10), ("--apg-max-iter", "3000", 3000)]),
     }
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_each_flag_sets_the_field_it_names(self, runner, bqop_file, tmp_path, command):
         # A settings flag's parameter name is the path of its field, with
         # "__" between the names: every one is given once, and each lands
-        # at that path in config.params.
+        # at that path in config.params with a value that is not the
+        # field's default, so a flag that is ignored fails here.
         path, inst = bqop_file
         option, cls, flags = self.FLAGS[command]
         names = {f.name for f in dataclasses.fields(cls)}
@@ -871,10 +872,10 @@ class TestSettingsFlags:
         assert result.exit_code == 0
         params = json.loads(out.read_text())["config"]["params"]
         for flag, _, value in flags:
-            found = params
+            found, default = params, cls()
             for part in fields[flag]:
-                found = found[part]
-            assert found == value, flag
+                found, default = found[part], getattr(default, part)
+            assert found == value != default, flag
 
 
 class TestEstimate:
