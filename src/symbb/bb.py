@@ -52,11 +52,6 @@ class TreeParams(Settings):
     """Settings of the tree engine, shared by BbParams and EstParams."""
 
     workers: int = setting(1, "at least 1")
-    # The penalty weight is lambda_scale / ||B(I0,I1)||.  2e8 was chosen by a
-    # sweep on the face (ROADMAP item 2): against 1e8 it cuts the APG work of
-    # untargeted bounds by about 40% and raises them, and above it targeted
-    # bounds take more APG iterations.
-    lambda_scale: float = setting(2e8, "a positive finite number")
     leaf_threshold: int = 20
     leaf_band: int = 3
     nb: NbParams = field(default_factory=NbParams)
@@ -304,7 +299,7 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     def bound_one(item):
         parent, _, sub = item
         t0 = time.monotonic()
-        res = nb_bound(assemble(sub, params.lambda_scale, parent.warm), target, params.nb)
+        res = nb_bound(assemble(sub, parent.warm), target, params.nb)
         return res, time.monotonic() - t0
 
     unbounded = [(frontier[fix], node, sub) for fix, node, sub in open_nodes

@@ -184,15 +184,14 @@ def _write_csv(path: str, rows: list[dict], header: list[str] | None = None):
 
 def _error_exit(call, *args, **kwargs):
     """``call(*args, **kwargs)``; a usage error, a malformed instance, a
-    group too large to list, a ``lambda_scale`` at which the lifted matrix
-    overflows, a run out of memory or an output that cannot be written
-    instead prints one ``error: <message>`` line on stderr and exits 1."""
+    group too large to list, a run out of memory or an output that cannot
+    be written instead prints one ``error: <message>`` line on stderr and
+    exits 1."""
     try:
         return call(*args, **kwargs)
     except click.ClickException as exc:
         message = exc.format_message()
-    except (instance.InstanceError, symmetry.GroupTooLargeError, OverflowError,
-            OSError) as exc:
+    except (instance.InstanceError, symmetry.GroupTooLargeError, OSError) as exc:
         message = str(exc)
     except MemoryError as exc:
         message = f"out of memory: {exc}" if str(exc) else "out of memory"
@@ -295,7 +294,6 @@ def symmetry_cmd(instance_path, fix_index, orbit_csv, group_json, group_cap):
 @main.command(name="bound-root")
 @_instance_option
 @click.option("--target", default=None, type=int)
-@click.option("--lambda-scale", "lambda_scale", default=None, type=float)
 @click.option("--nb-max-iter", "nb__max_iter", default=None, type=int)
 @click.option("--apg-tol", "nb__apg__rel_tol", default=None, type=float)
 @click.option("--apg-max-iter", "nb__apg__max_iter", default=None, type=int)
@@ -316,7 +314,7 @@ def bound_root(instance_path, target, trace_csv, json_path, **settings):
         res = dnn.NbResult(status="Exact", a=value, b=value, iterations=0,
                            lb_integer=leaf.value)
     else:
-        prob = dnn.assemble(sub, params.lambda_scale)
+        prob = dnn.assemble(sub)
         lam = prob.lam
         res = dnn.nb_bound(prob, target, params.nb)
     # A targeted bound is skipped when a completion is below the target.
@@ -350,8 +348,7 @@ def bound_root(instance_path, target, trace_csv, json_path, **settings):
         }
         # bound-root reads only these settings of TreeParams.
         _emit(json_path, payload, digest, "bound-root", instance=instance_path,
-              target=target, params={"lambda_scale": params.lambda_scale,
-                                     "nb": dataclasses.asdict(params.nb)})
+              target=target, params={"nb": dataclasses.asdict(params.nb)})
     sys.exit(EXIT_OK)
 
 
@@ -360,7 +357,6 @@ def bound_root(instance_path, target, trace_csv, json_path, **settings):
 @click.option("--target", required=True, type=int)
 @click.option("--no-isomorphism-pruning", "iso_pruning", flag_value=False, default=None)
 @click.option("--workers", "workers", default=None, type=int)
-@click.option("--lambda-scale", "lambda_scale", default=None, type=float)
 @click.option("--node-budget", "node_budget", default=None, type=int)
 @click.option("--time-budget", "time_budget", default=None, type=float, help="Seconds.")
 @click.option("--stats-csv", default=None, type=_output_path)
@@ -391,7 +387,6 @@ def solve(instance_path, target, stats_csv, certificate_json, config_path, **set
 @click.option("--seeds", default="0", help="Comma-separated list of seeds.")
 @click.option("--workers", "workers", default=None, type=int)
 @click.option("--width-threshold", "width_threshold", default=None, type=int)
-@click.option("--lambda-scale", "lambda_scale", default=None, type=float)
 @click.option("--stats-csv", default=None, type=_output_path)
 @click.option("--report-json", default=None, type=_output_path)
 def estimate_cmd(instance_path, target, seeds, stats_csv, report_json, **settings):

@@ -8,7 +8,10 @@ lifted matrix is
     Q = Q_obj + lam * Q_pen,
 
 where Q_obj carries u^T C u and Q_pen carries sum_j (u_j + v_j - s)^2 +
-sum_j u_j v_j + (sum_j u_j - b s)^2.
+sum_j u_j v_j + (sum_j u_j - b s)^2.  The weight is a constant of the
+bound relative to the data, lam = LAMBDA_SCALE / ||C||, so Q stays finite:
+an instance keeps sum |B| below 2^53, every entry of C is below 2^54 and a
+nonzero ||C|| is at least 1.
 
 Every feasible lift z = (u, 1 - u, 1) lies in the range of V: (u, s) ->
 (u, s 1 - u, s), where the ell linear penalty terms vanish.  V~ is an
@@ -59,6 +62,11 @@ from .symmetry import (PermutationGroup, components, orbits, pair_orbits,
                        random_elements)
 
 
+# The penalty weight of a node is LAMBDA_SCALE / ||B(I0,I1)||.  2e8 was
+# chosen by a sweep on the face (ROADMAP item 2): against 1e8 it cuts the
+# APG work of untargeted bounds by about 40% and raises them, and above it
+# targeted bounds take more APG iterations.
+LAMBDA_SCALE = 2e8
 # Newton takes a step only where g' is at least this; below it, bisection.
 DPRIME_FLOOR = 1e-12
 # g below this, relative to ||M||, counts as "already in the cone".
@@ -93,8 +101,7 @@ TRACE_FIELDS = ("k", "y", "a", "b", "g", "gprime", "apg_iterations", "apg_stop")
 
 
 _RULES = {"at least 1": lambda v: v >= 1,
-         "a non-negative finite number": lambda v: math.isfinite(v) and v >= 0,
-         "a positive finite number": lambda v: math.isfinite(v) and v > 0}
+         "a non-negative finite number": lambda v: math.isfinite(v) and v >= 0}
 # What the annotations int and float accept; only a bool is a bool.
 _NUMBERS = {int: Integral, float: Real}
 
@@ -281,10 +288,10 @@ class NbResult:
     xbar: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def assemble(sub: Subproblem, lambda_scale: float,
+def assemble(sub: Subproblem,
              warm: tuple[tuple[int, ...], np.ndarray] | None = None) -> DnnProblem:
     """Build the lifted matrices of order 2*ell + 1 for a subproblem, with
-    penalty weight lam = lambda_scale / ||B(I0,I1)||, the Frobenius norm of
+    penalty weight lam = LAMBDA_SCALE / ||B(I0,I1)||, the Frobenius norm of
     the reduced matrix.  Q keeps the full order, as the nonnegative part Y2
     does, though the bound reads only its face part V~^T (Q - Y2) V~ of
     order ell + 1 (module docstring): there the ell linear penalty terms
@@ -294,20 +301,15 @@ def assemble(sub: Subproblem, lambda_scale: float,
     its bound, Y2 over the ancestor's lam.  ``DnnProblem.warm`` is then its
     rows and columns at this node's (u, v, s) indices, times this node's
     lam: the penalty part of Q scales with lam, and so does the part of it
-    that Y2 absorbs.
-
-    A ``lambda_scale`` so large that Q overflows, where ||Q|| is not finite
-    and no bound can be validated, raises ``OverflowError``."""
+    that Y2 absorbs."""
     ell = sub.ell
     if ell == 0:
         raise ValueError("cannot assemble a DNN problem with no free variables")
-    if lambda_scale <= 0:
-        raise ValueError("lambda_scale must be positive")
     C = np.asarray(sub.reduced_B, dtype=float)
     norm = float(np.linalg.norm(C))
     if norm == 0.0:
         raise ValueError("reduced matrix is zero; no natural penalty scale")
-    lam = lambda_scale / norm
+    lam = LAMBDA_SCALE / norm
     d = 2 * ell + 1
     s = d - 1
     b = float(sub.residual_m)
@@ -326,12 +328,7 @@ def assemble(sub: Subproblem, lambda_scale: float,
     q_pen = A.T @ A
     q_pen[:ell, ell:s] += 0.5 * eye
     q_pen[ell:s, :ell] += 0.5 * eye
-    with np.errstate(over="ignore"):
-        q = q_obj + lam * q_pen
-        finite = math.isfinite(np.linalg.norm(q))
-    if not finite:
-        raise OverflowError(f"no finite lower bound at lambda_scale {lambda_scale:g}: "
-                            "the lifted matrix overflows; use a smaller lambda_scale")
+    q = q_obj + lam * q_pen
 
     start = None
     if warm is not None:

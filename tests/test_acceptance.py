@@ -76,7 +76,7 @@ class TestCriterion3:
     def test_root_lagrangian_bound(self):
         inst = _tai256c()
         sub = reduce(inst, FixSets(i0=(), i1=(0,)))
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         res = nb_bound(prob, None, NbParams())
         lb = res.a + sub.offset
         assert abs(lb - 43_881_304) <= 0.005 * 43_881_304

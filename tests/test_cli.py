@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from symbb import dnn, subproblem, symmetry
+from symbb import subproblem, symmetry
 from symbb.bb import BbParams, TreeParams, orbit_scores
 from symbb.cli import main
-from symbb.dnn import TRACE_FIELDS
+from symbb.dnn import TRACE_FIELDS, NbParams
 from symbb.estimator import EstParams
 from symbb.instance import BqopInstance, QapInstance, bqop_to_json
 from symbb.subproblem import FixSets, reduce
@@ -25,8 +25,7 @@ from tests.conftest import (brute_optimum, format_qaplib, random_bqop,
 
 # What each checked run setting must be, as its one-line error states.
 RULES = {"nb.max_iter": "at least 1", "nb.apg.max_iter": "at least 1",
-         "lambda_scale": "a positive finite number", "workers": "at least 1",
-         "nb.apg.rel_tol": "a non-negative finite number",
+         "workers": "at least 1", "nb.apg.rel_tol": "a non-negative finite number",
          "node_budget": "at least 1", "time_budget": "a non-negative finite number",
          "width_threshold": "at least 1"}
 
@@ -338,15 +337,25 @@ class TestBoundRoot:
             "--apg-max-iter", "3000", "--nb-max-iter", "30", "--json", str(out)])
         assert result.exit_code == 0
         params = json.loads(out.read_text())["config"]["params"]
-        assert params == {"lambda_scale": 2e8, "nb": {
+        assert params == {"nb": {
             "max_iter": 30, "apg": {"rel_tol": 1e-10, "max_iter": 3000}}}
+
+    def test_json_records_only_nb(self, runner, bqop_file, tmp_path):
+        # The bound reads no other setting: the penalty weight is a constant
+        # of dnn, recorded only as the node's own "lambda".
+        path, _ = bqop_file
+        out = tmp_path / "bound.json"
+        result = runner.invoke(main, ["bound-root", "--instance", str(path),
+                                      "--json", str(out)])
+        assert result.exit_code == 0
+        data = json.loads(out.read_text())
+        assert data["config"]["params"] == {"nb": dataclasses.asdict(NbParams())}
+        assert data["lambda"] > 0
 
     @pytest.mark.parametrize("value, flag, name", [
         *[(cap, flag, name) for cap in ("0", "-1")
           for flag, name in (("--nb-max-iter", "nb.max_iter"),
                              ("--apg-max-iter", "nb.apg.max_iter"))],
-        *[(value, "--lambda-scale", "lambda_scale")
-          for value in ("0.0", "-1.0", "nan", "inf")],
         *[(value, "--apg-tol", "nb.apg.rel_tol") for value in ("-1.0", "nan", "inf")],
     ])
     def test_cap_below_1_exits_1(self, runner, bqop_file, tmp_path, value, flag, name):
@@ -449,37 +458,6 @@ class TestBoundRoot:
         assert data["group_order"] is data["blocks"] is None
         # No trace rows, but the header still names the columns.
         assert trace.read_text().splitlines() == [",".join(TRACE_FIELDS)]
-
-    def test_overflowing_lambda_scale_exits_1(self, runner, tmp_path):
-        # At this weight ||M|| overflows and the one Newton step leaves a =
-        # -inf: there is no bound, and no completion decided the node.
-        path, out, trace = tmp_path / "s1.json", tmp_path / "bound.json", tmp_path / "t.csv"
-        path.write_text(bqop_to_json(soundness_instance(1)))
-        result = runner.invoke(main, ["bound-root", "--instance", str(path),
-                                      "--lambda-scale", "1e300", "--json", str(out),
-                                      "--trace-csv", str(trace)])
-        assert result.exit_code == 1
-        assert result.output == ("error: no finite lower bound at lambda_scale 1e+300: "
-                                 "the lifted matrix overflows; use a smaller lambda_scale\n")
-        assert not out.exists() and not trace.exists()
-
-    @pytest.mark.parametrize("scale", ["1e200", "1e300", "1e305"])
-    def test_overflow_ends_before_any_solve(self, runner, tmp_path, monkeypatch, scale):
-        # ||M|| is infinite at the first Newton point, so no APG solve can
-        # give a bound there; the bracketing ends before its first one.
-        def no_solve(*args, **kwargs):
-            raise AssertionError("cone_distance called on an overflowing matrix")
-
-        monkeypatch.setattr(dnn, "cone_distance", no_solve)
-        path, out, trace = tmp_path / "s1.json", tmp_path / "bound.json", tmp_path / "t.csv"
-        path.write_text(bqop_to_json(soundness_instance(1)))
-        result = runner.invoke(main, ["bound-root", "--instance", str(path),
-                                      "--lambda-scale", scale, "--json", str(out),
-                                      "--trace-csv", str(trace)])
-        assert result.exit_code == 1
-        assert result.output == (f"error: no finite lower bound at lambda_scale {float(scale):g}: "
-                                 "the lifted matrix overflows; use a smaller lambda_scale\n")
-        assert not out.exists() and not trace.exists()
 
     def test_json_rejects_values_without_a_json_form(self, tmp_path):
         from symbb.cli import _emit
@@ -725,11 +703,11 @@ class TestSolve:
     @pytest.mark.parametrize("overrides, name", [
         ({"nb": {"max_iter": 0}}, "nb.max_iter"),
         ({"nb": {"apg": {"max_iter": 0}}}, "nb.apg.max_iter"),
-        # json.dumps writes NaN and Infinity, and json.loads reads them.
-        ({"lambda_scale": float("nan")}, "lambda_scale"),
-        ({"lambda_scale": float("inf")}, "lambda_scale"),
-        ({"lambda_scale": -1}, "lambda_scale"),
+        ({"nb": {"max_iter": -1}}, "nb.max_iter"),
+        ({"workers": -1}, "workers"),
+        ({"node_budget": -1}, "node_budget"),
         ({"workers": 0}, "workers"),
+        # json.dumps writes NaN and Infinity, and json.loads reads them.
         ({"nb": {"apg": {"rel_tol": float("nan")}}}, "nb.apg.rel_tol"),
         ({"nb": {"apg": {"rel_tol": -1e-6}}}, "nb.apg.rel_tol"),
         ({"nb": {"apg": {"rel_tol": float("inf")}}}, "nb.apg.rel_tol"),
@@ -770,6 +748,19 @@ class TestSolve:
             "--certificate-json", str(cert)])
         assert result.exit_code == 1
         assert result.output == f"error: {name} must be {RULES[name]}, not {value}\n"
+        assert not cert.exists()
+
+    def test_config_lambda_scale_key_exits_1(self, runner, bqop_file, tmp_path):
+        # The penalty weight is a constant of the bound, not a run setting.
+        path, _ = bqop_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_scale": 2e8}))
+        cert = tmp_path / "cert.json"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", "0", "--config", str(cfg),
+            "--certificate-json", str(cert)])
+        assert result.exit_code == 1
+        assert result.output == "error: --config: unknown key 'lambda_scale'\n"
         assert not cert.exists()
 
     @pytest.mark.parametrize("where", ["missing_directory", "is_directory"])
@@ -841,14 +832,13 @@ class TestSettingsFlags:
     FLAGS = {
         "solve": ("--certificate-json", BbParams, [
             ("--no-isomorphism-pruning", None, False), ("--workers", "2", 2),
-            ("--lambda-scale", "1e7", 1e7), ("--node-budget", "1000", 1000),
-            ("--time-budget", "100", 100.0), ("--audit", None, True)]),
+            ("--node-budget", "1000", 1000), ("--time-budget", "100", 100.0),
+            ("--audit", None, True)]),
         "estimate": ("--report-json", EstParams, [
-            ("--workers", "2", 2), ("--width-threshold", "7", 7),
-            ("--lambda-scale", "1e7", 1e7)]),
+            ("--workers", "2", 2), ("--width-threshold", "7", 7)]),
         "bound-root": ("--json", TreeParams, [
-            ("--lambda-scale", "1e7", 1e7), ("--nb-max-iter", "30", 30),
-            ("--apg-tol", "1e-10", 1e-10), ("--apg-max-iter", "3000", 3000)]),
+            ("--nb-max-iter", "30", 30), ("--apg-tol", "1e-10", 1e-10),
+            ("--apg-max-iter", "3000", 3000)]),
     }
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
@@ -1044,20 +1034,19 @@ class TestErrorExit:
         assert result.output == f"error: workers must be at least 1, not {workers}\n"
 
     @pytest.mark.parametrize("command, option", [("solve", "--certificate-json"),
-                                                 ("estimate", "--report-json")])
-    def test_overflowing_lambda_scale_exits_1(self, runner, tmp_path, command, option):
-        # A tree refuses the weight at its first bound, as bound-root does:
-        # with every bound lost it would branch every node, 55 on instance 8
-        # at its optimum, where 3 suffice.
-        inst = soundness_instance(8)
-        path, out = tmp_path / "s8.json", tmp_path / "out.json"
-        path.write_text(bqop_to_json(inst))
-        result = runner.invoke(main, [command, "--instance", str(path),
-                                      "--target", str(brute_optimum(inst)),
-                                      "--lambda-scale", "1e300", option, str(out)])
+                                                 ("estimate", "--report-json"),
+                                                 ("bound-root", "--json")])
+    def test_lambda_scale_flag_exits_1(self, runner, bqop_file, tmp_path, command, option):
+        # The penalty weight is dnn.LAMBDA_SCALE: no command takes it.
+        path, _ = bqop_file
+        out = tmp_path / "out.json"
+        target = [] if command == "bound-root" else ["--target", "0"]
+        result = runner.invoke(main, [command, "--instance", str(path), *target,
+                                      "--lambda-scale", "1e8", option, str(out)])
         assert result.exit_code == 1
-        assert result.output == ("error: no finite lower bound at lambda_scale 1e+300: "
-                                 "the lifted matrix overflows; use a smaller lambda_scale\n")
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("error: No such option")
+        assert "'--lambda-scale'" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -41,7 +41,7 @@ def suite_problems():
             sub = reduce(inst, fix)
             if not sub.reduced_B.any() or not 0 < sub.residual_m < sub.ell:
                 continue
-            prob = assemble(sub, 1e8)
+            prob = assemble(sub)
             yield prob, opt
             yield prob, opt + 1
 
@@ -123,9 +123,6 @@ class TestSettings:
           for value in (-1e-6, math.nan, math.inf)
           for cls, name in ((ApgParams, "rel_tol"), (nested_apg, "rel_tol"),
                             (BbParams, "time_budget"))],
-        *[(cls, "lambda_scale", value, "a positive finite number")
-          for value in (0.0, -1.0, math.nan, math.inf)
-          for cls in (TreeParams, BbParams, EstParams)],
     ])
     def test_bad_value_refused_when_built(self, cls, name, value, rule):
         with pytest.raises(ValueError) as exc:
@@ -134,7 +131,7 @@ class TestSettings:
 
     def test_edges_and_none_accepted(self):
         # The least good values, and None where a field may be None.
-        BbParams(workers=1, lambda_scale=1e-300, node_budget=1, time_budget=0.0,
+        BbParams(workers=1, node_budget=1, time_budget=0.0,
                  nb=NbParams(max_iter=1, apg=ApgParams(rel_tol=0.0, max_iter=1)))
         EstParams(width_threshold=1, sample_size=1, depth_budget=None)
 
@@ -149,7 +146,7 @@ class TestSettings:
         (BbParams, "audit", 1, "bool"),
         (BbParams, "node_budget", "5", "int | None"),
         (TreeParams, "workers", True, "int"),
-        (TreeParams, "lambda_scale", "1e8", "float"),
+        (TreeParams, "leaf_threshold", 2.5, "int"),
         (EstParams, "sample_cutoff", None, "int"),
         (ApgParams, "rel_tol", [1e-12], "float"),
     ])
@@ -162,34 +159,37 @@ class TestSettings:
 
     def test_numpy_numbers_accepted(self):
         # numpy integers are ints, numpy floats and any int are floats.
-        params = BbParams(workers=np.int64(2), lambda_scale=np.float32(1e8),
-                          leaf_threshold=np.uint8(8), node_budget=np.int32(5),
-                          time_budget=3, nb=NbParams(apg=ApgParams(rel_tol=np.float64(1e-12),
-                                                                   max_iter=np.int16(9))))
+        params = BbParams(workers=np.int64(2), leaf_threshold=np.uint8(8),
+                          node_budget=np.int32(5), time_budget=np.float32(3.0),
+                          nb=NbParams(apg=ApgParams(rel_tol=1, max_iter=np.int16(9))))
         assert params.workers == 2 and params.nb.apg.max_iter == 9
         EstParams(depth_budget=np.int64(1), sample_cutoff=np.int8(3))
 
 
 class TestAssemble:
-    def test_order(self):
+    def test_order(self, monkeypatch):
         sub = open_sub()
-        prob = assemble(sub, 10.0)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 10.0)
+        prob = assemble(sub)
         assert prob.q.shape == (2 * sub.ell + 1,) * 2
 
-    def test_symmetric(self):
-        prob = assemble(open_sub(), 3.5)
+    def test_symmetric(self, monkeypatch):
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 3.5)
+        prob = assemble(open_sub())
         assert np.array_equal(prob.q, prob.q.T)
 
-    def test_closed_form_at_origin(self):
+    def test_closed_form_at_origin(self, monkeypatch):
         # u = v = 0, s = 1: objective 0, penalty ell + b^2.
         sub = open_sub()
-        prob = assemble(sub, 7.0)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 7.0)
+        prob = assemble(sub)
         val = lifted_form(prob, np.zeros(sub.ell), np.zeros(sub.ell), 1.0)
         assert val == pytest.approx(prob.lam * (sub.ell + sub.residual_m ** 2))
 
-    def test_matches_direct_penalty_evaluation(self):
+    def test_matches_direct_penalty_evaluation(self, monkeypatch):
         sub = open_sub(seed=3)
-        prob = assemble(sub, 2.25)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 2.25)
+        prob = assemble(sub)
         lam = prob.lam
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -200,9 +200,10 @@ class TestAssemble:
                 lam * penalty_value(u, v, s, sub.residual_m)
             assert lifted_form(prob, u, v, s) == pytest.approx(direct, rel=1e-10)
 
-    def test_feasible_binary_point_recovers_objective(self):
+    def test_feasible_binary_point_recovers_objective(self, monkeypatch):
         sub = open_sub(seed=5)
-        prob = assemble(sub, 11.0)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 11.0)
+        prob = assemble(sub)
         u = np.zeros(sub.ell)
         u[: sub.residual_m] = 1.0
         v = 1.0 - u
@@ -212,40 +213,37 @@ class TestAssemble:
     def test_empty_free_set_rejected(self, bqop6):
         sub = reduce(bqop6, FixSets(i0=tuple(range(5)), i1=(5,)))
         with pytest.raises(ValueError):
-            assemble(sub, 1.0)
-
-    def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            assemble(open_sub(), 0.0)
+            assemble(sub)
 
 
 class TestPenaltyWeight:
-    """The penalty weight assemble derives: lambda_scale / ||B(I0,I1)||."""
+    """The penalty weight assemble derives: LAMBDA_SCALE / ||B(I0,I1)||."""
 
-    def test_arithmetic(self):
+    def test_arithmetic(self, monkeypatch):
         sub = open_sub()
         norm = float(np.linalg.norm(sub.reduced_B.astype(float)))
-        assert assemble(sub, 1e8).lam == pytest.approx(1e8 / norm)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 1e8)
+        assert assemble(sub).lam == pytest.approx(1e8 / norm)
 
     def test_homogeneity(self):
         sub = open_sub()
         scaled = reduce(
             type(sub.inst)(n=sub.inst.n, B=3 * sub.inst.B, m=sub.inst.m),
             sub.fix)
-        assert assemble(scaled, 1e8).lam == pytest.approx(assemble(sub, 1e8).lam / 3)
+        assert assemble(scaled).lam == pytest.approx(assemble(sub).lam / 3)
 
     def test_zero_matrix_rejected(self):
         inst = BqopInstance(n=4, B=np.zeros((4, 4), dtype=np.int64), m=2)
         with pytest.raises(ValueError, match="zero"):
-            assemble(reduce(inst, FixSets((), ())), 1e8)
+            assemble(reduce(inst, FixSets((), ())))
 
-    def test_default_bounds_roots_no_lower_for_less_work(self):
+    def test_default_bounds_roots_no_lower_for_less_work(self, monkeypatch):
         # Why the default is not 1e8: on the untargeted roots x_1 = 1 of
         # soundness instances 0-19 that are not leaves, it never lowers an
         # integer bound and takes fewer APG iterations in all (40,551 ->
         # 21,356 when it was chosen; 17,627 -> 11,981 since untargeted
         # bounds stop once their integer is settled).
-        default = TreeParams().lambda_scale
+        default = dnn.LAMBDA_SCALE
         work = dict.fromkeys((1e8, default), 0)
         roots = 0
         for i in range(20):
@@ -253,7 +251,10 @@ class TestPenaltyWeight:
             if isinstance(subproblem.feasibility_status(sub, 0, 0), subproblem.SolvedLeaf):
                 continue
             roots += 1
-            res = {scale: nb_bound(assemble(sub, scale), None, SUITE_NB) for scale in work}
+            res = {}
+            for scale in work:
+                monkeypatch.setattr(dnn, "LAMBDA_SCALE", scale)
+                res[scale] = nb_bound(assemble(sub), None, SUITE_NB)
             assert res[default].lb_integer >= res[1e8].lb_integer, i
             for scale, r in res.items():
                 work[scale] += sum(row["apg_iterations"] for row in r.trace)
@@ -269,7 +270,6 @@ class TestApgTolerance:
         # soundness instances 0-59 that are not leaves and of five tori, it
         # gives every root the same integer bound for fewer APG iterations
         # in all (146,575 -> 40,110 when it was chosen).
-        lam = TreeParams().lambda_scale
         default = ApgParams().rel_tol
         work = dict.fromkeys((1e-12, default), 0)
         subs = [reduce(soundness_instance(i), FixSets((), (0,))) for i in range(60)]
@@ -279,7 +279,7 @@ class TestApgTolerance:
             inst = BqopInstance(n=k * k, B=torus_matrix(k, seed).astype(np.int64), m=m)
             subs.append(reduce(inst, FixSets((), (0,))))
         for sub in subs:
-            prob = assemble(sub, lam)
+            prob = assemble(sub)
             res = {tol: nb_bound(prob, None, nested_apg(rel_tol=tol)) for tol in work}
             assert res[default].lb_integer == res[1e-12].lb_integer, sub.inst.n
             for tol, r in res.items():
@@ -372,14 +372,16 @@ class TestConeDistance:
             assert res.gprime == pytest.approx(fd, rel=1e-3)
             checked += 1
 
-    def test_root_lift_not_above_alternating_projections(self):
+    def test_root_lift_not_above_alternating_projections(self, monkeypatch):
         # Every alternating-projection iterate is a decomposition, so its
         # value bounds the distance from above (35.78858823 on the root lift
-        # of soundness instance 5).  A converged APG solve may not report
-        # more; had it returned the projected point where its rule settled
-        # at an infeasible momentum point, it would report 192.3.
+        # of soundness instance 5 at LAMBDA_SCALE 1e8).  A converged APG
+        # solve may not report more; had it returned the projected point
+        # where its rule settled at an infeasible momentum point, it would
+        # report 192.3.
         sub = reduce(soundness_instance(5), FixSets((), (0,)))
-        prob = assemble(sub, 1e8)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 1e8)
+        prob = assemble(sub)
         M = prob.q.copy()
         M[-1, -1] -= initial_upper(prob.sub)
         res = cone_distance(M)
@@ -511,7 +513,7 @@ class TestConvergedStop:
     def test_torus_root_on_blocks(self, monkeypatch):
         calls = self.recorded(monkeypatch)
         sub, _ = torus_root()
-        res = nb_bound(assemble(sub, 1e8), None, NbParams(max_iter=3))
+        res = nb_bound(assemble(sub), None, NbParams(max_iter=3))
         assert res.blocks is not None
         assert self.converged_stops(calls) > 0
 
@@ -524,7 +526,8 @@ class TestConvergedStop:
         # g was measured: at 1e-9 the solve stops 1.4e-6 away from it.
         calls = self.recorded(monkeypatch)
         sub = reduce(soundness_instance(5), FixSets((), (0,)))
-        M = assemble(sub, 1e8).q.copy()
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 1e8)
+        M = assemble(sub).q.copy()
         M[-1, -1] -= initial_upper(sub)
         res = dnn.cone_distance(M, ApgParams(rel_tol=1e-12))
         assert res.converged and res.iterations > 28
@@ -561,7 +564,7 @@ class TestBlockBasis:
         rng = np.random.default_rng(0)
         for _ in range(3):
             assert_block_step_exact(blocks, reynolds(stabiliser, sub.ell, rng))
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         M = prob.q.copy()
         M[-1, -1] -= initial_upper(prob.sub)
         assert_block_step_exact(blocks, M)
@@ -585,7 +588,7 @@ class TestBlockBasis:
         rng = np.random.default_rng(k)
         for _ in range(3):
             assert_block_step_exact(blocks, reynolds(group.elements, sub.ell, rng))
-        M = assemble(sub, 1e8).q.copy()
+        M = assemble(sub).q.copy()
         M[-1, -1] -= initial_upper(sub)
         assert_block_step_exact(blocks, M)
 
@@ -645,13 +648,13 @@ class TestBlockBasis:
         assert group.order == 1
         assert dnn.block_basis(group) is None
         short = NbParams(max_iter=1, apg=ApgParams(max_iter=5))
-        res = nb_bound(assemble(sub, 1e8), None, short)
+        res = nb_bound(assemble(sub), None, short)
         assert res.iterations == 1 and res.blocks is None
         # Below the crossover the node group is never computed.
         monkeypatch.setattr(subproblem, "subgroup", None)
         small = open_sub(seed=0, n=8, m=4)
         assert small.ell + 1 < dnn.BLOCK_MIN_ORDER
-        res = nb_bound(assemble(small, 1e8), None, short)
+        res = nb_bound(assemble(small), None, short)
         assert res.iterations == 1 and res.blocks is None
 
     def test_involution_gives_no_basis_before_building_one(self, monkeypatch):
@@ -667,7 +670,7 @@ class TestBlockBasis:
         monkeypatch.setattr(dnn, "_families", None)
         assert dnn.block_basis(sub.group) is None
         short = NbParams(max_iter=1, apg=ApgParams(max_iter=5))
-        res = nb_bound(assemble(sub, 1e8), None, short)
+        res = nb_bound(assemble(sub), None, short)
         assert res.iterations == 1 and res.blocks is None
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -694,7 +697,7 @@ class TestBlockBasis:
         # Untargeted, Newton starts one above the completion the search
         # found; targeted, one above the trivial completion (nb_bound).
         sub = open_sub(seed=1)
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         upper = swap_search(sub)[0]
         assert upper + 1 < initial_upper(sub)
         assert nb_bound(prob, None, FAST_NB).trace[0]["y"] == upper + 1
@@ -704,7 +707,7 @@ class TestBlockBasis:
     def test_completion_check_builds_no_group(self, monkeypatch):
         monkeypatch.setattr(subproblem, "subgroup", None)
         sub, _ = torus_root()
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         res = nb_bound(prob, swap_search(sub)[0] + sub.offset + 1, FAST_NB)
         assert (res.status, res.iterations, res.blocks) == ("Branchable", 0, None)
 
@@ -794,7 +797,7 @@ class TestWarmStart:
         monkeypatch.setattr(dnn, "cone_distance", recording)
         inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
         sub = reduce(inst, FixSets((), (0,)))
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         res = nb_bound(prob, TestWarmStart.TARGET, FAST_NB)
         monkeypatch.undo()
         assert res.status == "Branchable"
@@ -806,20 +809,20 @@ class TestWarmStart:
         ell = sub.ell
         for fix in bb.branch_node(sub):
             child = reduce(sub.inst, fix)
-            warm = assemble(child, 1e8, (sub.free, res.y2))
+            warm = assemble(child, (sub.free, res.y2))
             at = [sub.free.index(i) for i in child.free]
             idx = [*at, *(k + ell for k in at), 2 * ell]
             expected = y2[np.ix_(idx, idx)] * (warm.lam / prob.lam)
             assert np.allclose(warm.warm, expected, rtol=1e-12, atol=0.0)
             assert np.all(warm.warm >= 0) and warm.warm.any()
-            assert assemble(child, 1e8).warm is None
+            assert assemble(child).warm is None
             with pytest.raises(ValueError, match="ancestor"):
-                assemble(sub, 1e8, (child.free, warm.warm))
+                assemble(sub, (child.free, warm.warm))
 
     def test_block_path_start_is_invariant(self, monkeypatch):
         sub, _, res, _ = self.torus_parent(monkeypatch)
         child = reduce(sub.inst, FixSets((), (0, 1)))
-        prob = assemble(child, 1e8, (sub.free, res.y2))
+        prob = assemble(child, (sub.free, res.y2))
         starts = []
         real = dnn.cone_distance
 
@@ -862,7 +865,7 @@ class TestNbBound:
         for seed in range(4):
             sub = open_sub(seed=seed, n=8, m=4)
             opt = brute_sub_optimum(sub)
-            prob = assemble(sub, 1e8)
+            prob = assemble(sub)
             res = nb_bound(prob, None, FAST_NB)
             assert res.a + sub.offset <= opt + 1e-6
             assert res.status == "Settled"
@@ -871,7 +874,7 @@ class TestNbBound:
 
     def test_monotone_brackets(self):
         sub = open_sub(seed=7)
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         res = nb_bound(prob, None, FAST_NB)
         a_seq = [rec["a"] for rec in res.trace]
         b_seq = [rec["b"] for rec in res.trace]
@@ -881,7 +884,7 @@ class TestNbBound:
 
     def test_pruned_at_low_target(self):
         sub = open_sub(seed=1)
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         res = nb_bound(prob, -10 ** 9, FAST_NB)
         assert res.status == "Pruned"
         assert res.iterations == 1
@@ -889,7 +892,7 @@ class TestNbBound:
     def test_branchable_at_unreachable_target(self):
         # A completion below the target ends the node before any APG solve.
         sub = open_sub(seed=1)
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         ub = initial_upper(sub)
         res = nb_bound(prob, int(ub + 10 ** 6), FAST_NB)
         assert res.status == "Branchable"
@@ -907,7 +910,7 @@ class TestNbBound:
 
         monkeypatch.setattr(dnn, "cone_distance", recording)
         for seed in range(6):
-            prob = assemble(open_sub(seed=seed), 1e8)
+            prob = assemble(open_sub(seed=seed))
             level = swap_search(prob.sub)[0] + prob.sub.offset
             res = nb_bound(prob, level + 1, FAST_NB)
             assert (res.status, res.iterations, len(calls)) == ("Branchable", 0, 0)
@@ -918,16 +921,17 @@ class TestNbBound:
     def test_integer_bound_matches_optimum(self):
         sub = open_sub(seed=11, n=10, m=5)
         opt = brute_sub_optimum(sub)
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         res = nb_bound(prob, None, FAST_NB)
         assert res.lb_integer is not None
         assert res.lb_integer <= opt
 
-    def test_lambda_monotonicity(self):
+    def test_lambda_monotonicity(self, monkeypatch):
         sub = open_sub(seed=2)
         finals = []
         for scale in (1e2, 1e4, 1e6, 1e8):
-            prob = assemble(sub, scale)
+            monkeypatch.setattr(dnn, "LAMBDA_SCALE", scale)
+            prob = assemble(sub)
             finals.append(nb_bound(prob, None, FAST_NB).a)
         for lo, hi in zip(finals, finals[1:]):
             assert hi >= lo - 1e-6 * max(1.0, abs(hi))
@@ -939,18 +943,19 @@ class TestNbBound:
         # bracket closed.
         inst = BqopInstance(n=25, B=torus_matrix(5).astype(np.int64), m=9)
         sub = reduce(inst, FixSets((), (0,)))
-        res = nb_bound(assemble(sub, 1e8), None, NbParams())
+        res = nb_bound(assemble(sub), None, NbParams())
         assert res.status == "Settled" and res.a >= 150
         assert res.a + sub.offset <= 160
 
-    def test_untargeted_bound_stops_where_the_point_repeats(self):
+    def test_untargeted_bound_stops_where_the_point_repeats(self, monkeypatch):
         # A converged solve with g = 0 at y == b bisects to y itself, where
         # the bracketing once ran to its 60-step cap, re-solving one point.
-        # At lambda_scale 1e13 the roundoff slack of the correction, about
+        # At LAMBDA_SCALE 1e13 the roundoff slack of the correction, about
         # 1.0 here, keeps a below the integer of y, so the integer is never
         # settled and the point repeats.
         sub = open_sub(seed=3)
-        prob = assemble(sub, 1e13)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 1e13)
+        prob = assemble(sub)
         res = nb_bound(prob, None, NbParams())
         assert res.status == "Stalled" and res.iterations <= 8
         last = res.trace[-1]
@@ -964,16 +969,17 @@ class TestNbBound:
 
     def test_g_nonnegative_and_zero_below_a(self):
         sub = open_sub(seed=4)
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         res = nb_bound(prob, None, FAST_NB)
         M = prob.q.copy()
         M[-1, -1] -= res.a - 5.0
         below = cone_distance(M, FAST_NB.apg)
         assert below.g <= 1e-6 * max(1.0, np.linalg.norm(M))
 
-    def test_g_convex_above_bracket(self):
+    def test_g_convex_above_bracket(self, monkeypatch):
         sub = open_sub(seed=4)
-        prob = assemble(sub, 1e8)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 1e8)
+        prob = assemble(sub)
         res = nb_bound(prob, None, FAST_NB)
         # g of the face cone is convex here by a margin of 2.4e-4 at the
         # middle point, where a solve stopped at FAST's rel_tol 1e-10 reads
@@ -1009,10 +1015,9 @@ class TestSettledStop:
     def test_settled_integer_is_the_relaxations_best(self):
         # A valid bound at the next integer can prune only where Settled
         # stopped an integer short of the relaxation.
-        lam = TreeParams().lambda_scale
         solved = 0
         for sub, params in self.roots():
-            prob = assemble(sub, lam)
+            prob = assemble(sub)
             res = nb_bound(prob, None, params)
             assert res.status == "Settled"
             # b is the last Newton point, and a the best bound below it.
@@ -1028,14 +1033,13 @@ class TestSettledStop:
         # Every untargeted root ends on its integer, not on the width of its
         # bracket: instance 27 narrows to a relative width of 1e-6 one APG
         # iteration before its integer, -30, is settled.
-        lam = TreeParams().lambda_scale
         bounded = 0
         for i in range(40):
             sub = reduce(soundness_instance(i), FixSets((), (0,)))
             if isinstance(subproblem.feasibility_status(sub, 0, 0), subproblem.SolvedLeaf):
                 continue
             bounded += 1
-            res = nb_bound(assemble(sub, lam), None, SUITE_NB)
+            res = nb_bound(assemble(sub), None, SUITE_NB)
             assert res.status == "Settled", i
             assert res.lb_integer <= brute_sub_optimum(sub), i
         assert bounded == 38
@@ -1050,7 +1054,7 @@ class TestLiftNorm:
         rng = np.random.default_rng(12)
         inst = random_bqop(rng, 9, 4)
         sub = reduce(inst, FixSets(i0=(3,), i1=(0,)))
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         lam = prob.lam
         C = sub.reduced_B
         for support in itertools.combinations(range(sub.ell), sub.residual_m):
@@ -1127,7 +1131,7 @@ class TestLandingExit:
         """A solve with g' below DPRIME_FLOOR and a far below the prune level
         bisects toward a; the bisection point ends the node at once."""
         sub = open_sub(seed=1)
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         calls = []
 
         def flat(M, *args, **kwargs):
@@ -1253,7 +1257,7 @@ class TestStepExit:
 
     def test_block_path(self, solves):
         sub, _ = torus_root()
-        prob = assemble(sub, 1e8)
+        prob = assemble(sub)
         params = NbParams(max_iter=4, apg=ApgParams(max_iter=400))
         for target in (None, swap_search(sub)[0] + sub.offset):
             res = nb_bound(prob, target, params)
@@ -1286,10 +1290,11 @@ class TestPrimal:
     # torus-prove benchmark proves (drawn from 1-100).
     WEIGHT = [[0, 39, 84], [39, 55, 40], [84, 40, 42]]
 
-    def test_torus_root(self, solves):
+    def test_torus_root(self, solves, monkeypatch):
         inst = BqopInstance(n=25, B=torus_matrix(5, weight=self.WEIGHT).astype(np.int64), m=9)
         sub = reduce(inst, FixSets((), (0,)))
-        prob = assemble(sub, 1e8)
+        monkeypatch.setattr(dnn, "LAMBDA_SCALE", 1e8)
+        prob = assemble(sub)
         # The first two Newton steps end on converged solves; the default
         # bound is settled by a short third solve stopped at the integer.
         res = nb_bound(prob, None, NbParams(max_iter=2))
@@ -1310,7 +1315,7 @@ class TestPrimal:
 
     def test_none_without_a_solve(self):
         sub = open_sub()
-        res = nb_bound(assemble(sub, 1e8), swap_search(sub)[0] + sub.offset + 1, FAST_NB)
+        res = nb_bound(assemble(sub), swap_search(sub)[0] + sub.offset + 1, FAST_NB)
         assert res.iterations == 0 and res.xbar is None
 
     @pytest.mark.parametrize("corner", [0.0, -1e-3])
@@ -1324,5 +1329,5 @@ class TestPrimal:
                                       stop="cap", iterations=1, x_s=x_s)
 
         monkeypatch.setattr(dnn, "cone_distance", flat)
-        res = nb_bound(assemble(sub, 1e8), None, NbParams(max_iter=1))
+        res = nb_bound(assemble(sub), None, NbParams(max_iter=1))
         assert res.iterations == 1 and res.xbar is None

@@ -259,6 +259,46 @@ def test_guard_sees_an_unchecked_setting(tmp_path):
         "a.py:19 Outer.when"]
 
 
+def unused_rules(src: Path = SRC) -> list[str]:
+    """The keys of a top-level ``_RULES`` dict of ``src/*.py`` that are the
+    rule of no ``setting(default, rule)`` call there: a rule left behind by
+    a deleted settings field."""
+    keys, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict) and \
+                    any(getattr(t, "id", None) == "_RULES" for t in stmt.targets):
+                keys += [(key.value, f"{path.name}:{key.lineno} {key.value!r}")
+                         for key in stmt.value.keys if isinstance(key, ast.Constant)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) == "setting":
+                rule = next((k.value for k in node.keywords if k.arg == "rule"),
+                            node.args[1] if len(node.args) > 1 else None)
+                if isinstance(rule, ast.Constant):
+                    used.add(rule.value)
+    return [where for key, where in keys if key not in used]
+
+
+def test_every_rule_is_some_settings_rule():
+    assert unused_rules() == []
+
+
+def test_guard_sees_an_unused_rule(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_RULES = {'at least 1': lambda v: v >= 1,\n"
+        "          'positive': lambda v: v > 0,\n"
+        "          'finite': lambda v: v == v}\n\n\n"
+        "def setting(default, rule):\n    return default, rule\n")
+    (tmp_path / "b.py").write_text(
+        "import a\n\n"
+        "WORKERS = a.setting(1, 'at least 1')\n"
+        "TOL = a.setting(0.0, rule='finite')\n"
+        "OTHER = dict(rule='positive')\n")
+    assert unused_rules(tmp_path) == ["a.py:2 'positive'"]
+
+
 # Methods that change the container they are called on.
 MUTATORS = {"append", "update", "setdefault", "clear", "add", "pop"}
 
