@@ -18,12 +18,15 @@ check a merge; a survivor's last APG iterate warm-starts the bounds of its
 two children and is dropped once both have a verdict.  No upper bounding is
 performed: the run either proves that the optimum is at least the target,
 or refutes the target with an exactly solved leaf below it.
+
+Bounds, branches and merges go through this module's names ``nb_bound``,
+``branch_node`` and ``isomorphic``, which the test suite's enumeration audit
+(``audited`` in ``tests/conftest.py``) wraps from outside.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +38,7 @@ import numpy as np
 from .dnn import NbParams, Settings, assemble, nb_bound, setting
 from .instance import BqopInstance, objective
 from .subproblem import (FixSets, Infeasible, SolvedLeaf, Subproblem,
-                         feasibility_status, reduce, solve_exactly)
+                         feasibility_status, reduce)
 from .symmetry import Orbit, candidates, first_leaf, orbits
 
 # Candidate tries of one isomorphism search; running out counts as
@@ -59,10 +62,11 @@ class TreeParams(Settings):
 
 @dataclass(frozen=True)
 class BbParams(TreeParams):
+    """Branch-and-bound settings: isomorphism pruning and the budgets."""
+
     iso_pruning: bool = True
     node_budget: int | None = setting(None, "at least 1")
     time_budget: float | None = setting(None, "a non-negative finite number")  # seconds
-    audit: bool = False                 # small-n only: re-check by enumeration
 
 
 @dataclass(frozen=True)
@@ -170,22 +174,12 @@ def branch(fix: FixSets, orbit: Orbit) -> tuple[FixSets, FixSets]:
     return fix.with_zeros(orbit.members), fix.with_one(orbit.representative)
 
 
-def branch_node(sub: Subproblem, audit: bool = False,
-                xbar: np.ndarray | None = None) -> tuple[FixSets, FixSets]:
+def branch_node(sub: Subproblem, xbar: np.ndarray | None = None) -> tuple[FixSets, FixSets]:
     """Both children of an open node, branched on the orbit ``choose_orbit``
     picks from its node group ``sub.group`` and ``xbar``, the relaxation
     values of the node's own bound (None for the root, which is not bounded,
-    and for a node that ran no APG solve).  With ``audit``, check by
-    enumeration that one child keeps the node's optimum."""
-    children = branch(sub.fix, choose_orbit(sub, xbar))
-    if audit:
-        child_opts = [leaf.value for leaf in
-                      (solve_exactly(reduce(sub.inst, f)) for f in children)
-                      if isinstance(leaf, SolvedLeaf)]
-        parent_opt = solve_exactly(sub).value
-        assert child_opts and parent_opt == min(child_opts), \
-            f"branching at {sub.fix} lost the optimum {parent_opt}"
-    return children
+    and for a node that ran no APG solve)."""
+    return branch(sub.fix, choose_orbit(sub, xbar))
 
 
 @dataclass
@@ -225,7 +219,7 @@ class Level:
 
 def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                  frontier: dict[FixSets, Decided], history: dict | None = None,
-                 audit: bool = False, memo: dict | None = None) -> Level:
+                 memo: dict | None = None) -> Level:
     """Expand the fix sets of ``frontier``, in order: reduce and classify
     each node; with a ``history`` (fingerprint -> fix sets of the retained
     subproblems), merge the open nodes isomorphic to a retained one, rebuilt
@@ -287,9 +281,6 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
                 bucket.append(fix)
                 unmerged.append((fix, node, sub))
                 continue
-            if audit:
-                assert solve_exactly(sub).value == solve_exactly(twin).value, \
-                    f"unsound merge of {sub.fix} into {twin.fix}"
             node.verdict = "merged"
         open_nodes = unmerged
 
@@ -314,21 +305,12 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=params.workers))
             results = pool.map(bound_one, unbounded)
         for (_, node, sub), (res, seconds) in zip(unbounded, results):
-            if audit and math.isfinite(res.a):
-                opt = solve_exactly(sub).value
-                assert res.a + sub.offset <= opt, \
-                    f"invalid bound at {sub.fix}: {res.a + sub.offset} > {opt}"
-            elif audit and res.iterations == 0:
-                # Decided by a completion below the target: b is its value.
-                opt = solve_exactly(sub).value
-                assert opt <= res.b + sub.offset < target, \
-                    f"no completion of {sub.fix} at {res.b + sub.offset} < {target}"
             # Branchable, IterLimit and Stalled all branch; branching an
             # undecided node is always sound.
             node.verdict = "pruned" if res.status == "Pruned" else "branched"
             node.seconds = seconds
             if node.verdict == "branched":
-                node.children = branch_node(sub, audit, res.xbar)
+                node.children = branch_node(sub, res.xbar)
                 if res.y2 is not None:
                     node.warm = (sub.free, res.y2)
     for parent in frontier.values():
@@ -337,14 +319,13 @@ def expand_level(inst: BqopInstance, target: int, params: TreeParams,
     return level
 
 
-def root_level(inst: BqopInstance, audit: bool = False,
-               memo: dict | None = None) -> Level:
+def root_level(inst: BqopInstance, memo: dict | None = None) -> Level:
     """Level 0: the root, branched without being classified or bounded; a
     ``memo`` records it, so that the root is branched once per memo."""
     root = FixSets((), ())
     node = Decided() if memo is None else memo.setdefault(root, Decided())
     if node.children is None:
-        node.verdict, node.children = "branched", branch_node(reduce(inst, root), audit)
+        node.verdict, node.children = "branched", branch_node(reduce(inst, root))
     return Level(nodes=[(root, node)])
 
 
@@ -353,13 +334,13 @@ def solve_target(inst: BqopInstance, target: int, params: BbParams = BbParams())
     t_start = time.monotonic()
     history = {} if params.iso_pruning else None
     per_depth: list[dict] = []
-    level = root_level(inst, params.audit)
+    level = root_level(inst)
     node_count = 1
     for depth in itertools.count(1):
         parents = level.parents
         created = len(parents)
         node_count += created
-        level = expand_level(inst, target, params, parents, history, params.audit)
+        level = expand_level(inst, target, params, parents, history)
         leaf = level.refutation
         verdicts = Counter(node.verdict for _, node in level.nodes)
         generated = created - verdicts["merged"]

@@ -361,7 +361,6 @@ def bound_root(instance_path, target, trace_csv, json_path, **settings):
 @click.option("--time-budget", "time_budget", default=None, type=float, help="Seconds.")
 @click.option("--stats-csv", default=None, type=_output_path)
 @click.option("--certificate-json", default=None, type=_output_path)
-@click.option("--audit", "audit", flag_value=True, default=None)
 @click.option("--config", "config_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
 def solve(instance_path, target, stats_csv, certificate_json, config_path, **settings):

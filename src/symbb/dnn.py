@@ -717,8 +717,8 @@ def nb_bound(prob: DnnProblem, target: float | None,
     the last point evaluated.  A next point equal to the last stops the
     bracketing as it stands, as Stalled.  Every Newton step runs one APG
     solve, so a bound that passes the completion check returns a finite
-    ``a``, ``y2`` and ``lb_integer``; ``assemble`` has refused a lifted
-    matrix that overflows.
+    ``a``, ``y2`` and ``lb_integer``: with lam = LAMBDA_SCALE / ||C|| every
+    entry of Q is finite (module docstring).
     """
     sub = prob.sub
     upper = swap_search(sub)[0]

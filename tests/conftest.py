@@ -5,15 +5,20 @@ from exhaustive enumeration, automorphism groups from brute force over all
 permutations, and cone distances from alternating projections.  The one
 exception is ``topdown_automorphisms``, the search without orbit pruning,
 which shares the package's leaf search but runs it for every candidate
-image of every pivot.
+image of every pivot.  ``audited`` checks the branch-and-bound engine from
+outside, against the optima of ``subproblem.solve_exactly``.
 """
 
+import contextlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from symbb import bb
 from symbb.instance import BqopInstance, InstanceError, QapInstance
+from symbb.subproblem import SolvedLeaf, reduce, solve_exactly
 from symbb.symmetry import PermutationGroup, _refine, candidates, first_leaf
 
 
@@ -297,6 +302,64 @@ def alternating_projection_distance(M, tol=1e-11, max_iter=200_000):
             return g, True
         prev = g
     return g, False
+
+
+@contextlib.contextmanager
+def audited():
+    """Check every bound, branch and merge of the tree engine by enumeration
+    while the block runs (small n only: each check solves its nodes exactly).
+
+    On entry, wraps whatever ``bb.nb_bound``, ``bb.branch_node`` and
+    ``bb.isomorphic`` hold, so a fault planted before entering is checked
+    too; restores them on exit.  ``solve_target`` and ``estimate`` both
+    reach the engine through these names.  A check fails with an
+    AssertionError; one raised in a worker thread reaches the caller
+    through the pool's map.
+
+    - bound: a finite ``a`` plus the offset is at most the node's optimum,
+      and a bound decided by a completion (no iterations) has the optimum
+      at most ``b`` plus the offset, below the target;
+    - branch: one child keeps the node's optimum;
+    - merge: the two subproblems ``isomorphic`` matches have equal optima.
+    """
+    real_bound, real_branch, real_isomorphic = bb.nb_bound, bb.branch_node, bb.isomorphic
+
+    def nb_bound(prob, target, *args, **kwargs):
+        res = real_bound(prob, target, *args, **kwargs)
+        sub = prob.sub
+        if math.isfinite(res.a):
+            opt = solve_exactly(sub).value
+            assert res.a + sub.offset <= opt, \
+                f"invalid bound at {sub.fix}: {res.a + sub.offset} > {opt}"
+        elif res.iterations == 0:
+            # Decided by a completion below the target: b is its value.
+            opt = solve_exactly(sub).value
+            assert opt <= res.b + sub.offset < target, \
+                f"no completion of {sub.fix} at {res.b + sub.offset} < {target}"
+        return res
+
+    def branch_node(sub, *args, **kwargs):
+        children = real_branch(sub, *args, **kwargs)
+        child_opts = [leaf.value for leaf in
+                      (solve_exactly(reduce(sub.inst, f)) for f in children)
+                      if isinstance(leaf, SolvedLeaf)]
+        parent_opt = solve_exactly(sub).value
+        assert child_opts and parent_opt == min(child_opts), \
+            f"branching at {sub.fix} lost the optimum {parent_opt}"
+        return children
+
+    def isomorphic(retained, sub):
+        witness = real_isomorphic(retained, sub)
+        if witness is not None:
+            assert solve_exactly(sub).value == solve_exactly(retained).value, \
+                f"unsound merge of {sub.fix} into {retained.fix}"
+        return witness
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bb, "nb_bound", nb_bound)
+        mp.setattr(bb, "branch_node", branch_node)
+        mp.setattr(bb, "isomorphic", isomorphic)
+        yield
 
 
 # --- fixtures --------------------------------------------------------------

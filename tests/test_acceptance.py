@@ -22,9 +22,9 @@ from symbb.estimator import EstParams, estimate
 from symbb.instance import parse_qaplib, qap_to_bqop
 from symbb.subproblem import FixSets, reduce, subgroup
 from symbb.symmetry import automorphisms, orbits
-from tests.conftest import (alternating_projection_distance, brute_optimum,
-                            expand_solution, parse_solution, planted_bqop,
-                            random_bqop, soundness_instance)
+from tests.conftest import (alternating_projection_distance, audited,
+                            brute_optimum, expand_solution, parse_solution,
+                            planted_bqop, random_bqop, soundness_instance)
 
 BEST_KNOWN = 44_759_294
 
@@ -102,15 +102,16 @@ class TestCriterion4:
 class TestCriterion5:
     def test_soundness_suite(self):
         params = BbParams(
-            leaf_threshold=8, leaf_band=3, audit=True, workers=2,
+            leaf_threshold=8, leaf_band=3, workers=2,
             nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
         for i in range(200):
             inst = soundness_instance(i)
             n, m = inst.n, inst.m
             opt = brute_optimum(inst)
-            proved = solve_target(inst, opt, params)
+            with audited():
+                proved = solve_target(inst, opt, params)
+                refuted = solve_target(inst, opt + 1, params)
             assert proved.outcome == "Proved", (i, n, m)
-            refuted = solve_target(inst, opt + 1, params)
             assert refuted.outcome == "Refuted", (i, n, m)
             from symbb.instance import objective
             assert objective(inst, refuted.witness) == refuted.witness_value

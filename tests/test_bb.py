@@ -17,8 +17,9 @@ from symbb.estimator import EstParams, estimate
 from symbb.instance import BqopInstance, objective
 from symbb.subproblem import FixSets, reduce, solve_exactly, subgroup
 from symbb.symmetry import Orbit, PermutationGroup, automorphisms, orbits
-from tests.conftest import (brute_optimum, brute_sub_optimum, planted_bqop,
-                            random_bqop, soundness_instance, torus_matrix)
+from tests.conftest import (audited, brute_optimum, brute_sub_optimum,
+                            planted_bqop, random_bqop, soundness_instance,
+                            torus_matrix)
 
 FAST = BbParams(leaf_threshold=4, leaf_band=2,
                 nb=NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=4000)))
@@ -221,11 +222,11 @@ class TestSolveTarget:
         rng = np.random.default_rng(11)
         inst = planted_bqop(rng, blocks=2, block_size=4, m=3)
         opt = brute_optimum(inst)
-        params = BbParams(leaf_threshold=4, leaf_band=2, audit=True,
-                          nb=FAST.nb)
-        cert = solve_target(inst, opt, params)
+        params = BbParams(leaf_threshold=4, leaf_band=2, nb=FAST.nb)
+        with audited():
+            cert = solve_target(inst, opt, params)
+            cert2 = solve_target(inst, opt + 1, params)
         assert cert.outcome == "Proved"
-        cert2 = solve_target(inst, opt + 1, params)
         assert cert2.outcome == "Refuted"
 
     def test_determinism_across_workers(self):
@@ -336,12 +337,14 @@ class TestSolveTarget:
         real = subproblem.automorphisms
         monkeypatch.setattr(subproblem, "automorphisms",
                             lambda R: searched.append(R.shape) or real(R))
-        params = dataclasses.replace(FAST, leaf_threshold=0, leaf_band=0, audit=True)
-        proved = solve_target(inst, 30, params)
+        params = dataclasses.replace(FAST, leaf_threshold=0, leaf_band=0)
+        with audited():
+            proved = solve_target(inst, 30, params)
         assert proved.outcome == "Proved" and proved.node_count == 3
         assert proved.per_depth[0]["leaf_solved"] == 2
         assert searched == [(8, 8)]
-        refuted = solve_target(inst, 31, params)
+        with audited():
+            refuted = solve_target(inst, 31, params)
         assert refuted.outcome == "Refuted" and refuted.witness_value == 30
         assert objective(inst, refuted.witness) == 30
 
@@ -586,9 +589,8 @@ class TestEngine:
             return fix.with_zeros(free), fix.with_zeros(free)
 
         monkeypatch.setattr(bb_mod, "branch", lossy)
-        params = dataclasses.replace(FAST, audit=True)
-        with pytest.raises(AssertionError, match="lost the optimum"):
-            solve_target(inst, brute_optimum(inst), params)
+        with audited(), pytest.raises(AssertionError, match="lost the optimum"):
+            solve_target(inst, brute_optimum(inst), FAST)
 
     def test_audit_catches_unsound_merge(self, monkeypatch):
         # Every open node lands in one bucket and "matches" the first one.
@@ -596,9 +598,8 @@ class TestEngine:
         monkeypatch.setattr(bb_mod, "isomorphic",
                             lambda a, b: np.arange(b.ell))
         inst = random_bqop(np.random.default_rng(0), 8, 4)
-        params = dataclasses.replace(FAST, audit=True)
-        with pytest.raises(AssertionError, match="unsound merge"):
-            solve_target(inst, brute_optimum(inst), params)
+        with audited(), pytest.raises(AssertionError, match="unsound merge"):
+            solve_target(inst, brute_optimum(inst), FAST)
 
     def test_audit_catches_invalid_bound(self, monkeypatch):
         real = bb_mod.nb_bound
@@ -609,16 +610,14 @@ class TestEngine:
 
         monkeypatch.setattr(bb_mod, "nb_bound", inflated)
         inst = random_bqop(np.random.default_rng(0), 8, 4)
-        params = dataclasses.replace(FAST, audit=True)
-        with pytest.raises(AssertionError, match="invalid bound"):
-            solve_target(inst, brute_optimum(inst), params)
+        with audited(), pytest.raises(AssertionError, match="invalid bound"):
+            solve_target(inst, brute_optimum(inst), FAST)
 
     def test_audit_catches_false_completion(self, monkeypatch):
         monkeypatch.setattr(dnn, "swap_search", lambda sub: (-10 ** 6, None))
         inst = random_bqop(np.random.default_rng(0), 8, 4)
-        params = dataclasses.replace(FAST, audit=True)
-        with pytest.raises(AssertionError, match="no completion"):
-            solve_target(inst, brute_optimum(inst), params)
+        with audited(), pytest.raises(AssertionError, match="no completion"):
+            solve_target(inst, brute_optimum(inst), FAST)
 
 
 class TestCompletionCheck:

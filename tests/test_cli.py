@@ -687,7 +687,7 @@ class TestSolve:
         ({"time_budget": True}, "time_budget must be float | None, not True"),
         ({"node_budget": "5"}, "node_budget must be int | None, not '5'"),
         ({"iso_pruning": "no"}, "iso_pruning must be bool, not 'no'"),
-        ({"audit": 1}, "audit must be bool, not 1"),
+        ({"iso_pruning": 1}, "iso_pruning must be bool, not 1"),
         ({"leaf_threshold": None}, "leaf_threshold must be int, not None"),
     ])
     def test_config_of_the_wrong_type_exits_1(self, runner, bqop_file, tmp_path,
@@ -748,6 +748,27 @@ class TestSolve:
             "--certificate-json", str(cert)])
         assert result.exit_code == 1
         assert result.output == f"error: {name} must be {RULES[name]}, not {value}\n"
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("option", ["--audit", "--config"])
+    def test_audit_exits_1(self, runner, bqop_file, tmp_path, option):
+        # The enumeration audit lives in the tests (conftest.audited), not in
+        # the solver: there is no --audit flag and no audit key.
+        path, _ = bqop_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"audit": True}))
+        args = ["--audit"] if option == "--audit" else ["--config", str(cfg)]
+        cert = tmp_path / "cert.json"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(path), "--target", "0", *args,
+            "--certificate-json", str(cert)])
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        if option == "--audit":
+            assert result.output.startswith("error: No such option")
+            assert "'--audit'" in result.output
+        else:
+            assert result.output == "error: --config: unknown key 'audit'\n"
         assert not cert.exists()
 
     def test_config_lambda_scale_key_exits_1(self, runner, bqop_file, tmp_path):
@@ -832,8 +853,7 @@ class TestSettingsFlags:
     FLAGS = {
         "solve": ("--certificate-json", BbParams, [
             ("--no-isomorphism-pruning", None, False), ("--workers", "2", 2),
-            ("--node-budget", "1000", 1000), ("--time-budget", "100", 100.0),
-            ("--audit", None, True)]),
+            ("--node-budget", "1000", 1000), ("--time-budget", "100", 100.0)]),
         "estimate": ("--report-json", EstParams, [
             ("--workers", "2", 2), ("--width-threshold", "7", 7)]),
         "bound-root": ("--json", TreeParams, [

@@ -1,6 +1,5 @@
 """Lifted-relaxation assembly, cone distance, Newton bracketing."""
 
-import dataclasses
 import itertools
 import math
 
@@ -16,10 +15,11 @@ from symbb.estimator import EstParams
 from symbb.instance import BqopInstance
 from symbb.subproblem import FixSets, reduce, subgroup, swap_search
 from symbb.symmetry import PermutationGroup, automorphisms, pair_orbits
-from tests.conftest import (alternating_projection_distance, brute_optimum,
-                            brute_sub_optimum, face_matrix, face_negative_part,
-                            lifted_form, penalty_value, planted_bqop, random_bqop,
-                            soundness_instance, torus_matrix, torus_symmetries)
+from tests.conftest import (alternating_projection_distance, audited,
+                            brute_optimum, brute_sub_optimum, face_matrix,
+                            face_negative_part, lifted_form, penalty_value,
+                            planted_bqop, random_bqop, soundness_instance,
+                            torus_matrix, torus_symmetries)
 
 FAST_NB = NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=5000))
 SUITE_NB = NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000))
@@ -143,7 +143,7 @@ class TestSettings:
         (EstParams, "sample_size", 1.5, "int"),
         (BbParams, "time_budget", True, "float | None"),
         (BbParams, "iso_pruning", "no", "bool"),
-        (BbParams, "audit", 1, "bool"),
+        (BbParams, "iso_pruning", 1, "bool"),
         (BbParams, "node_budget", "5", "int | None"),
         (TreeParams, "workers", True, "int"),
         (TreeParams, "leaf_threshold", 2.5, "int"),
@@ -734,8 +734,8 @@ class TestBlockPathAudit:
 
         monkeypatch.setattr(dnn, "BLOCK_MIN_ORDER", 0)
         monkeypatch.setattr(dnn, "cone_distance", recording)
-        audited = dataclasses.replace(params, audit=True)
-        certs = [solve_target(inst, t, audited).to_json_obj() for t in (opt, opt + 1)]
+        with audited():
+            certs = [solve_target(inst, t, params).to_json_obj() for t in (opt, opt + 1)]
         assert [c["outcome"] for c in certs] == ["Proved", "Refuted"]
         assert certs[1]["witness_value"] == opt
         # The planted instance's proof at m = 5 bounds nodes on blocks.  At
@@ -1202,9 +1202,9 @@ class TestLandingExit:
 
         monkeypatch.setattr(bb, "nb_bound", recording)
         inst = soundness_instance(7)
-        params = BbParams(leaf_threshold=8, leaf_band=3, audit=True, workers=2,
-                          nb=SUITE_NB)
-        cert = solve_target(inst, -10, params)
+        params = BbParams(leaf_threshold=8, leaf_band=3, workers=2, nb=SUITE_NB)
+        with audited():
+            cert = solve_target(inst, -10, params)
         assert (cert.outcome, cert.node_count) == ("Proved", 3)
         assert stops and "cap" not in stops
 

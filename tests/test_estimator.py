@@ -1,5 +1,6 @@
 """Sampled-subtree tree-size estimation."""
 
+import dataclasses
 import types
 
 import numpy as np
@@ -10,7 +11,7 @@ from symbb.bb import BbParams, solve_target
 from symbb.dnn import ApgParams, NbParams
 from symbb.estimator import EstParams, _sample_count, estimate, estimate_multi
 from symbb.instance import BqopInstance
-from tests.conftest import (brute_optimum, planted_bqop, random_bqop,
+from tests.conftest import (audited, brute_optimum, planted_bqop, random_bqop,
                             soundness_instance, torus_matrix)
 
 FAST_NB = NbParams(apg=ApgParams(rel_tol=1e-10, max_iter=4000))
@@ -188,6 +189,37 @@ def test_root_group_computed_once(monkeypatch):
     estimate_multi(inst, brute_optimum(inst), seeds=[0, 1, 2],
                    params=fast_est(width_threshold=10 ** 6))
     assert sum(full) == 1 and len(full) > 1
+
+
+class TestAudit:
+    """An estimate bounds and branches its nodes through the tree engine, so
+    ``audited`` checks them as it checks a solve's."""
+
+    SUITE = EstParams(leaf_threshold=8, leaf_band=3, workers=2,
+                      nb=NbParams(apg=ApgParams(rel_tol=1e-9, max_iter=3000)))
+
+    def test_soundness_estimates_pass(self):
+        # At the default width no level of these trees is sampled, so every
+        # node is bounded and every survivor branched under the checks.
+        for i in range(40):
+            inst = soundness_instance(i)
+            with audited():
+                report = estimate(inst, brute_optimum(inst), self.SUITE)
+            assert not report.sampled, i
+
+    def test_invalid_bound_caught(self, monkeypatch):
+        # With two workers the check fails in a pool thread; the pool's map
+        # raises it in the caller.
+        real = bb.nb_bound
+
+        def inflated(prob, target, params):
+            res = real(prob, target, params)
+            return dataclasses.replace(res, a=res.a + 10 ** 6)
+
+        monkeypatch.setattr(bb, "nb_bound", inflated)
+        inst = random_bqop(np.random.default_rng(0), 8, 4)
+        with audited(), pytest.raises(AssertionError, match="invalid bound"):
+            estimate(inst, brute_optimum(inst), fast_est(workers=2))
 
 
 class TestSharedMemo:
